@@ -6,14 +6,14 @@ from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
                      GermClassification, PointLocation, ProjectivePoint,
                      chart_ideal, chart_matrix, classify, is_point_on_variety,
-                     minors_ideal)
+                     lower_locus_generators, minors_ideal)
 from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, GRLEX, LEX,
                       GroebnerBasis, Ideal, MonomialOrder,
                       ResourceLimitExceeded, SPairBudgetExceeded, buchberger,
                       ideal_dimension, is_groebner_basis, is_reduced,
                       normal_form, quasi_homogeneous_weights,
                       quotient_dimension, s_polynomial, weighted_degree)
-from .indexcalc import (CStarForm, ExplicitForm, IdentityResult, IndexLedger,
+from .indexcalc import (CStarForm, IdentityResult, IndexLedger,
                         LedgerEntry, LedgerError, NonIsolatedZeroError,
                         RadialDecomposition, SingularPointRecord,
                         UnsupportedLocalStructureError, cstar_fixed_points,

@@ -20,7 +20,7 @@ from pathlib import Path
 from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
                      ProjectivePoint, chart_matrix, classify,
-                     is_point_on_variety)
+                     is_point_on_variety, lower_locus_generators)
 from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal,
                       ResourceLimitExceeded, buchberger, ideal_dimension,
                       quotient_dimension)
@@ -29,7 +29,7 @@ from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
                         LedgerError, SingularPointRecord, cstar_fixed_points,
                         cstar_smooth_index, defect, defect_known,
                         global_identity)
-from .polyalg import ParseError, Polynomial, PolyMatrix, minors, parse_polynomial
+from .polyalg import ParseError, PolyMatrix, minors, parse_polynomial
 from .topo import UnsupportedDimensionError
 
 EXIT_OK = 0
@@ -463,10 +463,8 @@ def cmd_groebner(inp, args):
                   if chart_point is not None else model.matrix)
         if args.ideal == "minors":
             gens = minors(matrix, model.t)
-        elif model.t > 1:
-            gens = minors(matrix, model.t - 1) + minors(matrix, model.t)
         else:
-            gens = [Polynomial.constant(matrix.variables, 1)]
+            gens = lower_locus_generators(matrix, model.t)
         ideal = Ideal(matrix.variables, gens)
     else:
         if inp.form_kind != "explicit":

@@ -163,11 +163,15 @@ def minors_ideal(model, size):
     return Ideal(model.variables, minors(model.matrix, size))
 
 
-def _lower_locus_generators(model):
-    gens = list(minors(model.matrix, model.t))
-    if model.t == 1:
-        return [Polynomial.constant(model.variables, 1)]
-    return minors(model.matrix, model.t - 1) + gens
+def lower_locus_generators(matrix, t):
+    """Generators of the rank <= t - 2 stratum: the (t - 1)-minors.
+
+    By Laplace expansion the t-minors already lie in this ideal, so they are
+    not listed.  For t = 1 the stratum is empty: the unit ideal.
+    """
+    if t == 1:
+        return [Polynomial.constant(matrix.variables, 1)]
+    return minors(matrix, t - 1)
 
 
 def is_point_on_variety(model, point):
@@ -382,7 +386,7 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             notes=tuple(notes))
     codim = nvars - dim_t
     determinantal = codim == model.expected_codimension()
-    lower_gens = _lower_locus_generators(model)
+    lower_gens = lower_locus_generators(model.matrix, model.t)
     gb_low = buchberger(Ideal(model.variables, lower_gens), GREVLEX, spair_budget)
     dim_low = ideal_dimension(gb_low)
     isolated = dim_low <= (1 if projective else 0)

@@ -94,10 +94,6 @@ class GroebnerBasis:
     def leading_monomials(self):
         return tuple(p.leading_monomial(self.order.key) for p in self.polynomials)
 
-    def contains(self, f):
-        """Ideal membership test via normal form."""
-        return not normal_form(f, self)
-
 
 def leading_term(f, order=GREVLEX):
     """(monomial, coefficient) of the largest term of a nonzero polynomial."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detvar import (OUTSIDE, PROJECTIVE, SMOOTH_STRATUM, ProjectivePoint,
-                     is_point_on_variety, minors_ideal)
+                     is_point_on_variety)
 from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal, buchberger,
                       normal_form, quasi_homogeneous_weights,
                       quotient_dimension)
@@ -320,16 +320,6 @@ class CStarForm:
         object.__setattr__(self, "weights", ws)
 
 
-@dataclass(frozen=True)
-class ExplicitForm:
-    """Explicit 1-form given by one coefficient polynomial per chart variable."""
-
-    coefficients: tuple
-
-    def __init__(self, coefficients):
-        object.__setattr__(self, "coefficients", tuple(coefficients))
-
-
 def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
     """Coordinate fixed points of the weight action that lie on the variety.
 
@@ -344,8 +334,9 @@ def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
     form = weights if isinstance(weights, CStarForm) else CStarForm(weights)
     if len(form.weights) != len(model.variables):
         raise ValueError("one weight per homogeneous coordinate is required")
-    basis = buchberger(minors_ideal(model, model.t), GREVLEX, spair_budget)
-    for gen in minors(model.matrix, model.t):
+    ideal = Ideal(model.variables, minors(model.matrix, model.t))
+    basis = buchberger(ideal, GREVLEX, spair_budget)
+    for gen in ideal.generators:
         for part in gen.weight_components(form.weights).values():
             if normal_form(part, basis):
                 raise ValueError("the weight action does not preserve the variety")

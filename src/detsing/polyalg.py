@@ -511,73 +511,11 @@ def _det_cofactor(grid):
     return total
 
 
-def _exact_divide(num, den):
-    """Quotient q with q * den == num, or None when the division is inexact."""
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    variables = num.variables
-    if not num:
-        return Polynomial.zero(variables)
-    den_lm = den.leading_monomial()
-    den_lc = den.terms[den_lm]
-    quo = {}
-    rem = dict(num.terms)
-    while rem:
-        lm = max(rem, key=_grevlex_key)
-        if not _mono_divides(den_lm, lm):
-            return None
-        qm = _mono_sub(lm, den_lm)
-        qc = rem[lm] / den_lc
-        quo[qm] = qc
-        for m, c in den.terms.items():
-            mm = _mono_mul(qm, m)
-            s = rem.get(mm, 0) - qc * c
-            if s:
-                rem[mm] = s
-            else:
-                rem.pop(mm, None)
-    return Polynomial._raw(variables, quo)
-
-
-def _det_bareiss(grid):
-    """Fraction-free elimination determinant (Bareiss), exact over the ring."""
-    n = len(grid)
-    variables = grid[0][0].variables
-    mat = [list(row) for row in grid]
-    one = Polynomial.constant(variables, 1)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if not mat[k][k]:
-            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if swap is None:
-                return Polynomial.zero(variables)
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[k][k] * mat[i][j] - mat[i][k] * mat[k][j]
-                q = _exact_divide(num, prev)
-                if q is None:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                mat[i][j] = q
-            mat[i][k] = Polynomial.zero(variables)
-        prev = mat[k][k]
-    return mat[n - 1][n - 1] if sign == 1 else -mat[n - 1][n - 1]
-
-
 def determinant(matrix):
-    """Determinant of a square PolyMatrix.
-
-    Computed by cofactor expansion; in debug runs the fraction-free
-    elimination route must agree, which guards both implementations.
-    """
+    """Determinant of a square PolyMatrix, by cofactor expansion."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant requires a square matrix")
-    grid = [list(row) for row in matrix.entries]
-    det = _det_cofactor(grid)
-    assert det == _det_bareiss(grid), "determinant routes disagree"
-    return det
+    return _det_cofactor(matrix.entries)
 
 
 def minors(matrix, size):
@@ -586,14 +524,9 @@ def minors(matrix, size):
         raise ValueError("minor size must be a positive integer")
     if size > min(matrix.rows, matrix.cols):
         raise ValueError("minor size exceeds matrix dimensions")
-    out = []
-    for rset in combinations(range(matrix.rows), size):
-        for cset in combinations(range(matrix.cols), size):
-            grid = [[matrix.entries[i][j] for j in cset] for i in rset]
-            det = _det_cofactor(grid)
-            assert det == _det_bareiss(grid), "determinant routes disagree"
-            out.append(det)
-    return out
+    return [_det_cofactor([[matrix.entries[i][j] for j in cset] for i in rset])
+            for rset in combinations(range(matrix.rows), size)
+            for cset in combinations(range(matrix.cols), size)]
 
 
 def rank_at_point(matrix, point):

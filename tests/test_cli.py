@@ -230,7 +230,7 @@ class TestInputValidation:
             "ambient": {"kind": "projective", "dim": 4},
             "singularities": [{"point": "[0:0:0:0:1]", "mu": 1}],
             "weights": [0, 1, 2, 3, 4],
-            "form": "cstar",
+            "form": {"kind": "cstar"},
             "known": {"chi_X": 3},
         }
 
@@ -282,6 +282,7 @@ class TestInputValidation:
         payload["singularities"] = []
         code, _, err = run_cli("verify", self.write(tmp_path, payload))
         assert code == 2
+        assert "does not match the computed" in err
 
     def test_listed_smooth_point_rejected(self, run_cli, tmp_path):
         payload = self.base_payload()
@@ -291,6 +292,7 @@ class TestInputValidation:
         ]
         code, _, err = run_cli("verify", self.write(tmp_path, payload))
         assert code == 2
+        assert "smooth stratum, not the singular locus" in err
 
     def test_duplicate_known_index(self, run_cli, tmp_path):
         payload = self.base_payload()
@@ -300,32 +302,37 @@ class TestInputValidation:
         }
         code, _, err = run_cli("verify", self.write(tmp_path, payload))
         assert code == 2
+        assert "names [0:0:0:0:1] twice" in err
 
     def test_conflicting_smooth_index(self, run_cli, tmp_path):
         payload = self.base_payload()
         payload["known"]["indices"] = {"[1:0:0:0:0]": 2}
         code, _, err = run_cli("verify", self.write(tmp_path, payload))
         assert code == 2
+        assert "conflicts with the computed index" in err
 
     def test_known_index_off_ledger_rejected(self, run_cli, tmp_path):
         payload = self.base_payload()
         payload["known"]["indices"] = {"[0:1:0:0:0]": 1}
         code, _, err = run_cli("verify", self.write(tmp_path, payload))
         assert code == 2
+        assert "must lie in the smooth stratum" in err
 
     def test_cstar_form_with_coefficients_rejected(self, run_cli, tmp_path):
         payload = self.base_payload()
-        payload["coefficients"] = ["x0", "x1", "x2", "x3", "x4"]
+        payload["form"]["coefficients"] = ["x0", "x1", "x2", "x3", "x4"]
         code, _, err = run_cli("verify", self.write(tmp_path, payload))
         assert code == 2
+        assert "takes its data from weights" in err
 
     def test_explicit_form_requires_affine(self, run_cli, tmp_path):
         payload = self.base_payload()
-        payload["form"] = "explicit"
+        payload["form"] = {"kind": "explicit",
+                           "coefficients": ["x0", "x1", "x2", "x3", "x4"]}
         payload.pop("weights")
-        payload["coefficients"] = ["x0", "x1", "x2", "x3", "x4"]
         code, _, err = run_cli("verify", self.write(tmp_path, payload))
         assert code == 2
+        assert "affine mode only" in err
 
     def test_budget_must_be_positive(self, run_cli):
         code, _, err = run_cli(

@@ -17,10 +17,11 @@ from detsing.detvar import (
     chart_matrix,
     classify,
     is_point_on_variety,
+    lower_locus_generators,
     minors_ideal,
 )
-from detsing.grobner import buchberger, ideal_dimension, normal_form
-from detsing.polyalg import PolyMatrix, parse_polynomial
+from detsing.grobner import Ideal, buchberger, ideal_dimension, normal_form
+from detsing.polyalg import PolyMatrix, Polynomial, minors, parse_polynomial
 
 P4 = ("x0", "x1", "x2", "x3", "x4")
 
@@ -180,6 +181,32 @@ class TestIdeals:
 
         det = determinant(model.matrix)
         assert not normal_form(det, basis).terms
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (2, 4), (3, 3), (3, 4)])
+    def test_lower_generators_span_the_t_minors_generic(self, rows, cols):
+        variables = tuple(f"x{i}" for i in range(rows * cols))
+        grid = [[variables[i * cols + j] for j in range(cols)]
+                for i in range(rows)]
+        self.check_lower_generators(PolyMatrix.from_strings(grid, variables))
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_lower_generators_span_the_t_minors_hankel(self, k):
+        variables = tuple(f"x{i}" for i in range(k + 1))
+        grid = [list(variables[:k]), list(variables[1:])]
+        self.check_lower_generators(PolyMatrix.from_strings(grid, variables))
+
+    @staticmethod
+    def check_lower_generators(m):
+        # Laplace expansion puts every t-minor in the (t - 1)-minors ideal
+        v = m.variables
+        for t in range(2, min(m.rows, m.cols) + 1):
+            full = minors(m, t - 1) + minors(m, t)
+            assert (buchberger(Ideal(v, lower_locus_generators(m, t)))
+                    == buchberger(Ideal(v, full)))
+
+    def test_lower_generators_for_t_one_are_the_unit_ideal(self):
+        m = catalecticant_model().matrix
+        assert lower_locus_generators(m, 1) == [Polynomial.constant(P4, 1)]
 
 
 class TestRationalRoots:

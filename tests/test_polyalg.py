@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -194,6 +195,32 @@ class TestCalculusAndStructure:
 TWISTED = [["x0", "x1", "x2"], ["x1", "x2", "x3"]]
 
 
+def leibniz_det(grid):
+    """Determinant as the signed sum over permutations (Leibniz formula)."""
+    n = len(grid)
+    variables = grid[0][0].variables
+    total = Polynomial.zero(variables)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = Polynomial.constant(variables, (-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * grid[i][j]
+        total = total + term
+    return total
+
+
+SQUARE_SHAPES = [(n, n) for n in range(1, 5)]
+RECTANGULAR_SHAPES = [(n, p) for n in range(1, 5) for p in range(1, 5)
+                      if n != p and n * p <= 12]
+
+
+@st.composite
+def matrices(draw, shapes):
+    rows, cols = draw(st.sampled_from(shapes))
+    return PolyMatrix([[draw(polynomials()) for _ in range(cols)]
+                       for _ in range(rows)])
+
+
 class TestMatrices:
     def test_minors_of_catalecticant(self):
         m = PolyMatrix.from_strings(TWISTED, P4)
@@ -235,6 +262,20 @@ class TestMatrices:
         m = PolyMatrix(rows)
         swapped = PolyMatrix([rows[1], rows[0], rows[2]])
         assert determinant(m) == -determinant(swapped)
+
+    @given(matrices(SQUARE_SHAPES))
+    def test_determinant_matches_leibniz(self, m):
+        assert determinant(m) == leibniz_det(m.entries)
+
+    @given(matrices(SQUARE_SHAPES + RECTANGULAR_SHAPES))
+    def test_minors_match_leibniz_in_lex_order(self, m):
+        for size in range(1, min(m.rows, m.cols) + 1):
+            expected = [
+                leibniz_det([[m.entries[i][j] for j in cols] for i in rows])
+                for rows in combinations(range(m.rows), size)
+                for cols in combinations(range(m.cols), size)
+            ]
+            assert minors(m, size) == expected
 
     def test_rank_at_points(self):
         m = PolyMatrix.from_strings(TWISTED, P4)
