@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 
-def rational_rank(rows):
-    """Rank of a matrix given as an iterable of rows of rationals."""
+def row_basis(rows):
+    """Basis of the row space: the nonzero rows of the reduced echelon form.
+
+    The reduced echelon form depends only on the row space, so neither the
+    order of `rows` nor repeated or dependent rows change the result.
+    """
     mat = [[Fraction(x) for x in row] for row in rows]
     if not mat or not mat[0]:
-        return 0
+        return []
     ncols = len(mat[0])
     rank = 0
     for col in range(ncols):
@@ -28,7 +32,12 @@ def rational_rank(rows):
         rank += 1
         if rank == len(mat):
             break
-    return rank
+    return mat[:rank]
+
+
+def rational_rank(rows):
+    """Rank of a matrix given as an iterable of rows of rationals."""
+    return len(row_basis(rows))
 
 
 def nonnegative_kernel_vector(rows, n):

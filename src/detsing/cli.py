@@ -168,6 +168,8 @@ def load_input(path):
         rows.append(out)
     if len({len(r) for r in rows}) != 1:
         _fail("matrix rows must have equal length")
+    if not any(e for row in rows for e in row):
+        _fail("matrix must have a nonzero entry")
 
     t = _as_int(data["t"], "t")
     ambient = data["ambient"]
@@ -603,3 +605,7 @@ def main(argv=None):
 
 def main_script():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_script()

@@ -311,9 +311,13 @@ def quotient_dimension(source, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET)
 def quasi_homogeneous_weights(polys):
     """Non-negative integer weights making every polynomial weighted-homogeneous.
 
-    Solves the linear system on exponent differences for a nonzero
-    non-negative weight vector (exact simplex feasibility).  Returns a scaled
-    integer tuple, or None when no such weights exist.
+    The exponent differences of each polynomial are first reduced to a basis
+    of their row space, which has the same kernel, so the simplex sees at most
+    one row per variable.  An exact simplex then finds a nonzero non-negative
+    weight vector in that kernel.  Returns a scaled integer tuple taken from a
+    vertex of the feasible polytope (when the kernel has dimension two or
+    more, which vertex depends on the tableau), or None when no such weights
+    exist.
     """
     polys = [p for p in polys if p]
     if not polys:
@@ -327,7 +331,7 @@ def quasi_homogeneous_weights(polys):
         ms = sorted(p.terms, key=_grevlex_key)
         base = ms[0]
         rows.extend(_mono_sub(m, base) for m in ms[1:])
-    w = _linalg.nonnegative_kernel_vector(rows, nvars)
+    w = _linalg.nonnegative_kernel_vector(_linalg.row_basis(rows), nvars)
     if w is None:
         return None
     scale = lcm(*(x.denominator for x in w)) if w else 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import _linalg
 
@@ -259,22 +260,38 @@ class Polynomial:
         return Polynomial._raw(new_vars, res)
 
     def shift(self, offsets):
-        """Translate coordinates: returns f(x0 + a0, x1 + a1, ...)."""
+        """Translate coordinates: returns f(x0 + a0, x1 + a1, ...).
+
+        Each term c*x^e is expanded by the binomial theorem,
+        (x_i + a_i)^e_i = sum_k C(e_i, k) * a_i^(e_i - k) * x_i^k, in every
+        variable whose offset is nonzero, straight into one term map.
+        """
         offsets = [Fraction(a) for a in offsets]
         if len(offsets) != len(self.variables):
             raise ValueError("one offset per variable required")
-        if not any(offsets):
+        moved = [i for i, a in enumerate(offsets) if a]
+        if not moved:
             return self
-        gens = [Polynomial.variable(self.variables, v) + a
-                for v, a in zip(self.variables, offsets)]
-        total = Polynomial.zero(self.variables)
+        res = {}
         for exps, c in self.terms.items():
-            part = Polynomial.constant(self.variables, c)
-            for g, e in zip(gens, exps):
-                if e:
-                    part = part * g ** e
-            total = total + part
-        return total
+            # the variables are expanded in turn; the monomials of `part`
+            # differ in the exponents already expanded, so none collide
+            part = {exps: c}
+            for i in moved:
+                e = exps[i]
+                if not e:
+                    continue
+                a = offsets[i]
+                binomial = [(k, comb(e, k) * a ** (e - k)) for k in range(e + 1)]
+                part = {m[:i] + (k,) + m[i + 1:]: v * b
+                        for m, v in part.items() for k, b in binomial}
+            for m, v in part.items():
+                s = res.get(m, 0) + v
+                if s:
+                    res[m] = s
+                else:
+                    res.pop(m, None)
+        return Polynomial._raw(self.variables, res)
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if mixed or zero."""
@@ -326,6 +343,11 @@ class Polynomial:
 
 _OPERATORS = set("+-*^()")
 
+# deepest parenthesis nesting the recursive-descent parser accepts; each
+# level costs four Python frames, so this stays well inside the default
+# recursion limit
+MAX_NESTING = 100
+
 
 def _tokenize(text):
     tokens = []
@@ -365,6 +387,7 @@ class _Parser:
         self.pos = 0
         self.variables = tuple(variables)
         self.index = {v: i for i, v in enumerate(self.variables)}
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -417,7 +440,12 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", pos)
             return Polynomial.variable(self.variables, val)
         if (kind, val) == ("op", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
             inner = self.expression()
+            self.depth -= 1
             k2, v2, p2 = self.advance()
             if (k2, v2) != ("op", ")"):
                 raise ParseError("expected ')'", p2)
@@ -440,7 +468,8 @@ def parse_polynomial(text, variables):
         base       := integer | identifier | '(' expression ')'
 
     A single unary minus is allowed at the head of an expression.  Implicit
-    multiplication ("2x") is rejected.  Errors carry the offending position.
+    multiplication ("2x") is rejected.  Parentheses may nest at most
+    MAX_NESTING levels deep.  Errors carry the offending position.
     """
     parser = _Parser(_tokenize(text), variables)
     result = parser.expression()

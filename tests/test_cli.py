@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import detsing
 from conftest import fixture_path
 
 
@@ -265,6 +270,23 @@ class TestInputValidation:
         assert "matrix[0][1]" in err
         assert "position" in err
 
+    def test_all_zero_matrix_rejected(self, run_cli, tmp_path):
+        payload = self.base_payload()
+        payload["matrix"] = [["0", "0", "0"], ["0", "0", "0"]]
+        code, _, err = run_cli("analyze", self.write(tmp_path, payload))
+        assert code == 2
+        assert "matrix must have a nonzero entry" in err
+        assert "Traceback" not in err
+
+    def test_deep_nesting_rejected(self, run_cli, tmp_path):
+        payload = self.base_payload()
+        payload["matrix"][0][1] = "(" * 3000 + "x1" + ")" * 3000
+        code, _, err = run_cli("verify", self.write(tmp_path, payload))
+        assert code == 2
+        assert "matrix[0][1]" in err
+        assert "parentheses nest deeper than" in err
+        assert "Traceback" not in err
+
     def test_bad_ambient_kind(self, run_cli, tmp_path):
         payload = self.base_payload()
         payload["ambient"]["kind"] = "torus"
@@ -354,6 +376,22 @@ class TestInputValidation:
     def test_usage_error(self, run_cli):
         code, _, _ = run_cli("index", fixture_path("twisted_cubic_index.json"))
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_command(self, run_cli):
+        path = fixture_path("twisted_cubic.json")
+        src = str(Path(detsing.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "detsing.cli", "analyze", path],
+            env=env, capture_output=True, text=True, timeout=60)
+        code, out, _ = run_cli("analyze", path)
+        assert done.returncode == 0 and code == 0
+        assert done.stdout == out
+        assert out.startswith("command: analyze")
 
 
 class TestDeterminism:

@@ -21,6 +21,7 @@ from detsing.grobner import (
     quotient_dimension,
     weighted_degree,
 )
+from detsing._linalg import nonnegative_kernel_vector, rational_rank, row_basis
 from detsing.polyalg import Polynomial, parse_polynomial
 
 P4 = ("x0", "x1", "x2", "x3")
@@ -284,6 +285,26 @@ class TestOrders:
             MonomialOrder("lex", priority=(0, 0, 1))
 
 
+def exponent_differences(polys):
+    """Each polynomial's exponents minus those of its lex-least monomial."""
+    rows = []
+    for p in polys:
+        ms = sorted(p.terms)
+        rows.extend([Fraction(a - b) for a, b in zip(m, ms[0])] for m in ms[1:])
+    return rows
+
+
+@st.composite
+def weight_systems(draw):
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    terms = st.dictionaries(exponents, st.integers(min_value=1, max_value=3),
+                            min_size=1, max_size=4)
+    return [Polynomial(variables, draw(terms))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+
+
 class TestWeights:
     def test_plane_cusp_weights(self):
         w = quasi_homogeneous_weights(polys(("x^2 + y^3",), XY))
@@ -311,6 +332,23 @@ class TestWeights:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             quasi_homogeneous_weights([])
+
+    @given(weight_systems())
+    def test_row_basis_keeps_the_feasibility_answer(self, gens):
+        # the row basis has the same kernel as the full difference rows, so
+        # weights exist exactly when they exist for the unreduced system;
+        # with a kernel of dimension two or more the vertex may differ
+        rows = exponent_differences(gens)
+        w = quasi_homogeneous_weights(gens)
+        full = nonnegative_kernel_vector(rows, len(gens[0].variables))
+        assert (w is None) == (full is None)
+        if w is not None:
+            assert min(w) >= 0 and any(w)
+            for g in gens:
+                assert g.is_weighted_homogeneous(w)
+        basis = row_basis(rows)
+        assert rational_rank(rows + basis) == len(basis) == rational_rank(rows)
+        assert len(basis) == _rank(rows) == _rank(rows + basis)
 
     def test_weighted_degree(self):
         f = parse_polynomial("x^2 + y^3", XY)

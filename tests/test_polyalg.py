@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from detsing.polyalg import (
+    MAX_NESTING,
     ParseError,
     PolyMatrix,
     Polynomial,
@@ -50,6 +51,19 @@ def polynomials(draw, coefficients=small_fractions):
     return result
 
 
+def substitution_shift(f, offsets):
+    """f(x0 + a0, ...) by expanding the products of (x_i + a_i)^e_i."""
+    moved = [Polynomial.variable(f.variables, v) + a
+             for v, a in zip(f.variables, offsets)]
+    total = Polynomial.zero(f.variables)
+    for exps, c in f.terms.items():
+        part = Polynomial.constant(f.variables, c)
+        for g, e in zip(moved, exps):
+            part = part * g ** e
+        total = total + part
+    return total
+
+
 class TestParsing:
     def test_conic_generator(self):
         f = poly("x0*x2 - x1^2", P4)
@@ -90,6 +104,18 @@ class TestParsing:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ParseError):
             poly("x^(1/2)")
+
+    def test_deep_nesting_rejected(self):
+        text = "(" * 3000 + "x" + ")" * 3000
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, ("x",))
+        assert info.value.position == MAX_NESTING
+        assert "nest" in str(info.value)
+
+    @pytest.mark.parametrize("depth", [50, MAX_NESTING])
+    def test_nesting_within_limit_parses(self, depth):
+        text = "(" * depth + "x" + ")" * depth
+        assert parse_polynomial(text, ("x",)) == Polynomial.variable(("x",), "x")
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
@@ -185,6 +211,22 @@ class TestCalculusAndStructure:
         f = poly("x^2")
         g = f.shift((Fraction(1), Fraction(0), Fraction(0)))
         assert g == poly("x^2 + 2*x + 1")
+
+    def test_shift_drops_cancelled_terms(self):
+        # (x + 1)^2 - 2*(x + 1) = x^2 - 1: the x terms cancel
+        g = poly("x^2 - 2*x").shift((Fraction(1), Fraction(0), Fraction(0)))
+        assert g == poly("x^2 - 1")
+        assert all(g.terms.values())
+
+    @given(polynomials(), st.tuples(*[small_fractions] * 3),
+           st.tuples(*[small_fractions] * 3))
+    def test_shift_matches_substitution(self, f, offsets, point):
+        g = f.shift(offsets)
+        assert g == substitution_shift(f, offsets)
+        assert all(g.terms.values())
+        moved = [p + a for p, a in zip(point, offsets)]
+        assert g.evaluate(point) == f.evaluate(moved)
+        assert g.shift([-a for a in offsets]) == f
 
     def test_string_form_is_sorted_by_order(self):
         f = poly("1 + x^2 + y")
