@@ -252,7 +252,10 @@ def load_input(path):
         _require_keys(known, set(), {"chi_X", "indices"}, "known")
         if "chi_X" in known:
             chi_x = _as_int(known["chi_X"], "known.chi_X")
-        for key, value in known.get("indices", {}).items():
+        indices = known.get("indices", {})
+        if not isinstance(indices, dict):
+            _fail("known.indices must be a JSON object")
+        for key, value in indices.items():
             parsed = _parse_point(key, model, f"known.indices[{key!r}]")
             label = _point_label(parsed, projective)
             if label in known_indices:

@@ -332,6 +332,7 @@ def chart_matrix(model, point):
 
     Projective points are dehomogenized at their first nonzero coordinate and
     then translated to the origin; affine points are translated directly.
+    Equal entries are rewritten once.
     """
     if model.ambient.kind == PROJECTIVE:
         pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint.from_fractions(point)
@@ -340,13 +341,19 @@ def chart_matrix(model, point):
         i = pt.chart_index()
         denom = pt.coords[i]
         offsets = [Fraction(c, denom) for j, c in enumerate(pt.coords) if j != i]
-        return PolyMatrix([[e.eliminate({i: 1}).shift(offsets) for e in row]
-                           for row in model.matrix.entries])
-    offsets = [Fraction(x) for x in point]
-    if len(offsets) != len(model.variables):
-        raise ValueError("point length does not match the variable count")
-    return PolyMatrix([[e.shift(offsets) for e in row]
-                       for row in model.matrix.entries])
+
+        def rewrite(e):
+            return e.eliminate({i: 1}).shift(offsets)
+    else:
+        offsets = [Fraction(x) for x in point]
+        if len(offsets) != len(model.variables):
+            raise ValueError("point length does not match the variable count")
+
+        def rewrite(e):
+            return e.shift(offsets)
+    entries = model.matrix.entries
+    charted = {e: rewrite(e) for e in {e for row in entries for e in row}}
+    return PolyMatrix([[charted[e] for e in row] for row in entries])
 
 
 def chart_ideal(model, point):

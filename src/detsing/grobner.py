@@ -9,6 +9,8 @@ structure makes the global answers equal to the local ones; the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import combinations, product
 from math import gcd, lcm
 
 from . import _linalg
@@ -101,9 +103,11 @@ def leading_term(f, order=GREVLEX):
     return lm, f.terms[lm]
 
 
-def _monic(f, order):
-    _, lc = leading_term(f, order)
-    return f * (1 / lc)
+def _monic_term(f, order):
+    """(leading monomial, 1, f divided by its leading coefficient)."""
+    lm, lc = leading_term(f, order)
+    monic = f * (1 / lc)
+    return lm, monic.terms[lm], monic
 
 
 def s_polynomial(f, g, order=GREVLEX):
@@ -117,16 +121,17 @@ def s_polynomial(f, g, order=GREVLEX):
 
 
 def _basis_info(polys, order):
-    return [(p.leading_monomial(order.key), p.terms[p.leading_monomial(order.key)], p)
-            for p in polys]
+    """(leading monomial, leading coefficient, polynomial) for each polynomial."""
+    return [leading_term(p, order) + (p,) for p in polys]
 
 
 def _reduce(f, info, order):
     key = order.key
     work = dict(f.terms)
+    keys = {m: key(m) for m in work}
     remainder = {}
     while work:
-        lm = max(work, key=key)
+        lm = max(work, key=keys.__getitem__)
         lc = work[lm]
         for glm, glc, g in info:
             if _mono_divides(glm, lm):
@@ -137,6 +142,8 @@ def _reduce(f, info, order):
                     s = work.get(mm, 0) - qc * c
                     if s:
                         work[mm] = s
+                        if mm not in keys:
+                            keys[mm] = key(mm)
                     else:
                         work.pop(mm, None)
                 break
@@ -163,66 +170,64 @@ def normal_form(f, basis, order=None):
     return _reduce(f, _basis_info(polys, order), order)
 
 
-def _autoreduce(polys, order):
+def _autoreduce(info, order):
+    """Reduced basis from (lm, lc, p) triples of a monic Groebner basis.
+
+    The minimal filter keeps the elements whose leading monomial no smaller
+    one divides.  No other element's leading monomial divides theirs, so tail
+    reduction keeps each leading term, and one pass leaves every element
+    reduced.  Returned in descending leading-monomial order.
+    """
     key = order.key
-    polys = sorted(polys, key=lambda p: key(p.leading_monomial(key)))
     minimal = []
-    for p in polys:
-        lm = p.leading_monomial(key)
-        if not any(_mono_divides(q.leading_monomial(key), lm) for q in minimal):
-            minimal.append(p)
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(minimal):
-            rest = minimal[:i] + minimal[i + 1:]
-            r = _monic(_reduce(p, _basis_info(rest, order), order), order)
-            if r != p:
-                minimal[i] = r
-                changed = True
-    return sorted(minimal, key=lambda p: key(p.leading_monomial(key)), reverse=True)
+    for t in sorted(info, key=lambda t: key(t[0])):
+        if not any(_mono_divides(q[0], t[0]) for q in minimal):
+            minimal.append(t)
+    for i, (lm, lc, p) in enumerate(minimal):
+        minimal[i] = (lm, lc, _reduce(p, minimal[:i] + minimal[i + 1:], order))
+    return [p for _, _, p in reversed(minimal)]
+
+
+def _push_pairs(pairs, lms, j):
+    """Queue the pairs (i, j), i < j, keyed by the total degree of their lcm."""
+    lm = lms[j]
+    for i in range(j):
+        heappush(pairs, (sum(max(a, b) for a, b in zip(lms[i], lm)), i, j))
 
 
 def buchberger(ideal, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
     """Reduced Groebner basis by Buchberger's algorithm.
 
     Pair selection is the normal strategy, lowest lcm total degree first with
-    ties broken by pair enumeration order, and pairs with coprime leading
-    monomials are skipped.  Raises SPairBudgetExceeded once more than
-    `spair_budget` pairs have been taken up.
+    ties broken by pair enumeration order: pending pairs sit in a heap keyed
+    by (lcm total degree, i, j), and each pair is pushed once, when its
+    second element joins the basis.  Pairs with coprime leading monomials are
+    skipped.  Raises SPairBudgetExceeded once more than `spair_budget` pairs
+    have been taken up.
     """
-    key = order.key
-    basis = [_monic(g, order) for g in ideal.generators]
-    info = _basis_info(basis, order)
-    lms = [i[0] for i in info]
-
-    def pair_rank(ij):
-        i, j = ij
-        l = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
-        return (sum(l), i, j)
-
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    info = [_monic_term(g, order) for g in ideal.generators]
+    basis = [t[2] for t in info]
+    lms = [t[0] for t in info]
+    pairs = []
+    for j in range(len(basis)):
+        _push_pairs(pairs, lms, j)
     processed = 0
     while pairs:
-        pick = min(pairs, key=pair_rank)
-        pairs.remove(pick)
+        _, i, j = heappop(pairs)
         processed += 1
         if processed > spair_budget:
             raise SPairBudgetExceeded(
                 f"S-pair budget of {spair_budget} exceeded")
-        i, j = pick
         if all(min(a, b) == 0 for a, b in zip(lms[i], lms[j])):
             continue
         r = _reduce(s_polynomial(basis[i], basis[j], order), info, order)
         if r:
-            r = _monic(r, order)
+            lm, lc, r = _monic_term(r, order)
+            info.append((lm, lc, r))
             basis.append(r)
-            lm = r.leading_monomial(key)
-            info.append((lm, r.terms[lm], r))
             lms.append(lm)
-            new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
-    return GroebnerBasis(ideal.variables, order, tuple(_autoreduce(basis, order)))
+            _push_pairs(pairs, lms, len(basis) - 1)
+    return GroebnerBasis(ideal.variables, order, tuple(_autoreduce(info, order)))
 
 
 def is_groebner_basis(gb):
@@ -269,7 +274,6 @@ def ideal_dimension(source, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
         return -1
     supports = [frozenset(i for i, e in enumerate(lm) if e)
                 for lm in gb.leading_monomials()]
-    from itertools import combinations
     for size in range(nvars, 0, -1):
         for subset in combinations(range(nvars), size):
             sset = set(subset)
@@ -300,7 +304,6 @@ def quotient_dimension(source, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET)
         total *= max(b, 1)
     if total > 5_000_000:
         raise ResourceLimitExceeded("staircase enumeration too large")
-    from itertools import product
     count = 0
     for m in product(*(range(b) for b in bounds)):
         if not any(_mono_divides(lm, m) for lm in lms):

@@ -369,6 +369,28 @@ class TestInputValidation:
         assert code == 3
         assert "resource limit" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", fixture_path("twisted_cubic.json")),
+        ("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
+    ])
+    def test_budget_boundary(self, run_cli, argv):
+        # the smallest budget that completes moves with pair order and pair
+        # criteria, so a change to either shows here
+        code, _, err = run_cli(*argv, "--spair-budget", "14")
+        assert code == 3
+        assert "S-pair budget of 14 exceeded" in err
+        code, _, err = run_cli(*argv, "--spair-budget", "15")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("indices", [[], "[0:0:0:0:1]", 3, True],
+                             ids=["list", "string", "int", "bool"])
+    def test_known_indices_must_be_an_object(self, run_cli, tmp_path, indices):
+        payload = json.loads(Path(fixture_path("twisted_cubic.json")).read_text())
+        payload["known"]["indices"] = indices
+        code, _, err = run_cli("verify", self.write(tmp_path, payload))
+        assert code == 2
+        assert "known.indices must be a JSON object" in err
+
     def test_affine_ledger_unsupported(self, run_cli):
         code, _, err = run_cli("verify", fixture_path("non_quasihomogeneous.json"))
         assert code == 3

@@ -263,6 +263,22 @@ class TestZeroDimensionalSolver:
         assert points == [] and not complete
 
 
+SHIFT = Polynomial.shift
+
+
+@pytest.fixture
+def shift_calls(monkeypatch):
+    """The polynomials passed to Polynomial.shift while the test runs."""
+    calls = []
+
+    def counting_shift(self, offsets):
+        calls.append(self)
+        return SHIFT(self, offsets)
+
+    monkeypatch.setattr(Polynomial, "shift", counting_shift)
+    return calls
+
+
 class TestCharts:
     def test_vertex_chart_recovers_cone_matrix(self):
         model = catalecticant_model()
@@ -288,6 +304,29 @@ class TestCharts:
         model = DeterminantalModel(m, 1, AmbientSpace(AFFINE, 2))
         shifted = chart_matrix(model, (Fraction(3), Fraction(5)))
         assert str(shifted.entry(0, 0)) == "x + 3"
+
+    def test_equal_entries_shift_once(self, shift_calls):
+        variables = ("x", "y")
+        f, g = "(x - 1)*(x + 2)", "(y - 3)*(y + 1)"
+        matrix = PolyMatrix.from_strings([[f, g], [g, f]], variables)
+        model = DeterminantalModel(matrix, 2, AmbientSpace(AFFINE, 2))
+        for point in [(1, 3), (-2, -1), (Fraction(1, 2), 0)]:
+            shift_calls.clear()
+            charted = chart_matrix(model, point)
+            assert len(shift_calls) == 2
+            offsets = [Fraction(c) for c in point]
+            assert charted.entries == tuple(
+                tuple(SHIFT(e, offsets) for e in row) for row in matrix.entries)
+
+    def test_projective_chart_rewrites_each_distinct_entry_once(self, shift_calls):
+        model = catalecticant_model()
+        point = ProjectivePoint.parse("[1:2:0:0:1]")
+        charted = chart_matrix(model, point)
+        assert len(shift_calls) == 4
+        offsets = [Fraction(c) for c in point.coords[1:]]
+        assert charted.entries == tuple(
+            tuple(SHIFT(e.eliminate({0: 1}), offsets) for e in row)
+            for row in model.matrix.entries)
 
     def test_chart_ideal_generators(self):
         model = catalecticant_model()

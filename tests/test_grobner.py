@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from detsing import grobner
 from detsing.grobner import (
     GREVLEX,
     GRLEX,
@@ -16,13 +17,21 @@ from detsing.grobner import (
     ideal_dimension,
     is_groebner_basis,
     is_reduced,
+    leading_term,
     normal_form,
     quasi_homogeneous_weights,
     quotient_dimension,
+    s_polynomial,
     weighted_degree,
 )
 from detsing._linalg import nonnegative_kernel_vector, rational_rank, row_basis
-from detsing.polyalg import Polynomial, parse_polynomial
+from detsing.polyalg import (
+    Polynomial,
+    _mono_divides,
+    _mono_mul,
+    _mono_sub,
+    parse_polynomial,
+)
 
 P4 = ("x0", "x1", "x2", "x3")
 XY = ("x", "y")
@@ -167,6 +176,162 @@ class TestBuchberger:
         assert is_reduced(basis)
         for g in gens:
             assert not normal_form(g, basis).terms
+
+
+# Reference engine for TestBuchbergerOracle: pending pairs in a set re-ranked
+# with min on every step, division that recomputes every order key, and
+# autoreduction repeated until nothing changes.  `buchberger` must form the
+# same S-polynomials in the same order and return the same basis.
+
+def _scan_reduce(f, info, order):
+    """Division with the key recomputed for every term at every step."""
+    key = order.key
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=key)
+        lc = work[lm]
+        for glm, glc, g in info:
+            if _mono_divides(glm, lm):
+                qm = _mono_sub(lm, glm)
+                qc = lc / glc
+                for m, c in g.terms.items():
+                    mm = _mono_mul(qm, m)
+                    s = work.get(mm, 0) - qc * c
+                    if s:
+                        work[mm] = s
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[lm] = lc
+            del work[lm]
+    return Polynomial._raw(f.variables, remainder)
+
+
+def _scan_info(polys, order):
+    return [leading_term(p, order) + (p,) for p in polys]
+
+
+def _scan_monic(f, order):
+    return f * (1 / leading_term(f, order)[1])
+
+
+def _scan_autoreduce(polys, order):
+    """Minimal filter, then tail reduction repeated until nothing changes."""
+    key = order.key
+    polys = sorted(polys, key=lambda p: key(p.leading_monomial(key)))
+    minimal = []
+    for p in polys:
+        lm = p.leading_monomial(key)
+        if not any(_mono_divides(q.leading_monomial(key), lm) for q in minimal):
+            minimal.append(p)
+    changed = True
+    while changed:
+        changed = False
+        for i, p in enumerate(minimal):
+            rest = minimal[:i] + minimal[i + 1:]
+            r = _scan_monic(_scan_reduce(p, _scan_info(rest, order), order), order)
+            if r != p:
+                minimal[i] = r
+                changed = True
+    return sorted(minimal, key=lambda p: key(p.leading_monomial(key)), reverse=True)
+
+
+def scan_buchberger(ideal, order, spair_budget):
+    """Reference Buchberger: re-ranks every pending pair on every step.
+
+    Returns the reduced basis and the number of pairs taken up, or raises
+    SPairBudgetExceeded once more than `spair_budget` pairs have been taken.
+    """
+    key = order.key
+    basis = [_scan_monic(g, order) for g in ideal.generators]
+    info = _scan_info(basis, order)
+    lms = [t[0] for t in info]
+
+    def pair_rank(ij):
+        i, j = ij
+        return (sum(max(a, b) for a, b in zip(lms[i], lms[j])), i, j)
+
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    processed = 0
+    while pairs:
+        pick = min(pairs, key=pair_rank)
+        pairs.remove(pick)
+        processed += 1
+        if processed > spair_budget:
+            raise SPairBudgetExceeded(f"S-pair budget of {spair_budget} exceeded")
+        i, j = pick
+        if all(min(a, b) == 0 for a, b in zip(lms[i], lms[j])):
+            continue
+        r = _scan_reduce(grobner.s_polynomial(basis[i], basis[j], order), info, order)
+        if r:
+            r = _scan_monic(r, order)
+            basis.append(r)
+            lm = r.leading_monomial(key)
+            info.append((lm, r.terms[lm], r))
+            lms.append(lm)
+            new = len(basis) - 1
+            pairs.update((k, new) for k in range(new))
+    return tuple(_scan_autoreduce(basis, order)), processed
+
+
+@st.composite
+def ordered_ideals(draw):
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars)
+    coefficients = st.integers(min_value=-3, max_value=3).filter(bool)
+    terms = st.dictionaries(exponents, coefficients, min_size=1, max_size=3)
+    gens = [Polynomial(variables, draw(terms))
+            for _ in range(draw(st.integers(min_value=2, max_value=4)))]
+    priority = draw(st.none() | st.permutations(range(nvars)).map(tuple))
+    kind = draw(st.sampled_from(("grevlex", "lex", "grlex")))
+    return Ideal(variables, gens), MonomialOrder(kind, priority)
+
+
+# reference runs that take more pairs than this are compared at the cap
+ORACLE_PAIR_CAP = 400
+
+
+def recording_s_pairs(run, *args):
+    """Result of run(*args) and the (f, g) of every S-polynomial it formed."""
+    calls = []
+
+    def recording(f, g, order=GREVLEX):
+        calls.append((f, g))
+        return s_polynomial(f, g, order)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grobner, "s_polynomial", recording)
+        return run(*args), calls
+
+
+class TestBuchbergerOracle:
+    @given(ordered_ideals(), st.integers(min_value=0, max_value=40))
+    def test_matches_the_rescanning_reference(self, case, budget):
+        ideal_, order = case
+        try:
+            (expected, pairs), expected_calls = recording_s_pairs(
+                scan_buchberger, ideal_, order, ORACLE_PAIR_CAP)
+        except SPairBudgetExceeded:
+            with pytest.raises(SPairBudgetExceeded):
+                buchberger(ideal_, order, ORACLE_PAIR_CAP)
+            return
+        basis, calls = recording_s_pairs(buchberger, ideal_, order, pairs)
+        assert basis.polynomials == expected
+        assert calls == expected_calls
+        if pairs:
+            with pytest.raises(SPairBudgetExceeded):
+                buchberger(ideal_, order, pairs - 1)
+        if budget < pairs:
+            with pytest.raises(SPairBudgetExceeded):
+                scan_buchberger(ideal_, order, budget)
+            with pytest.raises(SPairBudgetExceeded):
+                buchberger(ideal_, order, budget)
+        else:
+            assert buchberger(ideal_, order, budget).polynomials == expected
+            assert scan_buchberger(ideal_, order, budget) == (expected, pairs)
 
 
 class TestNormalForm:
