@@ -17,8 +17,8 @@ from .indexcalc import (CStarForm, IdentityResult, IndexLedger,
                         LedgerEntry, LedgerError, NonIsolatedZeroError,
                         RadialDecomposition, SingularPointRecord,
                         UnsupportedLocalStructureError, cstar_fixed_points,
-                        cstar_smooth_index, defect, global_identity,
-                        phn_from_radial, phn_from_radial_nonsmoothable,
+                        defect, global_identity, phn_from_radial,
+                        phn_from_radial_nonsmoothable,
                         radial_from_decomposition, smooth_zero_index)
 from .polyalg import (ParseError, Polynomial, PolyMatrix, determinant, minors,
                       parse_polynomial, rank_at_point)

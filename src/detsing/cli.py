@@ -27,8 +27,7 @@ from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal,
 from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
                         SOLVED, VERIFIED, IndexLedger, LedgerEntry,
                         LedgerError, SingularPointRecord, cstar_fixed_points,
-                        cstar_smooth_index, defect, defect_known,
-                        global_identity)
+                        defect, defect_known, global_identity)
 from .polyalg import ParseError, PolyMatrix, minors, parse_polynomial
 from .topo import UnsupportedDimensionError
 
@@ -284,7 +283,7 @@ def _classification_block(c, projective):
     }
 
 
-def _assemble_ledger(inp, classification, budget):
+def _assemble_ledger(inp, classification):
     """Records and ledger entries from the input file and the form."""
     model = inp.model
     records = []
@@ -327,25 +326,24 @@ def _assemble_ledger(inp, classification, budget):
     if inp.form_kind == "cstar":
         record_points = {r.point for r in records}
         try:
-            fixed = cstar_fixed_points(model, inp.weights, budget)
-            for pt, location in fixed:
-                label = str(pt)
-                if location.kind == ESSENTIAL_SINGULAR:
-                    if label not in record_points:
-                        _fail(f"fixed point {label} is an essential singular "
-                              "point but is missing from the singularities list")
-                    continue
-                known = inp.known_indices.get(label)
-                value = cstar_smooth_index(pt, inp.weights, model)
-                if known is not None and known[1] != value:
-                    _fail(f"known index {known[1]} at the smooth fixed point "
-                          f"{label} conflicts with the computed index {value}")
-                consumed.add(label)
-                entries.append(LedgerEntry(label, ROLE_SMOOTH_FORM_POINT, value))
-        except InputError:
-            raise
+            fixed = cstar_fixed_points(model, inp.weights,
+                                       classification.rank_basis)
         except ValueError as e:
             _fail(str(e))
+        for pt, location in fixed:
+            label = str(pt)
+            if location.kind == ESSENTIAL_SINGULAR:
+                if label not in record_points:
+                    _fail(f"fixed point {label} is an essential singular "
+                          "point but is missing from the singularities list")
+                continue
+            # index 1: distinct weights make a smooth fixed point a simple zero
+            known = inp.known_indices.get(label)
+            if known is not None and known[1] != 1:
+                _fail(f"known index {known[1]} at the smooth fixed point "
+                      f"{label} conflicts with the computed index 1")
+            consumed.add(label)
+            entries.append(LedgerEntry(label, ROLE_SMOOTH_FORM_POINT, 1))
     for label, (parsed, value) in inp.known_indices.items():
         if label in consumed:
             continue
@@ -361,7 +359,7 @@ def _ledger_context(inp, budget):
         raise UnsupportedError(
             "the global identity applies to projective varieties only")
     classification = classify(inp.model, budget)
-    records, entries = _assemble_ledger(inp, classification, budget)
+    records, entries = _assemble_ledger(inp, classification)
     return classification, records, entries
 
 
@@ -379,6 +377,18 @@ def _ledger_block(records, entries, chi_x):
 def _identity_block(result):
     return {"status": result.status, "lhs": result.lhs, "rhs": result.rhs,
             "name": result.name, "value": result.value}
+
+
+def _ledger_report(args, inp, classification, records, entries, identity):
+    """The report shared by verify, euler and index."""
+    return {
+        "command": args.command,
+        "input": inp.name,
+        "classification": _classification_block(classification, True),
+        "ledger": _ledger_block(records, entries, inp.chi_x),
+        "identity": identity,
+        "timing_ms": None,
+    }
 
 
 def cmd_analyze(inp, args):
@@ -401,14 +411,8 @@ def cmd_verify(inp, args):
         raise UnsupportedError(
             f"verification needs a fully determined ledger; {result.name} "
             "is unknown (use euler or index to solve for it)")
-    report = {
-        "command": "verify",
-        "input": inp.name,
-        "classification": _classification_block(classification, True),
-        "ledger": _ledger_block(records, entries, inp.chi_x),
-        "identity": _identity_block(result),
-        "timing_ms": None,
-    }
+    report = _ledger_report(args, inp, classification, records, entries,
+                            _identity_block(result))
     return report, EXIT_OK if result.status == VERIFIED else EXIT_VIOLATED
 
 
@@ -417,14 +421,8 @@ def cmd_euler(inp, args):
         _fail("euler solves for chi_X, but known.chi_X is already present")
     classification, records, entries = _ledger_context(inp, args.spair_budget)
     result = global_identity(IndexLedger(entries, None), records)
-    report = {
-        "command": "euler",
-        "input": inp.name,
-        "classification": _classification_block(classification, True),
-        "ledger": _ledger_block(records, entries, None),
-        "identity": _identity_block(result),
-        "timing_ms": None,
-    }
+    report = _ledger_report(args, inp, classification, records, entries,
+                            _identity_block(result))
     return report, EXIT_OK
 
 
@@ -445,14 +443,8 @@ def cmd_index(inp, args):
             _fail(f"the index at {target} is already given as {entry.index}")
         result = global_identity(IndexLedger(entries, inp.chi_x), records)
         result_block = _identity_block(result)
-    report = {
-        "command": "index",
-        "input": inp.name,
-        "classification": _classification_block(classification, True),
-        "ledger": _ledger_block(records, entries, inp.chi_x),
-        "identity": result_block,
-        "timing_ms": None,
-    }
+    report = _ledger_report(args, inp, classification, records, entries,
+                            result_block)
     return report, EXIT_OK
 
 
@@ -577,8 +569,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         if args.spair_budget < 1:
@@ -588,13 +583,7 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except UnsupportedError as e:
-        print(f"unsupported: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except LedgerError as e:
-        print(f"unsupported: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except UnsupportedDimensionError as e:
+    except (UnsupportedError, LedgerError, UnsupportedDimensionError) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ResourceLimitExceeded as e:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, LEX, Ideal, buchberger,
-                      ideal_dimension, quasi_homogeneous_weights)
+from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, LEX, GroebnerBasis, Ideal,
+                      buchberger, ideal_dimension, quasi_homogeneous_weights)
 from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
 
 PROJECTIVE = "projective"
@@ -156,6 +156,7 @@ class GermClassification:
     singular_locus_dimension: int | None
     local_supported: bool
     notes: tuple
+    rank_basis: GroebnerBasis
 
 
 def minors_ideal(model, size):
@@ -373,6 +374,7 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     are enumerated exactly when every eliminant splits over the rationals.
     Each singular point's chart ideal must be weighted-homogeneous for
     symbolic local computations; otherwise `local_supported` is False.
+    `rank_basis` is the reduced grevlex basis of the t-minors ideal.
     """
     if not any(e for row in model.matrix.entries for e in row):
         raise ValueError("classification requires a nonzero matrix")
@@ -390,7 +392,7 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             isolated_singularity=True, smoothable=smoothable,
             singular_points=(), singular_points_exact=True,
             singular_locus_dimension=None, local_supported=True,
-            notes=tuple(notes))
+            notes=tuple(notes), rank_basis=gb_t)
     codim = nvars - dim_t
     determinantal = codim == model.expected_codimension()
     lower_gens = lower_locus_generators(model.matrix, model.t)
@@ -425,4 +427,4 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
         determinantal=determinantal, isolated_singularity=isolated,
         smoothable=smoothable, singular_points=points,
         singular_points_exact=exact, singular_locus_dimension=dim_low,
-        local_supported=local_supported, notes=tuple(notes))
+        local_supported=local_supported, notes=tuple(notes), rank_basis=gb_t)

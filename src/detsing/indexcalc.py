@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detvar import (OUTSIDE, PROJECTIVE, SMOOTH_STRATUM, ProjectivePoint,
-                     is_point_on_variety)
+from .detvar import OUTSIDE, PROJECTIVE, ProjectivePoint, is_point_on_variety
 from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal, buchberger,
                       normal_form, quasi_homogeneous_weights,
                       quotient_dimension)
@@ -320,25 +319,26 @@ class CStarForm:
         object.__setattr__(self, "weights", ws)
 
 
-def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
+def cstar_fixed_points(model, weights, rank_basis):
     """Coordinate fixed points of the weight action that lie on the variety.
 
     The weights must be pairwise distinct so the fixed points are exactly the
     coordinate points.  The action must preserve the variety; this is checked
     exactly by reducing every graded component of every defining minor
-    against the minors ideal.  Returns (point, location) pairs in coordinate
-    order.
+    against rank_basis, the reduced basis of the t-minors ideal
+    (`classify(model).rank_basis`).  Distinct weights also make every chart
+    weight difference nonzero, so a fixed point in the smooth stratum is a
+    simple zero of the induced form and its index is 1.  Returns
+    (point, location) pairs in coordinate order.
     """
     if model.ambient.kind != PROJECTIVE:
         raise ValueError("torus fixed points are computed in projective mode only")
     form = weights if isinstance(weights, CStarForm) else CStarForm(weights)
     if len(form.weights) != len(model.variables):
         raise ValueError("one weight per homogeneous coordinate is required")
-    ideal = Ideal(model.variables, minors(model.matrix, model.t))
-    basis = buchberger(ideal, GREVLEX, spair_budget)
-    for gen in ideal.generators:
+    for gen in minors(model.matrix, model.t):
         for part in gen.weight_components(form.weights).values():
-            if normal_form(part, basis):
+            if normal_form(part, rank_basis):
                 raise ValueError("the weight action does not preserve the variety")
     out = []
     count = len(model.variables)
@@ -350,28 +350,3 @@ def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
         if location.kind != OUTSIDE:
             out.append((point, location))
     return out
-
-
-def cstar_smooth_index(point, weights, model):
-    """Index 1 at a nondegenerate coordinate fixed point in the smooth stratum.
-
-    Distinct weights make every chart weight difference nonzero, so the
-    induced zero is simple.
-    """
-    form = weights if isinstance(weights, CStarForm) else CStarForm(weights)
-    if len(form.weights) != len(model.variables):
-        raise ValueError("one weight per homogeneous coordinate is required")
-    if isinstance(point, ProjectivePoint):
-        pt = point
-    elif isinstance(point, str):
-        pt = ProjectivePoint.parse(point)
-    else:
-        pt = ProjectivePoint(point)
-    if sum(1 for c in pt.coords if c) != 1:
-        raise ValueError("torus fixed points are the coordinate points")
-    location = is_point_on_variety(model, pt)
-    if location.kind != SMOOTH_STRATUM:
-        raise ValueError(
-            f"{pt} is not in the smooth stratum; use the global identity "
-            "for singular points")
-    return 1

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import detsing
 from conftest import fixture_path
+from detsing import cli, detvar, grobner, indexcalc, polyalg
 
 
 def load(stdout):
@@ -391,6 +393,17 @@ class TestInputValidation:
         assert code == 2
         assert "known.indices must be a JSON object" in err
 
+    @pytest.mark.parametrize("weights, message", [
+        ([0, 1, 1, 3, 4], "pairwise distinct"),
+        ([0, 2, 1, 3, 4], "does not preserve the variety"),
+    ], ids=["repeated", "not_invariant"])
+    def test_torus_weight_errors(self, run_cli, tmp_path, weights, message):
+        payload = json.loads(Path(fixture_path("twisted_cubic.json")).read_text())
+        payload["weights"] = weights
+        code, out, err = run_cli("verify", self.write(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_affine_ledger_unsupported(self, run_cli):
         code, _, err = run_cli("verify", fixture_path("non_quasihomogeneous.json"))
         assert code == 3
@@ -398,6 +411,42 @@ class TestInputValidation:
     def test_usage_error(self, run_cli):
         code, _, _ = run_cli("index", fixture_path("twisted_cubic_index.json"))
         assert code == 2
+
+
+class TestLedgerWork:
+    """A ledger run builds each basis once and locates each point once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = Counter()
+        buchberger, rank_at_point = grobner.buchberger, polyalg.rank_at_point
+
+        def counted_buchberger(ideal, order=grobner.GREVLEX, *rest, **named):
+            seen[order.kind] += 1
+            return buchberger(ideal, order, *rest, **named)
+
+        def counted_rank_at_point(*args):
+            seen["rank_at_point"] += 1
+            return rank_at_point(*args)
+
+        for module in (cli, detvar, grobner, indexcalc, polyalg):
+            if hasattr(module, "buchberger"):
+                monkeypatch.setattr(module, "buchberger", counted_buchberger)
+            if hasattr(module, "rank_at_point"):
+                monkeypatch.setattr(module, "rank_at_point",
+                                    counted_rank_at_point)
+        return seen
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("verify", fixture_path("twisted_cubic.json")),
+         {"grevlex": 2, "rank_at_point": 6}),
+        (("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
+         {"grevlex": 2, "rank_at_point": 8}),
+    ], ids=["verify_twisted_cubic", "index_segre_cone"])
+    def test_pinned_counts(self, run_cli, counts, argv, expected):
+        code, _, _ = run_cli(*argv)
+        assert code == 0
+        assert dict(counts) == expected
 
 
 class TestModuleEntryPoint:
@@ -414,6 +463,14 @@ class TestModuleEntryPoint:
         assert done.returncode == 0 and code == 0
         assert done.stdout == out
         assert out.startswith("command: analyze")
+
+    def test_parser_is_built_once(self, run_cli, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main rebuilt the argument parser")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuilt)
+        code, _, _ = run_cli("analyze", fixture_path("twisted_cubic.json"))
+        assert code == 0
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from detsing.detvar import (
     SMOOTH_STRATUM,
     AmbientSpace,
     DeterminantalModel,
+    classify,
 )
 from detsing.indexcalc import (
     ROLE_SMOOTH_FORM_POINT,
@@ -24,7 +25,6 @@ from detsing.indexcalc import (
     SingularPointRecord,
     UnsupportedLocalStructureError,
     cstar_fixed_points,
-    cstar_smooth_index,
     defect,
     defect_known,
     global_identity,
@@ -322,7 +322,9 @@ class TestCStarForms:
             CStarForm((0, 1, 1))
 
     def test_catalecticant_fixed_points(self):
-        got = cstar_fixed_points(catalecticant_model(), (0, 1, 2, 3, 4))
+        model = catalecticant_model()
+        got = cstar_fixed_points(model, (0, 1, 2, 3, 4),
+                                 classify(model).rank_basis)
         labels = [(str(p), loc.kind) for p, loc in got]
         assert labels == [
             ("[1:0:0:0:0]", SMOOTH_STRATUM),
@@ -333,7 +335,7 @@ class TestCStarForms:
     def test_conic_fixed_points(self):
         m = PolyMatrix.from_strings([["x0*x2 - x1^2"]], ("x0", "x1", "x2"))
         model = DeterminantalModel(m, 1, AmbientSpace(PROJECTIVE, 2))
-        got = cstar_fixed_points(model, (0, 1, 2))
+        got = cstar_fixed_points(model, (0, 1, 2), classify(model).rank_basis)
         labels = [(str(p), loc.kind) for p, loc in got]
         assert labels == [("[1:0:0]", SMOOTH_STRATUM), ("[0:0:1]", SMOOTH_STRATUM)]
 
@@ -341,33 +343,15 @@ class TestCStarForms:
         m = PolyMatrix.from_strings([["x0*x2 - x1^2"]], ("x0", "x1", "x2"))
         model = DeterminantalModel(m, 1, AmbientSpace(PROJECTIVE, 2))
         with pytest.raises(ValueError):
-            cstar_fixed_points(model, (0, 2, 1))
+            cstar_fixed_points(model, (0, 2, 1), classify(model).rank_basis)
 
     def test_affine_rejected(self):
         m = PolyMatrix.from_strings([["x"]], ("x", "y"))
         model = DeterminantalModel(m, 1, AmbientSpace(AFFINE, 2))
         with pytest.raises(ValueError):
-            cstar_fixed_points(model, (0, 1))
+            cstar_fixed_points(model, (0, 1), classify(model).rank_basis)
 
     def test_weight_count_mismatch(self):
-        with pytest.raises(ValueError):
-            cstar_fixed_points(catalecticant_model(), (0, 1, 2))
-
-    def test_smooth_fixed_point_index(self):
-        model = catalecticant_model()
-        weights = (0, 1, 2, 3, 4)
-        assert cstar_smooth_index("[1:0:0:0:0]", weights, model) == 1
-        assert cstar_smooth_index("[0:0:0:1:0]", weights, model) == 1
-
-    def test_index_refused_off_the_smooth_stratum(self):
-        model = catalecticant_model()
-        weights = (0, 1, 2, 3, 4)
-        with pytest.raises(ValueError):
-            cstar_smooth_index("[0:0:0:0:1]", weights, model)
-        with pytest.raises(ValueError):
-            cstar_smooth_index("[0:1:0:0:0]", weights, model)
-
-    def test_index_requires_coordinate_point(self):
         model = catalecticant_model()
         with pytest.raises(ValueError):
-            cstar_smooth_index("[1:1:0:0:0]", (0, 1, 2, 3, 4), model)
+            cstar_fixed_points(model, (0, 1, 2), classify(model).rank_basis)
