@@ -20,7 +20,8 @@ from pathlib import Path
 from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
                      ProjectivePoint, chart_matrix, classify,
-                     is_point_on_variety, lower_locus_generators)
+                     is_point_on_variety, lower_locus_generators,
+                     lower_stratum_points, point_label)
 from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal,
                       ResourceLimitExceeded, buchberger, ideal_dimension,
                       quotient_dimension)
@@ -78,6 +79,13 @@ def _as_str(value, where):
     return value
 
 
+def _as_polynomial(value, variables, where):
+    try:
+        return parse_polynomial(_as_str(value, where), variables)
+    except ParseError as e:
+        _fail(f"{where}: {e}")
+
+
 def _parse_point(text, model, where):
     """Parse a point string to the model's native point type."""
     text = _as_str(text, where)
@@ -102,12 +110,6 @@ def _parse_point(text, model, where):
     return vals
 
 
-def _point_label(point, projective):
-    if projective:
-        return str(point)
-    return "(" + ", ".join(str(c) for c in point) + ")"
-
-
 class WorkbenchInput:
     """Validated model file: the model plus form, invariants, and knowns."""
 
@@ -124,8 +126,10 @@ class WorkbenchInput:
         self.known_indices = known_indices
 
 
-_RECORD_KEYS = {"n", "p", "t", "d", "smoothable", "mu", "chi_smoothing",
-                "chi_lower_stratum"}
+# optional singularity record fields with their checks, in checking order
+_RECORD_FIELDS = {"n": _as_int, "p": _as_int, "t": _as_int, "d": _as_int,
+                  "mu": _as_int, "chi_smoothing": _as_int,
+                  "chi_lower_stratum": _as_int, "smoothable": _as_bool}
 
 
 def load_input(path):
@@ -155,16 +159,9 @@ def load_input(path):
     if (not isinstance(grid, list) or not grid
             or not all(isinstance(row, list) and row for row in grid)):
         _fail("matrix must be a nonempty grid of polynomial strings")
-    rows = []
-    for i, row in enumerate(grid):
-        out = []
-        for j, cell in enumerate(row):
-            cell = _as_str(cell, f"matrix[{i}][{j}]")
-            try:
-                out.append(parse_polynomial(cell, variables))
-            except ParseError as e:
-                _fail(f"matrix[{i}][{j}]: {e}")
-        rows.append(out)
+    rows = [[_as_polynomial(cell, variables, f"matrix[{i}][{j}]")
+             for j, cell in enumerate(row)]
+            for i, row in enumerate(grid)]
     if len({len(r) for r in rows}) != 1:
         _fail("matrix rows must have equal length")
     if not any(e for row in rows for e in row):
@@ -181,7 +178,6 @@ def load_input(path):
         model = DeterminantalModel(PolyMatrix(rows), t, AmbientSpace(kind, dim))
     except ValueError as e:
         _fail(str(e))
-    projective = kind == PROJECTIVE
 
     weights = None
     if "weights" in data:
@@ -197,20 +193,14 @@ def load_input(path):
     seen = set()
     for k, entry in enumerate(raw_sing):
         where = f"singularities[{k}]"
-        _require_keys(entry, {"point"}, _RECORD_KEYS, where)
+        _require_keys(entry, {"point"}, _RECORD_FIELDS.keys(), where)
         parsed = _parse_point(entry["point"], model, f"{where}.point")
-        label = _point_label(parsed, projective)
+        label = point_label(parsed)
         if label in seen:
             _fail(f"{where}: duplicate singular point {label}")
         seen.add(label)
-        fields = {}
-        for key in ("n", "p", "t", "d", "mu", "chi_smoothing",
-                    "chi_lower_stratum"):
-            if key in entry:
-                fields[key] = _as_int(entry[key], f"{where}.{key}")
-        if "smoothable" in entry:
-            fields["smoothable"] = _as_bool(entry["smoothable"],
-                                            f"{where}.smoothable")
+        fields = {key: check(entry[key], f"{where}.{key}")
+                  for key, check in _RECORD_FIELDS.items() if key in entry}
         singularities.append({"label": label, "parsed": parsed,
                               "fields": fields})
 
@@ -228,19 +218,14 @@ def load_input(path):
         elif form_kind == "explicit":
             if "coefficients" not in form:
                 _fail("an explicit form requires coefficients")
-            if projective:
+            if kind == PROJECTIVE:
                 _fail("explicit forms are supported in affine mode only")
             coeffs = form["coefficients"]
             if not isinstance(coeffs, list) or len(coeffs) != len(variables):
                 _fail("form.coefficients must list one polynomial per variable")
-            parsed_coeffs = []
-            for i, c in enumerate(coeffs):
-                c = _as_str(c, f"form.coefficients[{i}]")
-                try:
-                    parsed_coeffs.append(parse_polynomial(c, variables))
-                except ParseError as e:
-                    _fail(f"form.coefficients[{i}]: {e}")
-            form_coefficients = tuple(parsed_coeffs)
+            form_coefficients = tuple(
+                _as_polynomial(c, variables, f"form.coefficients[{i}]")
+                for i, c in enumerate(coeffs))
         else:
             _fail('form.kind must be "cstar" or "explicit"')
 
@@ -256,7 +241,7 @@ def load_input(path):
             _fail("known.indices must be a JSON object")
         for key, value in indices.items():
             parsed = _parse_point(key, model, f"known.indices[{key!r}]")
-            label = _point_label(parsed, projective)
+            label = point_label(parsed)
             if label in known_indices:
                 _fail(f"known.indices names {label} twice")
             known_indices[label] = (parsed,
@@ -266,7 +251,7 @@ def load_input(path):
                           form_coefficients, chi_x, known_indices)
 
 
-def _classification_block(c, projective):
+def _classification_block(c):
     return {
         "empty": c.empty,
         "codimension": c.codimension,
@@ -275,8 +260,7 @@ def _classification_block(c, projective):
         "isolated_singularity": c.isolated_singularity,
         "smoothable": c.smoothable,
         "singular_locus_dimension": c.singular_locus_dimension,
-        "singular_points": [_point_label(p, projective)
-                            for p in c.singular_points],
+        "singular_points": [point_label(p) for p in c.singular_points],
         "singular_points_exact": c.singular_points_exact,
         "local_supported": c.local_supported,
         "notes": list(c.notes),
@@ -309,7 +293,7 @@ def _assemble_ledger(inp, classification):
         except LedgerError as e:
             _fail(str(e))
     if classification.singular_points_exact:
-        computed = sorted(_point_label(p, True)
+        computed = sorted(point_label(p)
                           for p in classification.singular_points)
         listed = sorted(r.point for r in records)
         if computed != listed:
@@ -384,7 +368,7 @@ def _ledger_report(args, inp, classification, records, entries, identity):
     return {
         "command": args.command,
         "input": inp.name,
-        "classification": _classification_block(classification, True),
+        "classification": _classification_block(classification),
         "ledger": _ledger_block(records, entries, inp.chi_x),
         "identity": identity,
         "timing_ms": None,
@@ -393,11 +377,10 @@ def _ledger_report(args, inp, classification, records, entries, identity):
 
 def cmd_analyze(inp, args):
     classification = classify(inp.model, args.spair_budget)
-    projective = inp.model.ambient.kind == PROJECTIVE
     report = {
         "command": "analyze",
         "input": inp.name,
-        "classification": _classification_block(classification, projective),
+        "classification": _classification_block(classification),
         "timing_ms": None,
     }
     code = EXIT_OK if classification.local_supported else EXIT_UNSUPPORTED
@@ -427,9 +410,7 @@ def cmd_euler(inp, args):
 
 
 def cmd_index(inp, args):
-    target = _point_label(
-        _parse_point(args.at, inp.model, "--at"),
-        inp.model.ambient.kind == PROJECTIVE)
+    target = point_label(_parse_point(args.at, inp.model, "--at"))
     classification, records, entries = _ledger_context(inp, args.spair_budget)
     by_point = {e.point: e for e in entries}
     if target not in by_point:
@@ -450,11 +431,8 @@ def cmd_index(inp, args):
 
 def cmd_groebner(inp, args):
     model = inp.model
-    projective = model.ambient.kind == PROJECTIVE
-    classification = classify(model, args.spair_budget)
-    chart_point = None
-    if classification.singular_points:
-        chart_point = classification.singular_points[0]
+    points, _, _ = lower_stratum_points(model, args.spair_budget)
+    chart_point = points[0] if points else None
     if args.ideal in ("minors", "lower"):
         matrix = (chart_matrix(model, chart_point)
                   if chart_point is not None else model.matrix)
@@ -475,7 +453,7 @@ def cmd_groebner(inp, args):
         "input": inp.name,
         "groebner": {
             "ideal": args.ideal,
-            "chart_point": (_point_label(chart_point, projective)
+            "chart_point": (point_label(chart_point)
                             if chart_point is not None else None),
             "variables": list(ideal.variables),
             "basis": [str(p) for p in basis.polynomials],

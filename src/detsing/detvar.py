@@ -324,7 +324,10 @@ def _projective_points(gens, variables, spair_budget):
     return pts, complete
 
 
-def _format_affine(point):
+def point_label(point):
+    """Report label of a point: [a:b:c] when projective, (a, b) when affine."""
+    if isinstance(point, ProjectivePoint):
+        return str(point)
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
@@ -363,6 +366,30 @@ def chart_ideal(model, point):
     return Ideal(m.variables, minors(m, model.t))
 
 
+def lower_stratum_points(model, spair_budget):
+    """Rational points of the rank <= t - 2 stratum, the singular locus.
+
+    Returns (points, exact, dim_low), where dim_low is the ideal dimension of
+    the (t - 1)-minors ideal.  The points are enumerated when that stratum is
+    finite (dim_low <= 1 for a projective cone, 0 in affine mode), sorted, as
+    ProjectivePoints or affine tuples.  exact is False when non-rational or
+    infinitely many points may be missing from the list.
+    """
+    projective = model.ambient.kind == PROJECTIVE
+    lower_gens = lower_locus_generators(model.matrix, model.t)
+    gb_low = buchberger(Ideal(model.variables, lower_gens), GREVLEX, spair_budget)
+    dim_low = ideal_dimension(gb_low)
+    if projective and 0 <= dim_low <= 1:
+        points, exact = _projective_points(lower_gens, model.variables,
+                                           spair_budget)
+        return tuple(points), exact, dim_low
+    if not projective and dim_low == 0:
+        points, exact = _solve_zero_dimensional(lower_gens, model.variables,
+                                                spair_budget)
+        return tuple(sorted(points)), exact, dim_low
+    return (), dim_low <= (1 if projective else 0), dim_low
+
+
 def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     """Classify the variety of the model and the germ type at its singularities.
 
@@ -395,20 +422,8 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             notes=tuple(notes), rank_basis=gb_t)
     codim = nvars - dim_t
     determinantal = codim == model.expected_codimension()
-    lower_gens = lower_locus_generators(model.matrix, model.t)
-    gb_low = buchberger(Ideal(model.variables, lower_gens), GREVLEX, spair_budget)
-    dim_low = ideal_dimension(gb_low)
+    points, exact, dim_low = lower_stratum_points(model, spair_budget)
     isolated = dim_low <= (1 if projective else 0)
-    points = ()
-    exact = True
-    if projective and 0 <= dim_low <= 1:
-        pts, exact = _projective_points(lower_gens, model.variables, spair_budget)
-        points = tuple(pts)
-    elif not projective and dim_low == 0:
-        sols, exact = _solve_zero_dimensional(lower_gens, model.variables, spair_budget)
-        points = tuple(sorted(sols))
-    elif dim_low > (1 if projective else 0):
-        exact = False
     if not exact:
         notes.append("singular locus is not a finite set of rational points; "
                      "points are reported symbolically by the lower rank ideal")
@@ -419,9 +434,9 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             continue
         if quasi_homogeneous_weights(chart.generators) is None:
             local_supported = False
-            label = str(pt) if projective else _format_affine(pt)
-            notes.append(f"chart ideal at {label} is not weighted-homogeneous; "
-                         "symbolic local computations are unsupported")
+            notes.append(f"chart ideal at {point_label(pt)} is not "
+                         "weighted-homogeneous; symbolic local computations "
+                         "are unsupported")
     return GermClassification(
         empty=False, codimension=codim, dimension=dimension,
         determinantal=determinantal, isolated_singularity=isolated,

@@ -18,8 +18,6 @@ from .polyalg import Polynomial, _grevlex_key, _mono_divides, _mono_mul, _mono_s
 
 DEFAULT_SPAIR_BUDGET = 100_000
 
-_ORDER_KINDS = ("grevlex", "lex", "grlex")
-
 
 class ResourceLimitExceeded(RuntimeError):
     """A computation exceeded its configured resource budget."""
@@ -31,37 +29,21 @@ class SPairBudgetExceeded(ResourceLimitExceeded):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total monomial order: one of grevlex, lex, grlex, plus a variable priority.
-
-    `priority` lists variable indices from highest to lowest priority; None
-    means the natural order of the variable list.
-    """
+    """Total monomial order on exponent tuples: "grevlex" or "lex"."""
 
     kind: str
-    priority: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _ORDER_KINDS:
+        if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.priority is not None:
-            p = tuple(self.priority)
-            if sorted(p) != list(range(len(p))):
-                raise ValueError("priority must be a permutation of variable indices")
-            object.__setattr__(self, "priority", p)
 
     def key(self, exps):
         """Sort key: larger key means larger monomial."""
-        e = exps if self.priority is None else tuple(exps[i] for i in self.priority)
-        if self.kind == "lex":
-            return e
-        if self.kind == "grlex":
-            return (sum(e), e)
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return exps if self.kind == "lex" else _grevlex_key(exps)
 
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
-GRLEX = MonomialOrder("grlex")
 
 
 @dataclass(frozen=True)
@@ -153,21 +135,14 @@ def _reduce(f, info, order):
     return Polynomial._raw(f.variables, remainder)
 
 
-def normal_form(f, basis, order=None):
-    """Remainder of complete division of f by the basis.
+def normal_form(f, basis):
+    """Remainder of complete division of f by a GroebnerBasis.
 
     Divisors are tried in basis enumeration order, and every term of the
     work polynomial is processed, so the result is deterministic and
-    idempotent.  Against a Groebner basis it is zero exactly for ideal
-    members.
+    idempotent.  It is zero exactly for ideal members.
     """
-    if isinstance(basis, GroebnerBasis):
-        polys = basis.polynomials
-        order = order or basis.order
-    else:
-        polys = tuple(basis)
-        order = order or GREVLEX
-    return _reduce(f, _basis_info(polys, order), order)
+    return _reduce(f, _basis_info(basis.polynomials, basis.order), basis.order)
 
 
 def _autoreduce(info, order):
@@ -255,20 +230,13 @@ def is_reduced(gb):
     return True
 
 
-def _as_basis(source, order, spair_budget):
-    if isinstance(source, GroebnerBasis):
-        return source
-    return buchberger(source, order, spair_budget)
-
-
-def ideal_dimension(source, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
+def ideal_dimension(gb):
     """Krull dimension of the affine zero set; -1 when 1 lies in the ideal.
 
     Computed as the largest cardinality of a variable subset touched by no
     leading monomial of the basis (a maximal independent set for the leading
     term ideal).  The zero ideal in k variables has dimension k.
     """
-    gb = _as_basis(source, order, spair_budget)
     nvars = len(gb.variables)
     if any(p.total_degree() == 0 for p in gb.polynomials):
         return -1
@@ -282,13 +250,12 @@ def ideal_dimension(source, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
     return 0
 
 
-def quotient_dimension(source, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
+def quotient_dimension(gb):
     """Vector space dimension of the quotient ring, or None when infinite.
 
     Counts standard monomials under the staircase of leading monomials; the
     count is finite exactly when every variable has a pure power among them.
     """
-    gb = _as_basis(source, order, spair_budget)
     nvars = len(gb.variables)
     lms = gb.leading_monomials()
     if any(sum(lm) == 0 for lm in lms):
@@ -345,8 +312,3 @@ def quasi_homogeneous_weights(polys):
     if g > 1:
         ints = [x // g for x in ints]
     return tuple(ints)
-
-
-def weighted_degree(exps, weights):
-    """Weighted total degree of a monomial."""
-    return sum(int(w) * e for w, e in zip(weights, exps))

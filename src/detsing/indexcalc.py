@@ -2,8 +2,8 @@
 
 The pieces: radial-to-obstruction index conversions, the per-singularity
 defect term entering the global index identity, a one-unknown solver over the
-global ledger, algebraic indices at smooth isolated zeros, and diagonal
-torus-weight forms with their coordinate fixed points.
+global ledger, and the coordinate fixed points of a diagonal torus-weight
+form.
 
 Singular-point obstruction indices are never derived symbolically here; they
 are either input data or the single unknown the identity is solved for.
@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .detvar import OUTSIDE, PROJECTIVE, ProjectivePoint, is_point_on_variety
-from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal, buchberger,
-                      normal_form, quasi_homogeneous_weights,
-                      quotient_dimension)
-from .polyalg import Polynomial, minors
+from .grobner import buchberger  # unused here; perfbench wraps this binding
+from .grobner import normal_form
+from .polyalg import minors
 from .topo import MilnorData, chi_smoothing
 
 ROLE_VARIETY_SINGULARITY = "variety_singularity"
@@ -30,14 +29,6 @@ SOLVED = "solved"
 
 class LedgerError(ValueError):
     """The ledger is inconsistent or underdetermined."""
-
-
-class UnsupportedLocalStructureError(ValueError):
-    """The germ falls outside what the symbolic engine can treat."""
-
-
-class NonIsolatedZeroError(ValueError):
-    """The 1-form vanishes on a positive-dimensional set."""
 
 
 @dataclass(frozen=True)
@@ -272,72 +263,27 @@ def global_identity(ledger, records):
                           name=f"mu@{record.point}", value=mu)
 
 
-def smooth_zero_index(coefficients, spair_budget=DEFAULT_SPAIR_BUDGET):
-    """Index of a 1-form at an isolated zero at the origin of a smooth chart.
-
-    The form is given by one coefficient polynomial per chart variable and
-    the index is the vector-space dimension of the quotient by the
-    coefficient ideal.  Coefficients must be weighted-homogeneous (the basis
-    computation is global) and the origin must be the only zero.
-    """
-    coefficients = list(coefficients)
-    if not coefficients:
-        raise ValueError("the form needs at least one coefficient")
-    variables = coefficients[0].variables
-    if len(coefficients) != len(variables):
-        raise ValueError("the form needs one coefficient per chart variable")
-    nonzero = [c for c in coefficients if c]
-    if nonzero and quasi_homogeneous_weights(nonzero) is None:
-        raise UnsupportedLocalStructureError(
-            "form coefficients are not weighted-homogeneous; only graded "
-            "germs are computed symbolically")
-    basis = buchberger(Ideal(variables, coefficients), GREVLEX, spair_budget)
-    dim = quotient_dimension(basis)
-    if dim is None:
-        raise NonIsolatedZeroError(
-            "the form vanishes on a positive-dimensional set")
-    for name in variables:
-        power = Polynomial.variable(variables, name) ** dim
-        if normal_form(power, basis):
-            raise UnsupportedLocalStructureError(
-                f"the form vanishes away from the origin: {name} is not "
-                "nilpotent modulo the coefficient ideal")
-    return dim
-
-
-@dataclass(frozen=True)
-class CStarForm:
-    """Diagonal torus-weight form: weight w_j on homogeneous coordinate j."""
-
-    weights: tuple
-
-    def __init__(self, weights):
-        ws = tuple(int(w) for w in weights)
-        if len(set(ws)) != len(ws):
-            raise ValueError("torus weights must be pairwise distinct; "
-                             "repeated weights give a non-isolated fixed locus")
-        object.__setattr__(self, "weights", ws)
-
-
 def cstar_fixed_points(model, weights, rank_basis):
     """Coordinate fixed points of the weight action that lie on the variety.
 
-    The weights must be pairwise distinct so the fixed points are exactly the
-    coordinate points.  The action must preserve the variety; this is checked
-    exactly by reducing every graded component of every defining minor
-    against rank_basis, the reduced basis of the t-minors ideal
-    (`classify(model).rank_basis`).  Distinct weights also make every chart
-    weight difference nonzero, so a fixed point in the smooth stratum is a
-    simple zero of the induced form and its index is 1.  Returns
-    (point, location) pairs in coordinate order.
+    `weights` holds one integer per homogeneous coordinate.  They must be
+    pairwise distinct so the fixed points are exactly the coordinate points.
+    The action must preserve the variety; this is checked exactly by reducing
+    every graded component of every defining minor against rank_basis, the
+    reduced basis of the t-minors ideal (`classify(model).rank_basis`).
+    Distinct weights also make every chart weight difference nonzero, so a
+    fixed point in the smooth stratum is a simple zero of the induced form
+    and its index is 1.  Returns (point, location) pairs in coordinate order.
     """
     if model.ambient.kind != PROJECTIVE:
         raise ValueError("torus fixed points are computed in projective mode only")
-    form = weights if isinstance(weights, CStarForm) else CStarForm(weights)
-    if len(form.weights) != len(model.variables):
+    if len(set(weights)) != len(weights):
+        raise ValueError("torus weights must be pairwise distinct; "
+                         "repeated weights give a non-isolated fixed locus")
+    if len(weights) != len(model.variables):
         raise ValueError("one weight per homogeneous coordinate is required")
     for gen in minors(model.matrix, model.t):
-        for part in gen.weight_components(form.weights).values():
+        for part in gen.weight_components(weights).values():
             if normal_form(part, rank_basis):
                 raise ValueError("the weight action does not preserve the variety")
     out = []

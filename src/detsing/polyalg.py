@@ -218,18 +218,6 @@ class Polynomial:
             total += v
         return total
 
-    def derivative(self, index):
-        """Formal partial derivative with respect to the index-th variable."""
-        if not 0 <= index < len(self.variables):
-            raise IndexError("variable index out of range")
-        res = {}
-        for exps, c in self.terms.items():
-            e = exps[index]
-            if e:
-                m = exps[:index] + (e - 1,) + exps[index + 1:]
-                res[m] = res.get(m, 0) + c * e
-        return Polynomial._raw(self.variables, {m: c for m, c in res.items() if c})
-
     def eliminate(self, assignments):
         """Substitute rational values for some variables and drop them.
 
@@ -299,9 +287,6 @@ class Polynomial:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def is_homogeneous(self):
-        return not self.terms or self.homogeneous_degree() is not None
 
     def weight_components(self, weights):
         """Split into weighted-homogeneous parts, keyed by weighted degree."""

@@ -404,6 +404,30 @@ class TestInputValidation:
         assert code == 2 and out == ""
         assert message in err
 
+    def fixture_payload(self, name):
+        return json.loads(Path(fixture_path(name)).read_text())
+
+    def test_singularity_field_must_be_an_integer(self, run_cli, tmp_path):
+        payload = self.fixture_payload("twisted_cubic.json")
+        payload["singularities"][0]["mu"] = "1"
+        code, out, err = run_cli("verify", self.write(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert "singularities[0].mu must be an integer" in err
+
+    def test_projective_point_coordinate_count(self, run_cli, tmp_path):
+        payload = self.fixture_payload("twisted_cubic.json")
+        payload["singularities"][0]["point"] = "[0:0:0:1]"
+        code, out, err = run_cli("verify", self.write(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert "singularities[0].point: expected 5 coordinates" in err
+
+    def test_affine_point_coordinate_count(self, run_cli, tmp_path):
+        payload = self.fixture_payload("form_staircase.json")
+        payload["singularities"] = [{"point": "(0)"}]
+        code, out, err = run_cli("analyze", self.write(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert "singularities[0].point: expected 2 coordinates" in err
+
     def test_affine_ledger_unsupported(self, run_cli):
         code, _, err = run_cli("verify", fixture_path("non_quasihomogeneous.json"))
         assert code == 3
@@ -414,12 +438,13 @@ class TestInputValidation:
 
 
 class TestLedgerWork:
-    """A ledger run builds each basis once and locates each point once."""
+    """A command builds each basis once and locates each point once."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         seen = Counter()
         buchberger, rank_at_point = grobner.buchberger, polyalg.rank_at_point
+        weights = grobner.quasi_homogeneous_weights
 
         def counted_buchberger(ideal, order=grobner.GREVLEX, *rest, **named):
             seen[order.kind] += 1
@@ -429,24 +454,37 @@ class TestLedgerWork:
             seen["rank_at_point"] += 1
             return rank_at_point(*args)
 
+        def counted_weights(*args):
+            seen["weights"] += 1
+            return weights(*args)
+
+        counted = {"buchberger": counted_buchberger,
+                   "rank_at_point": counted_rank_at_point,
+                   "quasi_homogeneous_weights": counted_weights}
         for module in (cli, detvar, grobner, indexcalc, polyalg):
-            if hasattr(module, "buchberger"):
-                monkeypatch.setattr(module, "buchberger", counted_buchberger)
-            if hasattr(module, "rank_at_point"):
-                monkeypatch.setattr(module, "rank_at_point",
-                                    counted_rank_at_point)
+            for name, wrapper in counted.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
         return seen
 
     @pytest.mark.parametrize("argv, expected", [
         (("verify", fixture_path("twisted_cubic.json")),
-         {"grevlex": 2, "rank_at_point": 6}),
+         {"grevlex": 2, "rank_at_point": 6, "weights": 1}),
         (("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
-         {"grevlex": 2, "rank_at_point": 8}),
-    ], ids=["verify_twisted_cubic", "index_segre_cone"])
+         {"grevlex": 2, "rank_at_point": 8, "weights": 1}),
+        (("groebner", fixture_path("twisted_cubic.json"), "--ideal", "minors"),
+         {"grevlex": 2, "weights": 0}),
+        (("groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower"),
+         {"grevlex": 2, "weights": 0}),
+        (("groebner", fixture_path("form_staircase.json"), "--ideal", "form"),
+         {"grevlex": 2, "weights": 0}),
+    ], ids=["verify_twisted_cubic", "index_segre_cone",
+            "groebner_minors", "groebner_lower", "groebner_form"])
     def test_pinned_counts(self, run_cli, counts, argv, expected):
         code, _, _ = run_cli(*argv)
         assert code == 0
-        assert dict(counts) == expected
+        # Counter equality treats a missing key as zero
+        assert counts == Counter(expected)
 
 
 class TestModuleEntryPoint:

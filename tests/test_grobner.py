@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from detsing import grobner
 from detsing.grobner import (
     GREVLEX,
-    GRLEX,
     LEX,
     Ideal,
     MonomialOrder,
@@ -22,7 +21,6 @@ from detsing.grobner import (
     quasi_homogeneous_weights,
     quotient_dimension,
     s_polynomial,
-    weighted_degree,
 )
 from detsing._linalg import nonnegative_kernel_vector, rational_rank, row_basis
 from detsing.polyalg import (
@@ -285,9 +283,8 @@ def ordered_ideals(draw):
     terms = st.dictionaries(exponents, coefficients, min_size=1, max_size=3)
     gens = [Polynomial(variables, draw(terms))
             for _ in range(draw(st.integers(min_value=2, max_value=4)))]
-    priority = draw(st.none() | st.permutations(range(nvars)).map(tuple))
-    kind = draw(st.sampled_from(("grevlex", "lex", "grlex")))
-    return Ideal(variables, gens), MonomialOrder(kind, priority)
+    kind = draw(st.sampled_from(("grevlex", "lex")))
+    return Ideal(variables, gens), MonomialOrder(kind)
 
 
 # reference runs that take more pairs than this are compared at the cap
@@ -361,11 +358,6 @@ class TestNormalForm:
         once = normal_form(f, basis)
         assert normal_form(once, basis) == once
 
-    def test_sequence_basis_accepted(self):
-        gens = polys(("y^2 - 1", "x - y"), XY)
-        r = normal_form(parse_polynomial("x^2", XY), gens, order=GREVLEX)
-        assert r == parse_polynomial("1", XY)
-
     def test_membership_of_products(self):
         basis = buchberger(ideal(CATALECTICANT_MINORS, P4))
         gen = parse_polynomial(CATALECTICANT_MINORS[1], P4)
@@ -373,26 +365,28 @@ class TestNormalForm:
         assert not normal_form(cofactor * gen, basis).terms
 
 
+def basis_of(texts, variables, order=GREVLEX):
+    return buchberger(ideal(texts, variables), order)
+
+
 class TestDimension:
     def test_catalecticant_dimension(self):
-        assert ideal_dimension(ideal(CATALECTICANT_MINORS, P4)) == 2
+        assert ideal_dimension(basis_of(CATALECTICANT_MINORS, P4)) == 2
 
     def test_order_independence(self):
-        src = ideal(CATALECTICANT_MINORS, P4)
-        assert ideal_dimension(src, order=LEX) == 2
-        assert ideal_dimension(src, order=GRLEX) == 2
+        assert ideal_dimension(basis_of(CATALECTICANT_MINORS, P4, LEX)) == 2
 
     def test_point_ideal(self):
-        assert ideal_dimension(ideal(("x0", "x1", "x2", "x3"), P4)) == 0
+        assert ideal_dimension(basis_of(("x0", "x1", "x2", "x3"), P4)) == 0
 
     def test_zero_ideal(self):
-        assert ideal_dimension(Ideal(XYZ, [])) == 3
+        assert ideal_dimension(buchberger(Ideal(XYZ, []))) == 3
 
     def test_unit_ideal(self):
-        assert ideal_dimension(ideal(("x", "1 - x"), XY)) == -1
+        assert ideal_dimension(basis_of(("x", "1 - x"), XY)) == -1
 
     def test_hypersurface(self):
-        assert ideal_dimension(ideal(("x*y - 1",), XY)) == 1
+        assert ideal_dimension(basis_of(("x*y - 1",), XY)) == 1
 
 
 QUOTIENT_TABLE = [
@@ -410,21 +404,21 @@ QUOTIENT_TABLE = [
 class TestQuotientDimension:
     @pytest.mark.parametrize("texts,variables,expected", QUOTIENT_TABLE)
     def test_pinned_values(self, texts, variables, expected):
-        assert quotient_dimension(ideal(texts, variables)) == expected
+        assert quotient_dimension(basis_of(texts, variables)) == expected
 
     @pytest.mark.parametrize("texts,variables,expected", QUOTIENT_TABLE)
     def test_against_relation_matrix_oracle(self, texts, variables, expected):
-        basis = buchberger(ideal(texts, variables))
-        assert is_groebner_basis(basis)
-        oracle = brute_force_quotient_dimension(basis.polynomials, variables)
+        gb = basis_of(texts, variables)
+        assert is_groebner_basis(gb)
+        oracle = brute_force_quotient_dimension(gb.polynomials, variables)
         assert oracle == expected
-        assert quotient_dimension(basis) == oracle
+        assert quotient_dimension(gb) == oracle
 
     def test_positive_dimension_reports_infinite(self):
-        assert quotient_dimension(ideal(("x",), XY)) is None
+        assert quotient_dimension(basis_of(("x",), XY)) is None
 
     def test_unit_ideal_quotient(self):
-        assert quotient_dimension(ideal(("1",), XY)) == 0
+        assert quotient_dimension(basis_of(("1",), XY)) == 0
 
 
 class TestOrders:
@@ -436,18 +430,9 @@ class TestOrders:
         assert g.leading_monomial(key=GREVLEX.key) == (0, 3, 0)
         assert g.leading_monomial(key=LEX.key) == (1, 0, 2)
 
-    def test_priority_permutation(self):
-        order = MonomialOrder("lex", priority=(2, 1, 0))
-        f = parse_polynomial("x^3 + z*y", XYZ)
-        assert f.leading_monomial(key=order.key) == (0, 1, 1)
-
     def test_invalid_kind(self):
         with pytest.raises(ValueError):
             MonomialOrder("degrevlex")
-
-    def test_invalid_priority(self):
-        with pytest.raises(ValueError):
-            MonomialOrder("lex", priority=(0, 0, 1))
 
 
 def exponent_differences(polys):
@@ -514,7 +499,3 @@ class TestWeights:
         basis = row_basis(rows)
         assert rational_rank(rows + basis) == len(basis) == rational_rank(rows)
         assert len(basis) == _rank(rows) == _rank(rows + basis)
-
-    def test_weighted_degree(self):
-        f = parse_polynomial("x^2 + y^3", XY)
-        assert weighted_degree(f.leading_monomial(), (3, 2)) == 6

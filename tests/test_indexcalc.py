@@ -15,15 +15,12 @@ from detsing.indexcalc import (
     SOLVED,
     VERIFIED,
     VIOLATED,
-    CStarForm,
     IdentityResult,
     IndexLedger,
     LedgerEntry,
     LedgerError,
-    NonIsolatedZeroError,
     RadialDecomposition,
     SingularPointRecord,
-    UnsupportedLocalStructureError,
     cstar_fixed_points,
     defect,
     defect_known,
@@ -31,9 +28,8 @@ from detsing.indexcalc import (
     phn_from_radial,
     phn_from_radial_nonsmoothable,
     radial_from_decomposition,
-    smooth_zero_index,
 )
-from detsing.polyalg import PolyMatrix, parse_polynomial
+from detsing.polyalg import PolyMatrix
 from detsing.topo import MilnorData, chi_smoothing
 
 P4 = ("x0", "x1", "x2", "x3", "x4")
@@ -283,43 +279,12 @@ class TestGlobalIdentity:
             LedgerEntry("p", "somewhere")
 
 
-def form(*texts, variables):
-    return [parse_polynomial(t, variables) for t in texts]
-
-
-class TestSmoothZeroIndex:
-    def test_linear_form(self):
-        assert smooth_zero_index(form("x", "y", variables=("x", "y"))) == 1
-
-    def test_staircase_form(self):
-        assert smooth_zero_index(form("x^2", "y^3", variables=("x", "y"))) == 6
-
-    def test_three_variables(self):
-        assert smooth_zero_index(form("x", "y", "z", variables=("x", "y", "z"))) == 1
-
-    def test_coefficient_count(self):
-        with pytest.raises(ValueError):
-            smooth_zero_index(form("x", variables=("x", "y")))
-        with pytest.raises(ValueError):
-            smooth_zero_index([])
-
-    def test_non_quasi_homogeneous(self):
-        with pytest.raises(UnsupportedLocalStructureError):
-            smooth_zero_index(form("x + y^2", "y + x^3", variables=("x", "y")))
-
-    def test_non_isolated_zero(self):
-        with pytest.raises(NonIsolatedZeroError):
-            smooth_zero_index(form("x", "x", variables=("x", "y")))
-
-    def test_zero_away_from_origin(self):
-        with pytest.raises(UnsupportedLocalStructureError):
-            smooth_zero_index(form("x^2 - x", "y", variables=("x", "y")))
-
-
 class TestCStarForms:
     def test_repeated_weights_rejected(self):
-        with pytest.raises(ValueError):
-            CStarForm((0, 1, 1))
+        model = catalecticant_model()
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            cstar_fixed_points(model, (0, 1, 1, 3, 4),
+                               classify(model).rank_basis)
 
     def test_catalecticant_fixed_points(self):
         model = catalecticant_model()
