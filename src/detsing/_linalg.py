@@ -1,6 +1,35 @@
-"""Exact linear algebra over the rationals (internal helpers)."""
+"""Exact linear algebra over the rationals (internal helpers).
+
+A rational is an `int` when it is integral and a `Fraction` otherwise, so
+integer arithmetic stays on plain ints.  `div` is the one place where a
+quotient is formed: `1 / lc` with an `int` `lc` would be a float.
+"""
 
 from fractions import Fraction
+
+
+def exact(x):
+    """`x` as an `int` when it is integral, otherwise as a `Fraction`.
+
+    Accepts ints and Fractions only; a float raises TypeError rather than
+    entering the exact arithmetic as a binary approximation.
+    """
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"exact rational required, got {type(x).__name__}")
+
+
+def div(a, b):
+    """Exact quotient a / b: an `int` when integral, otherwise a `Fraction`."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    # a Fraction operand makes the quotient a Fraction
+    return exact(a / b)
 
 
 def row_basis(rows):
@@ -9,7 +38,7 @@ def row_basis(rows):
     The reduced echelon form depends only on the row space, so neither the
     order of `rows` nor repeated or dependent rows change the result.
     """
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [[exact(x) for x in row] for row in rows]
     if not mat or not mat[0]:
         return []
     ncols = len(mat[0])
@@ -23,8 +52,9 @@ def row_basis(rows):
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [inv * x for x in mat[rank]]
+        piv = mat[rank][col]
+        if piv != 1:
+            mat[rank] = [div(x, piv) for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col]:
                 f = mat[r][col]
@@ -48,13 +78,13 @@ def nonnegative_kernel_vector(rows, n):
     """
     if n == 0:
         return None
-    cons = [[Fraction(x) for x in row] for row in rows]
+    cons = [[exact(x) for x in row] for row in rows]
     for row in cons:
         if len(row) != n:
             raise ValueError("constraint row length mismatch")
-    cons.append([Fraction(1)] * n)
+    cons.append([1] * n)
     m = len(cons)
-    rhs = [Fraction(0)] * (m - 1) + [Fraction(1)]
+    rhs = [0] * (m - 1) + [1]
     # tableau columns: n structural, m artificial, then the right-hand side
     tab = []
     for i in range(m):
@@ -62,13 +92,13 @@ def nonnegative_kernel_vector(rows, n):
         if rhs[i] < 0:
             row = [-x for x in row]
             rhs[i] = -rhs[i]
-        row += [Fraction(int(i == j)) for j in range(m)]
+        row += [int(i == j) for j in range(m)]
         row.append(rhs[i])
         tab.append(row)
     basis = [n + i for i in range(m)]
     width = n + m
     # phase-one objective: minimize the sum of artificials
-    obj = [Fraction(0)] * (width + 1)
+    obj = [0] * (width + 1)
     for i in range(m):
         for j in range(width + 1):
             obj[j] += tab[i][j]
@@ -86,14 +116,15 @@ def nonnegative_kernel_vector(rows, n):
         best = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
+                ratio = div(tab[i][width], tab[i][enter])
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             return None
         piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        if piv != 1:
+            tab[leave] = [div(x, piv) for x in tab[leave]]
         for i in range(m):
             if i != leave and tab[i][enter]:
                 f = tab[i][enter]
@@ -104,7 +135,7 @@ def nonnegative_kernel_vector(rows, n):
         basis[leave] = enter
     if obj[width] != 0:
         return None
-    w = [Fraction(0)] * n
+    w = [0] * n
     for i in range(m):
         if basis[i] < n:
             w[basis[i]] = tab[i][width]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -86,6 +87,11 @@ def _as_polynomial(value, variables, where):
         _fail(f"{where}: {e}")
 
 
+# an affine coordinate: an integer, a fraction of integers or a plain decimal;
+# no exponents, digit separators or non-ASCII digits
+_COORDINATE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
 def _parse_point(text, model, where):
     """Parse a point string to the model's native point type."""
     text = _as_str(text, where)
@@ -100,10 +106,12 @@ def _parse_point(text, model, where):
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         _fail(f"{where}: affine points look like (a, b), got {text!r}")
-    parts = s[1:-1].split(",")
+    parts = [p.strip() for p in s[1:-1].split(",")]
+    if not all(_COORDINATE.fullmatch(p) for p in parts):
+        _fail(f"{where}: coordinates must be rational numbers")
     try:
-        vals = tuple(Fraction(p.strip()) for p in parts)
-    except (ValueError, ZeroDivisionError):
+        vals = tuple(Fraction(p) for p in parts)
+    except ZeroDivisionError:
         _fail(f"{where}: coordinates must be rational numbers")
     if len(vals) != len(model.variables):
         _fail(f"{where}: expected {len(model.variables)} coordinates")

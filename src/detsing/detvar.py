@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
+from ._linalg import div, exact
 from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, LEX, GroebnerBasis, Ideal,
-                      buchberger, ideal_dimension, quasi_homogeneous_weights)
+                      ResourceLimitExceeded, buchberger, ideal_dimension,
+                      quasi_homogeneous_weights)
 from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
 
 PROJECTIVE = "projective"
@@ -24,6 +26,13 @@ AFFINE = "affine"
 OUTSIDE = "outside"
 SMOOTH_STRATUM = "smooth_stratum"
 ESSENTIAL_SINGULAR = "essential_singular"
+
+# The rational-root search of an eliminant reads the divisors of its
+# constant and leading coefficients: past MAX_ROOT_COEFFICIENT it reports the
+# roots as possibly incomplete, and past MAX_ROOT_CANDIDATES tried candidates
+# it stops with ResourceLimitExceeded.
+MAX_ROOT_COEFFICIENT = 10 ** 12
+MAX_ROOT_CANDIDATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ def is_point_on_variety(model, point):
     """
     if isinstance(point, ProjectivePoint):
         point = point.coords
-    point = [Fraction(x) for x in point]
+    point = [exact(x) for x in point]
     if len(point) != len(model.variables):
         raise ValueError("point length does not match the variable count")
     if model.ambient.kind == PROJECTIVE and not any(point):
@@ -208,21 +217,41 @@ def _divisors(n):
     return sorted(out)
 
 
-def _poly_eval(coeffs, r):
-    val = Fraction(0)
-    for c in reversed(coeffs):
-        val = val * r + c
-    return val
+def _root_candidates(c0, cn):
+    """Signed pairs (p, q), q > 0 and gcd(p, q) = 1, with p | c0 and q | cn.
+
+    By the rational root theorem these are the only possible rational roots
+    p/q of an integer polynomial with constant term c0 and leading
+    coefficient cn.  Generated lazily; which roots are found, and with what
+    multiplicity, does not depend on the order they are tried in.
+    """
+    qs = _divisors(cn)
+    for p in _divisors(c0):
+        for q in qs:
+            if gcd(p, q) == 1:
+                yield p, q
+                yield -p, q
 
 
-def _deflate(coeffs, r):
-    # divide by (x - r) assuming r is a root; coefficients ascending
-    n = len(coeffs) - 1
-    quo = [Fraction(0)] * n
-    acc = Fraction(0)
-    for i in range(n, 0, -1):
-        acc = coeffs[i] + acc * r
+def _divide_linear(coeffs, p, q):
+    """Quotient of an integer polynomial by (q*x - p), or None if p/q is no root.
+
+    `coeffs` is dense, ascending degree, with a nonzero constant term, and
+    gcd(p, q) = 1.  By Gauss's lemma the quotient by the primitive factor
+    (q*x - p) is integral when p/q is a root, so the synthetic division runs
+    in integers and stops at the first inexact step.
+    """
+    if coeffs[0] % p:
+        return None
+    quo = [0] * (len(coeffs) - 1)
+    acc = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        acc, rem = divmod(coeffs[i] + p * acc, q)
+        if rem:
+            return None
         quo[i - 1] = acc
+    if coeffs[0] + p * acc:
+        return None
     return quo
 
 
@@ -230,12 +259,15 @@ def _rational_roots(coeffs):
     """Rational roots with multiplicity of a nonzero univariate polynomial.
 
     `coeffs` is dense, ascending degree.  Returns (roots, complete) where
-    complete means the polynomial splits into rational linear factors.
+    complete means the polynomial splits into rational linear factors.  The
+    coefficients are scaled to integers and every candidate of the rational
+    root theorem is divided out as often as it divides.  The search gives up
+    (complete is False) when the constant or leading coefficient exceeds
+    MAX_ROOT_COEFFICIENT, and raises ResourceLimitExceeded after
+    MAX_ROOT_CANDIDATES candidates.
     """
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    work = [Fraction(c * scale) for c in coeffs]
+    scale = lcm(*(c.denominator for c in coeffs))
+    work = [c.numerator * (scale // c.denominator) for c in coeffs]
     while work and work[-1] == 0:
         work.pop()
     if len(work) <= 1:
@@ -249,21 +281,34 @@ def _rational_roots(coeffs):
         roots.append((Fraction(0), zero_mult))
     if len(work) == 1:
         return roots, True
-    c0, cn = int(work[0]), int(work[-1])
-    if abs(c0) > 10 ** 12 or abs(cn) > 10 ** 12:
+    if (abs(work[0]) > MAX_ROOT_COEFFICIENT
+            or abs(work[-1]) > MAX_ROOT_COEFFICIENT):
         return roots, False
-    candidates = sorted({Fraction(sign * p, q)
-                         for p in _divisors(c0) for q in _divisors(cn)
-                         for sign in (1, -1)})
-    for r in candidates:
-        mult = 0
-        while len(work) > 1 and _poly_eval(work, r) == 0:
-            work = _deflate(work, r)
-            mult += 1
-        if mult:
-            roots.append((r, mult))
-        if len(work) == 1:
+    candidates = _root_candidates(work[0], work[-1])
+    tried = 0
+    while len(work) > 2:
+        pq = next(candidates, None)
+        if pq is None:
             break
+        tried += 1
+        if tried > MAX_ROOT_CANDIDATES:
+            raise ResourceLimitExceeded(
+                "rational-root search exceeded its limit of "
+                f"{MAX_ROOT_CANDIDATES} candidates")
+        p, q = pq
+        mult = 0
+        quo = _divide_linear(work, p, q)
+        while quo is not None:
+            work = quo
+            mult += 1
+            quo = _divide_linear(work, p, q)
+        if mult:
+            roots.append((Fraction(p, q), mult))
+    if len(work) == 2:
+        # the last linear factor's root needs no search; every root found
+        # so far was divided out completely, so it is a new one
+        roots.append((Fraction(-work[0], work[1]), 1))
+        work = work[1:]
     roots.sort(key=lambda rm: rm[0])
     return roots, len(work) == 1
 
@@ -293,7 +338,7 @@ def _solve_zero_dimensional(gens, variables, spair_budget):
                 eliminant = p
     if eliminant is None:
         return [], False
-    coeffs = [Fraction(0)] * (eliminant.total_degree() + 1)
+    coeffs = [0] * (eliminant.total_degree() + 1)
     for m, c in eliminant.terms.items():
         coeffs[m[last]] = c
     roots, complete = _rational_roots(coeffs)
@@ -312,13 +357,13 @@ def _projective_points(gens, variables, spair_budget):
     pts = []
     complete = True
     for i in range(len(variables)):
-        assignments = {j: Fraction(0) for j in range(i)}
-        assignments[i] = Fraction(1)
+        assignments = {j: 0 for j in range(i)}
+        assignments[i] = 1
         sub = [g.eliminate(assignments) for g in gens]
         sols, comp = _solve_zero_dimensional(sub, variables[i + 1:], spair_budget)
         complete = complete and comp
         for s in sols:
-            coords = (Fraction(0),) * i + (Fraction(1),) + s
+            coords = (0,) * i + (1,) + s
             pts.append(ProjectivePoint.from_fractions(coords))
     pts.sort(key=lambda p: p.coords)
     return pts, complete
@@ -344,12 +389,12 @@ def chart_matrix(model, point):
             raise ValueError("point length does not match the variable count")
         i = pt.chart_index()
         denom = pt.coords[i]
-        offsets = [Fraction(c, denom) for j, c in enumerate(pt.coords) if j != i]
+        offsets = [div(c, denom) for j, c in enumerate(pt.coords) if j != i]
 
         def rewrite(e):
             return e.eliminate({i: 1}).shift(offsets)
     else:
-        offsets = [Fraction(x) for x in point]
+        offsets = [exact(x) for x in point]
         if len(offsets) != len(model.variables):
             raise ValueError("point length does not match the variable count")
 

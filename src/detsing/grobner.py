@@ -14,6 +14,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from . import _linalg
+from ._linalg import div
 from .polyalg import Polynomial, _grevlex_key, _mono_divides, _mono_mul, _mono_sub
 
 DEFAULT_SPAIR_BUDGET = 100_000
@@ -88,8 +89,10 @@ def leading_term(f, order=GREVLEX):
 def _monic_term(f, order):
     """(leading monomial, 1, f divided by its leading coefficient)."""
     lm, lc = leading_term(f, order)
-    monic = f * (1 / lc)
-    return lm, monic.terms[lm], monic
+    if lc == 1:
+        return lm, 1, f
+    monic = {m: div(c, lc) for m, c in f.terms.items()}
+    return lm, 1, Polynomial._raw(f.variables, monic)
 
 
 def s_polynomial(f, g, order=GREVLEX):
@@ -97,8 +100,8 @@ def s_polynomial(f, g, order=GREVLEX):
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
     l = tuple(max(a, b) for a, b in zip(fm, gm))
-    uf = Polynomial._raw(f.variables, {_mono_sub(l, fm): 1 / fc})
-    ug = Polynomial._raw(g.variables, {_mono_sub(l, gm): 1 / gc})
+    uf = Polynomial._raw(f.variables, {_mono_sub(l, fm): div(1, fc)})
+    ug = Polynomial._raw(g.variables, {_mono_sub(l, gm): div(1, gc)})
     return uf * f - ug * g
 
 
@@ -118,7 +121,8 @@ def _reduce(f, info, order):
         for glm, glc, g in info:
             if _mono_divides(glm, lm):
                 qm = _mono_sub(lm, glm)
-                qc = lc / glc
+                # basis elements are monic, so glc is usually 1
+                qc = lc if glc == 1 else div(lc, glc)
                 for m, c in g.terms.items():
                     mm = _mono_mul(qm, m)
                     s = work.get(mm, 0) - qc * c

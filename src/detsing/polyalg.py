@@ -1,9 +1,12 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Everything is immutable and exact: coefficients are `fractions.Fraction`,
-monomials are plain tuples of non-negative exponents aligned with an ordered
-variable list, and terms are kept against a fixed graded reverse
-lexicographic order so printing is deterministic.
+Everything is immutable and exact: a coefficient is an `int` where it is
+integral and a `fractions.Fraction` otherwise, monomials are plain tuples of
+non-negative exponents aligned with an ordered variable list, and terms are
+kept against a fixed graded reverse lexicographic order so printing is
+deterministic.  Inputs (coefficients, points, offsets) are stored as ints
+where integral, and sums and products of ints stay ints; a `Fraction` comes
+only from a `Fraction` input or an exact division (`_linalg.div`).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from itertools import combinations
 from math import comb
 
 from . import _linalg
+from ._linalg import exact
 
 # a monomial is an exponent vector, one entry per variable
 Monomial = tuple
@@ -43,11 +47,12 @@ class ParseError(ValueError):
 
 
 class Polynomial:
-    """Polynomial over an ordered variable list with Fraction coefficients.
+    """Polynomial over an ordered variable list with rational coefficients.
 
-    The `terms` map sends exponent tuples to nonzero coefficients.  Instances
-    are value objects: arithmetic never mutates, equality and hashing follow
-    the (variables, terms) content.
+    The `terms` map sends exponent tuples to nonzero coefficients, each an
+    `int` or a `Fraction`, never a float.  Instances are value objects:
+    arithmetic never mutates, equality and hashing follow the (variables,
+    terms) content.
     """
 
     __slots__ = ("variables", "terms", "_hash")
@@ -64,7 +69,7 @@ class Polynomial:
                 raise ValueError("exponent vector length mismatch")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = Fraction(coeff)
+            c = exact(coeff)
             if c:
                 clean[exps] = c
         self.terms = clean
@@ -84,7 +89,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, variables, value):
-        c = Fraction(value)
+        c = exact(value)
         variables = tuple(variables)
         if not c:
             return cls._raw(variables, {})
@@ -98,7 +103,7 @@ class Polynomial:
         except ValueError:
             raise ValueError(f"unknown variable {name!r}") from None
         exps = tuple(int(j == i) for j in range(len(variables)))
-        return cls._raw(variables, {exps: Fraction(1)})
+        return cls._raw(variables, {exps: 1})
 
     def _check(self, other):
         if self.variables != other.variables:
@@ -144,7 +149,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = exact(other)
             if not c:
                 return Polynomial._raw(self.variables, {})
             return Polynomial._raw(self.variables, {m: c * v for m, v in self.terms.items()})
@@ -201,15 +206,15 @@ class Polynomial:
         return max(self.terms, key=key or _grevlex_key)
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def evaluate(self, point):
         """Exact value at a rational point (one coordinate per variable)."""
-        point = [Fraction(x) for x in point]
+        point = [exact(x) for x in point]
         if len(point) != len(self.variables):
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {len(self.variables)}")
-        total = Fraction(0)
+        total = 0
         for exps, c in self.terms.items():
             v = c
             for x, e in zip(point, exps):
@@ -224,7 +229,7 @@ class Polynomial:
         `assignments` maps variable indices to values; the result lives over
         the remaining variables, in their original order.
         """
-        fixed = {int(i): Fraction(v) for i, v in assignments.items()}
+        fixed = {int(i): exact(v) for i, v in assignments.items()}
         for i in fixed:
             if not 0 <= i < len(self.variables):
                 raise IndexError("variable index out of range")
@@ -254,7 +259,7 @@ class Polynomial:
         (x_i + a_i)^e_i = sum_k C(e_i, k) * a_i^(e_i - k) * x_i^k, in every
         variable whose offset is nonzero, straight into one term map.
         """
-        offsets = [Fraction(a) for a in offsets]
+        offsets = [exact(a) for a in offsets]
         if len(offsets) != len(self.variables):
             raise ValueError("one offset per variable required")
         moved = [i for i, a in enumerate(offsets) if a]
@@ -496,7 +501,7 @@ class PolyMatrix:
 
     def evaluate(self, point):
         """Matrix of exact values at a rational point."""
-        point = [Fraction(x) for x in point]
+        point = [exact(x) for x in point]
         return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def __eq__(self, other):

@@ -428,6 +428,57 @@ class TestInputValidation:
         assert code == 2 and out == ""
         assert "singularities[0].point: expected 2 coordinates" in err
 
+    @pytest.mark.parametrize("coordinate", [
+        "1e3", "1E3", "1e10000000", "1_0", "+1", "0x10", ".5", "5.", "inf",
+        "nan", "\u0661", "1/0", "1/-2", "", "1 / 2"])
+    def test_affine_coordinates_are_plain_rationals(self, run_cli, tmp_path,
+                                                    coordinate):
+        payload = self.fixture_payload("form_staircase.json")
+        payload["singularities"] = [{"point": f"({coordinate}, 0)"}]
+        code, out, err = run_cli("analyze", self.write(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert "singularities[0].point: coordinates must be rational numbers" in err
+        code, out, err = run_cli("index", fixture_path("form_staircase.json"),
+                                 "--at", f"(0, {coordinate})")
+        assert code == 2 and out == ""
+        assert "--at: coordinates must be rational numbers" in err
+
+    @pytest.mark.parametrize("coordinate", ["0", "-7", "3/2", "-3/4", "0.25",
+                                            "-10.50", "007"])
+    def test_affine_coordinate_forms_accepted(self, run_cli, coordinate):
+        # the point parses; the ledger then refuses the affine model
+        code, out, err = run_cli("index", fixture_path("form_staircase.json"),
+                                 "--at", f"({coordinate}, 0)")
+        assert code == 3 and out == ""
+        assert err.startswith("unsupported: ")
+
+    def test_rational_root_search_is_bounded(self, run_cli, tmp_path):
+        # the eliminant a*x^2 - b is irreducible; its constant term has 2592
+        # divisors and its leading coefficient 64
+        a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
+        entry = f"{a}*x^2 - {b}"
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": ["x", "y"],
+            "matrix": [[entry, "y"], ["y", entry]], "t": 2,
+            "ambient": {"kind": "affine", "dim": 2}, "singularities": []})
+        code, out, err = run_cli("analyze", path)
+        assert code == 3 and out == ""
+        assert err == ("resource limit: rational-root search exceeded its "
+                       f"limit of {detvar.MAX_ROOT_CANDIDATES} candidates\n")
+
+    def test_linear_eliminant_with_many_candidates(self, run_cli, tmp_path):
+        a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
+        entry = f"{a}*x - {b}"
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": ["x", "y"],
+            "matrix": [[entry, "y"], ["y", entry]], "t": 2,
+            "ambient": {"kind": "affine", "dim": 2}, "singularities": []})
+        code, out, err = run_cli("analyze", path, "--json")
+        assert code == 0 and err == ""
+        report = load(out)["classification"]
+        assert report["singular_points"] == [f"({b}/{a}, 0)"]
+        assert report["singular_points_exact"] is True
+
     def test_affine_ledger_unsupported(self, run_cli):
         code, _, err = run_cli("verify", fixture_path("non_quasihomogeneous.json"))
         assert code == 3

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detsing.detvar import (
     AFFINE,
     ESSENTIAL_SINGULAR,
+    MAX_ROOT_CANDIDATES,
     OUTSIDE,
     PROJECTIVE,
     SMOOTH_STRATUM,
@@ -20,7 +23,8 @@ from detsing.detvar import (
     lower_locus_generators,
     minors_ideal,
 )
-from detsing.grobner import Ideal, buchberger, ideal_dimension, normal_form
+from detsing.grobner import (Ideal, ResourceLimitExceeded, buchberger,
+                             ideal_dimension, normal_form)
 from detsing.polyalg import PolyMatrix, Polynomial, minors, parse_polynomial
 
 P4 = ("x0", "x1", "x2", "x3", "x4")
@@ -238,6 +242,42 @@ class TestRationalRoots:
         coeffs = [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
         roots, complete = _rational_roots(coeffs)
         assert roots == [(Fraction(-1), 1), (Fraction(1), 1)] and complete
+
+    @given(st.dictionaries(
+               st.builds(Fraction, st.integers(min_value=-12, max_value=12),
+                         st.integers(min_value=1, max_value=6)),
+               st.integers(min_value=1, max_value=3), max_size=4),
+           st.integers(min_value=-5, max_value=5).filter(bool),
+           st.booleans())
+    def test_roots_of_a_product_of_linear_factors(self, mults, scale, quadratic):
+        # scale * prod (x - r)^m, times the irreducible x^2 + 2 if `quadratic`
+        coeffs = [Fraction(scale)]
+        factors = [[-r, 1] for r, m in mults.items() for _ in range(m)]
+        if quadratic:
+            factors.append([2, 0, 1])
+        for factor in factors:
+            product = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(factor):
+                    product[i + j] += a * b
+            coeffs = product
+        roots, complete = _rational_roots(coeffs)
+        assert roots == sorted(mults.items())
+        assert complete == (not quadratic)
+
+    def test_linear_factor_needs_no_search(self):
+        # 2^8 3^5 5^3 7^2 11 13 has 2592 divisors and 17 19 23 29 31 37 has 64:
+        # far more candidates than the limit, but a linear root is read off
+        a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
+        assert _rational_roots([-b, a]) == ([(Fraction(b, a), 1)], True)
+        assert _rational_roots([0, -b, a]) == (
+            [(Fraction(0), 1), (Fraction(b, a), 1)], True)
+
+    def test_candidate_limit(self):
+        a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
+        with pytest.raises(ResourceLimitExceeded,
+                           match=f"rational-root search .* {MAX_ROOT_CANDIDATES}"):
+            _rational_roots([-b, 0, a])
 
 
 class TestZeroDimensionalSolver:

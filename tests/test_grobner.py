@@ -104,7 +104,7 @@ def _rank(rows):
         lead = rows[rank][col]
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
-                factor = rows[i][col] / lead
+                factor = Fraction(rows[i][col]) / lead
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
         col += 1
@@ -192,7 +192,7 @@ def _scan_reduce(f, info, order):
         for glm, glc, g in info:
             if _mono_divides(glm, lm):
                 qm = _mono_sub(lm, glm)
-                qc = lc / glc
+                qc = Fraction(lc) / glc
                 for m, c in g.terms.items():
                     mm = _mono_mul(qm, m)
                     s = work.get(mm, 0) - qc * c
@@ -212,7 +212,7 @@ def _scan_info(polys, order):
 
 
 def _scan_monic(f, order):
-    return f * (1 / leading_term(f, order)[1])
+    return f * (Fraction(1) / leading_term(f, order)[1])
 
 
 def _scan_autoreduce(polys, order):

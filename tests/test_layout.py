@@ -18,3 +18,26 @@ def test_library_has_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+# modules whose arithmetic is exact: every quotient goes through
+# `_linalg.div`, since `/` on two ints gives a float
+EXACT_MODULES = ("_linalg.py", "polyalg.py", "grobner.py", "detvar.py")
+
+
+def _true_divisions(node, module):
+    if (module == "_linalg.py" and isinstance(node, ast.FunctionDef)
+            and node.name == "div"):
+        return
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _true_divisions(child, module)
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_divide_only_through_div(name):
+    path = Path(detsing.__file__).parent / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = list(_true_divisions(tree, name))
+    assert lines == [], f"{name} divides with '/' outside div on lines {lines}"

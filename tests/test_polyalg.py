@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from detsing._linalg import div, exact
+from detsing.grobner import GREVLEX, LEX, Ideal, SPairBudgetExceeded, buchberger
 from detsing.polyalg import (
     MAX_NESTING,
     ParseError,
@@ -34,7 +36,10 @@ small_fractions = st.builds(
     st.integers(min_value=1, max_value=5),
 )
 
-small_integers = st.integers(min_value=-9, max_value=9).map(Fraction)
+small_integers = st.integers(min_value=-9, max_value=9)
+
+# plain ints as well as Fractions, so both coefficient types are exercised
+small_rationals = st.one_of(small_integers, small_fractions)
 
 exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
 
@@ -313,3 +318,78 @@ class TestMatrices:
     def test_nonrectangular_rejected(self):
         with pytest.raises(ValueError):
             PolyMatrix.from_strings([["x", "y"], ["z"]], XYZ)
+
+
+def assert_exact(values):
+    # the arithmetic is exact: an int or a Fraction, never a float
+    for v in values:
+        assert type(v) in (int, Fraction), repr(v)
+
+
+def assert_ints(values):
+    for v in values:
+        assert type(v) is int, repr(v)
+
+
+class TestExactCoefficients:
+    @given(polynomials(small_rationals), polynomials(small_rationals),
+           st.tuples(*[small_rationals] * 3), st.integers(min_value=0, max_value=3))
+    def test_operations_keep_exact_coefficients(self, f, g, point, k):
+        results = [f + g, f - g, -f, f * g, f * point[0], point[1] * g, f ** k,
+                   f.shift(point), f.eliminate({0: point[0], 2: point[2]})]
+        results += minors(PolyMatrix([[f, g], [g, f + 1]]), 1)
+        results += minors(PolyMatrix([[f, g], [g, f + 1]]), 2)
+        for h in results:
+            assert_exact(h.terms.values())
+        assert_exact([f.evaluate(point)])
+        assert_exact(v for row in PolyMatrix([[f, g]]).evaluate(point) for v in row)
+
+    @given(polynomials(small_integers), polynomials(small_integers),
+           st.tuples(*[small_integers] * 3), st.integers(min_value=0, max_value=3))
+    def test_integer_inputs_stay_int(self, f, g, point, k):
+        # ints in, ints out: no operation without a division makes a Fraction
+        results = [f + g, f - g, f * g, f * point[0], f ** k, f.shift(point),
+                   f.eliminate({1: point[1]})]
+        results += minors(PolyMatrix([[f, g], [g, f + 1]]), 2)
+        for h in results:
+            assert_ints(h.terms.values())
+        assert_ints([f.evaluate(point)])
+
+    @given(st.lists(polynomials(small_rationals), min_size=1, max_size=3),
+           st.sampled_from((GREVLEX, LEX)))
+    def test_basis_coefficients_are_exact(self, gens, order):
+        try:
+            basis = buchberger(Ideal(XYZ, gens), order, spair_budget=60)
+        except SPairBudgetExceeded:
+            return
+        for p in basis.polynomials:
+            assert_exact(p.terms.values())
+            assert p.terms[p.leading_monomial(order.key)] == 1
+
+    @given(small_rationals)
+    def test_exact_normalizes_integral_fractions(self, x):
+        y = exact(x)
+        assert y == x
+        assert type(y) is (int if Fraction(x).denominator == 1 else Fraction)
+
+    @given(small_rationals, small_rationals.filter(bool))
+    def test_div_is_the_exact_quotient(self, a, b):
+        q = div(a, b)
+        assert q == Fraction(a) / Fraction(b)
+        assert type(q) is (int if q.denominator == 1 else Fraction)
+
+    @pytest.mark.parametrize("make", [
+        lambda: exact(0.5),
+        lambda: div(1, 0.5),
+        lambda: Polynomial(("x",), {(1,): 0.1}),
+        lambda: Polynomial.constant(("x",), 2.0),
+        lambda: poly("x") * 0.5,
+        lambda: poly("x") + 0.5,
+        lambda: poly("x").evaluate((0.5, 0, 0)),
+        lambda: poly("x").shift((0.5, 0, 0)),
+        lambda: poly("x").eliminate({0: 0.5}),
+    ], ids=["exact", "div", "init", "constant", "scale", "add", "evaluate",
+            "shift", "eliminate"])
+    def test_floats_are_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
