@@ -18,8 +18,6 @@ def exact(x):
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
     raise TypeError(f"exact rational required, got {type(x).__name__}")
 
 
