@@ -111,7 +111,8 @@ def _parse_point(text, model, where):
         _fail(f"{where}: coordinates must be rational numbers")
     try:
         vals = tuple(Fraction(p) for p in parts)
-    except ZeroDivisionError:
+    except (ValueError, ZeroDivisionError):
+        # ValueError: past the interpreter's limit on digits in int(str)
         _fail(f"{where}: coordinates must be rational numbers")
     if len(vals) != len(model.variables):
         _fail(f"{where}: expected {len(model.variables)} coordinates")

@@ -217,16 +217,19 @@ def _divisors(n):
     return sorted(out)
 
 
-def _root_candidates(c0, cn):
+def _root_candidates(c0, cn, least=1):
     """Signed pairs (p, q), q > 0 and gcd(p, q) = 1, with p | c0 and q | cn.
 
     By the rational root theorem these are the only possible rational roots
     p/q of an integer polynomial with constant term c0 and leading
-    coefficient cn.  Generated lazily; which roots are found, and with what
-    multiplicity, does not depend on the order they are tried in.
+    coefficient cn.  Generated lazily, by increasing p >= least; which roots
+    are found, and with what multiplicity, does not depend on the order they
+    are tried in.
     """
     qs = _divisors(cn)
     for p in _divisors(c0):
+        if p < least:
+            continue
         for q in qs:
             if gcd(p, q) == 1:
                 yield p, q
@@ -261,9 +264,10 @@ def _rational_roots(coeffs):
     `coeffs` is dense, ascending degree.  Returns (roots, complete) where
     complete means the polynomial splits into rational linear factors.  The
     coefficients are scaled to integers and every candidate of the rational
-    root theorem is divided out as often as it divides.  The search gives up
-    (complete is False) when the constant or leading coefficient exceeds
-    MAX_ROOT_COEFFICIENT, and raises ResourceLimitExceeded after
+    root theorem is divided out as often as it divides, until a quadratic or
+    linear factor is left, whose roots are read off directly.  The search
+    gives up (complete is False) when the constant or leading coefficient
+    exceeds MAX_ROOT_COEFFICIENT, and raises ResourceLimitExceeded after
     MAX_ROOT_CANDIDATES candidates.
     """
     scale = lcm(*(c.denominator for c in coeffs))
@@ -286,7 +290,7 @@ def _rational_roots(coeffs):
         return roots, False
     candidates = _root_candidates(work[0], work[-1])
     tried = 0
-    while len(work) > 2:
+    while len(work) > 3:
         pq = next(candidates, None)
         if pq is None:
             break
@@ -304,9 +308,24 @@ def _rational_roots(coeffs):
             quo = _divide_linear(work, p, q)
         if mult:
             roots.append((Fraction(p, q), mult))
+            # the quotient's candidates divide its smaller end coefficients,
+            # and none below |p| is a root
+            candidates = _root_candidates(work[0], work[-1], abs(p))
+    if len(work) == 3:
+        # every root found so far was divided out completely, so the
+        # quadratic's rational roots are new ones
+        c, b, a = work
+        disc = b * b - 4 * a * c
+        if disc >= 0 and isqrt(disc) ** 2 == disc:
+            s = isqrt(disc)
+            if s:
+                roots.append((Fraction(-b - s, 2 * a), 1))
+                roots.append((Fraction(-b + s, 2 * a), 1))
+            else:
+                roots.append((Fraction(-b, 2 * a), 2))
+            work = work[2:]
     if len(work) == 2:
-        # the last linear factor's root needs no search; every root found
-        # so far was divided out completely, so it is a new one
+        # the last linear factor's root needs no search, and is a new one
         roots.append((Fraction(-work[0], work[1]), 1))
         work = work[1:]
     roots.sort(key=lambda rm: rm[0])

@@ -430,7 +430,8 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("coordinate", [
         "1e3", "1E3", "1e10000000", "1_0", "+1", "0x10", ".5", "5.", "inf",
-        "nan", "\u0661", "1/0", "1/-2", "", "1 / 2"])
+        "nan", "\u0661", "1/0", "1/-2", "", "1 / 2", "9" * 5000,
+        "0." + "9" * 5000])
     def test_affine_coordinates_are_plain_rationals(self, run_cli, tmp_path,
                                                     coordinate):
         payload = self.fixture_payload("form_staircase.json")
@@ -453,10 +454,10 @@ class TestInputValidation:
         assert err.startswith("unsupported: ")
 
     def test_rational_root_search_is_bounded(self, run_cli, tmp_path):
-        # the eliminant a*x^2 - b is irreducible; its constant term has 2592
+        # the eliminant a*x^3 - b is irreducible; its constant term has 2592
         # divisors and its leading coefficient 64
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
-        entry = f"{a}*x^2 - {b}"
+        entry = f"{a}*x^3 - {b}"
         path = self.write(tmp_path, {
             "schema_version": 1, "variables": ["x", "y"],
             "matrix": [[entry, "y"], ["y", entry]], "t": 2,
@@ -477,6 +478,23 @@ class TestInputValidation:
         assert code == 0 and err == ""
         report = load(out)["classification"]
         assert report["singular_points"] == [f"({b}/{a}, 0)"]
+        assert report["singular_points_exact"] is True
+
+    def test_quadratic_eliminant_with_late_roots(self, run_cli, tmp_path):
+        # (33263*x - 907200) (1763*x - 1062347): both roots come after more
+        # candidates than the limit, and the quadratic needs no search; the
+        # germs are not weighted-homogeneous, so analyze exits 3 after the
+        # report
+        entry = "58642669*x^2 - 36936241861*x + 963761198400"
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": ["x", "y"],
+            "matrix": [[entry, "y"], ["y", entry]], "t": 2,
+            "ambient": {"kind": "affine", "dim": 2}, "singularities": []})
+        code, out, err = run_cli("analyze", path, "--json")
+        assert code == 3 and err == ""
+        report = load(out)["classification"]
+        assert report["singular_points"] == ["(907200/33263, 0)",
+                                             "(1062347/1763, 0)"]
         assert report["singular_points_exact"] is True
 
     def test_affine_ledger_unsupported(self, run_cli):

@@ -273,11 +273,40 @@ class TestRationalRoots:
         assert _rational_roots([0, -b, a]) == (
             [(Fraction(0), 1), (Fraction(b, a), 1)], True)
 
+    def test_quadratic_factor_needs_no_search(self):
+        # (33263*x - 907200) (1763*x - 1062347): 6720 divisors of the constant
+        # term by 32 of the leading coefficient, and both roots come after
+        # more candidates than the limit
+        roots, complete = _rational_roots(
+            _product([-907200, 29 * 31 * 37], [-1062347, 41 * 43]))
+        assert roots == [(Fraction(907200, 33263), 1),
+                         (Fraction(1062347, 1763), 1)] and complete
+        assert _rational_roots(_product([-3, 2], [-3, 2])) == (
+            [(Fraction(3, 2), 2)], True)
+        a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
+        assert _rational_roots([-b, 0, a]) == ([], False)
+
+    def test_candidates_shrink_with_the_quotient(self):
+        # (b*x - 1) (x^3 - 2*a): the root 1/b comes early, and the cubic
+        # quotient has 256 candidates where the original has 368640
+        a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
+        roots, complete = _rational_roots(_product([-1, b], [-2 * a, 0, 0, 1]))
+        assert roots == [(Fraction(1, b), 1)] and not complete
+
     def test_candidate_limit(self):
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         with pytest.raises(ResourceLimitExceeded,
                            match=f"rational-root search .* {MAX_ROOT_CANDIDATES}"):
-            _rational_roots([-b, 0, a])
+            _rational_roots([-b, 0, 0, a])
+
+
+def _product(f, g):
+    """Dense ascending coefficients of f * g, as Fractions."""
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
 
 
 class TestZeroDimensionalSolver:
