@@ -10,6 +10,7 @@ weighted-homogeneous, since all symbolic computations here are global.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -33,6 +34,10 @@ ESSENTIAL_SINGULAR = "essential_singular"
 # it stops with ResourceLimitExceeded.
 MAX_ROOT_COEFFICIENT = 10 ** 12
 MAX_ROOT_CANDIDATES = 100_000
+
+# a projective point entry: ASCII digits with an optional minus sign, as
+# affine coordinates take them; no digit separators or non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,12 @@ class ProjectivePoint:
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ValueError(f"projective point must look like [a:b:c], got {text!r}")
-        parts = s[1:-1].split(":")
+        parts = [p.strip() for p in s[1:-1].split(":")]
         try:
-            vals = [int(p.strip()) for p in parts]
+            if not all(_INTEGER.fullmatch(p) for p in parts):
+                raise ValueError
+            # int() still raises past the interpreter's limit on digits
+            vals = [int(p) for p in parts]
         except ValueError:
             raise ValueError(
                 f"projective point entries must be integers, got {text!r}") from None
@@ -217,19 +225,16 @@ def _divisors(n):
     return sorted(out)
 
 
-def _root_candidates(c0, cn, least=1):
-    """Signed pairs (p, q), q > 0 and gcd(p, q) = 1, with p | c0 and q | cn.
+def _root_candidates(ps, qs):
+    """Signed pairs (p, q), q > 0 and gcd(p, q) = 1, with p in ps and q in qs.
 
-    By the rational root theorem these are the only possible rational roots
-    p/q of an integer polynomial with constant term c0 and leading
-    coefficient cn.  Generated lazily, by increasing p >= least; which roots
-    are found, and with what multiplicity, does not depend on the order they
-    are tried in.
+    With ps and qs the divisors of the constant term and of the leading
+    coefficient of an integer polynomial, these are by the rational root
+    theorem the only possible rational roots p/q.  Generated lazily, in the
+    order of ps; which roots are found, and with what multiplicity, does not
+    depend on the order they are tried in.
     """
-    qs = _divisors(cn)
-    for p in _divisors(c0):
-        if p < least:
-            continue
+    for p in ps:
         for q in qs:
             if gcd(p, q) == 1:
                 yield p, q
@@ -288,7 +293,8 @@ def _rational_roots(coeffs):
     if (abs(work[0]) > MAX_ROOT_COEFFICIENT
             or abs(work[-1]) > MAX_ROOT_COEFFICIENT):
         return roots, False
-    candidates = _root_candidates(work[0], work[-1])
+    ps, qs = _divisors(work[0]), _divisors(work[-1])
+    candidates = _root_candidates(ps, qs)
     tried = 0
     while len(work) > 3:
         pq = next(candidates, None)
@@ -308,9 +314,12 @@ def _rational_roots(coeffs):
             quo = _divide_linear(work, p, q)
         if mult:
             roots.append((Fraction(p, q), mult))
-            # the quotient's candidates divide its smaller end coefficients,
+            # the quotient's end coefficients are c0 / p^mult and
+            # cn / q^mult, so their divisors are among those already found;
             # and none below |p| is a root
-            candidates = _root_candidates(work[0], work[-1], abs(p))
+            ps = [d for d in ps if d >= abs(p) and work[0] % d == 0]
+            qs = [d for d in qs if work[-1] % d == 0]
+            candidates = _root_candidates(ps, qs)
     if len(work) == 3:
         # every root found so far was divided out completely, so the
         # quadratic's rational roots are new ones
@@ -332,12 +341,28 @@ def _rational_roots(coeffs):
     return roots, len(work) == 1
 
 
+def _substitute_last(g, root):
+    """q^d * g(..., p/q) for root = p/q, over all but the last variable.
+
+    d is the degree of g in its last variable, so the term c*m*x^e goes to
+    c * q^(d - e) * p^e * m, in integers when g has integer coefficients:
+    g with the root substituted, times the nonzero constant q^d.
+    """
+    p, q = root.numerator, root.denominator
+    d = max(m[-1] for m in g.terms)
+    scaled = {m: c * q ** (d - m[-1]) for m, c in g.terms.items()}
+    return Polynomial._raw(g.variables, scaled).eliminate({len(g.variables) - 1: p})
+
+
 def _solve_zero_dimensional(gens, variables, spair_budget):
     """All rational points of a finite affine zero set.
 
     Returns (points, complete); complete is False when non-rational points
     may exist (an eliminant fails to split over the rationals) or when the
-    zero set is not finite.
+    zero set is not finite.  A root of the eliminant is substituted into
+    each generator by `_substitute_last`, which changes the generator by a
+    nonzero constant only, so the ideal and its reduced basis are those of
+    plain substitution.
     """
     gens = [g for g in gens if g]
     if any(g.total_degree() == 0 for g in gens):
@@ -363,7 +388,7 @@ def _solve_zero_dimensional(gens, variables, spair_budget):
     roots, complete = _rational_roots(coeffs)
     points = []
     for r, _mult in roots:
-        sub = [g.eliminate({last: r}) for g in gens]
+        sub = [_substitute_last(g, r) for g in gens]
         sub_points, sub_complete = _solve_zero_dimensional(
             sub, variables[:-1], spair_budget)
         complete = complete and sub_complete
@@ -395,38 +420,72 @@ def point_label(point):
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
-def chart_matrix(model, point):
-    """The model matrix rewritten in the germ chart centered at a point.
+def _chart_frame(model, point):
+    """The point's chart: (entries, numerators, q).
 
-    Projective points are dehomogenized at their first nonzero coordinate and
-    then translated to the origin; affine points are translated directly.
-    Equal entries are rewritten once.
+    `entries` maps each distinct matrix entry to its polynomial in the chart
+    variables: a projective point is dehomogenized at its first nonzero
+    coordinate, which is set to 1, and an affine entry stays as it is.  The
+    chart is centred by the offsets numerators[j] / q, integers over one
+    denominator q >= 1.
     """
     if model.ambient.kind == PROJECTIVE:
         pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint.from_fractions(point)
         if len(pt.coords) != len(model.variables):
             raise ValueError("point length does not match the variable count")
         i = pt.chart_index()
-        denom = pt.coords[i]
-        offsets = [div(c, denom) for j, c in enumerate(pt.coords) if j != i]
-
-        def rewrite(e):
-            return e.eliminate({i: 1}).shift(offsets)
+        numerators = [c for j, c in enumerate(pt.coords) if j != i]
+        q = pt.coords[i]
+        fixed = {i: 1}
     else:
         offsets = [exact(x) for x in point]
         if len(offsets) != len(model.variables):
             raise ValueError("point length does not match the variable count")
+        q = lcm(*(a.denominator for a in offsets))
+        numerators = [a.numerator * (q // a.denominator) for a in offsets]
+        fixed = None
+    distinct = {e for row in model.matrix.entries for e in row}
+    entries = {e: e.eliminate(fixed) if fixed else e for e in distinct}
+    return entries, numerators, q
 
-        def rewrite(e):
-            return e.shift(offsets)
-    entries = model.matrix.entries
-    charted = {e: rewrite(e) for e in {e for row in entries for e in row}}
-    return PolyMatrix([[charted[e] for e in row] for row in entries])
+
+def _charted(model, charted):
+    return PolyMatrix([[charted[e] for e in row] for row in model.matrix.entries])
+
+
+def chart_matrix(model, point):
+    """The model matrix rewritten in the germ chart centered at a point.
+
+    Projective points are dehomogenized at their first nonzero coordinate and
+    then translated to the origin; affine points are translated directly.
+    Equal entries are rewritten once.  This is the exact chart that
+    `groebner` prints.
+    """
+    entries, numerators, q = _chart_frame(model, point)
+    offsets = [div(a, q) for a in numerators]
+    return _charted(model, {e: f.shift(offsets) for e, f in entries.items()})
 
 
 def chart_ideal(model, point):
-    """Minors ideal in the germ chart at a point, coordinates centered there."""
-    m = chart_matrix(model, point)
+    """t-minors of the germ chart at a point, with integer coefficients.
+
+    With offsets P / q, every entry f of the centred chart becomes
+    L * q^D * f(X / q), where L is the lcm of the coefficient denominators
+    and D the largest total degree of the entries: the term c*x^m goes to
+    c * L * q^(D - |m|) * (X + P)^m, all in integers.  Every entry takes the
+    same constant, so each minor is a nonzero multiple of the chart minor at
+    X / q: its monomials are those of the centred chart's minor, and so are
+    its weights.
+    """
+    entries, numerators, q = _chart_frame(model, point)
+    denom = lcm(*(c.denominator for f in entries.values() for c in f.terms.values()))
+    if q != 1 or denom != 1:
+        top = max(f.total_degree() for f in entries.values())
+        scale = [denom * q ** k for k in range(top + 1)]
+        entries = {e: Polynomial._raw(f.variables, {
+            m: c.numerator * (scale[top - sum(m)] // c.denominator)
+            for m, c in f.terms.items()}) for e, f in entries.items()}
+    m = _charted(model, {e: f.shift(numerators) for e, f in entries.items()})
     return Ideal(m.variables, minors(m, model.t))
 
 

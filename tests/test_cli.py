@@ -453,6 +453,36 @@ class TestInputValidation:
         assert code == 3 and out == ""
         assert err.startswith("unsupported: ")
 
+    @pytest.mark.parametrize("point", [
+        "[1_0:0:0:0:1]", "[0:0:0:0:+1]", "[\u0661:0:0:0:0]", "[0:0:0:0:0x1]",
+        "[0:0:0:0:1.0]", "[0:0:0:0:1e0]", "[0:0:0:0:1/1]", "[0:0:0:0:]",
+        "[0:0:0:0:1 0]", "[0:0:0:0:" + "9" * 5000 + "]"])
+    def test_projective_entries_are_plain_integers(self, run_cli, tmp_path,
+                                                    point):
+        message = "projective point entries must be integers"
+        payload = self.fixture_payload("twisted_cubic.json")
+        payload["singularities"][0]["point"] = point
+        code, out, err = run_cli("verify", self.write(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert f"singularities[0].point: {message}" in err
+        payload = self.fixture_payload("twisted_cubic.json")
+        payload["known"]["indices"] = {point: 3}
+        code, out, err = run_cli("verify", self.write(tmp_path, payload))
+        assert code == 2 and out == ""
+        assert f"known.indices[{point!r}]: {message}" in err
+        code, out, err = run_cli("index", fixture_path("twisted_cubic_index.json"),
+                                 "--at", point)
+        assert code == 2 and out == ""
+        assert f"--at: {message}" in err
+
+    @pytest.mark.parametrize("point", ["[0:0:0:0:1]", "[ 0 : 0 : 0 : 0 : 007 ]",
+                                       "[0:0:0:0:-2]", " [-0:0:0:0:1] "])
+    def test_projective_entry_forms_accepted(self, run_cli, point):
+        code, out, err = run_cli("index", fixture_path("twisted_cubic_index.json"),
+                                 "--at", point, "--json")
+        assert code == 0 and err == ""
+        assert load(out)["identity"]["name"] == "index@[0:0:0:0:1]"
+
     def test_rational_root_search_is_bounded(self, run_cli, tmp_path):
         # the eliminant a*x^3 - b is irreducible; its constant term has 2592
         # divisors and its leading coefficient 64

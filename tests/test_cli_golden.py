@@ -2,9 +2,12 @@
 
 The cases are the bundled-fixture commands of the benchmark's `fixtures`
 workload, plus `groebner --ideal lower` and `analyze` on a generic 3x3
-projective model with t = 3, each in text and `--json` form.  The expected
-output in `golden/cli.json` is recorded output, not recomputed here, so any
-change to what these commands print shows up as a failure.
+projective model with t = 3, `analyze` on an affine grid with fractional
+roots, and `analyze` and `groebner --ideal minors` on a projective cone
+whose vertex is charted at non-integral offsets, each in text and `--json`
+form.  The expected output in `golden/cli.json` is recorded output, not
+recomputed here, so any change to what these commands print shows up as a
+failure.
 """
 
 import json
@@ -26,6 +29,36 @@ GENERIC_3X3 = {
     "singularities": [],
 }
 
+# [[f(x), g(y)], [g(y), f(x)]]: rank 0 at the 3 x 2 grid of roots of f and g,
+# most of them fractions, so the germ charts are shifted by fractions
+FRACTIONAL_GRID = {
+    "schema_version": 1,
+    "variables": ["x", "y"],
+    "matrix": [["(2*x - 1)*(x + 3)*(3*x - 2)", "(2*y + 3)*(y - 2)"],
+               ["(2*y + 3)*(y - 2)", "(2*x - 1)*(x + 3)*(3*x - 2)"]],
+    "t": 2,
+    "ambient": {"kind": "affine", "dim": 2},
+    "singularities": [],
+}
+
+# a rational normal curve cone whose vertex [0:2:3:1:5] is charted at x1,
+# with offsets 0, 3/2, 1/2, 5/2
+SHIFTED_CONE = {
+    "schema_version": 1,
+    "variables": [f"x{i}" for i in range(5)],
+    "matrix": [["x0", "3*x1 - 2*x2", "x1 - 2*x3"],
+               ["3*x1 - 2*x2", "x1 - 2*x3", "5*x1 - 2*x4"]],
+    "t": 2,
+    "ambient": {"kind": "projective", "dim": 4},
+    "singularities": [],
+}
+
+INLINE_MODELS = {
+    "generic_3x3_t3.json": GENERIC_3X3,
+    "fractional_grid.json": FRACTIONAL_GRID,
+    "shifted_cone.json": SHIFTED_CONE,
+}
+
 COMMANDS = [
     ("verify", "twisted_cubic.json"),
     ("verify", "twisted_cubic_wrong_chi.json"),
@@ -42,15 +75,18 @@ COMMANDS = [
     ("groebner", "smooth_conic.json", "--ideal", "minors"),
     ("groebner", "generic_3x3_t3.json", "--ideal", "lower"),
     ("analyze", "generic_3x3_t3.json"),
+    ("analyze", "fractional_grid.json"),
+    ("analyze", "shifted_cone.json"),
+    ("groebner", "shifted_cone.json", "--ideal", "minors"),
 ]
 
 CASES = [argv + extra for argv in COMMANDS for extra in ((), ("--json",))]
 
 
 def _resolve(argv, tmp_path):
-    if argv[1] == "generic_3x3_t3.json":
+    if argv[1] in INLINE_MODELS:
         path = tmp_path / argv[1]
-        path.write_text(json.dumps(GENERIC_3X3), encoding="utf-8")
+        path.write_text(json.dumps(INLINE_MODELS[argv[1]]), encoding="utf-8")
         return (argv[0], str(path)) + argv[2:]
     return (argv[0], fixture_path(argv[1])) + argv[2:]
 

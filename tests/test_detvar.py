@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from detsing import detvar
 from detsing.detvar import (
     AFFINE,
     ESSENTIAL_SINGULAR,
@@ -24,7 +26,8 @@ from detsing.detvar import (
     minors_ideal,
 )
 from detsing.grobner import (Ideal, ResourceLimitExceeded, buchberger,
-                             ideal_dimension, normal_form)
+                             ideal_dimension, normal_form,
+                             quasi_homogeneous_weights)
 from detsing.polyalg import PolyMatrix, Polynomial, minors, parse_polynomial
 
 P4 = ("x0", "x1", "x2", "x3", "x4")
@@ -70,6 +73,12 @@ class TestProjectivePoint:
         for bad in ("", "[1:2", "1:2", "[a:b]", "[]"):
             with pytest.raises(ValueError):
                 ProjectivePoint.parse(bad)
+
+    def test_parse_takes_ascii_digits_only(self):
+        for bad in ("[1_0:0:2]", "[\u0661:0]", "[+1:0]", "[1 0:2]", "[1.0:2]"):
+            with pytest.raises(ValueError, match="entries must be integers"):
+                ProjectivePoint.parse(bad)
+        assert ProjectivePoint.parse(" [ -2 : 04 ] ").coords == (1, -2)
 
     def test_fraction_coordinates_are_cleared(self):
         p = ProjectivePoint.from_fractions((Fraction(1, 2), Fraction(3, 2)))
@@ -293,6 +302,25 @@ class TestRationalRoots:
         roots, complete = _rational_roots(_product([-1, b], [-2 * a, 0, 0, 1]))
         assert roots == [(Fraction(1, b), 1)] and not complete
 
+    def test_divisors_are_found_once(self, monkeypatch):
+        # (x - 1) (x + 1) (2x - 1) (x^3 - p), p = 99999999977 prime: trial
+        # division of p costs tens of milliseconds, and the quotients' end
+        # coefficients divide the original ones
+        calls = []
+
+        def counting_divisors(n):
+            calls.append(n)
+            return divisors(n)
+
+        divisors = detvar._divisors
+        monkeypatch.setattr(detvar, "_divisors", counting_divisors)
+        coeffs = _product(_product([-1, 1], [1, 1]),
+                          _product([-1, 2], [-99999999977, 0, 0, 1]))
+        roots, complete = _rational_roots(coeffs)
+        assert roots == [(Fraction(-1), 1), (Fraction(1, 2), 1),
+                         (Fraction(1), 1)] and not complete
+        assert len(calls) == 2
+
     def test_candidate_limit(self):
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         with pytest.raises(ResourceLimitExceeded,
@@ -307,6 +335,64 @@ def _product(f, g):
         for j, y in enumerate(g):
             out[i + j] += x * y
     return out
+
+
+def _eliminate_last(g, root):
+    """Plain substitution of a root for the last variable."""
+    return g.eliminate({len(g.variables) - 1: root})
+
+
+small_fractions = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
+                            st.integers(min_value=1, max_value=3))
+
+# ints and Fractions, some of them integral; the loader makes only ints
+coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+              st.integers(min_value=1, max_value=4)))
+
+
+def polynomials(variables, degree, homogeneous=False):
+    """Polynomials of total degree <= degree (== degree if homogeneous)."""
+    def exponents(n, total):
+        if n == 1:
+            return [(total,)]
+        return [(e,) + rest for e in range(total + 1)
+                for rest in exponents(n - 1, total - e)]
+
+    totals = [degree] if homogeneous else range(degree + 1)
+    monomials = [m for k in totals for m in exponents(len(variables), k)]
+    return st.dictionaries(st.sampled_from(monomials), coefficients,
+                           max_size=4).map(lambda t: Polynomial(variables, t))
+
+
+@st.composite
+def grid_systems(draw):
+    """Coupled univariate products: F_i(x_i) + sum over j < i of c * x_i * F_j.
+
+    Every F_i is a product of distinct rational linear factors, times the
+    irreducible x_i^2 + 2 now and then, and a generator may carry a
+    fractional scale.  The rational points are the grid of the roots.
+    """
+    variables = ("x", "y", "z")[:draw(st.integers(min_value=1, max_value=3))]
+    xs = [Polynomial.variable(variables, v) for v in variables]
+    factors, roots, split = [], [], True
+    for x in xs:
+        f = Polynomial.constant(variables, 1)
+        roots.append(draw(st.lists(small_fractions, min_size=1, max_size=3,
+                                   unique=True)))
+        for r in roots[-1]:
+            f = f * (x * r.denominator - r.numerator)
+        if draw(st.booleans()):
+            f = f * (x * x + 2)
+            split = False
+        factors.append(f)
+    gens = []
+    for i, (x, f) in enumerate(zip(xs, factors)):
+        for h in factors[:i]:
+            f = f + draw(st.integers(min_value=-2, max_value=2)) * x * h
+        gens.append(f * draw(st.sampled_from([1, -2, Fraction(1, 2)])))
+    return gens, variables, sorted(product(*roots)), split
 
 
 class TestZeroDimensionalSolver:
@@ -330,6 +416,21 @@ class TestZeroDimensionalSolver:
     def test_positive_dimensional(self):
         points, complete = self.solve(("x*y",), ("x", "y"))
         assert points == [] and not complete
+
+    @given(polynomials(("x", "y"), 3).filter(bool), small_fractions)
+    def test_root_substitution_scales_plain_substitution(self, g, root):
+        d = max(m[1] for m in g.terms)
+        assert (detvar._substitute_last(g, root)
+                == g.eliminate({1: root}) * root.denominator ** d)
+
+    @given(grid_systems())
+    def test_matches_substitution_by_eliminate(self, system):
+        gens, variables, grid, split = system
+        got = _solve_zero_dimensional(gens, variables, 10_000)
+        assert (sorted(got[0]), got[1]) == (grid, split)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detvar, "_substitute_last", _eliminate_last)
+            assert _solve_zero_dimensional(gens, variables, 10_000) == got
 
 
 SHIFT = Polynomial.shift
@@ -402,6 +503,81 @@ class TestCharts:
         chart = chart_ideal(model, ProjectivePoint.parse("[0:0:0:0:1]"))
         assert len(chart.generators) == 3
         assert ideal_dimension(buchberger(chart)) == 2
+
+
+@st.composite
+def charted_models(draw):
+    """A 2x2 or 2x3 model with t = 2 and a point to chart it at.
+
+    Affine models over (x, y) take rational points, projective ones over
+    (x0, x1, x2) integer points.  Half of the time the entries are moved so
+    that the matrix has rank one at the point, so that the chart minors lose
+    their constant terms by cancellation.
+    """
+    shape = (2, draw(st.integers(min_value=2, max_value=3)))
+    projective = draw(st.booleans())
+    if projective:
+        variables = ("x0", "x1", "x2")
+        degree = draw(st.integers(min_value=1, max_value=2))
+        entry = polynomials(variables, degree, homogeneous=True)
+        point = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                              min_size=3, max_size=3).filter(any))
+        point = ProjectivePoint(point)
+        at = point.coords
+        i = point.chart_index()
+        # x_i^degree is 1 in the chart
+        unit = Polynomial.variable(variables, variables[i]) ** degree
+        unit_value = at[i] ** degree
+    else:
+        variables = ("x", "y")
+        entry = polynomials(variables, 3)
+        point = at = tuple(draw(st.lists(small_fractions, min_size=2,
+                                         max_size=2)))
+        unit, unit_value = Polynomial.constant(variables, 1), 1
+    grid = [[draw(entry) for _ in range(shape[1])] for _ in range(shape[0])]
+    if draw(st.booleans()):
+        nonzero = st.integers(min_value=-3, max_value=3).filter(bool)
+        u = [draw(nonzero) for _ in range(shape[0])]
+        v = [draw(nonzero) for _ in range(shape[1])]
+        values = [[e.evaluate(at) for e in row] for row in grid]
+        grid = [[unit_value * e + (u[r] * v[c] - values[r][c]) * unit
+                 for c, e in enumerate(row)] for r, row in enumerate(grid)]
+    ambient = AmbientSpace(PROJECTIVE if projective else AFFINE, 2)
+    return DeterminantalModel(PolyMatrix(grid), 2, ambient), point
+
+
+class TestIntegerCharts:
+    @given(charted_models())
+    def test_integer_minors_keep_the_chart_supports(self, case):
+        model, point = case
+        chart = chart_ideal(model, point)
+        centred = chart_matrix(model, point)
+        exact_minors = [g for g in minors(centred, model.t) if g]
+        assert chart.variables == centred.variables
+        for g in chart.generators:
+            assert all(type(c) is int for c in g.terms.values())
+        assert ([set(g.terms) for g in chart.generators]
+                == [set(g.terms) for g in exact_minors])
+        if exact_minors:
+            assert (quasi_homogeneous_weights(chart.generators)
+                    == quasi_homogeneous_weights(exact_minors))
+
+    def test_classify_hands_the_weight_gate_integers(self, monkeypatch):
+        # [[f(x), g(y)], [g(y), f(x)]] with singular points at fractions
+        f, g = "(2*x - 1)*(x + 3)*(3*x - 2)", "(2*y + 3)*(y - 2)"
+        matrix = PolyMatrix.from_strings([[f, g], [g, f]], ("x", "y"))
+        model = DeterminantalModel(matrix, 2, AmbientSpace(AFFINE, 2))
+        seen = []
+
+        def recording_weights(polys):
+            seen.extend(type(c) for p in polys for c in p.terms.values())
+            return quasi_homogeneous_weights(polys)
+
+        monkeypatch.setattr(detvar, "quasi_homogeneous_weights", recording_weights)
+        got = classify(model)
+        assert len(got.singular_points) == 6
+        assert any(x.denominator > 1 for pt in got.singular_points for x in pt)
+        assert seen and set(seen) == {int}
 
 
 class TestClassification:
