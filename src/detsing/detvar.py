@@ -57,13 +57,17 @@ class ProjectivePoint:
     """Rational projective point stored as normalized integer coordinates.
 
     Coordinates are divided by their gcd and the first nonzero entry is made
-    positive, so equal points compare equal.
+    positive, so equal points compare equal.  Each coordinate must be an
+    integer, as an int or an integral Fraction; a float raises TypeError, as
+    in `_linalg.exact`.
     """
 
     coords: tuple
 
     def __init__(self, coords):
-        ints = tuple(int(c) for c in coords)
+        ints = tuple(exact(c) for c in coords)
+        if any(type(c) is not int for c in ints):
+            raise ValueError("projective point coordinates must be integers")
         if not ints or not any(ints):
             raise ValueError("projective point needs a nonzero coordinate")
         g = 0
@@ -93,7 +97,7 @@ class ProjectivePoint:
 
     @classmethod
     def from_fractions(cls, values):
-        vals = [Fraction(v) for v in values]
+        vals = [Fraction(exact(v)) for v in values]
         scale = 1
         for v in vals:
             scale = scale * v.denominator // gcd(scale, v.denominator)

@@ -9,13 +9,15 @@ structure makes the global answers equal to the local ones; the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
+from operator import add, le, mul
 
 from . import _linalg
-from ._linalg import div
-from .polyalg import Polynomial, _grevlex_key, _mono_divides, _mono_mul, _mono_sub
+from ._linalg import div, exact
+from .polyalg import Polynomial, _grevlex_key, _mono_sub
 
 DEFAULT_SPAIR_BUDGET = 100_000
 
@@ -86,57 +88,135 @@ def leading_term(f, order=GREVLEX):
     return lm, f.terms[lm]
 
 
-def _monic_term(f, order):
-    """(leading monomial, 1, f divided by its leading coefficient)."""
-    lm, lc = leading_term(f, order)
-    if lc == 1:
-        return lm, 1, f
-    monic = {m: div(c, lc) for m, c in f.terms.items()}
-    return lm, 1, Polynomial._raw(f.variables, monic)
-
-
 def s_polynomial(f, g, order=GREVLEX):
-    """S-polynomial: the leading terms cancel against their least common multiple."""
+    """S-polynomial: the leading terms cancel against their least common multiple.
+
+    Built in one pass over both term maps as f*(l/lm_f)/lc_f - g*(l/lm_g)/lc_g,
+    where l is the lcm of the two leading monomials.
+    """
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
-    l = tuple(max(a, b) for a, b in zip(fm, gm))
-    uf = Polynomial._raw(f.variables, {_mono_sub(l, fm): div(1, fc)})
-    ug = Polynomial._raw(g.variables, {_mono_sub(l, gm): div(1, gc)})
-    return uf * f - ug * g
+    l = tuple(map(max, fm, gm))
+    u = _mono_sub(l, fm)
+    res = {tuple(map(add, u, m)): c if fc == 1 else div(c, fc)
+           for m, c in f.terms.items()}
+    u = _mono_sub(l, gm)
+    for m, c in g.terms.items():
+        m = tuple(map(add, u, m))
+        s = res.get(m, 0) - (c if gc == 1 else div(c, gc))
+        if s:
+            res[m] = s
+        else:
+            del res[m]
+    return Polynomial._raw(f.variables, res)
 
 
-def _basis_info(polys, order):
-    """(leading monomial, leading coefficient, polynomial) for each polynomial."""
-    return [leading_term(p, order) + (p,) for p in polys]
+class _FieldOverflow(Exception):
+    """A packed exponent outgrew its field."""
 
 
-def _reduce(f, info, order):
-    key = order.key
-    work = dict(f.terms)
-    keys = {m: key(m) for m in work}
+class _Packing:
+    """Exponent vectors packed into one int that is also the order key.
+
+    Each exponent has a `width`-bit field whose top bit is a guard.  Under
+    lex the fields run e_0 ... e_{n-1} from the top and the int is the key;
+    under grevlex the key is deg * 2^S minus the fields e_{n-1} ... e_0
+    (S = n * width).  Either key is linear in the exponents, so a product is
+    an addition.  In the fields alone, the view (key * sign) & mask, a
+    divides b exactly when view(b) - view(a) sets no guard bit.
+    """
+
+    def __init__(self, nvars, order, width):
+        lex = order.kind == "lex"
+        fields = [i * width for i in range(nvars)]
+        self.shifts = fields[::-1] if lex else fields
+        self.limit = 1 << (width - 1)
+        self.guards = sum(self.limit << s for s in fields)
+        self.fmask = (1 << width) - 1
+        top = 0 if lex else 1 << (nvars * width)
+        self.sign, self.mask = (1 if lex else -1), top - 1
+        self.weights = [self.sign * ((1 << s) - top) for s in self.shifts]
+        # a grevlex product has at most the degree of the term it cancels, so
+        # degrees under `limit` keep every field in range; a lex product can
+        # outgrow the fields of both factors
+        self.check, self.bound = (self.guards, max) if lex else (0, sum)
+
+    def pack(self, terms):
+        """{key: coefficient} of a term map; _FieldOverflow if a monomial won't fit."""
+        if terms and max(map(self.bound, terms)) >= self.limit:
+            raise _FieldOverflow
+        weights = self.weights
+        return {sum(map(mul, m, weights)): c for m, c in terms.items()}
+
+    def divisor(self, terms):
+        """(view of the leading monomial, its key, monic tail) of packed terms."""
+        lm = max(terms)
+        lc = terms[lm]
+        tail = [(m, c if lc == 1 else div(c, lc)) for m, c in terms.items() if m != lm]
+        return (lm * self.sign) & self.mask, lm, tail
+
+    def unpack(self, variables, items):
+        """Polynomial of (key, coefficient) pairs, integral coefficients as ints."""
+        sign, mask, fmask, shifts = self.sign, self.mask, self.fmask, self.shifts
+        terms = {}
+        for m, c in items:
+            v = (m * sign) & mask
+            terms[tuple([(v >> s) & fmask for s in shifts])] = (
+                c if type(c) is int else exact(c))
+        return Polynomial._raw(variables, terms)
+
+
+@lru_cache(maxsize=64)
+def _packing(nvars, order, width):
+    # a packing never changes once built, and most calls share a few shapes
+    return _Packing(nvars, order, width)
+
+
+def _remainder(work, divisors, pk):
+    """Complete division of packed terms (consumed) by monic divisor triples.
+
+    The largest remaining term is divided by the first divisor, in list
+    order, whose leading monomial divides it, or else moves to the remainder.
+    """
+    sign, mask, guards, check = pk.sign, pk.mask, pk.guards, pk.check
     remainder = {}
     while work:
-        lm = max(work, key=keys.__getitem__)
-        lc = work[lm]
-        for glm, glc, g in info:
-            if _mono_divides(glm, lm):
-                qm = _mono_sub(lm, glm)
-                # basis elements are monic, so glc is usually 1
-                qc = lc if glc == 1 else div(lc, glc)
-                for m, c in g.terms.items():
-                    mm = _mono_mul(qm, m)
-                    s = work.get(mm, 0) - qc * c
+        lm = max(work)
+        lc = work.pop(lm)
+        v = (lm * sign) & mask
+        for dv, dk, tail in divisors:
+            if not (v - dv) & guards:
+                q = lm - dk
+                for m, c in tail:
+                    m += q
+                    if m & check:
+                        raise _FieldOverflow
+                    s = work.get(m, 0) - lc * c
                     if s:
-                        work[mm] = s
-                        if mm not in keys:
-                            keys[mm] = key(mm)
+                        work[m] = s
                     else:
-                        work.pop(mm, None)
+                        del work[m]
                 break
         else:
             remainder[lm] = lc
-            del work[lm]
-    return Polynomial._raw(f.variables, remainder)
+    return remainder
+
+
+def _widening(nvars, order, polys, run):
+    """run(packing), started again with fields twice as wide on each overflow.
+
+    The first fields hold twice the largest degree (grevlex) or exponent
+    (lex) in `polys`.
+    """
+    monomials = chain.from_iterable(p.terms for p in polys)
+    top = max(chain.from_iterable(monomials) if order.kind == "lex"
+              else map(sum, monomials), default=0)
+    width = (2 * top).bit_length() + 1
+    while True:
+        try:
+            return run(_packing(nvars, order, width))
+        except _FieldOverflow:
+            width *= 2
 
 
 def normal_form(f, basis):
@@ -146,32 +226,11 @@ def normal_form(f, basis):
     work polynomial is processed, so the result is deterministic and
     idempotent.  It is zero exactly for ideal members.
     """
-    return _reduce(f, _basis_info(basis.polynomials, basis.order), basis.order)
+    def run(pk):
+        divisors = [pk.divisor(pk.pack(p.terms)) for p in basis.polynomials]
+        return pk.unpack(f.variables, _remainder(pk.pack(f.terms), divisors, pk).items())
 
-
-def _autoreduce(info, order):
-    """Reduced basis from (lm, lc, p) triples of a monic Groebner basis.
-
-    The minimal filter keeps the elements whose leading monomial no smaller
-    one divides.  No other element's leading monomial divides theirs, so tail
-    reduction keeps each leading term, and one pass leaves every element
-    reduced.  Returned in descending leading-monomial order.
-    """
-    key = order.key
-    minimal = []
-    for t in sorted(info, key=lambda t: key(t[0])):
-        if not any(_mono_divides(q[0], t[0]) for q in minimal):
-            minimal.append(t)
-    for i, (lm, lc, p) in enumerate(minimal):
-        minimal[i] = (lm, lc, _reduce(p, minimal[:i] + minimal[i + 1:], order))
-    return [p for _, _, p in reversed(minimal)]
-
-
-def _push_pairs(pairs, lms, j):
-    """Queue the pairs (i, j), i < j, keyed by the total degree of their lcm."""
-    lm = lms[j]
-    for i in range(j):
-        heappush(pairs, (sum(max(a, b) for a, b in zip(lms[i], lm)), i, j))
+    return _widening(len(f.variables), basis.order, (f, *basis.polynomials), run)
 
 
 def buchberger(ideal, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
@@ -180,16 +239,54 @@ def buchberger(ideal, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
     Pair selection is the normal strategy, lowest lcm total degree first with
     ties broken by pair enumeration order: pending pairs sit in a heap keyed
     by (lcm total degree, i, j), and each pair is pushed once, when its
-    second element joins the basis.  Pairs with coprime leading monomials are
-    skipped.  Raises SPairBudgetExceeded once more than `spair_budget` pairs
-    have been taken up.
+    second element joins the basis.  A pair taken off the heap is skipped
+    when its leading monomials are coprime, or by the chain criterion
+    (Gebauer & Moeller 1988): some other element k has lm_k | lcm(lm_i, lm_j)
+    and the pairs (i, k) and (j, k) are both off the heap already.  Raises
+    SPairBudgetExceeded once more than `spair_budget` pairs have been taken
+    off the heap, skipped ones included.
+
+    Reduction and autoreduction run on exponent vectors packed into one int
+    each (`_Packing`; Monagan & Pearce 2007): a product is an addition and a
+    divisibility test a subtraction and a mask.  The field width comes from
+    the generators' degrees; an exponent that outgrows its field starts the
+    whole call again with wider fields, reusing the S-polynomials already
+    formed, so `s_polynomial` is called once per reduced pair.
     """
-    info = [_monic_term(g, order) for g in ideal.generators]
-    basis = [t[2] for t in info]
-    lms = [t[0] for t in info]
-    pairs = []
-    for j in range(len(basis)):
-        _push_pairs(pairs, lms, j)
+    spolys = {}
+    return _widening(len(ideal.variables), order, ideal.generators,
+                     lambda pk: _buchberger(ideal, order, spair_budget, pk, spolys))
+
+
+def _buchberger(ideal, order, spair_budget, pk, spolys):
+    variables, guards, weights = ideal.variables, pk.guards, pk.weights
+    sign, mask = pk.sign, pk.mask
+    basis, lms, packed, pairs, taken = [], [], [], [], set()
+
+    def join(p, lm, d):
+        for i, a in enumerate(lms):
+            heappush(pairs, (sum(map(max, a, lm)), i, len(lms)))
+        basis.append(p)
+        lms.append(lm)
+        packed.append(d)
+
+    def pack_tails(ks):
+        # a generator's tail is packed only once a reduction needs it (many
+        # S-polynomials are zero or skipped); the fields were sized from the
+        # generators, so it fits
+        for k in ks:
+            v, key, tail = packed[k]
+            if tail is None:
+                tail = [(sum(map(mul, m, weights)), c)
+                        for m, c in basis[k].terms.items() if m != lms[k]]
+                packed[k] = v, key, tail
+
+    for g in ideal.generators:
+        lm, lc = leading_term(g, order)
+        p = Polynomial._raw(variables, {m: div(c, lc) for m, c in g.terms.items()})
+        key = sum(map(mul, lm, weights))
+        join(p, lm, ((key * sign) & mask, key, None))
+    unpacked = range(len(basis))
     processed = 0
     while pairs:
         _, i, j = heappop(pairs)
@@ -197,16 +294,45 @@ def buchberger(ideal, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
         if processed > spair_budget:
             raise SPairBudgetExceeded(
                 f"S-pair budget of {spair_budget} exceeded")
-        if all(min(a, b) == 0 for a, b in zip(lms[i], lms[j])):
+        taken.add((i, j))
+        a, b = lms[i], lms[j]
+        if not any(map(min, a, b)):
             continue
-        r = _reduce(s_polynomial(basis[i], basis[j], order), info, order)
+        lv = (sum(map(mul, map(max, a, b), weights)) * sign) & mask
+        if any(not (lv - d[0]) & guards and k != i and k != j
+               and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
+               for k, d in enumerate(packed)):
+            continue
+        s = spolys.get((i, j))
+        if s is None:
+            s = spolys[i, j] = s_polynomial(basis[i], basis[j], order)
+        work = pk.pack(s.terms)
+        if not work:
+            continue
+        pack_tails(unpacked)
+        unpacked = ()
+        r = _remainder(work, packed, pk)
         if r:
-            lm, lc, r = _monic_term(r, order)
-            info.append((lm, lc, r))
-            basis.append(r)
-            lms.append(lm)
-            _push_pairs(pairs, lms, len(basis) - 1)
-    return GroebnerBasis(ideal.variables, order, tuple(_autoreduce(info, order)))
+            d = pk.divisor(r)
+            p = pk.unpack(variables, [(d[1], 1), *d[2]])
+            join(p, next(iter(p.terms)), d)
+    # autoreduction: keep the elements whose leading monomial no smaller one
+    # divides; no other leading monomial then divides theirs, so one pass of
+    # tail reduction leaves every element reduced
+    minimal = []
+    for k in sorted(range(len(packed)), key=lambda k: packed[k][1]):
+        if all((packed[k][0] - packed[q][0]) & guards for q in minimal):
+            minimal.append(k)
+    if len(minimal) > 1:
+        pack_tails(minimal)
+        for k in minimal:
+            v, lm, tail = packed[k]
+            tail = dict(tail)
+            rem = _remainder(dict(tail), [packed[q] for q in minimal if q != k], pk)
+            if rem != tail:
+                packed[k] = v, lm, list(rem.items())
+                basis[k] = pk.unpack(variables, [(lm, 1), *packed[k][2]])
+    return GroebnerBasis(variables, order, tuple(basis[k] for k in reversed(minimal)))
 
 
 def is_groebner_basis(gb):
@@ -229,7 +355,7 @@ def is_reduced(gb):
         for j, lm in enumerate(lms):
             if i == j:
                 continue
-            if any(_mono_divides(lm, m) for m in p.terms):
+            if any(all(map(le, lm, m)) for m in p.terms):
                 return False
     return True
 
@@ -277,7 +403,7 @@ def quotient_dimension(gb):
         raise ResourceLimitExceeded("staircase enumeration too large")
     count = 0
     for m in product(*(range(b) for b in bounds)):
-        if not any(_mono_divides(lm, m) for lm in lms):
+        if not any(all(map(le, lm, m)) for lm in lms):
             count += 1
     return count
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import add, neg, sub
 
 from . import _linalg
 from ._linalg import exact
@@ -23,19 +24,15 @@ Monomial = tuple
 
 
 def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _mono_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class ParseError(ValueError):
@@ -152,7 +149,8 @@ class Polynomial:
             c = exact(other)
             if not c:
                 return Polynomial._raw(self.variables, {})
-            return Polynomial._raw(self.variables, {m: c * v for m, v in self.terms.items()})
+            return Polynomial._raw(self.variables,
+                                   {m: exact(c * v) for m, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
@@ -247,7 +245,7 @@ class Polynomial:
             m = tuple(exps[i] for i in keep)
             s = res.get(m, 0) + v
             if s:
-                res[m] = s
+                res[m] = exact(s)
             else:
                 res.pop(m, None)
         return Polynomial._raw(new_vars, res)

@@ -84,6 +84,21 @@ class TestProjectivePoint:
         p = ProjectivePoint.from_fractions((Fraction(1, 2), Fraction(3, 2)))
         assert p.coords == (1, 3)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ProjectivePoint((1.5, 2)),
+        lambda: ProjectivePoint((2.0, 1)),
+        lambda: ProjectivePoint.from_fractions((0.5, 1)),
+        lambda: ProjectivePoint.from_fractions((Fraction(1, 2), 1.0)),
+    ], ids=["init", "init-integral-float", "from-fractions", "from-fractions-mixed"])
+    def test_float_coordinates_are_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_integral_fraction_coordinates_are_accepted(self):
+        assert ProjectivePoint((Fraction(4, 2), 2)).coords == (1, 1)
+        with pytest.raises(ValueError, match="must be integers"):
+            ProjectivePoint((Fraction(1, 2), 1))
+
 
 class TestModelValidation:
     def test_ambient_kind(self):

@@ -23,13 +23,7 @@ from detsing.grobner import (
     s_polynomial,
 )
 from detsing._linalg import nonnegative_kernel_vector, rational_rank, row_basis
-from detsing.polyalg import (
-    Polynomial,
-    _mono_divides,
-    _mono_mul,
-    _mono_sub,
-    parse_polynomial,
-)
+from detsing.polyalg import Polynomial, PolyMatrix, minors, parse_polynomial
 
 P4 = ("x0", "x1", "x2", "x3")
 XY = ("x", "y")
@@ -177,9 +171,23 @@ class TestBuchberger:
 
 
 # Reference engine for TestBuchbergerOracle: pending pairs in a set re-ranked
-# with min on every step, division that recomputes every order key, and
-# autoreduction repeated until nothing changes.  `buchberger` must form the
-# same S-polynomials in the same order and return the same basis.
+# with min on every step, the chain criterion checked against the pairs
+# already removed from that set, division on exponent tuples that recomputes
+# every order key, and autoreduction repeated until nothing changes.
+# `buchberger` must form the same S-polynomials in the same order and return
+# the same basis.
+
+def _mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _mono_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
 
 def _scan_reduce(f, info, order):
     """Division with the key recomputed for every term at every step."""
@@ -251,16 +259,27 @@ def scan_buchberger(ideal, order, spair_budget):
         i, j = ij
         return (sum(max(a, b) for a, b in zip(lms[i], lms[j])), i, j)
 
+    def taken(i, k):
+        return frozenset((i, k)) in removed
+
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    removed = set()
     processed = 0
     while pairs:
         pick = min(pairs, key=pair_rank)
         pairs.remove(pick)
+        removed.add(frozenset(pick))
         processed += 1
         if processed > spair_budget:
             raise SPairBudgetExceeded(f"S-pair budget of {spair_budget} exceeded")
         i, j = pick
         if all(min(a, b) == 0 for a, b in zip(lms[i], lms[j])):
+            continue
+        # chain criterion: a third leading monomial divides the lcm and both
+        # of its pairs with i and j are already out of the pending set
+        lcm_ij = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+        if any(_mono_divides(lms[k], lcm_ij) and taken(i, k) and taken(j, k)
+               for k in range(len(basis)) if k not in pick):
             continue
         r = _scan_reduce(grobner.s_polynomial(basis[i], basis[j], order), info, order)
         if r:
@@ -329,6 +348,86 @@ class TestBuchbergerOracle:
         else:
             assert buchberger(ideal_, order, budget).polynomials == expected
             assert scan_buchberger(ideal_, order, budget) == (expected, pairs)
+
+
+def generic_minors(n, p, t):
+    """Ideal of the t x t minors of the generic n x p matrix."""
+    variables = tuple(f"x{i}" for i in range(n * p))
+    matrix = PolyMatrix([[Polynomial.variable(variables, variables[i * p + j])
+                          for j in range(p)] for i in range(n)])
+    return Ideal(variables, minors(matrix, t))
+
+
+class TestBuchbergerWork:
+    # S-polynomials formed by grevlex buchberger; with the coprime skip alone
+    # they number 83, 56, 17 and 5
+    @pytest.mark.parametrize("n,p,t,formed", [
+        (4, 4, 3, 32), (3, 4, 2, 52), (3, 3, 2, 16), (3, 4, 3, 3)])
+    def test_s_polynomials_formed_on_generic_minors(self, n, p, t, formed):
+        ideal_ = generic_minors(n, p, t)
+        basis, calls = recording_s_pairs(buchberger, ideal_, GREVLEX)
+        assert len(calls) == formed
+        (expected, _), expected_calls = recording_s_pairs(
+            scan_buchberger, ideal_, GREVLEX, ORACLE_PAIR_CAP)
+        assert basis.polynomials == expected
+        assert calls == expected_calls
+
+    # the first fields hold twice the largest generator degree (grevlex) or
+    # exponent (lex); these bases need more, so the run starts again wider
+    @pytest.mark.parametrize("texts,variables,order", [
+        (("x - y^5", "x^4 - y"), XY, LEX),
+        (("x2*x3 + x1 + 1", "x2 + x3", "x1*x2*x3"), P4, LEX),
+        (("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"), XYZ, GREVLEX),
+    ], ids=["lex-product", "lex-after-s-polynomials", "grevlex-s-polynomial"])
+    def test_field_overflow_restarts_with_wider_fields(self, texts, variables, order):
+        widths = []
+
+        def recording_packing(nvars, order, width):
+            widths.append(width)
+            return grobner._Packing(nvars, order, width)
+
+        ideal_ = ideal(texts, variables)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grobner, "_packing", recording_packing)
+            basis, calls = recording_s_pairs(buchberger, ideal_, order)
+        assert len(widths) >= 2
+        assert widths == sorted(widths) and len(set(widths)) == len(widths)
+        (expected, _), expected_calls = recording_s_pairs(
+            scan_buchberger, ideal_, order, ORACLE_PAIR_CAP)
+        assert basis.polynomials == expected
+        # the S-polynomials formed before a restart are not formed again
+        assert calls == expected_calls
+
+    def test_normal_form_restarts_with_wider_fields(self):
+        basis = buchberger(ideal(("x - y^5",), XY), LEX)
+        f = parse_polynomial("x^4 + x", XY)
+        assert normal_form(f, basis) == parse_polynomial("y^20 + y^5", XY)
+
+    def test_integral_coefficients_are_ints(self):
+        # halves that cancel to integers; the basis must hold those as ints
+        half = Fraction(1, 2)
+        gens = [Polynomial(XY, {(2, 1): 3 * half, (1, 2): -half, (1, 0): -1}),
+                Polynomial(XY, {(1, 2): -3 * half, (1, 0): 3 * half})]
+        for order in (GREVLEX, LEX):
+            basis = buchberger(Ideal(XY, gens), order)
+            if order is GREVLEX:
+                assert [str(p) for p in basis.polynomials] == ["x*y^2 - x", "x^2 - x*y"]
+            for p in basis.polynomials:
+                assert all(type(c) is int for c in p.terms.values()), p.terms
+
+    @given(ordered_ideals())
+    def test_no_integral_fractions_in_bases_or_remainders(self, case):
+        ideal_, order = case
+        halved = Ideal(ideal_.variables, [g * Fraction(1, 2) for g in ideal_.generators])
+        try:
+            basis = buchberger(halved, order, 60)
+        except SPairBudgetExceeded:
+            return
+        ones = [1] * len(ideal_.variables)
+        rems = [normal_form(g.shift(ones), basis) for g in halved.generators]
+        for p in (*basis.polynomials, *rems):
+            for c in p.terms.values():
+                assert type(c) is int or c.denominator != 1, p.terms
 
 
 class TestNormalForm:

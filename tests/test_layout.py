@@ -41,3 +41,21 @@ def test_exact_modules_divide_only_through_div(name):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = list(_true_divisions(tree, name))
     assert lines == [], f"{name} divides with '/' outside div on lines {lines}"
+
+
+def test_grobner_has_one_reduction_route():
+    # Buchberger, normal_form and autoreduction divide on packed monomials;
+    # importing the tuple product or divisibility helpers would open a
+    # second reduction route on exponent tuples
+    path = Path(detsing.__file__).parent / "grobner.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"_mono_mul", "_mono_divides"}

@@ -331,6 +331,12 @@ def assert_ints(values):
         assert type(v) is int, repr(v)
 
 
+def assert_normalized(values):
+    # an integral coefficient is stored as an int, never as Fraction(n, 1)
+    for v in values:
+        assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
 class TestExactCoefficients:
     @given(polynomials(small_rationals), polynomials(small_rationals),
            st.tuples(*[small_rationals] * 3), st.integers(min_value=0, max_value=3))
@@ -364,7 +370,27 @@ class TestExactCoefficients:
             return
         for p in basis.polynomials:
             assert_exact(p.terms.values())
+            assert_normalized(p.terms.values())
             assert p.terms[p.leading_monomial(order.key)] == 1
+
+    @given(polynomials(small_rationals), small_rationals,
+           st.tuples(*[small_rationals] * 3))
+    def test_scaling_and_elimination_store_integral_values_as_int(self, f, c, point):
+        results = [f * c, c * f, f.eliminate({0: point[0]}),
+                   f.eliminate({0: point[0], 2: point[2]})]
+        for h in results:
+            assert_normalized(h.terms.values())
+
+    def test_integral_fraction_products_become_ints(self):
+        half = Polynomial(("x",), {(1,): Fraction(1, 2)})
+        assert type((half * 2).terms[(1,)]) is int
+        assert type((2 * half).terms[(1,)]) is int
+        xy = Polynomial(("x", "y"), {(1, 1): Fraction(1, 2)})
+        assert type(xy.eliminate({1: 2}).terms[(1,)]) is int
+        # two halves that add up to an integer in one monomial
+        two = Polynomial(("x", "y"), {(1, 1): Fraction(1, 2), (1, 0): Fraction(3, 2)})
+        assert two.eliminate({1: 1}).terms == {(1,): 2}
+        assert type(two.eliminate({1: 1}).terms[(1,)]) is int
 
     @given(small_rationals)
     def test_exact_normalizes_integral_fractions(self, x):
