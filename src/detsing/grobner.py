@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import chain, combinations, product
+from itertools import chain, product
 from math import gcd, lcm
 from operator import add, le, mul
 
@@ -363,21 +363,77 @@ def is_reduced(gb):
 def ideal_dimension(gb):
     """Krull dimension of the affine zero set; -1 when 1 lies in the ideal.
 
-    Computed as the largest cardinality of a variable subset touched by no
-    leading monomial of the basis (a maximal independent set for the leading
-    term ideal).  The zero ideal in k variables has dimension k.
+    The dimension is the largest cardinality of a variable subset that
+    contains the support of no leading monomial of the basis (an independent
+    set of the leading term ideal; Kredel & Weispfenning 1988, J. Symb.
+    Comp.).  Its complement meets every support, so the dimension is the
+    variable count minus the size of a smallest such hitting set.
+
+    The inclusion-minimal supports are held as bitmasks.  They fall into
+    classes that share no variable, and a smallest hitting set of each class
+    is found on its own by an exact branch and bound.  A node branches on the
+    variables of its smallest unmet support, and each later sibling leaves
+    out the variables tried before it.  Pairwise-disjoint unmet supports each
+    need a variable of their own, so a node whose chosen count plus a greedy
+    packing of them reaches the best size found so far is pruned.  The worst
+    case is still exponential; a smallest hitting set is NP-hard to find.
+    The zero ideal in k variables has dimension k.
     """
-    nvars = len(gb.variables)
-    if any(p.total_degree() == 0 for p in gb.polynomials):
+    masks = {sum(1 << i for i, e in enumerate(lm) if e)
+             for lm in gb.leading_monomials()}
+    if 0 in masks:
+        # a constant leading monomial: the basis element is a unit
         return -1
-    supports = [frozenset(i for i, e in enumerate(lm) if e)
-                for lm in gb.leading_monomials()]
-    for size in range(nvars, 0, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(not sup <= sset for sup in supports):
-                return size
-    return 0
+    classes = {}  # union of the class's variables -> its minimal supports
+    for s in sorted(masks, key=int.bit_count):
+        if any(m & s == m for members in classes.values() for m in members):
+            continue
+        members, union = [s], s
+        for u in [u for u in classes if u & s]:
+            members += classes.pop(u)
+            union |= u
+        classes[union] = members
+    return len(gb.variables) - sum(_smallest_hitting_set(members, union)
+                                   for union, members in classes.items())
+
+
+def _smallest_hitting_set(supports, union):
+    """Size of a smallest variable set meeting every support bitmask.
+
+    `union` is the union of the supports; the search is the branch and bound
+    that `ideal_dimension` describes.
+    """
+    # one variable from each support, or every variable of the class, meets
+    # them all
+    best = min(len(supports), union.bit_count())
+    # depth-first, on a stack rather than the call stack: a hitting set can
+    # hold more variables than the recursion limit allows frames.  Each node
+    # is (the unmet supports restricted to the variables still allowed, the
+    # number of variables chosen).
+    stack = [(supports, 0)]
+    while stack:
+        open_, chosen = stack.pop()
+        open_.sort(key=int.bit_count)
+        bound, packed = chosen, 0
+        for s in open_:
+            if not s & packed:
+                packed |= s
+                bound += 1
+        if bound >= best:
+            continue
+        if not open_:
+            best = chosen
+            continue
+        first, children = open_[0], []
+        while first:
+            v = first & -first
+            first ^= v
+            children.append(([s for s in open_ if not s & v], chosen + 1))
+            open_ = [s & ~v for s in open_]
+            if not all(open_):
+                break
+        stack.extend(reversed(children))
+    return best
 
 
 def quotient_dimension(gb):

@@ -35,6 +35,10 @@ def _mono_sub(a, b):
     return tuple(map(sub, a, b))
 
 
+def _exact_terms(terms):
+    return {m: exact(c) for m, c in terms.items()}
+
+
 class ParseError(ValueError):
     """Rejected polynomial text; `position` is the 0-based offset."""
 
@@ -125,6 +129,12 @@ class Polynomial:
                 res[m] = s
             else:
                 res.pop(m, None)
+        # a sum of ints is an int and a Fraction makes it a Fraction, so
+        # `sum` tells in C whether an operand holds a Fraction; only two
+        # Fractions can add up to an integer
+        if (type(sum(other.terms.values())) is not int
+                and type(sum(self.terms.values())) is not int):
+            res = _exact_terms(res)
         return Polynomial._raw(self.variables, res)
 
     __radd__ = __add__
@@ -163,6 +173,9 @@ class Polynomial:
                     res[m] = s
                 else:
                     res.pop(m, None)
+        if (type(sum(self.terms.values())) is not int
+                or type(sum(other.terms.values())) is not int):
+            res = _exact_terms(res)
         return Polynomial._raw(self.variables, res)
 
     __rmul__ = __mul__
@@ -282,6 +295,9 @@ class Polynomial:
                     res[m] = s
                 else:
                     res.pop(m, None)
+        if (type(sum(offsets)) is not int
+                or type(sum(self.terms.values())) is not int):
+            res = _exact_terms(res)
         return Polynomial._raw(self.variables, res)
 
     def homogeneous_degree(self):

@@ -170,6 +170,23 @@ class TestAnalyze:
         got = load(out)["classification"]
         assert got["empty"] is False
 
+    def test_forty_variable_row_of_products(self, run_cli, tmp_path):
+        # 1 x 20 matrix of x{2i}*x{2i+1}: a scan of variable subsets for the
+        # rank ideal's dimension would walk C(40, k) subsets for k >= 21
+        variables = [f"x{i}" for i in range(40)]
+        path = tmp_path / "row.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": variables,
+            "matrix": [[f"x{2 * i}*x{2 * i + 1}" for i in range(20)]], "t": 1,
+            "ambient": {"kind": "affine", "dim": 40}, "singularities": []}))
+        code, out, err = run_cli("analyze", path, "--json")
+        assert code == 0 and err == ""
+        got = load(out)["classification"]
+        assert got["codimension"] == 20
+        assert got["dimension"] == 20
+        assert got["determinantal"] is True
+        assert got["singular_points"] == []
+
 
 class TestGroebner:
     def test_minors_chart_at_singular_point(self, run_cli):

@@ -1,14 +1,20 @@
 import itertools
+import sys
 from fractions import Fraction
+from importlib.resources import files
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path
 from detsing import grobner
+from detsing.cli import load_input
+from detsing.detvar import lower_locus_generators, minors_ideal
 from detsing.grobner import (
     GREVLEX,
     LEX,
+    GroebnerBasis,
     Ideal,
     MonomialOrder,
     SPairBudgetExceeded,
@@ -468,7 +474,107 @@ def basis_of(texts, variables, order=GREVLEX):
     return buchberger(ideal(texts, variables), order)
 
 
+def scan_ideal_dimension(gb):
+    """Reference dimension: every variable subset, from the largest down."""
+    nvars = len(gb.variables)
+    if any(p.total_degree() == 0 for p in gb.polynomials):
+        return -1
+    supports = [frozenset(i for i, e in enumerate(lm) if e)
+                for lm in gb.leading_monomials()]
+    for size in range(nvars, 0, -1):
+        for subset in itertools.combinations(range(nvars), size):
+            sset = set(subset)
+            if all(not sup <= sset for sup in supports):
+                return size
+    return 0
+
+
+def monomial_basis(nvars, monomials):
+    """A basis whose elements are the given monomials, as `ideal_dimension` reads it."""
+    variables = tuple(f"x{i}" for i in range(nvars))
+    return GroebnerBasis(variables, GREVLEX,
+                         tuple(Polynomial(variables, {m: 1}) for m in monomials))
+
+
+@st.composite
+def leading_monomial_sets(draw):
+    # duplicate and non-minimal supports included; the zero exponent vector
+    # makes the unit ideal
+    nvars = draw(st.integers(min_value=1, max_value=9))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars)
+    return nvars, draw(st.lists(exponents, max_size=14))
+
+
+FIXTURES = sorted(p.name for p in files("detsing").joinpath("fixtures").iterdir()
+                  if p.name.endswith(".json"))
+
+
+def pair_products(nvars, pairs):
+    exps = []
+    for i, j in pairs:
+        e = [0] * nvars
+        e[i] = e[j] = 1
+        exps.append(tuple(e))
+    return monomial_basis(nvars, exps)
+
+
 class TestDimension:
+    @settings(max_examples=400)
+    @given(leading_monomial_sets())
+    def test_matches_the_subset_scan(self, case):
+        gb = monomial_basis(*case)
+        assert ideal_dimension(gb) == scan_ideal_dimension(gb)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_matches_the_subset_scan_on_fixture_rank_ideals(self, name):
+        model = load_input(fixture_path(name)).model
+        ideals = [minors_ideal(model, model.t),
+                  Ideal(model.variables, lower_locus_generators(model.matrix, model.t))]
+        for ideal_ in ideals:
+            gb = buchberger(ideal_, GREVLEX)
+            assert ideal_dimension(gb) == scan_ideal_dimension(gb)
+
+    @pytest.mark.parametrize("nvars,monomials,expected", [
+        (3, [], 3),
+        (3, [(0, 0, 0), (1, 0, 0)], -1),
+        (0, [], 0),
+        (0, [()], -1),
+        (4, [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 0),
+        (3, [(0, 1, 0), (1, 0, 0), (0, 0, 2), (1, 1, 0)], 0),
+    ], ids=["zero-ideal", "unit-ideal", "no-variables", "no-variables-unit",
+            "singletons", "singletons-with-multiples"])
+    def test_edge_cases(self, nvars, monomials, expected):
+        gb = monomial_basis(nvars, monomials)
+        assert ideal_dimension(gb) == expected
+        assert scan_ideal_dimension(gb) == expected
+
+    def test_disjoint_pairs_in_forty_variables(self):
+        # x_{2i} x_{2i+1}, i < 20: a subset scan walks C(40, k) for k >= 21
+        gb = pair_products(40, [(2 * i, 2 * i + 1) for i in range(20)])
+        assert ideal_dimension(gb) == 20
+
+    def test_hitting_set_larger_than_the_recursion_limit(self):
+        # pairs {x_2i, x_2i+1} tied together by {x_1, x_3, ..., x_2k-1, x_2k}:
+        # one class whose search descends k levels before it finds x_2i+1
+        k = sys.getrecursionlimit() + 50
+        nvars = 2 * k + 1
+        monomials = [tuple(int(j in (2 * i, 2 * i + 1)) for j in range(nvars))
+                     for i in range(k)]
+        monomials.append(tuple(int(j % 2 or j == 2 * k) for j in range(nvars)))
+        assert ideal_dimension(monomial_basis(nvars, monomials)) == k + 1
+
+    def test_variable_disjoint_classes_are_searched_apart(self):
+        # 20 disjoint pairs and a triangle: the triangle needs two variables
+        # but packs one support, so one joint search would branch on every
+        # pair
+        pairs = [(2 * i, 2 * i + 1) for i in range(20)] + [(40, 41), (41, 42), (40, 42)]
+        assert ideal_dimension(pair_products(43, pairs)) == 21
+
+    def test_all_pairs_in_twelve_variables(self):
+        # the smallest hitting set of every pair leaves out one variable
+        gb = pair_products(12, itertools.combinations(range(12), 2))
+        assert ideal_dimension(gb) == 1
+
     def test_catalecticant_dimension(self):
         assert ideal_dimension(basis_of(CATALECTICANT_MINORS, P4)) == 2
 

@@ -347,6 +347,7 @@ class TestExactCoefficients:
         results += minors(PolyMatrix([[f, g], [g, f + 1]]), 2)
         for h in results:
             assert_exact(h.terms.values())
+            assert_normalized(h.terms.values())
         assert_exact([f.evaluate(point)])
         assert_exact(v for row in PolyMatrix([[f, g]]).evaluate(point) for v in row)
 
@@ -391,6 +392,19 @@ class TestExactCoefficients:
         two = Polynomial(("x", "y"), {(1, 1): Fraction(1, 2), (1, 0): Fraction(3, 2)})
         assert two.eliminate({1: 1}).terms == {(1,): 2}
         assert type(two.eliminate({1: 1}).terms[(1,)]) is int
+
+    def test_integral_fraction_sums_products_and_shifts_become_ints(self):
+        half = Polynomial(("x",), {(1,): Fraction(1, 2)})
+        two = Polynomial(("x",), {(0,): 2})
+        assert type((half + half).terms[(1,)]) is int
+        assert type((half * two).terms[(1,)]) is int
+        # 3/2 (x + 1)^2 = 3/2 x^2 + 3 x + 3/2
+        shifted = Polynomial(("x",), {(2,): Fraction(3, 2)}).shift((1,))
+        assert shifted.terms == {(2,): Fraction(3, 2), (1,): 3, (0,): Fraction(3, 2)}
+        assert type(shifted.terms[(1,)]) is int
+        # a Fraction offset alone: (x + 1/2)^2 = x^2 + x + 1/4
+        x2 = Polynomial(("x",), {(2,): 1}).shift((Fraction(1, 2),))
+        assert type(x2.terms[(1,)]) is int
 
     @given(small_rationals)
     def test_exact_normalizes_integral_fractions(self, x):
