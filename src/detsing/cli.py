@@ -124,7 +124,6 @@ class WorkbenchInput:
 
     def __init__(self, path, model, weights, singularities, form_kind,
                  form_coefficients, chi_x, known_indices):
-        self.path = path
         self.name = Path(path).name
         self.model = model
         self.weights = weights
@@ -146,9 +145,14 @@ def load_input(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         _fail(f"cannot read {path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        _fail(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError: a JSONDecodeError, or an integer past the interpreter's
+        # limit on digits in int(str); RecursionError: arrays or objects
+        # nested past the recursion limit
         _fail(f"{path} is not valid JSON: {e}")
     _require_keys(data,
                   {"schema_version", "variables", "matrix", "t", "ambient",
@@ -171,8 +175,6 @@ def load_input(path):
     rows = [[_as_polynomial(cell, variables, f"matrix[{i}][{j}]")
              for j, cell in enumerate(row)]
             for i, row in enumerate(grid)]
-    if len({len(r) for r in rows}) != 1:
-        _fail("matrix rows must have equal length")
     if not any(e for row in rows for e in row):
         _fail("matrix must have a nonzero entry")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import chain, product
+from itertools import chain
 from math import gcd, lcm
 from operator import add, le, mul
 
@@ -440,27 +440,38 @@ def quotient_dimension(gb):
     """Vector space dimension of the quotient ring, or None when infinite.
 
     Counts standard monomials under the staircase of leading monomials; the
-    count is finite exactly when every variable has a pure power among them.
+    count is finite exactly when every variable has a pure power among them
+    (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, §5.3).  The
+    count runs slab by slab, one variable at a time, on an explicit stack of
+    entries (leading monomials that can still divide, variables left, width).
+    For the last variable v left, the leading monomials of v-exponent at most
+    e change only at v-exponents that occur among them.  So each slab
+    [lo, hi) between consecutive cuts adds width * (hi - lo) times the count
+    in the remaining variables against the leading monomials of v-exponent at
+    most lo.  The slabs stop at the smallest v-exponent of a leading monomial
+    whose other remaining exponents are all 0; without one, a variable has no
+    pure power and the count is infinite.  Every slab pushed holds the
+    monomial 1 of the remaining variables, a standard monomial of its own, so
+    at most (variables * count) + 1 entries are ever pushed.
     """
-    nvars = len(gb.variables)
-    lms = gb.leading_monomials()
-    if any(sum(lm) == 0 for lm in lms):
-        return 0
-    bounds = []
-    for i in range(nvars):
-        pure = [lm[i] for lm in lms if all(e == 0 for j, e in enumerate(lm) if j != i)]
+    count, stack = 0, [(gb.leading_monomials(), len(gb.variables), 1)]
+    while stack:
+        lms, k, width = stack.pop()
+        if not k:
+            # only the root of a ring without variables can still hold a
+            # leading monomial here, and then it is the unit
+            count += 0 if lms else width
+            continue
+        v = k - 1
+        pure = [lm[v] for lm in lms if not any(lm[:v])]
         if not pure:
             return None
-        bounds.append(min(pure))
-    total = 1
-    for b in bounds:
-        total *= max(b, 1)
-    if total > 5_000_000:
-        raise ResourceLimitExceeded("staircase enumeration too large")
-    count = 0
-    for m in product(*(range(b) for b in bounds)):
-        if not any(all(map(le, lm, m)) for lm in lms):
-            count += 1
+        top = min(pure)
+        cuts = sorted({0, top}.union(lm[v] for lm in lms if lm[v] < top), reverse=True)
+        # the slab at lo = 0 pops first, so a missing pure power shows within
+        # k levels
+        for lo, hi in zip(cuts[1:], cuts):
+            stack.append(([lm for lm in lms if lm[v] <= lo], v, width * (hi - lo)))
     return count
 
 

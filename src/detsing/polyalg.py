@@ -362,11 +362,19 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also takes superscripts, circled
+        # and Arabic-Indic digits
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                # past the interpreter's limit on digits in int(str)
+                raise ParseError(f"integer literal of {j - i} digits is too long",
+                                 i) from None
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -223,6 +223,16 @@ class TestGroebner:
         assert got["basis"] == ["y^3", "x^2"]
         assert got["quotient_dimension"] == 6
 
+    def test_form_staircase_past_five_million(self, run_cli, tmp_path):
+        # 6 000 000 standard monomials under x^2000 and y^3000
+        payload = json.loads(Path(fixture_path("form_staircase.json")).read_text())
+        payload["form"]["coefficients"] = ["x^2000", "y^3000"]
+        path = tmp_path / "staircase.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli("groebner", path, "--ideal", "form", "--json")
+        assert code == 0 and err == ""
+        assert load(out)["groebner"]["quotient_dimension"] == 6_000_000
+
     def test_form_ideal_needs_explicit_form(self, run_cli):
         code, _, err = run_cli(
             "groebner", fixture_path("twisted_cubic.json"), "--ideal", "form"
@@ -267,6 +277,47 @@ class TestInputValidation:
         path.write_text("{not json")
         code, _, err = run_cli("verify", str(path))
         assert code == 2
+
+    def test_file_that_is_not_utf8(self, run_cli, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(self.base_payload()).encode())
+        code, _, err = run_cli("analyze", path)
+        assert code == 2
+        assert err.startswith("error: ") and "latin.json" in err
+        assert "Traceback" not in err
+
+    def test_integer_past_the_int_digit_limit(self, run_cli, tmp_path):
+        path = tmp_path / "huge.json"
+        text = json.dumps(self.base_payload())
+        path.write_text(text.replace('"chi_X": 3', '"chi_X": ' + "9" * 5000))
+        code, _, err = run_cli("analyze", path)
+        assert code == 2
+        assert err.startswith("error: ") and "huge.json" in err
+        assert "Traceback" not in err
+
+    def test_arrays_nested_past_the_recursion_limit(self, run_cli, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        code, _, err = run_cli("analyze", path)
+        assert code == 2
+        assert err.startswith("error: ") and "deep.json" in err
+        assert "Traceback" not in err
+
+    def test_ragged_matrix_rejected(self, run_cli, tmp_path):
+        payload = self.base_payload()
+        payload["matrix"][1].pop()
+        code, _, err = run_cli("analyze", self.write(tmp_path, payload))
+        assert code == 2
+        assert "matrix rows must have equal length" in err
+
+    def test_non_ascii_digit_in_polynomial(self, run_cli, tmp_path):
+        payload = self.base_payload()
+        payload["matrix"][0][1] = "x1^²"
+        code, _, err = run_cli("analyze", self.write(tmp_path, payload))
+        assert code == 2
+        assert "matrix[0][1]" in err
+        assert "position 3" in err
+        assert "Traceback" not in err
 
     def test_unknown_top_level_key(self, run_cli, tmp_path):
         payload = self.base_payload()

@@ -4,19 +4,26 @@ Every run exits 0 (ok), 1 (identity violated), 2 (input error) or 3
 (unsupported or out of budget); exit 1 comes only with a report whose
 identity status is "violated", and nothing but argparse's usage exit escapes
 `main`.  The inputs are the bundled fixtures with one or two entries
-dropped, swapped for small atoms, or duplicated.
+dropped, swapped for small atoms, or duplicated.  Files that `json.dumps`
+cannot write (bytes that are not UTF-8, integers past the interpreter's
+digit limit, arrays nested past the recursion limit) run as fresh processes.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import detsing
 from detsing.cli import main
 
 FIXTURES = {
@@ -24,8 +31,10 @@ FIXTURES = {
     for path in (files("detsing") / "fixtures").iterdir()
     if path.name.endswith(".json")
 }
+# "x0^²" and the 5000-digit string reach the polynomial tokenizer's
+# non-ASCII digits and the interpreter's limit on digits in int(str)
 ATOMS = (None, True, False, 0, 1, -1, 2, 3, "", "x0", "x1^2", "0",
-         "[0:0:0:0:1]", "(0, 0)", [], {})
+         "[0:0:0:0:1]", "(0, 0)", "x0^²", "9" * 5000, [], {})
 COMMANDS = (("analyze",), ("verify",), ("euler",), ("index",),
             ("groebner", "--ideal", "minors"), ("groebner", "--ideal", "lower"),
             ("groebner", "--ideal", "form"))
@@ -112,3 +121,27 @@ def test_exit_code_contract(workdir, case, command, pick):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert json.loads(out.getvalue())["identity"]["status"] == "violated"
+
+
+FIXTURE_TEXT = json.dumps(FIXTURES["twisted_cubic.json"])
+RAW_FILES = {
+    "not-utf8": b"\xff\xfe" + FIXTURE_TEXT.encode(),
+    "5000-digit-integer": FIXTURE_TEXT.replace(
+        '"schema_version": 1', '"schema_version": ' + "9" * 5000).encode(),
+    "nested-3000-deep": ("[" * 3000 + "]" * 3000).encode(),
+}
+
+
+@pytest.mark.parametrize("content", RAW_FILES.values(), ids=RAW_FILES.keys())
+def test_raw_file_exits_2_without_a_traceback(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    src = str(Path(detsing.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "detsing.cli", "analyze", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import sys
 from fractions import Fraction
 from importlib.resources import files
@@ -606,10 +607,70 @@ QUOTIENT_TABLE = [
 ]
 
 
+def scan_quotient_dimension(gb):
+    """Reference count: every monomial of the box under the pure powers."""
+    nvars = len(gb.variables)
+    lms = gb.leading_monomials()
+    if any(sum(lm) == 0 for lm in lms):
+        return 0
+    bounds = []
+    for i in range(nvars):
+        pure = [lm[i] for lm in lms if all(e == 0 for j, e in enumerate(lm) if j != i)]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return sum(1 for m in itertools.product(*(range(b) for b in bounds))
+               if not any(all(map(operator.le, lm, m)) for lm in lms))
+
+
+@st.composite
+def staircases(draw):
+    # duplicate and non-minimal monomials included; a pure power for a
+    # random subset of the variables, so finite and infinite counts both occur
+    nvars = draw(st.integers(min_value=0, max_value=6))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=3)] * nvars)
+    monomials = draw(st.lists(exponents, max_size=10))
+    for i in range(nvars):
+        power = draw(st.integers(min_value=0, max_value=4))
+        if power:
+            monomials.append(tuple(power if j == i else 0 for j in range(nvars)))
+    return nvars, draw(st.permutations(monomials))
+
+
 class TestQuotientDimension:
     @pytest.mark.parametrize("texts,variables,expected", QUOTIENT_TABLE)
     def test_pinned_values(self, texts, variables, expected):
         assert quotient_dimension(basis_of(texts, variables)) == expected
+
+    @settings(max_examples=400)
+    @given(staircases())
+    def test_matches_the_box_scan(self, case):
+        gb = monomial_basis(*case)
+        assert quotient_dimension(gb) == scan_quotient_dimension(gb)
+
+    @pytest.mark.parametrize("nvars,monomials,expected", [
+        (0, [], 1),
+        (0, [()], 0),
+        (2, [(0, 0), (3, 0)], 0),
+        (3, [(2, 0, 0), (0, 0, 1), (1, 1, 0)], None),
+        (2, [(0, 0), (1, 1)], 0),
+        (2, [(1, 0), (1, 0), (0, 3), (2, 5)], 3),
+    ], ids=["no-variables", "no-variables-unit", "unit-ideal",
+            "missing-pure-power", "unit-without-pure-powers", "duplicates"])
+    def test_edge_cases(self, nvars, monomials, expected):
+        gb = monomial_basis(nvars, monomials)
+        assert quotient_dimension(gb) == expected
+        assert scan_quotient_dimension(gb) == expected
+
+    def test_tenth_power_of_the_maximal_ideal(self):
+        # the monomials of degree below 10 in 4 variables: C(13, 4)
+        gb = monomial_basis(4, [tuple(c.count(i) for i in range(4)) for c in
+                                itertools.combinations_with_replacement(range(4), 10)])
+        assert quotient_dimension(gb) == 715
+
+    def test_large_box_of_two_pure_powers(self):
+        # a box scan walks all 4 800 000 cells
+        assert quotient_dimension(monomial_basis(2, [(2000, 0), (0, 2400)])) == 4_800_000
 
     @pytest.mark.parametrize("texts,variables,expected", QUOTIENT_TABLE)
     def test_against_relation_matrix_oracle(self, texts, variables, expected):

@@ -122,6 +122,28 @@ class TestParsing:
         text = "(" * depth + "x" + ")" * depth
         assert parse_polynomial(text, ("x",)) == Polynomial.variable(("x",), "x")
 
+    @pytest.mark.parametrize("text,position", [
+        ("x0^²", 3),
+        ("①", 0),
+        ("١*x0", 0),
+        ("1 + x0^1²", 8),
+    ], ids=["superscript-exponent", "circled-digit", "arabic-indic-digit",
+            "superscript-after-ascii"])
+    def test_only_ascii_digits_are_numbers(self, text, position):
+        # str.isdigit() accepts these, and int() either rejects them or reads
+        # the Arabic-Indic one as 1
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, ("x0",))
+        assert info.value.position == position
+        assert "unexpected character" in str(info.value)
+
+    def test_literal_past_the_int_digit_limit(self):
+        text = "x0 + " + "9" * 5000
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, ("x0",))
+        assert info.value.position == 5
+        assert "5000 digits" in str(info.value)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
             poly("   ")
