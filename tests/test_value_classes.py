@@ -1,0 +1,392 @@
+"""Construction, validation and equality of the library's value classes.
+
+Each class is built positionally, by keyword and from its defaults; every
+check its constructor makes is pinned by exception type and exact message;
+equality and hashing are pinned where the library, README or tests compare or
+hash instances.  The attributes the benchmark tracer reads (`order.kind`,
+`polynomials`, `generators`, `singular_points`) are read here too.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from detsing.detvar import (AFFINE, ESSENTIAL_SINGULAR, PROJECTIVE,
+                            SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
+                            GermClassification, PointLocation,
+                            ProjectivePoint, classify)
+from detsing.grobner import (GREVLEX, LEX, GroebnerBasis, Ideal,
+                             MonomialOrder, buchberger)
+from detsing.indexcalc import (ROLE_SMOOTH_FORM_POINT,
+                               ROLE_VARIETY_SINGULARITY, SOLVED, VERIFIED,
+                               IdentityResult, IndexLedger, LedgerEntry,
+                               LedgerError, RadialDecomposition,
+                               SingularPointRecord, cstar_fixed_points)
+from detsing.polyalg import PolyMatrix, Polynomial, parse_polynomial
+from detsing.topo import (HOLDS, BouquetDescriptor, CWDescriptor,
+                          LeGreuelResult, MilnorData)
+
+CONE_VARS = ("x0", "x1", "x2", "x3", "x4")
+
+
+def cone_matrix():
+    return PolyMatrix.from_strings(
+        [["x0", "x1", "x2"], ["x1", "x2", "x3"]], CONE_VARS)
+
+
+def raises_exactly(exc, message, build):
+    with pytest.raises(exc) as info:
+        build()
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+class TestAmbientSpace:
+    def test_positional_and_keyword(self):
+        for space in (AmbientSpace(PROJECTIVE, 4),
+                      AmbientSpace(kind=PROJECTIVE, dim=4)):
+            assert (space.kind, space.dim) == (PROJECTIVE, 4)
+
+    def test_unknown_kind(self):
+        raises_exactly(ValueError, "unknown ambient kind 'toric'",
+                       lambda: AmbientSpace("toric", 2))
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, "3"])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        raises_exactly(ValueError, "ambient dimension must be a positive integer",
+                       lambda: AmbientSpace(AFFINE, dim))
+
+
+class TestProjectivePoint:
+    def test_positional_and_keyword_normalize(self):
+        for point in (ProjectivePoint((0, -4, 6)),
+                      ProjectivePoint(coords=[0, Fraction(-8, 2), 6])):
+            assert point.coords == (0, 2, -3)
+            assert type(point.coords) is tuple
+
+    def test_equal_points_compare_and_hash_equal(self):
+        a, b = ProjectivePoint((2, 4, 0)), ProjectivePoint((-1, -2, 0))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b, ProjectivePoint((1, 0, 0))}) == 2
+        assert a != ProjectivePoint((1, 2, 1))
+        assert a != (1, 2, 0)
+
+    def test_float_coordinate(self):
+        raises_exactly(TypeError, "exact rational required, got float",
+                       lambda: ProjectivePoint((1.0, 2)))
+
+    def test_non_integral_coordinate(self):
+        raises_exactly(ValueError, "projective point coordinates must be integers",
+                       lambda: ProjectivePoint((Fraction(1, 2), 1)))
+
+    @pytest.mark.parametrize("coords", [(), (0, 0, 0)])
+    def test_needs_a_nonzero_coordinate(self, coords):
+        raises_exactly(ValueError, "projective point needs a nonzero coordinate",
+                       lambda: ProjectivePoint(coords))
+
+    def test_parse_and_from_fractions_build_the_same_point(self):
+        assert ProjectivePoint.parse("[2:4:0]") == ProjectivePoint((1, 2, 0))
+        point = ProjectivePoint.from_fractions([Fraction(1, 2), Fraction(1, 3)])
+        assert point.coords == (3, 2)
+        assert str(point) == "[3:2]"
+        assert point.chart_index() == 0
+
+
+class TestPointLocation:
+    def test_positional_and_keyword(self):
+        for loc in (PointLocation(SMOOTH_STRATUM, 1),
+                    PointLocation(kind=SMOOTH_STRATUM, rank=1)):
+            assert (loc.kind, loc.rank) == (SMOOTH_STRATUM, 1)
+
+
+class TestDeterminantalModel:
+    def test_positional_and_keyword(self):
+        matrix, ambient = cone_matrix(), AmbientSpace(PROJECTIVE, 4)
+        for model in (DeterminantalModel(matrix, 2, ambient),
+                      DeterminantalModel(matrix=matrix, t=2, ambient=ambient)):
+            assert model.matrix is matrix and model.ambient is ambient
+            assert model.t == 2
+            assert (model.n, model.p, model.variables) == (2, 3, CONE_VARS)
+            assert model.expected_codimension() == 2
+            assert model.smoothability_bound() == 6
+            assert model.smoothable_type()
+
+    @pytest.mark.parametrize("t", [0, 3, 2.0])
+    def test_threshold_range(self, t):
+        raises_exactly(ValueError, "t must satisfy 1 <= t <= min(n, p) = 2",
+                       lambda: DeterminantalModel(cone_matrix(), t,
+                                                  AmbientSpace(PROJECTIVE, 4)))
+
+    def test_variable_count(self):
+        raises_exactly(ValueError,
+                       "projective dimension 3 needs 4 variables, matrix has 5",
+                       lambda: DeterminantalModel(cone_matrix(), 2,
+                                                  AmbientSpace(PROJECTIVE, 3)))
+        raises_exactly(ValueError,
+                       "affine dimension 4 needs 4 variables, matrix has 5",
+                       lambda: DeterminantalModel(cone_matrix(), 2,
+                                                  AmbientSpace(AFFINE, 4)))
+
+    def test_projective_entries_share_a_degree(self):
+        matrix = PolyMatrix.from_strings([["x0", "x1^2"], ["x1", "x0"]],
+                                         ("x0", "x1"))
+        raises_exactly(ValueError,
+                       "projective mode requires homogeneous entries of a common degree",
+                       lambda: DeterminantalModel(matrix, 2,
+                                                  AmbientSpace(PROJECTIVE, 1)))
+
+
+class TestGermClassification:
+    FIELDS = ("empty", "codimension", "dimension", "determinantal",
+              "isolated_singularity", "smoothable", "singular_points",
+              "singular_points_exact", "singular_locus_dimension",
+              "local_supported", "notes", "rank_basis")
+
+    def test_positional_and_keyword(self):
+        values = tuple(range(len(self.FIELDS)))
+        for info in (GermClassification(*values),
+                     GermClassification(**dict(zip(self.FIELDS, values)))):
+            assert tuple(getattr(info, f) for f in self.FIELDS) == values
+
+    def test_classify_fills_every_field(self):
+        model = DeterminantalModel(cone_matrix(), 2, AmbientSpace(PROJECTIVE, 4))
+        info = classify(model)
+        assert [str(p) for p in info.singular_points] == ["[0:0:0:0:1]"]
+        assert (info.empty, info.codimension, info.dimension) == (False, 2, 2)
+        assert info.determinantal and info.isolated_singularity
+        assert info.smoothable and info.singular_points_exact
+        assert info.singular_locus_dimension == 1 and info.local_supported
+        assert isinstance(info.notes, tuple)
+        assert isinstance(info.rank_basis, GroebnerBasis)
+
+
+class TestMonomialOrder:
+    def test_positional_and_keyword(self):
+        assert MonomialOrder("lex").kind == "lex"
+        assert MonomialOrder(kind="grevlex").kind == "grevlex"
+
+    def test_equal_orders_compare_and_hash_equal(self):
+        # buchberger's packing cache is keyed on the order
+        assert MonomialOrder("lex") == LEX and MonomialOrder("grevlex") == GREVLEX
+        assert hash(MonomialOrder("lex")) == hash(LEX)
+        assert LEX != GREVLEX and not LEX == GREVLEX
+        assert LEX != "lex"
+
+    def test_unknown_kind(self):
+        raises_exactly(ValueError, "unknown order kind 'degrevlex'",
+                       lambda: MonomialOrder("degrevlex"))
+
+    def test_key(self):
+        assert LEX.key((1, 0, 2)) == (1, 0, 2)
+        assert GREVLEX.key((1, 0, 2)) > GREVLEX.key((0, 2, 0))
+        assert LEX.key((1, 0, 0)) > LEX.key((0, 5, 5))
+
+
+class TestIdeal:
+    def test_positional_and_keyword_drop_zero_generators(self):
+        x = parse_polynomial("x", ("x", "y"))
+        zero = Polynomial.zero(("x", "y"))
+        for ideal in (Ideal(["x", "y"], [x, zero]),
+                      Ideal(variables=("x", "y"), generators=iter([zero, x]))):
+            assert ideal.variables == ("x", "y")
+            assert ideal.generators == (x,)
+
+    def test_generators_must_be_polynomials(self):
+        raises_exactly(ValueError, "generators must be polynomials",
+                       lambda: Ideal(("x",), ["x"]))
+
+    def test_generators_share_the_variables(self):
+        raises_exactly(ValueError, "generators must share the ideal's variable list",
+                       lambda: Ideal(("x", "y"), [parse_polynomial("x", ("x",))]))
+
+
+class TestGroebnerBasis:
+    def test_positional_and_keyword(self):
+        x = parse_polynomial("x", ("x", "y"))
+        for gb in (GroebnerBasis(("x", "y"), LEX, (x,)),
+                   GroebnerBasis(variables=("x", "y"), order=LEX,
+                                 polynomials=(x,))):
+            assert gb.variables == ("x", "y")
+            assert gb.order.kind == "lex"
+            assert gb.polynomials == (x,)
+            assert gb.leading_monomials() == ((1, 0),)
+
+    def test_equality_follows_content(self):
+        gens = [parse_polynomial(s, ("x", "y")) for s in ("x^2 - y", "x*y")]
+        ideal = Ideal(("x", "y"), gens)
+        a, b = buchberger(ideal), buchberger(ideal)
+        assert a is not b and a == b and not a != b
+        assert a != buchberger(ideal, LEX)
+        assert a != GroebnerBasis(a.variables, a.order, a.polynomials[:-1])
+        assert a != a.polynomials
+
+    def test_buchberger_fields_read_by_the_tracer(self):
+        ideal = Ideal(("x", "y"), [parse_polynomial("x*y - 1", ("x", "y"))])
+        gb = buchberger(ideal, LEX)
+        assert gb.order.kind == "lex"
+        assert len(gb.polynomials) == 1
+        assert len(ideal.generators) == 1
+
+
+class TestSingularPointRecord:
+    FIELDS = ("point", "n", "p", "t", "d", "smoothable", "mu",
+              "chi_smoothing", "chi_lower_stratum")
+
+    def test_defaults(self):
+        record = SingularPointRecord("P", 2, 3, 2, 2, True)
+        assert (record.mu, record.chi_smoothing, record.chi_lower_stratum) == (
+            None, None, None)
+        assert record.resolved_chi_smoothing() is None
+        assert record.mu_linked()
+
+    def test_positional_and_keyword(self):
+        values = ("P", 2, 3, 2, 4, False, None, 5, -1)
+        for record in (SingularPointRecord(*values),
+                       SingularPointRecord(**dict(zip(self.FIELDS, values)))):
+            assert tuple(getattr(record, f) for f in self.FIELDS) == values
+            assert record.resolved_chi_smoothing() == 5
+
+    def test_chi_derived_from_mu(self):
+        record = SingularPointRecord("P", 2, 3, 2, 2, True, mu=3)
+        assert record.resolved_chi_smoothing() == 4
+        assert SingularPointRecord("P", 2, 3, 2, 2, True, 3, 4).chi_smoothing == 4
+
+    @pytest.mark.parametrize("args, message", [
+        (("P", 2, 3, 0, 2, True),
+         "record at P: t must lie in [1, min(n, p)]"),
+        (("P", 2, 3, 3, 2, True),
+         "record at P: t must lie in [1, min(n, p)]"),
+        (("P", 3, 3, 2, 2, True),
+         "record at P: expected codimension is 4, but the index formulas "
+         "cover codimension 2 only"),
+        (("P", 2, 3, 2, 0, True),
+         "record at P: d must be positive"),
+        (("P", 2, 3, 2, 2, False),
+         "record at P: smoothable flag contradicts the dimension bound 4 < 6"),
+        (("P", 2, 3, 2, 4, True),
+         "record at P: smoothable flag contradicts the dimension bound 6 < 6"),
+        (("P", 2, 3, 2, 2, True, -1),
+         "record at P: mu must be non-negative"),
+        (("P", 2, 3, 2, 2, True, 3, 5),
+         "record at P: chi_smoothing 5 contradicts the value 4 implied by mu"),
+    ])
+    def test_validation(self, args, message):
+        raises_exactly(LedgerError, message, lambda: SingularPointRecord(*args))
+
+
+class TestRadialDecomposition:
+    def test_default_positional_and_keyword(self):
+        assert RadialDecomposition().inner_indices == ()
+        assert RadialDecomposition().count == 0
+        for dec in (RadialDecomposition([1, -1, True]),
+                    RadialDecomposition(inner_indices=(1, -1, 1))):
+            assert dec.inner_indices == (1, -1, 1)
+            assert all(type(i) is int for i in dec.inner_indices)
+            assert dec.count == 3
+
+
+class TestLedgerEntry:
+    def test_default_positional_and_keyword(self):
+        assert LedgerEntry("A", ROLE_SMOOTH_FORM_POINT).index is None
+        for entry in (LedgerEntry("A", ROLE_VARIETY_SINGULARITY, -2),
+                      LedgerEntry(point="A", role=ROLE_VARIETY_SINGULARITY,
+                                  index=-2)):
+            assert (entry.point, entry.role, entry.index) == (
+                "A", ROLE_VARIETY_SINGULARITY, -2)
+
+    def test_unknown_role(self):
+        raises_exactly(LedgerError, "unknown ledger role 'cusp'",
+                       lambda: LedgerEntry("A", "cusp", 1))
+
+
+class TestIndexLedger:
+    def test_default_positional_and_keyword(self):
+        entry = LedgerEntry("A", ROLE_SMOOTH_FORM_POINT, 1)
+        assert IndexLedger([entry]).chi_x is None
+        for ledger in (IndexLedger(iter([entry]), 2),
+                       IndexLedger(entries=[entry], chi_x=2)):
+            assert ledger.entries == (entry,)
+            assert ledger.chi_x == 2
+
+
+class TestIdentityResult:
+    FIELDS = ("status", "lhs", "rhs", "name", "value")
+
+    def test_defaults(self):
+        result = IdentityResult(VERIFIED)
+        assert tuple(getattr(result, f) for f in self.FIELDS) == (
+            VERIFIED, None, None, None, None)
+
+    def test_positional_and_keyword(self):
+        values = (SOLVED, 3, 3, "chi_X", 1)
+        for result in (IdentityResult(*values),
+                       IdentityResult(**dict(zip(self.FIELDS, values)))):
+            assert tuple(getattr(result, f) for f in self.FIELDS) == values
+
+    def test_equality_follows_content(self):
+        a = IdentityResult(VERIFIED, lhs=5, rhs=5)
+        assert a == IdentityResult(VERIFIED, 5, 5) and not a != a
+        assert a != IdentityResult(VERIFIED, lhs=5, rhs=6)
+        assert a != IdentityResult(VERIFIED, 5, 5, name="chi_X")
+        assert a != (VERIFIED, 5, 5, None, None)
+
+
+class TestCWDescriptor:
+    def test_positional_and_keyword(self):
+        for cw in (CWDescriptor([1, True, 1]), CWDescriptor(cell_counts=(1, 1, 1))):
+            assert cw.cell_counts == (1, 1, 1)
+            assert all(type(c) is int for c in cw.cell_counts)
+
+    def test_negative_count(self):
+        raises_exactly(ValueError, "cell counts must be non-negative",
+                       lambda: CWDescriptor((1, -1)))
+
+
+class TestBouquetDescriptor:
+    def test_positional_and_keyword_sort(self):
+        for bouquet in (BouquetDescriptor([3, 1, 2]),
+                        BouquetDescriptor(sphere_dimensions=(2, 3, 1))):
+            assert bouquet.sphere_dimensions == (1, 2, 3)
+
+    def test_dimensions_positive(self):
+        raises_exactly(ValueError, "sphere dimensions must be positive",
+                       lambda: BouquetDescriptor((2, 0)))
+
+
+class TestMilnorData:
+    FIELDS = ("d", "mu", "b2", "m_d", "mu_slice")
+
+    def test_defaults(self):
+        data = MilnorData(2)
+        assert tuple(getattr(data, f) for f in self.FIELDS) == (
+            2, None, None, None, None)
+
+    def test_positional_and_keyword(self):
+        values = (3, 4, 1, 7, 2)
+        for data in (MilnorData(*values),
+                     MilnorData(**dict(zip(self.FIELDS, values)))):
+            assert tuple(getattr(data, f) for f in self.FIELDS) == values
+
+    @pytest.mark.parametrize("name", ["mu", "b2", "m_d", "mu_slice"])
+    @pytest.mark.parametrize("value", [-1, 1.0, "2"])
+    def test_optional_fields_are_non_negative_integers(self, name, value):
+        raises_exactly(ValueError, f"{name} must be a non-negative integer",
+                       lambda: MilnorData(2, **{name: value}))
+
+
+class TestLeGreuelResult:
+    def test_defaults_positional_and_keyword(self):
+        result = LeGreuelResult(HOLDS)
+        assert (result.status, result.lhs, result.rhs) == (HOLDS, None, None)
+        for result in (LeGreuelResult(HOLDS, 4, 4),
+                       LeGreuelResult(status=HOLDS, lhs=4, rhs=4)):
+            assert (result.status, result.lhs, result.rhs) == (HOLDS, 4, 4)
+
+
+def test_located_points_carry_their_kind():
+    model = DeterminantalModel(cone_matrix(), 2, AmbientSpace(PROJECTIVE, 4))
+    info = classify(model)
+    fixed = cstar_fixed_points(model, (0, 1, 2, 3, 4), info.rank_basis)
+    assert [loc.kind for _, loc in fixed][-1] == ESSENTIAL_SINGULAR
+    assert all(isinstance(loc, PointLocation) for _, loc in fixed)
