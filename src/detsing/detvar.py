@@ -8,15 +8,12 @@ rational points.  Local (germ) conclusions are gated on the chart ideal being
 weighted-homogeneous, since all symbolic computations here are global.
 """
 
-from __future__ import annotations
-
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from ._linalg import div, exact
-from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, LEX, GroebnerBasis, Ideal,
+from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, LEX, Ideal,
                       ResourceLimitExceeded, buchberger, ideal_dimension,
                       quasi_homogeneous_weights)
 from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
@@ -40,29 +37,28 @@ MAX_ROOT_CANDIDATES = 100_000
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-@dataclass(frozen=True)
 class AmbientSpace:
-    kind: str
-    dim: int
+    __slots__ = ("kind", "dim")
 
-    def __post_init__(self):
-        if self.kind not in (PROJECTIVE, AFFINE):
-            raise ValueError(f"unknown ambient kind {self.kind!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+    def __init__(self, kind, dim):
+        if kind not in (PROJECTIVE, AFFINE):
+            raise ValueError(f"unknown ambient kind {kind!r}")
+        if not isinstance(dim, int) or dim < 1:
             raise ValueError("ambient dimension must be a positive integer")
+        self.kind = kind
+        self.dim = dim
 
 
-@dataclass(frozen=True)
 class ProjectivePoint:
     """Rational projective point stored as normalized integer coordinates.
 
     Coordinates are divided by their gcd and the first nonzero entry is made
-    positive, so equal points compare equal.  Each coordinate must be an
-    integer, as an int or an integral Fraction; a float raises TypeError, as
-    in `_linalg.exact`.
+    positive, so equal points compare and hash equal.  Each coordinate must
+    be an integer, as an int or an integral Fraction; a float raises
+    TypeError, as in `_linalg.exact`.
     """
 
-    coords: tuple
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         ints = tuple(exact(c) for c in coords)
@@ -77,7 +73,15 @@ class ProjectivePoint:
         first = next(c for c in ints if c)
         if first < 0:
             ints = tuple(-c for c in ints)
-        object.__setattr__(self, "coords", ints)
+        self.coords = ints
+
+    def __eq__(self, other):
+        if not isinstance(other, ProjectivePoint):
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash(self.coords)
 
     @classmethod
     def parse(cls, text):
@@ -111,35 +115,37 @@ class ProjectivePoint:
         return "[" + ":".join(str(c) for c in self.coords) + "]"
 
 
-@dataclass(frozen=True)
 class PointLocation:
-    kind: str
-    rank: int
+    __slots__ = ("kind", "rank")
+
+    def __init__(self, kind, rank):
+        self.kind = kind
+        self.rank = rank
 
 
-@dataclass(frozen=True)
 class DeterminantalModel:
     """Matrix, rank threshold and ambient space defining the variety."""
 
-    matrix: PolyMatrix
-    t: int
-    ambient: AmbientSpace
+    __slots__ = ("matrix", "t", "ambient")
 
-    def __post_init__(self):
-        n, p = self.matrix.rows, self.matrix.cols
-        if not isinstance(self.t, int) or not 1 <= self.t <= min(n, p):
+    def __init__(self, matrix, t, ambient):
+        n, p = matrix.rows, matrix.cols
+        if not isinstance(t, int) or not 1 <= t <= min(n, p):
             raise ValueError(f"t must satisfy 1 <= t <= min(n, p) = {min(n, p)}")
-        expected = self.ambient.dim + (1 if self.ambient.kind == PROJECTIVE else 0)
-        if len(self.matrix.variables) != expected:
+        expected = ambient.dim + (1 if ambient.kind == PROJECTIVE else 0)
+        if len(matrix.variables) != expected:
             raise ValueError(
-                f"{self.ambient.kind} dimension {self.ambient.dim} needs "
-                f"{expected} variables, matrix has {len(self.matrix.variables)}")
-        if self.ambient.kind == PROJECTIVE:
-            degs = {e.homogeneous_degree() for row in self.matrix.entries
+                f"{ambient.kind} dimension {ambient.dim} needs "
+                f"{expected} variables, matrix has {len(matrix.variables)}")
+        if ambient.kind == PROJECTIVE:
+            degs = {e.homogeneous_degree() for row in matrix.entries
                     for e in row if e}
             if None in degs or len(degs) > 1:
                 raise ValueError(
                     "projective mode requires homogeneous entries of a common degree")
+        self.matrix = matrix
+        self.t = t
+        self.ambient = ambient
 
     @property
     def n(self):
@@ -164,20 +170,30 @@ class DeterminantalModel:
         return self.ambient.dim < self.smoothability_bound()
 
 
-@dataclass(frozen=True)
 class GermClassification:
-    empty: bool
-    codimension: int | None
-    dimension: int | None
-    determinantal: bool
-    isolated_singularity: bool
-    smoothable: bool
-    singular_points: tuple
-    singular_points_exact: bool
-    singular_locus_dimension: int | None
-    local_supported: bool
-    notes: tuple
-    rank_basis: GroebnerBasis
+    """What `classify` found; the dimensions are None for an empty variety."""
+
+    __slots__ = ("empty", "codimension", "dimension", "determinantal",
+                 "isolated_singularity", "smoothable", "singular_points",
+                 "singular_points_exact", "singular_locus_dimension",
+                 "local_supported", "notes", "rank_basis")
+
+    def __init__(self, empty, codimension, dimension, determinantal,
+                 isolated_singularity, smoothable, singular_points,
+                 singular_points_exact, singular_locus_dimension,
+                 local_supported, notes, rank_basis):
+        self.empty = empty
+        self.codimension = codimension
+        self.dimension = dimension
+        self.determinantal = determinantal
+        self.isolated_singularity = isolated_singularity
+        self.smoothable = smoothable
+        self.singular_points = singular_points
+        self.singular_points_exact = singular_points_exact
+        self.singular_locus_dimension = singular_locus_dimension
+        self.local_supported = local_supported
+        self.notes = notes
+        self.rank_basis = rank_basis
 
 
 def minors_ideal(model, size):

@@ -6,9 +6,6 @@ structure makes the global answers equal to the local ones; the
 `quasi_homogeneous_weights` gate decides that admissibility.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
@@ -30,15 +27,26 @@ class SPairBudgetExceeded(ResourceLimitExceeded):
     """Buchberger processed more S-pairs than the configured budget."""
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
-    """Total monomial order on exponent tuples: "grevlex" or "lex"."""
+    """Total monomial order on exponent tuples: "grevlex" or "lex".
 
-    kind: str
+    Orders of one kind compare and hash equal; `_packing` caches on them.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+    __slots__ = ("kind",)
+
+    def __init__(self, kind):
+        if kind not in ("grevlex", "lex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        self.kind = kind
+
+    def __eq__(self, other):
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return self.kind == other.kind
+
+    def __hash__(self):
+        return hash(self.kind)
 
     def key(self, exps):
         """Sort key: larger key means larger monomial."""
@@ -49,12 +57,10 @@ GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
 
 
-@dataclass(frozen=True)
 class Ideal:
     """Finitely generated ideal; the zero ideal has an empty generator tuple."""
 
-    variables: tuple
-    generators: tuple
+    __slots__ = ("variables", "generators")
 
     def __init__(self, variables, generators):
         variables = tuple(variables)
@@ -66,17 +72,28 @@ class Ideal:
                 raise ValueError("generators must share the ideal's variable list")
             if g:
                 gens.append(g)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "generators", tuple(gens))
+        self.variables = variables
+        self.generators = tuple(gens)
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced monic basis, listed in descending leading-monomial order."""
+    """Reduced monic basis, listed in descending leading-monomial order.
 
-    variables: tuple
-    order: MonomialOrder
-    polynomials: tuple
+    Bases compare equal when their variables, order and polynomials do.
+    """
+
+    __slots__ = ("variables", "order", "polynomials")
+
+    def __init__(self, variables, order, polynomials):
+        self.variables = variables
+        self.order = order
+        self.polynomials = polynomials
+
+    def __eq__(self, other):
+        if not isinstance(other, GroebnerBasis):
+            return NotImplemented
+        return (self.variables == other.variables and self.order == other.order
+                and self.polynomials == other.polynomials)
 
     def leading_monomials(self):
         return tuple(p.leading_monomial(self.order.key) for p in self.polynomials)

@@ -9,10 +9,6 @@ Singular-point obstruction indices are never derived symbolically here; they
 are either input data or the single unknown the identity is solved for.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from .detvar import OUTSIDE, PROJECTIVE, ProjectivePoint, is_point_on_variety
 from .grobner import buchberger  # unused here; perfbench wraps this binding
 from .grobner import normal_form
@@ -31,7 +27,6 @@ class LedgerError(ValueError):
     """The ledger is inconsistent or underdetermined."""
 
 
-@dataclass(frozen=True)
 class SingularPointRecord:
     """Local invariants of one isolated singular point.
 
@@ -41,38 +36,41 @@ class SingularPointRecord:
     smoothing, needed only when the germ is not smoothable.
     """
 
-    point: str
-    n: int
-    p: int
-    t: int
-    d: int
-    smoothable: bool
-    mu: int | None = None
-    chi_smoothing: int | None = None
-    chi_lower_stratum: int | None = None
+    __slots__ = ("point", "n", "p", "t", "d", "smoothable", "mu",
+                 "chi_smoothing", "chi_lower_stratum")
 
-    def __post_init__(self):
-        if not 1 <= self.t <= min(self.n, self.p):
-            raise LedgerError(f"record at {self.point}: t must lie in [1, min(n, p)]")
-        codim = (self.n - self.t + 1) * (self.p - self.t + 1)
+    def __init__(self, point, n, p, t, d, smoothable, mu=None,
+                 chi_smoothing=None, chi_lower_stratum=None):
+        if not 1 <= t <= min(n, p):
+            raise LedgerError(f"record at {point}: t must lie in [1, min(n, p)]")
+        codim = (n - t + 1) * (p - t + 1)
         if codim != 2:
             raise LedgerError(
-                f"record at {self.point}: expected codimension is {codim}, "
+                f"record at {point}: expected codimension is {codim}, "
                 "but the index formulas cover codimension 2 only")
-        if self.d < 1:
-            raise LedgerError(f"record at {self.point}: d must be positive")
-        bound = (self.n - self.t + 2) * (self.p - self.t + 2)
-        if self.smoothable != (self.d + 2 < bound):
+        if d < 1:
+            raise LedgerError(f"record at {point}: d must be positive")
+        bound = (n - t + 2) * (p - t + 2)
+        if smoothable != (d + 2 < bound):
             raise LedgerError(
-                f"record at {self.point}: smoothable flag contradicts the "
-                f"dimension bound {self.d + 2} < {bound}")
-        if self.mu is not None and self.mu < 0:
-            raise LedgerError(f"record at {self.point}: mu must be non-negative")
+                f"record at {point}: smoothable flag contradicts the "
+                f"dimension bound {d + 2} < {bound}")
+        if mu is not None and mu < 0:
+            raise LedgerError(f"record at {point}: mu must be non-negative")
+        self.point = point
+        self.n = n
+        self.p = p
+        self.t = t
+        self.d = d
+        self.smoothable = smoothable
+        self.mu = mu
+        self.chi_smoothing = chi_smoothing
+        self.chi_lower_stratum = chi_lower_stratum
         derived = self._chi_from_mu()
-        if (self.chi_smoothing is not None and derived is not None
-                and self.chi_smoothing != derived):
+        if (chi_smoothing is not None and derived is not None
+                and chi_smoothing != derived):
             raise LedgerError(
-                f"record at {self.point}: chi_smoothing {self.chi_smoothing} "
+                f"record at {point}: chi_smoothing {chi_smoothing} "
                 f"contradicts the value {derived} implied by mu")
 
     def _chi_from_mu(self):
@@ -125,15 +123,13 @@ def defect_known(record):
     return True
 
 
-@dataclass(frozen=True)
 class RadialDecomposition:
     """Indices of the comparison form at its zeros inside the collar."""
 
-    inner_indices: tuple
+    __slots__ = ("inner_indices",)
 
     def __init__(self, inner_indices=()):
-        object.__setattr__(self, "inner_indices",
-                           tuple(int(i) for i in inner_indices))
+        self.inner_indices = tuple(int(i) for i in inner_indices)
 
     @property
     def count(self):
@@ -159,36 +155,49 @@ def phn_from_radial_nonsmoothable(radial_index, record):
     return radial_index - 1 + defect(record)
 
 
-@dataclass(frozen=True)
 class LedgerEntry:
     """One zero of the global 1-form; index None marks it as the unknown."""
 
-    point: str
-    role: str
-    index: int | None = None
+    __slots__ = ("point", "role", "index")
 
-    def __post_init__(self):
-        if self.role not in (ROLE_VARIETY_SINGULARITY, ROLE_SMOOTH_FORM_POINT):
-            raise LedgerError(f"unknown ledger role {self.role!r}")
+    def __init__(self, point, role, index=None):
+        if role not in (ROLE_VARIETY_SINGULARITY, ROLE_SMOOTH_FORM_POINT):
+            raise LedgerError(f"unknown ledger role {role!r}")
+        self.point = point
+        self.role = role
+        self.index = index
 
 
-@dataclass(frozen=True)
 class IndexLedger:
-    entries: tuple
-    chi_x: int | None = None
+    """Ledger entries and chi(X); chi_x None marks chi(X) as the unknown."""
+
+    __slots__ = ("entries", "chi_x")
 
     def __init__(self, entries, chi_x=None):
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "chi_x", chi_x)
+        self.entries = tuple(entries)
+        self.chi_x = chi_x
 
 
-@dataclass(frozen=True)
 class IdentityResult:
-    status: str
-    lhs: int | None = None
-    rhs: int | None = None
-    name: str | None = None
-    value: int | None = None
+    """Status and both sides of the identity; name and value of a solved unknown.
+
+    Results compare equal when every field does.
+    """
+
+    __slots__ = ("status", "lhs", "rhs", "name", "value")
+
+    def __init__(self, status, lhs=None, rhs=None, name=None, value=None):
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+        self.name = name
+        self.value = value
+
+    def __eq__(self, other):
+        if not isinstance(other, IdentityResult):
+            return NotImplemented
+        return ((self.status, self.lhs, self.rhs, self.name, self.value)
+                == (other.status, other.lhs, other.rhs, other.name, other.value))
 
 
 def global_identity(ledger, records):

@@ -1,41 +1,34 @@
 """Euler characteristic bookkeeping for smoothings of determinantal germs."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 
 class UnsupportedDimensionError(ValueError):
     """The requested formula is only available in dimensions 2 and 3."""
 
 
-@dataclass(frozen=True)
 class CWDescriptor:
     """Finite CW complex given by cell counts per dimension."""
 
-    cell_counts: tuple
+    __slots__ = ("cell_counts",)
 
     def __init__(self, cell_counts):
         counts = tuple(int(c) for c in cell_counts)
         if any(c < 0 for c in counts):
             raise ValueError("cell counts must be non-negative")
-        object.__setattr__(self, "cell_counts", counts)
+        self.cell_counts = counts
 
 
-@dataclass(frozen=True)
 class BouquetDescriptor:
     """Wedge of spheres of positive dimensions (empty means a point)."""
 
-    sphere_dimensions: tuple
+    __slots__ = ("sphere_dimensions",)
 
     def __init__(self, sphere_dimensions):
         dims = tuple(sorted(int(d) for d in sphere_dimensions))
         if any(d < 1 for d in dims):
             raise ValueError("sphere dimensions must be positive")
-        object.__setattr__(self, "sphere_dimensions", dims)
+        self.sphere_dimensions = dims
 
 
-@dataclass(frozen=True)
 class MilnorData:
     """Local invariants of an isolated germ of dimension d.
 
@@ -46,17 +39,18 @@ class MilnorData:
     the consistency check.
     """
 
-    d: int
-    mu: int | None = None
-    b2: int | None = None
-    m_d: int | None = None
-    mu_slice: int | None = None
+    __slots__ = ("d", "mu", "b2", "m_d", "mu_slice")
 
-    def __post_init__(self):
-        for name in ("mu", "b2", "m_d", "mu_slice"):
-            v = getattr(self, name)
+    def __init__(self, d, mu=None, b2=None, m_d=None, mu_slice=None):
+        for name, v in (("mu", mu), ("b2", b2), ("m_d", m_d),
+                        ("mu_slice", mu_slice)):
             if v is not None and (not isinstance(v, int) or v < 0):
                 raise ValueError(f"{name} must be a non-negative integer")
+        self.d = d
+        self.mu = mu
+        self.b2 = b2
+        self.m_d = m_d
+        self.mu_slice = mu_slice
 
 
 def chi_cw(descriptor):
@@ -91,11 +85,15 @@ VIOLATED = "violated"
 INSUFFICIENT_DATA = "insufficient_data"
 
 
-@dataclass(frozen=True)
 class LeGreuelResult:
-    status: str
-    lhs: int | None = None
-    rhs: int | None = None
+    """Status of the polar multiplicity check, with m_d and the sum it should equal."""
+
+    __slots__ = ("status", "lhs", "rhs")
+
+    def __init__(self, status, lhs=None, rhs=None):
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
 
 
 def le_greuel_check(data):

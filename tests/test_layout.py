@@ -1,6 +1,9 @@
 """Source-layout rules for the library package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,35 @@ def test_grobner_has_one_reduction_route():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"_mono_mul", "_mono_divides"}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, node.module
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_library_does_not_import_dataclasses(path):
+    # `dataclasses` pulls in inspect, ast and dis, and each decorated class
+    # execs generated methods: together a third of the CLI's start-up
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [line for line, module in _imported_modules(tree)
+             if module.split(".")[0] == "dataclasses"]
+    assert lines == [], f"{path.name} imports dataclasses on lines {lines}"
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # every `detsing` process pays for what `import detsing.cli` loads
+    src = Path(detsing.__file__).parent.parent
+    probe = ("import sys, detsing.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis')"
+             " if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
