@@ -77,10 +77,7 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced monic basis, listed in descending leading-monomial order.
-
-    Bases compare equal when their variables, order and polynomials do.
-    """
+    """Reduced monic basis, listed in descending leading-monomial order."""
 
     __slots__ = ("variables", "order", "polynomials")
 

@@ -179,10 +179,7 @@ class IndexLedger:
 
 
 class IdentityResult:
-    """Status and both sides of the identity; name and value of a solved unknown.
-
-    Results compare equal when every field does.
-    """
+    """Status and both sides of the identity, with a solved unknown's name and value."""
 
     __slots__ = ("status", "lhs", "rhs", "name", "value")
 
