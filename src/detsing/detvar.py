@@ -9,6 +9,7 @@ weighted-homogeneous, since all symbolic computations here are global.
 """
 
 import re
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -35,6 +36,14 @@ MAX_ROOT_CANDIDATES = 100_000
 # a projective point entry: ASCII digits with an optional minus sign, as
 # affine coordinates take them; no digit separators or non-ASCII digits
 _INTEGER = re.compile(r"-?[0-9]+")
+
+# The entry shifts made by the chart ideals of the running `classify` call,
+# keyed by (scaled entry, offsets of the variables it contains): on a grid of
+# points, the points of one column share the shift of an entry in x alone.
+# `classify` sets a fresh dict and resets it on return, so the memo lives for
+# one call while `chart_ideal` keeps its (model, point) signature; outside
+# `classify` a chart ideal starts from an empty dict.
+_classify_shifts = ContextVar("classify_shifts", default=None)
 
 
 class AmbientSpace:
@@ -205,7 +214,9 @@ def lower_locus_generators(matrix, t):
     """Generators of the rank <= t - 2 stratum: the (t - 1)-minors.
 
     By Laplace expansion the t-minors already lie in this ideal, so they are
-    not listed.  For t = 1 the stratum is empty: the unit ideal.
+    not listed.  For t = 1 the stratum is empty: the unit ideal.  Equal
+    minors repeat, as f and g do in [f, g, g, f] for [[f, g], [g, f]]; only
+    the lex point solver, `_solve_zero_dimensional`, drops the repeats.
     """
     if t == 1:
         return [Polynomial.constant(matrix.variables, 1)]
@@ -383,12 +394,30 @@ def _solve_zero_dimensional(gens, variables, spair_budget):
     each generator by `_substitute_last`, which changes the generator by a
     nonzero constant only, so the ideal and its reduced basis are those of
     plain substitution.
+
+    Repeated generators are dropped, and each distinct (generators,
+    variables) subsystem is solved once per call.  Roots often leave equal
+    subsystems: on a grid f(x) = g(y) = 0 every root of g leaves [f].
     """
+    return _solve(gens, tuple(variables), spair_budget, {})
+
+
+def _solve(gens, variables, spair_budget, solved):
+    # `solved` maps each subsystem met so far in this call that needs a lex
+    # basis, as (distinct generators, variables), to its (points, complete)
     gens = [g for g in gens if g]
     if any(g.total_degree() == 0 for g in gens):
         return [], True
     if not variables:
         return [tuple()], True
+    key = tuple(dict.fromkeys(gens)), variables
+    if key not in solved:
+        solved[key] = _solve_distinct(*key, spair_budget, solved)
+    return solved[key]
+
+
+def _solve_distinct(gens, variables, spair_budget, solved):
+    # the lex basis and root substitution of one distinct subsystem
     gb = buchberger(Ideal(variables, gens), LEX, spair_budget)
     if any(p.total_degree() == 0 for p in gb.polynomials):
         return [], True
@@ -408,9 +437,9 @@ def _solve_zero_dimensional(gens, variables, spair_budget):
     roots, complete = _rational_roots(coeffs)
     points = []
     for r, _mult in roots:
-        sub = [_substitute_last(g, r) for g in gens]
-        sub_points, sub_complete = _solve_zero_dimensional(
-            sub, variables[:-1], spair_budget)
+        sub_points, sub_complete = _solve(
+            [_substitute_last(g, r) for g in gens], variables[:-1],
+            spair_budget, solved)
         complete = complete and sub_complete
         points.extend(pt + (r,) for pt in sub_points)
     return points, complete
@@ -495,7 +524,8 @@ def chart_ideal(model, point):
     c * L * q^(D - |m|) * (X + P)^m, all in integers.  Every entry takes the
     same constant, so each minor is a nonzero multiple of the chart minor at
     X / q: its monomials are those of the centred chart's minor, and so are
-    its weights.
+    its weights.  Inside `classify`, the points share the shifts of equal
+    scaled entries whose variables have equal offsets.
     """
     entries, numerators, q = _chart_frame(model, point)
     denom = lcm(*(c.denominator for f in entries.values() for c in f.terms.values()))
@@ -505,7 +535,21 @@ def chart_ideal(model, point):
         entries = {e: Polynomial._raw(f.variables, {
             m: c.numerator * (scale[top - sum(m)] // c.denominator)
             for m, c in f.terms.items()}) for e, f in entries.items()}
-    m = _charted(model, {e: f.shift(numerators) for e, f in entries.items()})
+    if any(numerators):
+        # a point at the chart's origin, such as a cone's vertex, needs no shift
+        shifted = _classify_shifts.get()
+        if shifted is None:
+            shifted = {}
+        charted = {}
+        for e, f in entries.items():
+            # a zero entry has no monomials, and its key no offsets
+            key = f, tuple(a if any(col) else 0
+                           for a, col in zip(numerators, zip(*f.terms)))
+            if key not in shifted:
+                shifted[key] = f.shift(numerators)
+            charted[e] = shifted[key]
+        entries = charted
+    m = _charted(model, entries)
     return Ideal(m.variables, minors(m, model.t))
 
 
@@ -571,15 +615,19 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
         notes.append("singular locus is not a finite set of rational points; "
                      "points are reported symbolically by the lower rank ideal")
     local_supported = True
-    for pt in points:
-        chart = chart_ideal(model, pt)
-        if not chart.generators:
-            continue
-        if quasi_homogeneous_weights(chart.generators) is None:
-            local_supported = False
-            notes.append(f"chart ideal at {point_label(pt)} is not "
-                         "weighted-homogeneous; symbolic local computations "
-                         "are unsupported")
+    token = _classify_shifts.set({})
+    try:
+        for pt in points:
+            chart = chart_ideal(model, pt)
+            if not chart.generators:
+                continue
+            if quasi_homogeneous_weights(chart.generators) is None:
+                local_supported = False
+                notes.append(f"chart ideal at {point_label(pt)} is not "
+                             "weighted-homogeneous; symbolic local computations "
+                             "are unsupported")
+    finally:
+        _classify_shifts.reset(token)
     return GermClassification(
         empty=False, codimension=codim, dimension=dimension,
         determinantal=determinantal, isolated_singularity=isolated,

@@ -494,9 +494,10 @@ def quasi_homogeneous_weights(polys):
 
     The exponent differences of each polynomial are first reduced to a basis
     of their row space, which has the same kernel, so the simplex sees at most
-    one row per variable.  An exact simplex then finds a nonzero non-negative
-    weight vector in that kernel.  Returns a scaled integer tuple taken from a
-    vertex of the feasible polytope (when the kernel has dimension two or
+    one row per variable.  With one row per variable the kernel is {0} and
+    no weights exist; otherwise an exact simplex finds a nonzero non-negative
+    weight vector in that kernel.  Returns a scaled integer tuple taken from
+    a vertex of the feasible polytope (when the kernel has dimension two or
     more, which vertex depends on the tableau), or None when no such weights
     exist.
     """
@@ -512,7 +513,10 @@ def quasi_homogeneous_weights(polys):
         ms = sorted(p.terms, key=_grevlex_key)
         base = ms[0]
         rows.extend(_mono_sub(m, base) for m in ms[1:])
-    w = _linalg.nonnegative_kernel_vector(_linalg.row_basis(rows), nvars)
+    basis = _linalg.row_basis(rows)
+    if len(basis) == nvars:
+        return None
+    w = _linalg.nonnegative_kernel_vector(basis, nvars)
     if w is None:
         return None
     scale = lcm(*(x.denominator for x in w)) if w else 1

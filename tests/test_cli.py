@@ -452,6 +452,24 @@ class TestInputValidation:
         code, _, err = run_cli(*argv, "--spair-budget", "15")
         assert code == 0 and err == ""
 
+    def test_lex_solver_budget_boundary(self, run_cli, tmp_path):
+        # a rational 3x3 grid of singular points: the grevlex basis of the
+        # 1-minors [f, g, g, f] takes their 6 pairs, and the lex point solver
+        # then solves [f, g] and [f] within the same budget.  The germs are
+        # not weighted-homogeneous, so a completed report also exits 3.
+        f, g = "(x - 1)*(2*x + 1)*(x + 3)", "(y - 2)*(3*y - 1)*(y + 1)"
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": ["x", "y"],
+            "matrix": [[f, g], [g, f]], "t": 2,
+            "ambient": {"kind": "affine", "dim": 2}, "singularities": []})
+        code, out, err = run_cli("analyze", path, "--spair-budget", "5")
+        assert code == 3 and out == ""
+        assert "S-pair budget of 5 exceeded" in err
+        code, out, err = run_cli("analyze", path, "--spair-budget", "6")
+        assert code == 3 and err == ""
+        assert "singular_points_exact: true" in out
+        assert out.count("is not weighted-homogeneous") == 9
+
     @pytest.mark.parametrize("indices", [[], "[0:0:0:0:1]", 3, True],
                              ids=["list", "string", "int", "bool"])
     def test_known_indices_must_be_an_object(self, run_cli, tmp_path, indices):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -447,6 +448,16 @@ class TestZeroDimensionalSolver:
             mp.setattr(detvar, "_substitute_last", _eliminate_last)
             assert _solve_zero_dimensional(gens, variables, 10_000) == got
 
+    @given(grid_systems(), st.data())
+    def test_repeated_and_shuffled_generators(self, system, data):
+        # the lex basis depends on the ideal only, so neither repeats nor the
+        # generator order change the points or the completeness flag
+        gens, variables, grid, split = system
+        repeats = data.draw(st.lists(st.sampled_from(gens), max_size=4))
+        shuffled = data.draw(st.permutations(gens + repeats))
+        got = _solve_zero_dimensional(shuffled, variables, 10_000)
+        assert (sorted(got[0]), got[1]) == (grid, split)
+
 
 SHIFT = Polynomial.shift
 
@@ -593,6 +604,57 @@ class TestIntegerCharts:
         assert len(got.singular_points) == 6
         assert any(x.denominator > 1 for pt in got.singular_points for x in pt)
         assert seen and set(seen) == {int}
+
+
+class TestClassifyWork:
+    """One classify call solves each distinct subproblem once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        seen = Counter()
+        buchberger, roots = detvar.buchberger, detvar._rational_roots
+        weights = detvar.quasi_homogeneous_weights
+
+        def counted_buchberger(ideal, order, *rest):
+            seen[order.kind] += 1
+            return buchberger(ideal, order, *rest)
+
+        def counted_roots(coeffs):
+            seen["rational_roots"] += 1
+            return roots(coeffs)
+
+        def counted_weights(polys):
+            seen["weights"] += 1
+            return weights(polys)
+
+        monkeypatch.setattr(detvar, "buchberger", counted_buchberger)
+        monkeypatch.setattr(detvar, "_rational_roots", counted_roots)
+        monkeypatch.setattr(detvar, "quasi_homogeneous_weights", counted_weights)
+        return seen
+
+    @staticmethod
+    def grid_model():
+        f, g = "(x - 1)*(x - 2)*(x + 3)", "(y - 2)*(y + 1)*(y + 4)"
+        matrix = PolyMatrix.from_strings([[f, g], [g, f]], ("x", "y"))
+        return DeterminantalModel(matrix, 2, AmbientSpace(AFFINE, 2))
+
+    def test_integer_grid(self, counts, shift_calls):
+        # the 1-minors are [f, g, g, f]; every root of g leaves the lex
+        # solver the subsystem [f], and each of the 9 points shares the
+        # shift of f with its column and that of g with its row
+        got = classify(self.grid_model())
+        assert got.singular_points == tuple(sorted(product((-3, 1, 2), (-4, -1, 2))))
+        assert not got.local_supported
+        assert counts == Counter({"grevlex": 2, "lex": 2, "rational_roots": 2,
+                                  "weights": 9})
+        assert len(shift_calls) == 6
+
+    def test_shifts_are_not_kept_past_the_call(self, shift_calls):
+        model = self.grid_model()
+        classify(model)
+        shift_calls.clear()
+        chart_ideal(model, (1, 2))
+        assert len(shift_calls) == 2
 
 
 class TestClassification:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import sys
 from fractions import Fraction
@@ -710,6 +711,19 @@ def exponent_differences(polys):
     return rows
 
 
+def always_simplex_weights(polys):
+    """Reference weight gate: the simplex decides even at full row rank."""
+    polys = [p for p in polys if p]
+    w = nonnegative_kernel_vector(row_basis(exponent_differences(polys)),
+                                  len(polys[0].variables))
+    if w is None:
+        return None
+    scale = math.lcm(*(Fraction(x).denominator for x in w))
+    ints = [int(x * scale) for x in w]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
 @st.composite
 def weight_systems(draw):
     nvars = draw(st.integers(min_value=2, max_value=4))
@@ -748,6 +762,25 @@ class TestWeights:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             quasi_homogeneous_weights([])
+
+    @given(weight_systems())
+    def test_full_rank_short_cut_matches_the_simplex(self, gens):
+        # the row basis is the same for any base monomial, so the simplex
+        # sees the same tableau and returns the same vertex
+        expected = always_simplex_weights(gens)
+        kernel_calls = []
+
+        def counted(rows, n):
+            kernel_calls.append(n)
+            return nonnegative_kernel_vector(rows, n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grobner._linalg, "nonnegative_kernel_vector", counted)
+            assert quasi_homogeneous_weights(gens) == expected
+        full_rank = _rank(exponent_differences(gens)) == len(gens[0].variables)
+        assert kernel_calls == ([] if full_rank else [len(gens[0].variables)])
+        if full_rank:
+            assert expected is None
 
     @given(weight_systems())
     def test_row_basis_keeps_the_feasibility_answer(self, gens):

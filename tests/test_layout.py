@@ -94,3 +94,30 @@ def test_cli_import_leaves_heavy_modules_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+
+
+def _is_container(node):
+    return isinstance(node, CONTAINERS) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "list", "set"))
+
+
+def test_detvar_memos_live_inside_one_call():
+    # the point solver and the chart shifts memoize per call; a module-level
+    # container or an lru_cache would carry them from one model to the next
+    path = Path(detsing.__file__).parent / "detvar.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    containers = [node.lineno for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and node.value is not None and _is_container(node.value)]
+    assert containers == [], f"module-level containers on lines {containers}"
+    caches = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+              or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+              or isinstance(node, ast.ImportFrom) and node.module == "functools"
+              and {a.name for a in node.names} & {"lru_cache", "cache"}]
+    assert caches == [], f"function caches on lines {caches}"
