@@ -5,24 +5,23 @@ file (schema below); output is a deterministic report, as text or with
 --json as machine-readable JSON.
 
 Exit codes: 0 success (report, identity verified, or value solved),
-1 identity violated, 2 input error, 3 unsupported input or resource limit.
+1 identity violated, 2 input error, 3 unsupported input or resource limit,
+4 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
-                     ProjectivePoint, chart_matrix, classify,
-                     is_point_on_variety, lower_locus_generators,
-                     lower_stratum_points, point_label)
+                     chart_matrix, classify, is_point_on_variety,
+                     lower_locus_generators, lower_stratum_points,
+                     parse_point, point_label)
 from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal,
                       ResourceLimitExceeded, buchberger, ideal_dimension,
                       quotient_dimension)
@@ -30,13 +29,14 @@ from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
                         SOLVED, VERIFIED, IndexLedger, LedgerEntry,
                         LedgerError, SingularPointRecord, cstar_fixed_points,
                         defect, defect_known, global_identity)
-from .polyalg import ParseError, PolyMatrix, minors, parse_polynomial
+from .polyalg import PolyMatrix, minors, parse_polynomial
 from .topo import UnsupportedDimensionError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -47,80 +47,49 @@ class UnsupportedError(Exception):
     """Structurally valid input outside the supported scope; exit code 3."""
 
 
-def _fail(message):
-    raise InputError(message)
+# the JSON type of each kind of value a model takes, as messages name it
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string",
+          list: "a list", dict: "a JSON object"}
+
+
+def _typed(value, kind, where):
+    # `type(...) is` keeps a JSON true from passing as an integer
+    if type(value) is not kind:
+        raise InputError(f"{where} must be {_KINDS[kind]}")
+    return value
 
 
 def _require_keys(obj, required, optional, where):
-    if not isinstance(obj, dict):
-        _fail(f"{where} must be a JSON object")
+    _typed(obj, dict, where)
     unknown = set(obj) - required - optional
     if unknown:
-        _fail(f"{where} has unknown keys: {', '.join(sorted(unknown))}")
+        raise InputError(f"{where} has unknown keys: {', '.join(sorted(unknown))}")
     missing = required - set(obj)
     if missing:
-        _fail(f"{where} is missing keys: {', '.join(sorted(missing))}")
+        raise InputError(f"{where} is missing keys: {', '.join(sorted(missing))}")
+    return obj
 
 
-def _as_int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(f"{where} must be an integer")
+def _per_variable(value, variables, where, noun):
+    if type(value) is not list or len(value) != len(variables):
+        raise InputError(f"{where} must list one {noun} per variable")
     return value
 
 
-def _as_bool(value, where):
-    if not isinstance(value, bool):
-        _fail(f"{where} must be a boolean")
-    return value
-
-
-def _as_str(value, where):
-    if not isinstance(value, str):
-        _fail(f"{where} must be a string")
-    return value
-
-
-def _as_polynomial(value, variables, where):
+def _parsed(parse, text, where, *context):
+    """parse(text, *context), naming `where` in the message of a bad text."""
     try:
-        return parse_polynomial(_as_str(value, where), variables)
-    except ParseError as e:
-        _fail(f"{where}: {e}")
-
-
-# an affine coordinate: an integer, a fraction of integers or a plain decimal;
-# no exponents, digit separators or non-ASCII digits
-_COORDINATE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
-
-
-def _parse_point(text, model, where):
-    """Parse a point string to the model's native point type."""
-    text = _as_str(text, where)
-    if model.ambient.kind == PROJECTIVE:
-        try:
-            pt = ProjectivePoint.parse(text)
-        except ValueError as e:
-            _fail(f"{where}: {e}")
-        if len(pt.coords) != len(model.variables):
-            _fail(f"{where}: expected {len(model.variables)} coordinates")
-        return pt
-    s = text.strip()
-    if not (s.startswith("(") and s.endswith(")")):
-        _fail(f"{where}: affine points look like (a, b), got {text!r}")
-    parts = [p.strip() for p in s[1:-1].split(",")]
-    if not all(_COORDINATE.fullmatch(p) for p in parts):
-        _fail(f"{where}: coordinates must be rational numbers")
-    try:
-        vals = tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
-        # ValueError: past the interpreter's limit on digits in int(str)
-        _fail(f"{where}: coordinates must be rational numbers")
-    if len(vals) != len(model.variables):
-        _fail(f"{where}: expected {len(model.variables)} coordinates")
-    return vals
+        return parse(_typed(text, str, where), *context)
+    except ValueError as e:
+        raise InputError(f"{where}: {e}")
 
 
 class WorkbenchInput:
-    """Validated model file: the model plus form, invariants, and knowns."""
+    """Validated model file: the model plus form, invariants, and knowns.
+
+    `singularities` maps a point's label to (point, its record fields) and
+    `known_indices` a point's label to (point, index).
+    """
 
     def __init__(self, path, model, weights, singularities, form_kind,
                  form_coefficients, chi_x, known_indices):
@@ -134,129 +103,115 @@ class WorkbenchInput:
         self.known_indices = known_indices
 
 
-# optional singularity record fields with their checks, in checking order
-_RECORD_FIELDS = {"n": _as_int, "p": _as_int, "t": _as_int, "d": _as_int,
-                  "mu": _as_int, "chi_smoothing": _as_int,
-                  "chi_lower_stratum": _as_int, "smoothable": _as_bool}
+# the optional singularity record fields with their JSON types, in checking
+# order
+_RECORD_FIELDS = {"n": int, "p": int, "t": int, "d": int, "mu": int,
+                  "chi_smoothing": int, "chi_lower_stratum": int,
+                  "smoothable": bool}
 
 
 def load_input(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        _fail(f"cannot read {path}: {e.strerror or e}")
+        raise InputError(f"cannot read {path}: {e.strerror or e}")
     except UnicodeDecodeError as e:
-        _fail(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}")
+        raise InputError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}")
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as e:
         # ValueError: a JSONDecodeError, or an integer past the interpreter's
         # limit on digits in int(str); RecursionError: arrays or objects
         # nested past the recursion limit
-        _fail(f"{path} is not valid JSON: {e}")
+        raise InputError(f"{path} is not valid JSON: {e}")
     _require_keys(data,
                   {"schema_version", "variables", "matrix", "t", "ambient",
                    "singularities"},
                   {"weights", "form", "known"}, "input")
-    if _as_int(data["schema_version"], "schema_version") != 1:
-        _fail("schema_version must be 1")
+    if _typed(data["schema_version"], int, "schema_version") != 1:
+        raise InputError("schema_version must be 1")
 
     variables = data["variables"]
     if (not isinstance(variables, list) or not variables
             or not all(isinstance(v, str) for v in variables)):
-        _fail("variables must be a nonempty list of strings")
+        raise InputError("variables must be a nonempty list of strings")
     if len(set(variables)) != len(variables):
-        _fail("variable names must be distinct")
+        raise InputError("variable names must be distinct")
 
     grid = data["matrix"]
     if (not isinstance(grid, list) or not grid
             or not all(isinstance(row, list) and row for row in grid)):
-        _fail("matrix must be a nonempty grid of polynomial strings")
-    rows = [[_as_polynomial(cell, variables, f"matrix[{i}][{j}]")
+        raise InputError("matrix must be a nonempty grid of polynomial strings")
+    rows = [[_parsed(parse_polynomial, cell, f"matrix[{i}][{j}]", variables)
              for j, cell in enumerate(row)]
             for i, row in enumerate(grid)]
     if not any(e for row in rows for e in row):
-        _fail("matrix must have a nonzero entry")
+        raise InputError("matrix must have a nonzero entry")
 
-    t = _as_int(data["t"], "t")
-    ambient = data["ambient"]
-    _require_keys(ambient, {"kind", "dim"}, set(), "ambient")
-    kind = _as_str(ambient["kind"], "ambient.kind")
+    t = _typed(data["t"], int, "t")
+    ambient = _require_keys(data["ambient"], {"kind", "dim"}, set(), "ambient")
+    kind = _typed(ambient["kind"], str, "ambient.kind")
     if kind not in (PROJECTIVE, AFFINE):
-        _fail('ambient.kind must be "projective" or "affine"')
-    dim = _as_int(ambient["dim"], "ambient.dim")
+        raise InputError('ambient.kind must be "projective" or "affine"')
+    dim = _typed(ambient["dim"], int, "ambient.dim")
     try:
         model = DeterminantalModel(PolyMatrix(rows), t, AmbientSpace(kind, dim))
     except ValueError as e:
-        _fail(str(e))
+        raise InputError(str(e))
 
     weights = None
     if "weights" in data:
-        w = data["weights"]
-        if not isinstance(w, list) or len(w) != len(variables):
-            _fail("weights must list one integer per variable")
-        weights = tuple(_as_int(x, f"weights[{i}]") for i, x in enumerate(w))
+        w = _per_variable(data["weights"], variables, "weights", "integer")
+        weights = tuple(_typed(x, int, f"weights[{i}]") for i, x in enumerate(w))
 
-    raw_sing = data["singularities"]
-    if not isinstance(raw_sing, list):
-        _fail("singularities must be a list")
-    singularities = []
-    seen = set()
-    for k, entry in enumerate(raw_sing):
+    singularities = {}
+    for k, entry in enumerate(_typed(data["singularities"], list,
+                                     "singularities")):
         where = f"singularities[{k}]"
         _require_keys(entry, {"point"}, _RECORD_FIELDS.keys(), where)
-        parsed = _parse_point(entry["point"], model, f"{where}.point")
-        label = point_label(parsed)
-        if label in seen:
-            _fail(f"{where}: duplicate singular point {label}")
-        seen.add(label)
-        fields = {key: check(entry[key], f"{where}.{key}")
-                  for key, check in _RECORD_FIELDS.items() if key in entry}
-        singularities.append({"label": label, "parsed": parsed,
-                              "fields": fields})
+        point = _parsed(parse_point, entry["point"], f"{where}.point", model)
+        label = point_label(point)
+        if label in singularities:
+            raise InputError(f"{where}: duplicate singular point {label}")
+        singularities[label] = point, {
+            key: _typed(entry[key], json_type, f"{where}.{key}")
+            for key, json_type in _RECORD_FIELDS.items() if key in entry}
 
-    form_kind = None
-    form_coefficients = None
+    form_kind = form_coefficients = None
     if "form" in data:
-        form = data["form"]
-        _require_keys(form, {"kind"}, {"coefficients"}, "form")
-        form_kind = _as_str(form["kind"], "form.kind")
+        form = _require_keys(data["form"], {"kind"}, {"coefficients"}, "form")
+        form_kind = _typed(form["kind"], str, "form.kind")
         if form_kind == "cstar":
             if "coefficients" in form:
-                _fail("a cstar form takes its data from weights, not coefficients")
+                raise InputError("a cstar form takes its data from weights, not coefficients")
             if weights is None:
-                _fail("a cstar form requires the weights field")
+                raise InputError("a cstar form requires the weights field")
         elif form_kind == "explicit":
             if "coefficients" not in form:
-                _fail("an explicit form requires coefficients")
+                raise InputError("an explicit form requires coefficients")
             if kind == PROJECTIVE:
-                _fail("explicit forms are supported in affine mode only")
-            coeffs = form["coefficients"]
-            if not isinstance(coeffs, list) or len(coeffs) != len(variables):
-                _fail("form.coefficients must list one polynomial per variable")
+                raise InputError("explicit forms are supported in affine mode only")
+            coeffs = _per_variable(form["coefficients"], variables,
+                                   "form.coefficients", "polynomial")
             form_coefficients = tuple(
-                _as_polynomial(c, variables, f"form.coefficients[{i}]")
+                _parsed(parse_polynomial, c, f"form.coefficients[{i}]", variables)
                 for i, c in enumerate(coeffs))
         else:
-            _fail('form.kind must be "cstar" or "explicit"')
+            raise InputError('form.kind must be "cstar" or "explicit"')
 
-    chi_x = None
+    known = _require_keys(data.get("known", {}), set(), {"chi_X", "indices"},
+                          "known")
+    chi_x = (_typed(known["chi_X"], int, "known.chi_X")
+             if "chi_X" in known else None)
     known_indices = {}
-    if "known" in data:
-        known = data["known"]
-        _require_keys(known, set(), {"chi_X", "indices"}, "known")
-        if "chi_X" in known:
-            chi_x = _as_int(known["chi_X"], "known.chi_X")
-        indices = known.get("indices", {})
-        if not isinstance(indices, dict):
-            _fail("known.indices must be a JSON object")
-        for key, value in indices.items():
-            parsed = _parse_point(key, model, f"known.indices[{key!r}]")
-            label = point_label(parsed)
-            if label in known_indices:
-                _fail(f"known.indices names {label} twice")
-            known_indices[label] = (parsed,
-                                    _as_int(value, f"known.indices[{key!r}]"))
+    for key, value in _typed(known.get("indices", {}), dict,
+                             "known.indices").items():
+        where = f"known.indices[{key!r}]"
+        point = _parsed(parse_point, key, where, model)
+        label = point_label(point)
+        if label in known_indices:
+            raise InputError(f"known.indices names {label} twice")
+        known_indices[label] = point, _typed(value, int, where)
 
     return WorkbenchInput(path, model, weights, singularities, form_kind,
                           form_coefficients, chi_x, known_indices)
@@ -281,62 +236,51 @@ def _classification_block(c):
 def _assemble_ledger(inp, classification):
     """Records and ledger entries from the input file and the form."""
     model = inp.model
+    defaults = {"n": model.n, "p": model.p, "t": model.t,
+                "d": classification.dimension,
+                "smoothable": classification.smoothable}
     records = []
-    for s in inp.singularities:
-        location = is_point_on_variety(model, s["parsed"])
+    for label, (point, fields) in inp.singularities.items():
+        location = is_point_on_variety(model, point)
         if location.kind == OUTSIDE:
-            _fail(f"singular point {s['label']} is not on the variety")
+            raise InputError(f"singular point {label} is not on the variety")
         if location.kind == SMOOTH_STRATUM:
-            _fail(f"{s['label']} lies in the smooth stratum, "
-                  "not the singular locus")
-        fields = s["fields"]
+            raise InputError(f"{label} lies in the smooth stratum, "
+                             "not the singular locus")
         try:
-            records.append(SingularPointRecord(
-                point=s["label"],
-                n=fields.get("n", model.n),
-                p=fields.get("p", model.p),
-                t=fields.get("t", model.t),
-                d=fields.get("d", classification.dimension),
-                smoothable=fields.get("smoothable", classification.smoothable),
-                mu=fields.get("mu"),
-                chi_smoothing=fields.get("chi_smoothing"),
-                chi_lower_stratum=fields.get("chi_lower_stratum")))
+            records.append(SingularPointRecord(label, **(defaults | fields)))
         except LedgerError as e:
-            _fail(str(e))
+            raise InputError(str(e))
     if classification.singular_points_exact:
         computed = sorted(point_label(p)
                           for p in classification.singular_points)
-        listed = sorted(r.point for r in records)
+        listed = sorted(inp.singularities)
         if computed != listed:
-            _fail("the singularities list does not match the computed "
-                  f"singular points (listed {listed}, computed {computed})")
+            raise InputError("the singularities list does not match the computed "
+                             f"singular points (listed {listed}, computed {computed})")
 
-    entries = []
-    consumed = set()
-    for record in records:
-        known = inp.known_indices.get(record.point)
-        consumed.add(record.point)
-        entries.append(LedgerEntry(record.point, ROLE_VARIETY_SINGULARITY,
-                                   known[1] if known else None))
+    entries = [LedgerEntry(label, ROLE_VARIETY_SINGULARITY,
+                           inp.known_indices.get(label, (None, None))[1])
+               for label in inp.singularities]
+    consumed = set(inp.singularities)
     if inp.form_kind == "cstar":
-        record_points = {r.point for r in records}
         try:
             fixed = cstar_fixed_points(model, inp.weights,
                                        classification.rank_basis)
         except ValueError as e:
-            _fail(str(e))
+            raise InputError(str(e))
         for pt, location in fixed:
             label = str(pt)
             if location.kind == ESSENTIAL_SINGULAR:
-                if label not in record_points:
-                    _fail(f"fixed point {label} is an essential singular "
-                          "point but is missing from the singularities list")
+                if label not in inp.singularities:
+                    raise InputError(f"fixed point {label} is an essential singular "
+                                     "point but is missing from the singularities list")
                 continue
             # index 1: distinct weights make a smooth fixed point a simple zero
             known = inp.known_indices.get(label)
             if known is not None and known[1] != 1:
-                _fail(f"known index {known[1]} at the smooth fixed point "
-                      f"{label} conflicts with the computed index 1")
+                raise InputError(f"known index {known[1]} at the smooth fixed point "
+                                 f"{label} conflicts with the computed index 1")
             consumed.add(label)
             entries.append(LedgerEntry(label, ROLE_SMOOTH_FORM_POINT, 1))
     for label, (parsed, value) in inp.known_indices.items():
@@ -344,7 +288,7 @@ def _assemble_ledger(inp, classification):
             continue
         location = is_point_on_variety(model, parsed)
         if location.kind != SMOOTH_STRATUM:
-            _fail(f"known index point {label} must lie in the smooth stratum")
+            raise InputError(f"known index point {label} must lie in the smooth stratum")
         entries.append(LedgerEntry(label, ROLE_SMOOTH_FORM_POINT, value))
     return records, entries
 
@@ -412,7 +356,7 @@ def cmd_verify(inp, args):
 
 def cmd_euler(inp, args):
     if inp.chi_x is not None:
-        _fail("euler solves for chi_X, but known.chi_X is already present")
+        raise InputError("euler solves for chi_X, but known.chi_X is already present")
     classification, records, entries = _ledger_context(inp, args.spair_budget)
     result = global_identity(IndexLedger(entries, None), records)
     report = _ledger_report(args, inp, classification, records, entries,
@@ -421,18 +365,18 @@ def cmd_euler(inp, args):
 
 
 def cmd_index(inp, args):
-    target = point_label(_parse_point(args.at, inp.model, "--at"))
+    target = point_label(_parsed(parse_point, args.at, "--at", inp.model))
     classification, records, entries = _ledger_context(inp, args.spair_budget)
     by_point = {e.point: e for e in entries}
     if target not in by_point:
-        _fail(f"point {target} is not in the ledger")
+        raise InputError(f"point {target} is not in the ledger")
     entry = by_point[target]
     if entry.role == ROLE_SMOOTH_FORM_POINT:
         result_block = {"status": SOLVED, "lhs": None, "rhs": None,
                         "name": f"index@{target}", "value": entry.index}
     else:
         if entry.index is not None:
-            _fail(f"the index at {target} is already given as {entry.index}")
+            raise InputError(f"the index at {target} is already given as {entry.index}")
         result = global_identity(IndexLedger(entries, inp.chi_x), records)
         result_block = _identity_block(result)
     report = _ledger_report(args, inp, classification, records, entries,
@@ -454,7 +398,7 @@ def cmd_groebner(inp, args):
         ideal = Ideal(matrix.variables, gens)
     else:
         if inp.form_kind != "explicit":
-            _fail("--ideal form needs an explicit form with coefficients")
+            raise InputError("--ideal form needs an explicit form with coefficients")
         ideal = Ideal(model.variables, inp.form_coefficients)
     basis = buchberger(ideal, GREVLEX, args.spair_budget)
     dimension = ideal_dimension(basis)
@@ -566,7 +510,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         if args.spair_budget < 1:
-            _fail("--spair-budget must be a positive integer")
+            raise InputError("--spair-budget must be a positive integer")
         inp = load_input(args.input)
         report, code = _COMMANDS[args.command](inp, args)
     except InputError as e:
@@ -578,6 +522,11 @@ def main(argv=None):
     except ResourceLimitExceeded as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except Exception as e:
+        # a fault of the program, never of the input: no traceback, and an
+        # exit code that no verdict uses
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - started) * 1000)
     _emit(report, args.json)

@@ -9,7 +9,6 @@ weighted-homogeneous, since all symbolic computations here are global.
 """
 
 import re
-from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -33,17 +32,11 @@ ESSENTIAL_SINGULAR = "essential_singular"
 MAX_ROOT_COEFFICIENT = 10 ** 12
 MAX_ROOT_CANDIDATES = 100_000
 
-# a projective point entry: ASCII digits with an optional minus sign, as
-# affine coordinates take them; no digit separators or non-ASCII digits
+# a projective point entry: ASCII digits with an optional minus sign; an
+# affine coordinate: an integer, a fraction of integers or a plain decimal.
+# Neither takes exponents, digit separators or non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+")
-
-# The entry shifts made by the chart ideals of the running `classify` call,
-# keyed by (scaled entry, offsets of the variables it contains): on a grid of
-# points, the points of one column share the shift of an entry in x alone.
-# `classify` sets a fresh dict and resets it on return, so the memo lives for
-# one call while `chart_ideal` keeps its (model, point) signature; outside
-# `classify` a chart ideal starts from an empty dict.
-_classify_shifts = ContextVar("classify_shifts", default=None)
+_COORDINATE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
 class AmbientSpace:
@@ -462,6 +455,33 @@ def _projective_points(gens, variables, spair_budget):
     return pts, complete
 
 
+def parse_point(text, model):
+    """The model's point named by [a:b:c] (projective, `ProjectivePoint.parse`)
+    or (a, b) (affine, a tuple of Fractions); ValueError on any other text
+    or on a coordinate count other than the model's variable count.
+    """
+    if model.ambient.kind == PROJECTIVE:
+        point = ProjectivePoint.parse(text)
+        count = len(point.coords)
+    else:
+        s = text.strip()
+        if not (s.startswith("(") and s.endswith(")")):
+            raise ValueError(f"affine points look like (a, b), got {text!r}")
+        parts = [p.strip() for p in s[1:-1].split(",")]
+        try:
+            if not all(_COORDINATE.fullmatch(p) for p in parts):
+                raise ValueError
+            # Fraction() raises past the interpreter's limit on digits, and
+            # on a zero denominator
+            point = tuple(Fraction(p) for p in parts)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError("coordinates must be rational numbers") from None
+        count = len(point)
+    if count != len(model.variables):
+        raise ValueError(f"expected {len(model.variables)} coordinates")
+    return point
+
+
 def point_label(point):
     """Report label of a point: [a:b:c] when projective, (a, b) when affine."""
     if isinstance(point, ProjectivePoint):
@@ -515,7 +535,7 @@ def chart_matrix(model, point):
     return _charted(model, {e: f.shift(offsets) for e, f in entries.items()})
 
 
-def chart_ideal(model, point):
+def chart_ideal(model, point, shifted=None):
     """t-minors of the germ chart at a point, with integer coefficients.
 
     With offsets P / q, every entry f of the centred chart becomes
@@ -524,8 +544,11 @@ def chart_ideal(model, point):
     c * L * q^(D - |m|) * (X + P)^m, all in integers.  Every entry takes the
     same constant, so each minor is a nonzero multiple of the chart minor at
     X / q: its monomials are those of the centred chart's minor, and so are
-    its weights.  Inside `classify`, the points share the shifts of equal
-    scaled entries whose variables have equal offsets.
+    its weights.
+
+    `shifted` memoizes the shifts by (scaled entry, offsets of its
+    variables); `classify` passes one dict for all its points, so on a grid
+    a column's points share the shift of an entry in x alone.
     """
     entries, numerators, q = _chart_frame(model, point)
     denom = lcm(*(c.denominator for f in entries.values() for c in f.terms.values()))
@@ -537,7 +560,6 @@ def chart_ideal(model, point):
             for m, c in f.terms.items()}) for e, f in entries.items()}
     if any(numerators):
         # a point at the chart's origin, such as a cone's vertex, needs no shift
-        shifted = _classify_shifts.get()
         if shifted is None:
             shifted = {}
         charted = {}
@@ -615,19 +637,16 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
         notes.append("singular locus is not a finite set of rational points; "
                      "points are reported symbolically by the lower rank ideal")
     local_supported = True
-    token = _classify_shifts.set({})
-    try:
-        for pt in points:
-            chart = chart_ideal(model, pt)
-            if not chart.generators:
-                continue
-            if quasi_homogeneous_weights(chart.generators) is None:
-                local_supported = False
-                notes.append(f"chart ideal at {point_label(pt)} is not "
-                             "weighted-homogeneous; symbolic local computations "
-                             "are unsupported")
-    finally:
-        _classify_shifts.reset(token)
+    shifted = {}
+    for pt in points:
+        chart = chart_ideal(model, pt, shifted)
+        if not chart.generators:
+            continue
+        if quasi_homogeneous_weights(chart.generators) is None:
+            local_supported = False
+            notes.append(f"chart ideal at {point_label(pt)} is not "
+                         "weighted-homogeneous; symbolic local computations "
+                         "are unsupported")
     return GermClassification(
         empty=False, codimension=codim, dimension=dimension,
         determinantal=determinantal, isolated_singularity=isolated,

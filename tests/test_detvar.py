@@ -25,6 +25,8 @@ from detsing.detvar import (
     is_point_on_variety,
     lower_locus_generators,
     minors_ideal,
+    parse_point,
+    point_label,
 )
 from detsing.grobner import (Ideal, ResourceLimitExceeded, buchberger,
                              ideal_dimension, normal_form,
@@ -99,6 +101,45 @@ class TestProjectivePoint:
         assert ProjectivePoint((Fraction(4, 2), 2)).coords == (1, 1)
         with pytest.raises(ValueError, match="must be integers"):
             ProjectivePoint((Fraction(1, 2), 1))
+
+
+class TestParsePoint:
+    """`parse_point` reads both point grammars into the model's point type."""
+
+    def affine_model(self):
+        matrix = PolyMatrix.from_strings([["x", "y"]], ("x", "y"))
+        return DeterminantalModel(matrix, 1, AmbientSpace(AFFINE, 2))
+
+    def test_projective(self):
+        point = parse_point(" [0:0:0:0:-2] ", catalecticant_model())
+        assert point == ProjectivePoint((0, 0, 0, 0, 1))
+        assert point_label(point) == "[0:0:0:0:1]"
+
+    def test_affine(self):
+        point = parse_point("(-3/4, 0.25)", self.affine_model())
+        assert point == (Fraction(-3, 4), Fraction(1, 4))
+        assert point_label(point) == "(-3/4, 1/4)"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[0:0:1]", "expected 5 coordinates"),
+        ("(0, 0, 0, 0, 1)", "must look like"),
+        ("[0:0:0:0:1.0]", "entries must be integers"),
+        ("[0:0:0:0:0]", "needs a nonzero coordinate"),
+    ])
+    def test_projective_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_point(text, catalecticant_model())
+
+    @pytest.mark.parametrize("text, message", [
+        ("(0)", "expected 2 coordinates"),
+        ("[0:1]", "look like"),
+        ("(1e3, 0)", "rational numbers"),
+        ("(1/0, 0)", "rational numbers"),
+        ("(" + "9" * 5000 + ", 0)", "rational numbers"),
+    ])
+    def test_affine_errors(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_point(text, self.affine_model())
 
 
 class TestModelValidation:

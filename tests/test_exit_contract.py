@@ -1,12 +1,14 @@
-"""Exit-code contract of the command line tool under mutated inputs.
+"""Exit-code contract of the command line tool under mutated and generated inputs.
 
 Every run exits 0 (ok), 1 (identity violated), 2 (input error) or 3
 (unsupported or out of budget); exit 1 comes only with a report whose
 identity status is "violated", and nothing but argparse's usage exit escapes
-`main`.  The inputs are the bundled fixtures with one or two entries
-dropped, swapped for small atoms, or duplicated.  Files that `json.dumps`
-cannot write (bytes that are not UTF-8, integers past the interpreter's
-digit limit, arrays nested past the recursion limit) run as fresh processes.
+`main`.  Exit 4 (internal error) marks a fault of the program, so it fails
+these tests.  The inputs are the bundled fixtures with one or two entries
+dropped, swapped for small atoms, or duplicated, and small well-formed
+models drawn afresh.  Files that `json.dumps` cannot write (bytes that are
+not UTF-8, integers past the interpreter's digit limit, arrays nested past
+the recursion limit) run as fresh processes.
 """
 
 import contextlib
@@ -24,6 +26,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detsing
+from conftest import fixture_path
+from detsing import cli
 from detsing.cli import main
 
 FIXTURES = {
@@ -104,12 +108,16 @@ def workdir(tmp_path_factory):
          command=("verify",), pick=0)
 def test_exit_code_contract(workdir, case, command, pick):
     name, data, points = case
-    path = workdir / name
+    at = points[pick % len(points)] if points else "[1:0:0]"
+    check_contract(workdir / name, data, command, at)
+
+
+def check_contract(path, data, command, at):
     path.write_text(json.dumps(data), encoding="utf-8")
     argv = [command[0], str(path), *command[1:], "--json",
             "--spair-budget", BUDGET]
     if command[0] == "index":
-        argv += ["--at", points[pick % len(points)] if points else "[1:0:0]"]
+        argv += ["--at", at]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -121,6 +129,78 @@ def test_exit_code_contract(workdir, case, command, pick):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert json.loads(out.getvalue())["identity"]["status"] == "violated"
+
+
+def _entry(draw, nvars, degrees):
+    """An integer polynomial string of up to three terms, each of a degree
+    drawn from `degrees`."""
+    text = ""
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.integers(-3, 3).filter(bool))
+        degree = draw(st.sampled_from(degrees))
+        factors = [str(abs(c))] + [
+            f"x{draw(st.integers(0, nvars - 1))}" for _ in range(degree)]
+        text += (" - " if c < 0 else " + ") + "*".join(factors)
+    return text.removeprefix(" + ").strip() or "0"
+
+
+@st.composite
+def small_models(draw):
+    """A well-formed model: up to 3 x 3, 2 to 4 variables, linear or
+    quadratic integer entries (homogeneous of one degree when projective),
+    and, sometimes, weights with a cstar form and a known chi_X."""
+    nvars = draw(st.integers(2, 4))
+    projective = draw(st.booleans())
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    degrees = [draw(st.integers(1, 2))] if projective else [0, 1, 2]
+    data = {
+        "schema_version": 1,
+        "variables": [f"x{i}" for i in range(nvars)],
+        "matrix": [[_entry(draw, nvars, degrees) for _ in range(cols)]
+                   for _ in range(rows)],
+        "t": draw(st.integers(1, min(rows, cols))),
+        "ambient": {"kind": "projective" if projective else "affine",
+                    "dim": nvars - 1 if projective else nvars},
+        "singularities": [],
+    }
+    if draw(st.booleans()):
+        data["weights"] = draw(st.lists(st.integers(0, 6), min_size=nvars,
+                                        max_size=nvars))
+        data["form"] = {"kind": "cstar"}
+    if draw(st.booleans()):
+        data["known"] = {"chi_X": draw(st.integers(-1, 5))}
+    if projective:
+        at = "[" + ":".join(["1"] + ["0"] * (nvars - 1)) + "]"
+    else:
+        at = "(" + ", ".join(["0"] * nvars) + ")"
+    return data, at
+
+
+@given(case=small_models())
+def test_exit_code_contract_on_generated_models(workdir, case):
+    data, at = case
+    for command in COMMANDS:
+        check_contract(workdir / "generated.json", data, command, at)
+
+
+def test_internal_error_exits_4(monkeypatch, run_cli):
+    def broken(*args):
+        raise RuntimeError("classification broke")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    code, out, err = run_cli("analyze", fixture_path("twisted_cubic.json"))
+    assert (code, out) == (4, "")
+    assert err == "internal error: RuntimeError: classification broke\n"
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_interrupts_pass_through(monkeypatch, stop):
+    def interrupted(*args):
+        raise stop
+
+    monkeypatch.setattr(cli, "classify", interrupted)
+    with pytest.raises(stop):
+        main(["analyze", fixture_path("twisted_cubic.json")])
 
 
 FIXTURE_TEXT = json.dumps(FIXTURES["twisted_cubic.json"])

@@ -106,14 +106,23 @@ def _is_container(node):
         and node.func.id in ("dict", "list", "set"))
 
 
+def _is_context_var(node):
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "ContextVar"
+            or isinstance(func, ast.Attribute) and func.attr == "ContextVar")
+
+
 def test_detvar_memos_live_inside_one_call():
     # the point solver and the chart shifts memoize per call; a module-level
-    # container or an lru_cache would carry them from one model to the next
+    # container, context variable or lru_cache would carry them from one
+    # model to the next, or hide them from the signatures
     path = Path(detsing.__file__).parent / "detvar.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     containers = [node.lineno for node in tree.body
                   if isinstance(node, (ast.Assign, ast.AnnAssign))
-                  and node.value is not None and _is_container(node.value)]
+                  and node.value is not None
+                  and (_is_container(node.value)
+                       or _is_context_var(node.value))]
     assert containers == [], f"module-level containers on lines {containers}"
     caches = [node.lineno for node in ast.walk(tree)
               if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
@@ -121,3 +130,13 @@ def test_detvar_memos_live_inside_one_call():
               or isinstance(node, ast.ImportFrom) and node.module == "functools"
               and {a.name for a in node.names} & {"lru_cache", "cache"}]
     assert caches == [], f"function caches on lines {caches}"
+
+
+def test_cli_leaves_point_syntax_to_detvar():
+    # `detvar.parse_point` owns both point grammars; the CLI adds only the
+    # location of a bad point to its message
+    path = Path(detsing.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [line for line, module in _imported_modules(tree)
+             if module in ("re", "fractions")]
+    assert lines == [], f"cli.py imports re or fractions on lines {lines}"
