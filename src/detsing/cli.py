@@ -142,9 +142,17 @@ def load_input(path):
     if (not isinstance(grid, list) or not grid
             or not all(isinstance(row, list) and row for row in grid)):
         raise InputError("matrix must be a nonempty grid of polynomial strings")
-    rows = [[_parsed(parse_polynomial, cell, f"matrix[{i}][{j}]", variables)
-             for j, cell in enumerate(row)]
-            for i, row in enumerate(grid)]
+    # equal cell strings share one parse and one Polynomial; a bad cell is
+    # never stored, so it fails at its first position
+    parsed = {}
+    rows = []
+    for i, row in enumerate(grid):
+        rows.append([])
+        for j, cell in enumerate(row):
+            if type(cell) is not str or cell not in parsed:
+                parsed[cell] = _parsed(parse_polynomial, cell,
+                                       f"matrix[{i}][{j}]", variables)
+            rows[i].append(parsed[cell])
     if not any(e for row in rows for e in row):
         raise InputError("matrix must have a nonzero entry")
 

@@ -535,7 +535,7 @@ def chart_matrix(model, point):
     return _charted(model, {e: f.shift(offsets) for e, f in entries.items()})
 
 
-def chart_ideal(model, point, shifted=None):
+def chart_ideal(model, point, shifted=None, products=None):
     """t-minors of the germ chart at a point, with integer coefficients.
 
     With offsets P / q, every entry f of the centred chart becomes
@@ -547,8 +547,10 @@ def chart_ideal(model, point, shifted=None):
     its weights.
 
     `shifted` memoizes the shifts by (scaled entry, offsets of its
-    variables); `classify` passes one dict for all its points, so on a grid
-    a column's points share the shift of an entry in x alone.
+    variables) and `products` the entry products of the minors (see
+    `polyalg.minors`); `classify` passes one dict of each for all its
+    points, so on a grid a column's points share the shift of an entry in x
+    alone, and f'(x)^2 in their minors is formed once.
     """
     entries, numerators, q = _chart_frame(model, point)
     denom = lcm(*(c.denominator for f in entries.values() for c in f.terms.values()))
@@ -572,7 +574,7 @@ def chart_ideal(model, point, shifted=None):
             charted[e] = shifted[key]
         entries = charted
     m = _charted(model, entries)
-    return Ideal(m.variables, minors(m, model.t))
+    return Ideal(m.variables, minors(m, model.t, products))
 
 
 def lower_stratum_points(model, spair_budget):
@@ -609,7 +611,10 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     locus is empty or consists of finitely many points, whose rational members
     are enumerated exactly when every eliminant splits over the rationals.
     Each singular point's chart ideal must be weighted-homogeneous for
-    symbolic local computations; otherwise `local_supported` is False.
+    symbolic local computations; otherwise `local_supported` is False.  The
+    points share one memo of chart shifts and one of entry products, and the
+    weight gate runs once per distinct chart support: it reads only the
+    monomials of the generators, so equal supports get the same answer.
     `rank_basis` is the reduced grevlex basis of the t-minors ideal.
     """
     if not any(e for row in model.matrix.entries for e in row):
@@ -637,12 +642,15 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
         notes.append("singular locus is not a finite set of rational points; "
                      "points are reported symbolically by the lower rank ideal")
     local_supported = True
-    shifted = {}
+    shifted, products, gates = {}, {}, {}
     for pt in points:
-        chart = chart_ideal(model, pt, shifted)
+        chart = chart_ideal(model, pt, shifted, products)
         if not chart.generators:
             continue
-        if quasi_homogeneous_weights(chart.generators) is None:
+        support = tuple(frozenset(g.terms) for g in chart.generators)
+        if support not in gates:
+            gates[support] = quasi_homogeneous_weights(chart.generators) is not None
+        if not gates[support]:
             local_supported = False
             notes.append(f"chart ideal at {point_label(pt)} is not "
                          "weighted-homogeneous; symbolic local computations "

@@ -535,20 +535,30 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols} over {self.variables})"
 
 
-def _det_cofactor(grid):
+def _det_cofactor(grid, products):
+    """Cofactor expansion along the first row.
+
+    `products` memoizes the 2 x 2-level products e * sub by (e, sub): there
+    both factors are matrix entries, whose hashes are cached, so minors that
+    share a pair of entries form their product once.  A deeper sub is a
+    fresh determinant, so deeper products are not memoized.
+    """
     n = len(grid)
     if n == 1:
         return grid[0][0]
-    variables = grid[0][0].variables
-    total = Polynomial.zero(variables)
+    total = Polynomial.zero(grid[0][0].variables)
     rest = grid[1:]
-    sign = 1
-    for j in range(n):
-        e = grid[0][j]
+    for j, e in enumerate(grid[0]):
         if e:
-            sub = [row[:j] + row[j + 1:] for row in rest]
-            total = total + sign * e * _det_cofactor(sub)
-        sign = -sign
+            sub = _det_cofactor([row[:j] + row[j + 1:] for row in rest], products)
+            if n == 2:
+                key = e, sub
+                prod = products.get(key)
+                if prod is None:
+                    prod = products[key] = e * sub
+            else:
+                prod = e * sub
+            total = total - prod if j & 1 else total + prod
     return total
 
 
@@ -556,16 +566,25 @@ def determinant(matrix):
     """Determinant of a square PolyMatrix, by cofactor expansion."""
     if matrix.rows != matrix.cols:
         raise ValueError("determinant requires a square matrix")
-    return _det_cofactor(matrix.entries)
+    return _det_cofactor(matrix.entries, {})
 
 
-def minors(matrix, size):
-    """All size x size minors, row index sets outer, column sets inner, lex order."""
+def minors(matrix, size, products=None):
+    """All size x size minors, row index sets outer, column sets inner, lex order.
+
+    `products` memoizes the products of pairs of entries that the cofactor
+    expansions form (see `_det_cofactor`); a caller charting many points of
+    one model, as `detvar.classify` does, passes one dict for all of them.
+    Without it each call uses a fresh dict.
+    """
     if not isinstance(size, int) or size < 1:
         raise ValueError("minor size must be a positive integer")
     if size > min(matrix.rows, matrix.cols):
         raise ValueError("minor size exceeds matrix dimensions")
-    return [_det_cofactor([[matrix.entries[i][j] for j in cset] for i in rset])
+    if products is None:
+        products = {}
+    return [_det_cofactor([[matrix.entries[i][j] for j in cset] for i in rset],
+                          products)
             for rset in combinations(range(matrix.rows), size)
             for cset in combinations(range(matrix.cols), size)]
 

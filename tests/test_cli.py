@@ -268,6 +268,26 @@ class TestInputValidation:
             "known": {"chi_X": 3},
         }
 
+    def test_equal_cells_parse_once(self, tmp_path, monkeypatch):
+        parses = []
+
+        def counted_parse(text, variables):
+            parses.append(text)
+            return polyalg.parse_polynomial(text, variables)
+
+        monkeypatch.setattr(cli, "parse_polynomial", counted_parse)
+        payload = self.base_payload()
+        entries = cli.load_input(self.write(tmp_path, payload)).model.matrix.entries
+        assert parses == ["x0", "x1", "x2", "x3"]
+        assert entries[0][1] is entries[1][0] and entries[0][2] is entries[1][1]
+
+    def test_repeated_bad_cell_fails_at_its_first_position(self, run_cli, tmp_path):
+        payload = self.base_payload()
+        payload["matrix"] = [["x0", "x1 +", "x2"], ["x1 +", "x2", "x3"]]
+        code, _, err = run_cli("analyze", self.write(tmp_path, payload))
+        assert code == 2
+        assert err.startswith("error: matrix[0][1]: ")
+
     def test_missing_file(self, run_cli):
         code, _, err = run_cli("verify", "/nonexistent/input.json")
         assert code == 2

@@ -647,6 +647,53 @@ class TestIntegerCharts:
         assert seen and set(seen) == {int}
 
 
+@st.composite
+def grid_models(draw):
+    """[[f(x), g(y)], [g(y), f(x)]] with t = 2, and its grid of points.
+
+    f and g are products of (q*v - p)^k over one to three distinct roots
+    p/q, integers or fractions, with k = 1 or 2.  The charts at a double root
+    and at a root where a shifted entry loses a coefficient (the middle of
+    -1, 0, 1) take supports of their own, and a single simple root in both
+    variables gives a weighted-homogeneous chart.
+    """
+    variables = ("x", "y")
+    entries, roots = [], []
+    for name in variables:
+        v = Polynomial.variable(variables, name)
+        rs = draw(st.lists(st.one_of(st.integers(min_value=-3, max_value=3),
+                                     small_fractions),
+                           min_size=1, max_size=3, unique_by=Fraction))
+        entry = Polynomial.constant(variables, 1)
+        for r in rs:
+            r = Fraction(r)
+            k = draw(st.integers(min_value=1, max_value=2))
+            entry = entry * (v * r.denominator - r.numerator) ** k
+        entries.append(entry)
+        roots.append(rs)
+    f, g = entries
+    model = DeterminantalModel(PolyMatrix([[f, g], [g, f]]), 2,
+                               AmbientSpace(AFFINE, 2))
+    return model, tuple(sorted(product(*roots)))
+
+
+def ungated_local_notes(model, points):
+    """(local_supported, notes) of `classify`'s point loop, done plainly.
+
+    Every point gets its own chart, with fresh memos, and its own run of the
+    weight gate.
+    """
+    supported, notes = True, []
+    for pt in points:
+        chart = chart_ideal(model, pt)
+        if chart.generators and quasi_homogeneous_weights(chart.generators) is None:
+            supported = False
+            notes.append(f"chart ideal at {point_label(pt)} is not "
+                         "weighted-homogeneous; symbolic local computations "
+                         "are unsupported")
+    return supported, tuple(notes)
+
+
 class TestClassifyWork:
     """One classify call solves each distinct subproblem once."""
 
@@ -679,16 +726,50 @@ class TestClassifyWork:
         matrix = PolyMatrix.from_strings([[f, g], [g, f]], ("x", "y"))
         return DeterminantalModel(matrix, 2, AmbientSpace(AFFINE, 2))
 
-    def test_integer_grid(self, counts, shift_calls):
+    @pytest.fixture
+    def chart_products(self, monkeypatch):
+        """The polynomial products formed inside `chart_ideal` calls."""
+        formed, inside = [], []
+        mul, chart = Polynomial.__mul__, detvar.chart_ideal
+
+        def counting_mul(self, other):
+            if inside and isinstance(other, Polynomial):
+                formed.append((self, other))
+            return mul(self, other)
+
+        def counted_chart(*args):
+            inside.append(True)
+            try:
+                return chart(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        monkeypatch.setattr(detvar, "chart_ideal", counted_chart)
+        return formed
+
+    def test_integer_grid(self, counts, shift_calls, chart_products):
         # the 1-minors are [f, g, g, f]; every root of g leaves the lex
         # solver the subsystem [f], and each of the 9 points shares the
-        # shift of f with its column and that of g with its row
+        # shift of f with its column and that of g with its row, and so the
+        # product f'*f' with its column and g'*g' with its row; the weight
+        # gate sees two supports, as g shifted to y = -1, the middle of its
+        # roots, is the odd y^3 - 9*y
         got = classify(self.grid_model())
         assert got.singular_points == tuple(sorted(product((-3, 1, 2), (-4, -1, 2))))
         assert not got.local_supported
         assert counts == Counter({"grevlex": 2, "lex": 2, "rational_roots": 2,
-                                  "weights": 9})
+                                  "weights": 2})
         assert len(shift_calls) == 6
+        assert len(chart_products) == 6
+
+    @given(grid_models())
+    def test_matches_fresh_charts_and_a_gate_at_every_point(self, case):
+        model, grid = case
+        got = classify(model)
+        assert got.singular_points == grid
+        assert got.singular_points_exact
+        assert (got.local_supported, got.notes) == ungated_local_notes(model, grid)
 
     def test_shifts_are_not_kept_past_the_call(self, shift_calls):
         model = self.grid_model()

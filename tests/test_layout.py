@@ -112,23 +112,54 @@ def _is_context_var(node):
             or isinstance(func, ast.Attribute) and func.attr == "ContextVar")
 
 
-def test_detvar_memos_live_inside_one_call():
-    # the point solver and the chart shifts memoize per call; a module-level
-    # container, context variable or lru_cache would carry them from one
-    # model to the next, or hide them from the signatures
-    path = Path(detsing.__file__).parent / "detvar.py"
+def _holds_memo(node):
+    # `a, b = set(), {}` binds a container as much as `b = {}` does
+    if isinstance(node, ast.Tuple):
+        return any(_holds_memo(element) for element in node.elts)
+    return _is_container(node) or _is_context_var(node)
+
+
+def _per_call_memo_faults(name, tables=()):
+    """Lines of `name` that hold a memo past one call.
+
+    Returns (module-level containers or context variables other than the
+    named `tables`, uses of lru_cache or cache).
+    """
+    path = Path(detsing.__file__).parent / name
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     containers = [node.lineno for node in tree.body
                   if isinstance(node, (ast.Assign, ast.AnnAssign))
-                  and node.value is not None
-                  and (_is_container(node.value)
-                       or _is_context_var(node.value))]
-    assert containers == [], f"module-level containers on lines {containers}"
+                  and node.value is not None and _holds_memo(node.value)
+                  and not _assigned_names(node) <= set(tables)]
     caches = [node.lineno for node in ast.walk(tree)
               if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
               or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
               or isinstance(node, ast.ImportFrom) and node.module == "functools"
               and {a.name for a in node.names} & {"lru_cache", "cache"}]
+    return containers, caches
+
+
+def _assigned_names(node):
+    # None stands for a target that is not a plain name, which no table has
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return {t.id if isinstance(t, ast.Name) else None for t in targets}
+
+
+def test_detvar_memos_live_inside_one_call():
+    # the point solver, the chart shifts and the weight gate memoize per
+    # call; a module-level container, context variable or lru_cache would
+    # carry them from one model to the next, or hide them from the
+    # signatures
+    containers, caches = _per_call_memo_faults("detvar.py")
+    assert containers == [], f"module-level containers on lines {containers}"
+    assert caches == [], f"function caches on lines {caches}"
+
+
+def test_polyalg_memos_live_inside_one_call():
+    # the products of the minors are memoized per call or per caller's dict;
+    # `_OPERATORS`, the tokenizer's fixed character set, is the one table
+    containers, caches = _per_call_memo_faults("polyalg.py", ("_OPERATORS",))
+    assert containers == [], f"module-level containers on lines {containers}"
     assert caches == [], f"function caches on lines {caches}"
 
 

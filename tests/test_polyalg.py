@@ -331,6 +331,25 @@ class TestMatrices:
             ]
             assert minors(m, size) == expected
 
+    @given(matrices(SQUARE_SHAPES + RECTANGULAR_SHAPES), st.data())
+    def test_minors_sharing_products_across_matrices(self, m, data):
+        # the second matrix reuses entries of the first, so the shared
+        # products both hit and miss
+        rows, cols = data.draw(st.sampled_from(SQUARE_SHAPES + RECTANGULAR_SHAPES))
+        pool = st.one_of(st.sampled_from([e for row in m.entries for e in row]),
+                         polynomials())
+        n = PolyMatrix([[data.draw(pool) for _ in range(cols)]
+                        for _ in range(rows)])
+        products = {}
+        for a in (m, n):
+            for size in range(1, min(a.rows, a.cols) + 1):
+                expected = [
+                    leibniz_det([[a.entries[i][j] for j in cs] for i in rs])
+                    for rs in combinations(range(a.rows), size)
+                    for cs in combinations(range(a.cols), size)
+                ]
+                assert minors(a, size, products) == minors(a, size) == expected
+
     def test_rank_at_points(self):
         m = PolyMatrix.from_strings(TWISTED, P4)
         assert rank_at_point(m, (0, 0, 0, 0, 1)) == 0
