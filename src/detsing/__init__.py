@@ -7,12 +7,11 @@ from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      GermClassification, PointLocation, ProjectivePoint,
                      chart_ideal, chart_matrix, classify, is_point_on_variety,
                      lower_locus_generators, minors_ideal)
-from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, LEX, GroebnerBasis,
-                      Ideal, MonomialOrder, ResourceLimitExceeded,
-                      SPairBudgetExceeded, buchberger, ideal_dimension,
-                      is_groebner_basis, is_reduced, normal_form,
-                      quasi_homogeneous_weights, quotient_dimension,
-                      s_polynomial)
+from .grobner import (DEFAULT_SPAIR_BUDGET, GroebnerBasis, Ideal,
+                      ResourceLimitExceeded, SPairBudgetExceeded, buchberger,
+                      eliminant, ideal_dimension, is_groebner_basis,
+                      normal_form, quasi_homogeneous_weights,
+                      quotient_dimension, s_polynomial)
 from .indexcalc import (IdentityResult, IndexLedger, LedgerEntry,
                         LedgerError, RadialDecomposition, SingularPointRecord,
                         cstar_fixed_points, defect, global_identity,

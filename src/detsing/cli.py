@@ -22,9 +22,8 @@ from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      chart_matrix, classify, is_point_on_variety,
                      lower_locus_generators, lower_stratum_points,
                      parse_point, point_label)
-from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, Ideal,
-                      ResourceLimitExceeded, buchberger, ideal_dimension,
-                      quotient_dimension)
+from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
+                      buchberger, ideal_dimension, quotient_dimension)
 from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
                         SOLVED, VERIFIED, IndexLedger, LedgerEntry,
                         LedgerError, SingularPointRecord, cstar_fixed_points,
@@ -408,7 +407,7 @@ def cmd_groebner(inp, args):
         if inp.form_kind != "explicit":
             raise InputError("--ideal form needs an explicit form with coefficients")
         ideal = Ideal(model.variables, inp.form_coefficients)
-    basis = buchberger(ideal, GREVLEX, args.spair_budget)
+    basis = buchberger(ideal, spair_budget=args.spair_budget)
     dimension = ideal_dimension(basis)
     quotient = quotient_dimension(basis)
     report = {

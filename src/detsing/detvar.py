@@ -13,8 +13,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from ._linalg import div, exact
-from .grobner import (DEFAULT_SPAIR_BUDGET, GREVLEX, LEX, Ideal,
-                      ResourceLimitExceeded, buchberger, ideal_dimension,
+from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
+                      buchberger, eliminant, ideal_dimension,
                       quasi_homogeneous_weights)
 from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
 
@@ -209,7 +209,7 @@ def lower_locus_generators(matrix, t):
     By Laplace expansion the t-minors already lie in this ideal, so they are
     not listed.  For t = 1 the stratum is empty: the unit ideal.  Equal
     minors repeat, as f and g do in [f, g, g, f] for [[f, g], [g, f]]; only
-    the lex point solver, `_solve_zero_dimensional`, drops the repeats.
+    the point solver, `_solve_zero_dimensional`, drops the repeats.
     """
     if t == 1:
         return [Polynomial.constant(matrix.variables, 1)]
@@ -378,7 +378,7 @@ def _substitute_last(g, root):
     return Polynomial._raw(g.variables, scaled).eliminate({len(g.variables) - 1: p})
 
 
-def _solve_zero_dimensional(gens, variables, spair_budget):
+def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
     """All rational points of a finite affine zero set.
 
     Returns (points, complete); complete is False when non-rational points
@@ -391,12 +391,14 @@ def _solve_zero_dimensional(gens, variables, spair_budget):
     Repeated generators are dropped, and each distinct (generators,
     variables) subsystem is solved once per call.  Roots often leave equal
     subsystems: on a grid f(x) = g(y) = 0 every root of g leaves [f].
+    `basis`, when given, is the reduced basis of the ideal of `gens` in
+    `variables`, and the top-level subsystem uses it instead of its own.
     """
-    return _solve(gens, tuple(variables), spair_budget, {})
+    return _solve(gens, tuple(variables), spair_budget, {}, basis)
 
 
-def _solve(gens, variables, spair_budget, solved):
-    # `solved` maps each subsystem met so far in this call that needs a lex
+def _solve(gens, variables, spair_budget, solved, basis=None):
+    # `solved` maps each subsystem met so far in this call that needs a
     # basis, as (distinct generators, variables), to its (points, complete)
     gens = [g for g in gens if g]
     if any(g.total_degree() == 0 for g in gens):
@@ -405,29 +407,19 @@ def _solve(gens, variables, spair_budget, solved):
         return [tuple()], True
     key = tuple(dict.fromkeys(gens)), variables
     if key not in solved:
-        solved[key] = _solve_distinct(*key, spair_budget, solved)
+        solved[key] = _solve_distinct(*key, spair_budget, solved, basis)
     return solved[key]
 
 
-def _solve_distinct(gens, variables, spair_budget, solved):
-    # the lex basis and root substitution of one distinct subsystem
-    gb = buchberger(Ideal(variables, gens), LEX, spair_budget)
+def _solve_distinct(gens, variables, spair_budget, solved, gb):
+    # the eliminant and root substitution of one distinct subsystem
+    if gb is None:
+        gb = buchberger(Ideal(variables, gens), spair_budget=spair_budget)
     if any(p.total_degree() == 0 for p in gb.polynomials):
         return [], True
     if ideal_dimension(gb) > 0:
         return [], False
-    last = len(variables) - 1
-    eliminant = None
-    for p in gb.polynomials:
-        if all(all(e == 0 for i, e in enumerate(m) if i != last) for m in p.terms):
-            if eliminant is None or p.total_degree() < eliminant.total_degree():
-                eliminant = p
-    if eliminant is None:
-        return [], False
-    coeffs = [0] * (eliminant.total_degree() + 1)
-    for m, c in eliminant.terms.items():
-        coeffs[m[last]] = c
-    roots, complete = _rational_roots(coeffs)
+    roots, complete = _rational_roots(eliminant(gb))
     points = []
     for r, _mult in roots:
         sub_points, sub_complete = _solve(
@@ -588,7 +580,8 @@ def lower_stratum_points(model, spair_budget):
     """
     projective = model.ambient.kind == PROJECTIVE
     lower_gens = lower_locus_generators(model.matrix, model.t)
-    gb_low = buchberger(Ideal(model.variables, lower_gens), GREVLEX, spair_budget)
+    gb_low = buchberger(Ideal(model.variables, lower_gens),
+                        spair_budget=spair_budget)
     dim_low = ideal_dimension(gb_low)
     if projective and 0 <= dim_low <= 1:
         points, exact = _projective_points(lower_gens, model.variables,
@@ -596,7 +589,7 @@ def lower_stratum_points(model, spair_budget):
         return tuple(points), exact, dim_low
     if not projective and dim_low == 0:
         points, exact = _solve_zero_dimensional(lower_gens, model.variables,
-                                                spair_budget)
+                                                spair_budget, gb_low)
         return tuple(sorted(points)), exact, dim_low
     return (), dim_low <= (1 if projective else 0), dim_low
 
@@ -622,7 +615,7 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     projective = model.ambient.kind == PROJECTIVE
     notes = []
     nvars = len(model.variables)
-    gb_t = buchberger(minors_ideal(model, model.t), GREVLEX, spair_budget)
+    gb_t = buchberger(minors_ideal(model, model.t), spair_budget=spair_budget)
     dim_t = ideal_dimension(gb_t)
     smoothable = model.smoothable_type()
     dimension = dim_t - 1 if projective else dim_t

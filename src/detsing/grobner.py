@@ -1,4 +1,4 @@
-"""Buchberger engine with normal forms and dimension counts.
+"""Buchberger engine (grevlex) with normal forms, eliminants and dimension counts.
 
 All computations run over global polynomial rings.  Local (germ level)
 conclusions are only drawn for weighted-homogeneous ideals, where the cone
@@ -8,9 +8,9 @@ structure makes the global answers equal to the local ones; the
 
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, count
 from math import gcd, lcm
-from operator import add, le, mul
+from operator import add, mul
 
 from . import _linalg
 from ._linalg import div, exact
@@ -25,36 +25,6 @@ class ResourceLimitExceeded(RuntimeError):
 
 class SPairBudgetExceeded(ResourceLimitExceeded):
     """Buchberger processed more S-pairs than the configured budget."""
-
-
-class MonomialOrder:
-    """Total monomial order on exponent tuples: "grevlex" or "lex".
-
-    Orders of one kind compare and hash equal; `_packing` caches on them.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind):
-        if kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    def __eq__(self, other):
-        if not isinstance(other, MonomialOrder):
-            return NotImplemented
-        return self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def key(self, exps):
-        """Sort key: larger key means larger monomial."""
-        return exps if self.kind == "lex" else _grevlex_key(exps)
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
 
 
 class Ideal:
@@ -77,39 +47,38 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced monic basis, listed in descending leading-monomial order."""
+    """Reduced monic grevlex basis, listed in descending leading-monomial order."""
 
-    __slots__ = ("variables", "order", "polynomials")
+    __slots__ = ("variables", "polynomials")
 
-    def __init__(self, variables, order, polynomials):
+    def __init__(self, variables, polynomials):
         self.variables = variables
-        self.order = order
         self.polynomials = polynomials
 
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return (self.variables == other.variables and self.order == other.order
+        return (self.variables == other.variables
                 and self.polynomials == other.polynomials)
 
     def leading_monomials(self):
-        return tuple(p.leading_monomial(self.order.key) for p in self.polynomials)
+        return tuple(p.leading_monomial() for p in self.polynomials)
 
 
-def leading_term(f, order=GREVLEX):
-    """(monomial, coefficient) of the largest term of a nonzero polynomial."""
-    lm = f.leading_monomial(order.key)
+def leading_term(f):
+    """(monomial, coefficient) of the grevlex-largest term of a nonzero polynomial."""
+    lm = f.leading_monomial()
     return lm, f.terms[lm]
 
 
-def s_polynomial(f, g, order=GREVLEX):
+def s_polynomial(f, g):
     """S-polynomial: the leading terms cancel against their least common multiple.
 
     Built in one pass over both term maps as f*(l/lm_f)/lc_f - g*(l/lm_g)/lc_g,
     where l is the lcm of the two leading monomials.
     """
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
+    fm, fc = leading_term(f)
+    gm, gc = leading_term(g)
     l = tuple(map(max, fm, gm))
     u = _mono_sub(l, fm)
     res = {tuple(map(add, u, m)): c if fc == 1 else div(c, fc)
@@ -130,34 +99,30 @@ class _FieldOverflow(Exception):
 
 
 class _Packing:
-    """Exponent vectors packed into one int that is also the order key.
+    """Exponent vectors packed into one int that is also the grevlex key.
 
-    Each exponent has a `width`-bit field whose top bit is a guard.  Under
-    lex the fields run e_0 ... e_{n-1} from the top and the int is the key;
-    under grevlex the key is deg * 2^S minus the fields e_{n-1} ... e_0
-    (S = n * width).  Either key is linear in the exponents, so a product is
-    an addition.  In the fields alone, the view (key * sign) & mask, a
-    divides b exactly when view(b) - view(a) sets no guard bit.
+    Each exponent has a `width`-bit field whose top bit is a guard, and the
+    key is deg * 2^S minus the fields e_{n-1} ... e_0 (S = n * width).  The
+    key is linear in the exponents, so a product is an addition.  In the
+    fields alone, the view -key & mask, a divides b exactly when
+    view(b) - view(a) sets no guard bit.  A grevlex reduction never raises
+    the degree of the term it cancels, so degrees under `limit`, the keys
+    up to `ceiling`, keep every field in range.
     """
 
-    def __init__(self, nvars, order, width):
-        lex = order.kind == "lex"
-        fields = [i * width for i in range(nvars)]
-        self.shifts = fields[::-1] if lex else fields
+    def __init__(self, nvars, width):
+        self.shifts = [i * width for i in range(nvars)]
         self.limit = 1 << (width - 1)
-        self.guards = sum(self.limit << s for s in fields)
+        self.guards = sum(self.limit << s for s in self.shifts)
         self.fmask = (1 << width) - 1
-        top = 0 if lex else 1 << (nvars * width)
-        self.sign, self.mask = (1 if lex else -1), top - 1
-        self.weights = [self.sign * ((1 << s) - top) for s in self.shifts]
-        # a grevlex product has at most the degree of the term it cancels, so
-        # degrees under `limit` keep every field in range; a lex product can
-        # outgrow the fields of both factors
-        self.check, self.bound = (self.guards, max) if lex else (0, sum)
+        top = 1 << (nvars * width)
+        self.mask = top - 1
+        self.ceiling = (self.limit - 1) * top
+        self.weights = [top - (1 << s) for s in self.shifts]
 
     def pack(self, terms):
         """{key: coefficient} of a term map; _FieldOverflow if a monomial won't fit."""
-        if terms and max(map(self.bound, terms)) >= self.limit:
+        if terms and max(map(sum, terms)) >= self.limit:
             raise _FieldOverflow
         weights = self.weights
         return {sum(map(mul, m, weights)): c for m, c in terms.items()}
@@ -167,23 +132,23 @@ class _Packing:
         lm = max(terms)
         lc = terms[lm]
         tail = [(m, c if lc == 1 else div(c, lc)) for m, c in terms.items() if m != lm]
-        return (lm * self.sign) & self.mask, lm, tail
+        return -lm & self.mask, lm, tail
 
     def unpack(self, variables, items):
         """Polynomial of (key, coefficient) pairs, integral coefficients as ints."""
-        sign, mask, fmask, shifts = self.sign, self.mask, self.fmask, self.shifts
+        mask, fmask, shifts = self.mask, self.fmask, self.shifts
         terms = {}
         for m, c in items:
-            v = (m * sign) & mask
+            v = -m & mask
             terms[tuple([(v >> s) & fmask for s in shifts])] = (
                 c if type(c) is int else exact(c))
         return Polynomial._raw(variables, terms)
 
 
 @lru_cache(maxsize=64)
-def _packing(nvars, order, width):
+def _packing(nvars, width):
     # a packing never changes once built, and most calls share a few shapes
-    return _Packing(nvars, order, width)
+    return _Packing(nvars, width)
 
 
 def _remainder(work, divisors, pk):
@@ -192,19 +157,17 @@ def _remainder(work, divisors, pk):
     The largest remaining term is divided by the first divisor, in list
     order, whose leading monomial divides it, or else moves to the remainder.
     """
-    sign, mask, guards, check = pk.sign, pk.mask, pk.guards, pk.check
+    mask, guards = pk.mask, pk.guards
     remainder = {}
     while work:
         lm = max(work)
         lc = work.pop(lm)
-        v = (lm * sign) & mask
+        v = -lm & mask
         for dv, dk, tail in divisors:
             if not (v - dv) & guards:
                 q = lm - dk
                 for m, c in tail:
                     m += q
-                    if m & check:
-                        raise _FieldOverflow
                     s = work.get(m, 0) - lc * c
                     if s:
                         work[m] = s
@@ -216,19 +179,16 @@ def _remainder(work, divisors, pk):
     return remainder
 
 
-def _widening(nvars, order, polys, run):
+def _widening(nvars, polys, run):
     """run(packing), started again with fields twice as wide on each overflow.
 
-    The first fields hold twice the largest degree (grevlex) or exponent
-    (lex) in `polys`.
+    The first fields hold twice the largest degree in `polys`.
     """
-    monomials = chain.from_iterable(p.terms for p in polys)
-    top = max(chain.from_iterable(monomials) if order.kind == "lex"
-              else map(sum, monomials), default=0)
+    top = max(map(sum, chain.from_iterable(p.terms for p in polys)), default=0)
     width = (2 * top).bit_length() + 1
     while True:
         try:
-            return run(_packing(nvars, order, width))
+            return run(_packing(nvars, width))
         except _FieldOverflow:
             width *= 2
 
@@ -244,11 +204,62 @@ def normal_form(f, basis):
         divisors = [pk.divisor(pk.pack(p.terms)) for p in basis.polynomials]
         return pk.unpack(f.variables, _remainder(pk.pack(f.terms), divisors, pk).items())
 
-    return _widening(len(f.variables), basis.order, (f, *basis.polynomials), run)
+    return _widening(len(f.variables), (f, *basis.polynomials), run)
 
 
-def buchberger(ideal, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
-    """Reduced Groebner basis by Buchberger's algorithm.
+def eliminant(gb):
+    """Ascending coefficients of the monic generator of I ∩ Q[x_last].
+
+    I is the ideal of a GroebnerBasis whose quotient ring is finite, and the
+    generator is the minimal polynomial of multiplication by the last
+    variable on Q[x]/I: the first linear dependence among the normal forms
+    NF(1), NF(x_last), NF(x_last^2), ... (Cox, Little & O'Shea, *Using
+    Algebraic Geometry*, ch. 2 §4; Faugere, Gianni, Lazard & Mora 1993).
+    Each normal form is the remainder of x_last times the one before, kept
+    packed, and is reduced on arrival against an echelon form keyed by its
+    pivot monomial.  The power x_last^j rides along under the negative key
+    -1 - j, so a vector whose keys are all negative is the dependence.  It
+    takes at most quotient_dimension(gb) + 1 steps; a basis in one variable
+    is its own generator.  Raises ValueError when the quotient is infinite.
+    """
+    nvars = len(gb.variables)
+    lms = gb.leading_monomials()
+    if not nvars or not all(any(lm[i] == sum(lm) for lm in lms) for i in range(nvars)):
+        raise ValueError("eliminant needs a basis with a finite quotient")
+    if nvars == 1:
+        (p,) = gb.polynomials
+        return [p.terms.get((e,), 0) for e in range(p.total_degree() + 1)]
+
+    def run(pk):
+        divisors = [pk.divisor(pk.pack(p.terms)) for p in gb.polynomials]
+        step = pk.weights[-1]
+        rows = {}  # pivot key -> the rest of its row, divided by its pivot
+        power = _remainder({0: 1}, divisors, pk)
+        for k in count():
+            vector = {**power, -1 - k: 1}
+            while (m := max(vector)) in rows:
+                c = vector.pop(m)
+                for q, a in rows[m]:
+                    s = vector.get(q, 0) - c * a
+                    if s:
+                        vector[q] = s
+                    else:
+                        del vector[q]
+            if m < 0:
+                return [exact(vector.get(-1 - j, 0)) for j in range(k + 1)]
+            c = vector.pop(m)
+            rows[m] = [(q, div(a, c)) for q, a in vector.items()]
+            # x_last * NF(x_last^k) may outgrow the fields; the grevlex
+            # reduction that follows keeps within its degree
+            if max(power) + step > pk.ceiling:
+                raise _FieldOverflow
+            power = _remainder({m + step: c for m, c in power.items()}, divisors, pk)
+
+    return _widening(nvars, gb.polynomials, run)
+
+
+def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
+    """Reduced grevlex Groebner basis by Buchberger's algorithm.
 
     Pair selection is the normal strategy, lowest lcm total degree first with
     ties broken by pair enumeration order: pending pairs sit in a heap keyed
@@ -268,13 +279,12 @@ def buchberger(ideal, order=GREVLEX, spair_budget=DEFAULT_SPAIR_BUDGET):
     formed, so `s_polynomial` is called once per reduced pair.
     """
     spolys = {}
-    return _widening(len(ideal.variables), order, ideal.generators,
-                     lambda pk: _buchberger(ideal, order, spair_budget, pk, spolys))
+    return _widening(len(ideal.variables), ideal.generators,
+                     lambda pk: _buchberger(ideal, spair_budget, pk, spolys))
 
 
-def _buchberger(ideal, order, spair_budget, pk, spolys):
-    variables, guards, weights = ideal.variables, pk.guards, pk.weights
-    sign, mask = pk.sign, pk.mask
+def _buchberger(ideal, spair_budget, pk, spolys):
+    variables, guards, weights, mask = ideal.variables, pk.guards, pk.weights, pk.mask
     basis, lms, packed, pairs, taken = [], [], [], [], set()
 
     def join(p, lm, d):
@@ -296,10 +306,10 @@ def _buchberger(ideal, order, spair_budget, pk, spolys):
                 packed[k] = v, key, tail
 
     for g in ideal.generators:
-        lm, lc = leading_term(g, order)
+        lm, lc = leading_term(g)
         p = Polynomial._raw(variables, {m: div(c, lc) for m, c in g.terms.items()})
         key = sum(map(mul, lm, weights))
-        join(p, lm, ((key * sign) & mask, key, None))
+        join(p, lm, (-key & mask, key, None))
     unpacked = range(len(basis))
     processed = 0
     while pairs:
@@ -312,14 +322,14 @@ def _buchberger(ideal, order, spair_budget, pk, spolys):
         a, b = lms[i], lms[j]
         if not any(map(min, a, b)):
             continue
-        lv = (sum(map(mul, map(max, a, b), weights)) * sign) & mask
+        lv = -sum(map(mul, map(max, a, b), weights)) & mask
         if any(not (lv - d[0]) & guards and k != i and k != j
                and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
                for k, d in enumerate(packed)):
             continue
         s = spolys.get((i, j))
         if s is None:
-            s = spolys[i, j] = s_polynomial(basis[i], basis[j], order)
+            s = spolys[i, j] = s_polynomial(basis[i], basis[j])
         work = pk.pack(s.terms)
         if not work:
             continue
@@ -346,7 +356,7 @@ def _buchberger(ideal, order, spair_budget, pk, spolys):
             if rem != tail:
                 packed[k] = v, lm, list(rem.items())
                 basis[k] = pk.unpack(variables, [(lm, 1), *packed[k][2]])
-    return GroebnerBasis(variables, order, tuple(basis[k] for k in reversed(minimal)))
+    return GroebnerBasis(variables, tuple(basis[k] for k in reversed(minimal)))
 
 
 def is_groebner_basis(gb):
@@ -354,22 +364,7 @@ def is_groebner_basis(gb):
     polys = gb.polynomials
     for j in range(len(polys)):
         for i in range(j):
-            if normal_form(s_polynomial(polys[i], polys[j], gb.order), gb):
-                return False
-    return True
-
-
-def is_reduced(gb):
-    """Monic, and no leading monomial divides any monomial of another element."""
-    key = gb.order.key
-    lms = gb.leading_monomials()
-    for i, p in enumerate(gb.polynomials):
-        if p.terms[p.leading_monomial(key)] != 1:
-            return False
-        for j, lm in enumerate(lms):
-            if i == j:
-                continue
-            if any(all(map(le, lm, m)) for m in p.terms):
+            if normal_form(s_polynomial(polys[i], polys[j]), gb):
                 return False
     return True
 

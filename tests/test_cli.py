@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -472,11 +473,12 @@ class TestInputValidation:
         code, _, err = run_cli(*argv, "--spair-budget", "15")
         assert code == 0 and err == ""
 
-    def test_lex_solver_budget_boundary(self, run_cli, tmp_path):
-        # a rational 3x3 grid of singular points: the grevlex basis of the
-        # 1-minors [f, g, g, f] takes their 6 pairs, and the lex point solver
-        # then solves [f, g] and [f] within the same budget.  The germs are
-        # not weighted-homogeneous, so a completed report also exits 3.
+    def test_point_solver_budget_boundary(self, run_cli, tmp_path):
+        # a rational 3x3 grid of singular points: the basis of the 1-minors
+        # [f, g, g, f] takes their 6 pairs, the point solver reads the
+        # eliminant of [f, g] from that basis, and the basis of [f] takes
+        # fewer.  The germs are not weighted-homogeneous, so a completed
+        # report also exits 3.
         f, g = "(x - 1)*(2*x + 1)*(x + 3)", "(y - 2)*(3*y - 1)*(y + 1)"
         path = self.write(tmp_path, {
             "schema_version": 1, "variables": ["x", "y"],
@@ -489,6 +491,24 @@ class TestInputValidation:
         assert code == 3 and err == ""
         assert "singular_points_exact: true" in out
         assert out.count("is not weighted-homogeneous") == 9
+
+    def test_point_solver_on_a_quotient_of_dimension_twenty(self, run_cli, tmp_path):
+        # the lower ideal has a 19-element basis and a quotient of dimension
+        # 20; its eliminant has degree 10 and the single rational root 0,
+        # which leaves no rational point.  A lex basis of these generators
+        # ran for minutes on Fraction growth.
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": ["x0", "x1", "x2", "x3"],
+            "matrix": [["x3", "x0 + 3*x1*x2", "0"],
+                       ["-2*x0", "3*x3 - 3", "2*x1^2 - 1"],
+                       ["5", "-2*x0 - x2^2 - 1", "x1*x3 - 2*x0*x3"]],
+            "t": 3, "ambient": {"kind": "affine", "dim": 4}, "singularities": []})
+        started = time.perf_counter()
+        code, out, err = run_cli("analyze", path)
+        assert time.perf_counter() - started < 5
+        assert code == 0 and err == ""
+        assert "singular_points: (none)" in out
+        assert "singular_points_exact: false" in out
 
     @pytest.mark.parametrize("indices", [[], "[0:0:0:0:1]", 3, True],
                              ids=["list", "string", "int", "bool"])
@@ -651,9 +671,9 @@ class TestLedgerWork:
         buchberger, rank_at_point = grobner.buchberger, polyalg.rank_at_point
         weights = grobner.quasi_homogeneous_weights
 
-        def counted_buchberger(ideal, order=grobner.GREVLEX, *rest, **named):
-            seen[order.kind] += 1
-            return buchberger(ideal, order, *rest, **named)
+        def counted_buchberger(ideal, **named):
+            seen["grevlex"] += 1
+            return buchberger(ideal, **named)
 
         def counted_rank_at_point(*args):
             seen["rank_at_point"] += 1

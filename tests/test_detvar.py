@@ -491,13 +491,34 @@ class TestZeroDimensionalSolver:
 
     @given(grid_systems(), st.data())
     def test_repeated_and_shuffled_generators(self, system, data):
-        # the lex basis depends on the ideal only, so neither repeats nor the
+        # the basis depends on the ideal only, so neither repeats nor the
         # generator order change the points or the completeness flag
         gens, variables, grid, split = system
         repeats = data.draw(st.lists(st.sampled_from(gens), max_size=4))
         shuffled = data.draw(st.permutations(gens + repeats))
         got = _solve_zero_dimensional(shuffled, variables, 10_000)
         assert (sorted(got[0]), got[1]) == (grid, split)
+
+    @given(grid_systems())
+    def test_a_given_basis_serves_the_top_level_system(self, system):
+        # lower_stratum_points passes the basis it has already built, and
+        # the solver then builds one basis fewer
+        gens, variables, grid, split = system
+        basis = buchberger(Ideal(variables, gens))
+        built = []
+
+        def counted_buchberger(ideal, **named):
+            built.append(ideal)
+            return buchberger(ideal, **named)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detvar, "buchberger", counted_buchberger)
+            fresh = _solve_zero_dimensional(gens, variables, 10_000)
+            fresh_count = len(built)
+            got = _solve_zero_dimensional(gens, variables, 10_000, basis)
+        assert got == fresh
+        assert (sorted(got[0]), got[1]) == (grid, split)
+        assert len(built) - fresh_count == fresh_count - 1
 
 
 SHIFT = Polynomial.shift
@@ -701,11 +722,15 @@ class TestClassifyWork:
     def counts(self, monkeypatch):
         seen = Counter()
         buchberger, roots = detvar.buchberger, detvar._rational_roots
-        weights = detvar.quasi_homogeneous_weights
+        weights, eliminant = detvar.quasi_homogeneous_weights, detvar.eliminant
 
-        def counted_buchberger(ideal, order, *rest):
-            seen[order.kind] += 1
-            return buchberger(ideal, order, *rest)
+        def counted_buchberger(ideal, **named):
+            seen["grevlex"] += 1
+            return buchberger(ideal, **named)
+
+        def counted_eliminant(gb):
+            seen["eliminant"] += 1
+            return eliminant(gb)
 
         def counted_roots(coeffs):
             seen["rational_roots"] += 1
@@ -716,6 +741,7 @@ class TestClassifyWork:
             return weights(polys)
 
         monkeypatch.setattr(detvar, "buchberger", counted_buchberger)
+        monkeypatch.setattr(detvar, "eliminant", counted_eliminant)
         monkeypatch.setattr(detvar, "_rational_roots", counted_roots)
         monkeypatch.setattr(detvar, "quasi_homogeneous_weights", counted_weights)
         return seen
@@ -749,8 +775,9 @@ class TestClassifyWork:
         return formed
 
     def test_integer_grid(self, counts, shift_calls, chart_products):
-        # the 1-minors are [f, g, g, f]; every root of g leaves the lex
-        # solver the subsystem [f], and each of the 9 points shares the
+        # the 1-minors are [f, g, g, f], whose basis gives the eliminant g;
+        # every root of g leaves the subsystem [f], whose basis in one
+        # variable is its own eliminant, and each of the 9 points shares the
         # shift of f with its column and that of g with its row, and so the
         # product f'*f' with its column and g'*g' with its row; the weight
         # gate sees two supports, as g shifted to y = -1, the middle of its
@@ -758,8 +785,8 @@ class TestClassifyWork:
         got = classify(self.grid_model())
         assert got.singular_points == tuple(sorted(product((-3, 1, 2), (-4, -1, 2))))
         assert not got.local_supported
-        assert counts == Counter({"grevlex": 2, "lex": 2, "rational_roots": 2,
-                                  "weights": 2})
+        assert counts == Counter({"grevlex": 3, "eliminant": 2,
+                                  "rational_roots": 2, "weights": 2})
         assert len(shift_calls) == 6
         assert len(chart_products) == 6
 

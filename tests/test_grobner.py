@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import operator
@@ -14,24 +15,21 @@ from detsing import grobner
 from detsing.cli import load_input
 from detsing.detvar import lower_locus_generators, minors_ideal
 from detsing.grobner import (
-    GREVLEX,
-    LEX,
     GroebnerBasis,
     Ideal,
-    MonomialOrder,
     SPairBudgetExceeded,
     buchberger,
+    eliminant,
     ideal_dimension,
     is_groebner_basis,
-    is_reduced,
-    leading_term,
     normal_form,
     quasi_homogeneous_weights,
     quotient_dimension,
     s_polynomial,
 )
 from detsing._linalg import nonnegative_kernel_vector, rational_rank, row_basis
-from detsing.polyalg import Polynomial, PolyMatrix, minors, parse_polynomial
+from detsing.polyalg import (Polynomial, PolyMatrix, _grevlex_key, minors,
+                             parse_polynomial)
 
 P4 = ("x0", "x1", "x2", "x3")
 XY = ("x", "y")
@@ -49,6 +47,20 @@ def ideal(texts, variables):
 CATALECTICANT_MINORS = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
 # grevlex leading terms are x1^2, x1*x2, x2^2, so the monic forms flip sign
 CATALECTICANT_BASIS = ("x1^2 - x0*x2", "x1*x2 - x0*x3", "x2^2 - x1*x3")
+
+
+def is_reduced(gb):
+    """Monic, and no leading monomial divides any monomial of another element."""
+    lms = gb.leading_monomials()
+    for i, p in enumerate(gb.polynomials):
+        if p.terms[lms[i]] != 1:
+            return False
+        for j, lm in enumerate(lms):
+            if i == j:
+                continue
+            if any(all(map(operator.le, lm, m)) for m in p.terms):
+                return False
+    return True
 
 
 def brute_force_quotient_dimension(basis_polys, variables):
@@ -141,15 +153,6 @@ class TestBuchberger:
         with pytest.raises(SPairBudgetExceeded):
             buchberger(ideal(CATALECTICANT_MINORS, P4), spair_budget=1)
 
-    def test_lex_elimination_shape(self):
-        # lex basis of a zero-dimensional ideal carries a univariate eliminant
-        basis = buchberger(ideal(("x^2 + y^2 - 1", "x - y"), XY), order=LEX)
-        tail = [g for g in basis.polynomials if g.leading_monomial(key=LEX.key)[0] == 0]
-        assert len(tail) == 1
-        eliminant = tail[0]
-        assert eliminant.leading_monomial(key=LEX.key) == (0, 2)
-        assert eliminant.coefficient((0, 0)) == Fraction(-1, 2)
-
     @given(
         st.lists(
             st.dictionaries(
@@ -183,7 +186,13 @@ class TestBuchberger:
 # already removed from that set, division on exponent tuples that recomputes
 # every order key, and autoreduction repeated until nothing changes.
 # `buchberger` must form the same S-polynomials in the same order and return
-# the same basis.
+# the same basis.  Under `lex_key` the reference builds the lex basis whose
+# univariate element TestEliminant compares with `eliminant`.
+
+def lex_key(exps):
+    """Lex sort key: larger key means larger monomial."""
+    return exps
+
 
 def _mono_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
@@ -197,9 +206,8 @@ def _mono_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _scan_reduce(f, info, order):
+def _scan_reduce(f, info, key):
     """Division with the key recomputed for every term at every step."""
-    key = order.key
     work = dict(f.terms)
     remainder = {}
     while work:
@@ -223,17 +231,32 @@ def _scan_reduce(f, info, order):
     return Polynomial._raw(f.variables, remainder)
 
 
-def _scan_info(polys, order):
-    return [leading_term(p, order) + (p,) for p in polys]
+def _scan_lead(f, key):
+    lm = f.leading_monomial(key)
+    return lm, f.terms[lm]
 
 
-def _scan_monic(f, order):
-    return f * (Fraction(1) / leading_term(f, order)[1])
+def _scan_info(polys, key):
+    return [_scan_lead(p, key) + (p,) for p in polys]
 
 
-def _scan_autoreduce(polys, order):
+def _scan_monic(f, key):
+    return f * (Fraction(1) / _scan_lead(f, key)[1])
+
+
+def _scan_s_polynomial(f, g, key):
+    # grevlex S-polynomials come from the library, so that recording_s_pairs
+    # sees them; other keys get (l / lm_f) * f / lc_f - (l / lm_g) * g / lc_g
+    if key is _grevlex_key:
+        return grobner.s_polynomial(f, g)
+    (fm, fc), (gm, gc) = _scan_lead(f, key), _scan_lead(g, key)
+    l = tuple(map(max, fm, gm))
+    return (Polynomial(f.variables, {_mono_sub(l, fm): Fraction(1) / fc}) * f
+            - Polynomial(g.variables, {_mono_sub(l, gm): Fraction(1) / gc}) * g)
+
+
+def _scan_autoreduce(polys, key):
     """Minimal filter, then tail reduction repeated until nothing changes."""
-    key = order.key
     polys = sorted(polys, key=lambda p: key(p.leading_monomial(key)))
     minimal = []
     for p in polys:
@@ -245,22 +268,22 @@ def _scan_autoreduce(polys, order):
         changed = False
         for i, p in enumerate(minimal):
             rest = minimal[:i] + minimal[i + 1:]
-            r = _scan_monic(_scan_reduce(p, _scan_info(rest, order), order), order)
+            r = _scan_monic(_scan_reduce(p, _scan_info(rest, key), key), key)
             if r != p:
                 minimal[i] = r
                 changed = True
     return sorted(minimal, key=lambda p: key(p.leading_monomial(key)), reverse=True)
 
 
-def scan_buchberger(ideal, order, spair_budget):
+def scan_buchberger(ideal, spair_budget, key=_grevlex_key):
     """Reference Buchberger: re-ranks every pending pair on every step.
 
-    Returns the reduced basis and the number of pairs taken up, or raises
-    SPairBudgetExceeded once more than `spair_budget` pairs have been taken.
+    Returns the reduced basis under `key` and the number of pairs taken up,
+    or raises SPairBudgetExceeded once more than `spair_budget` pairs have
+    been taken.
     """
-    key = order.key
-    basis = [_scan_monic(g, order) for g in ideal.generators]
-    info = _scan_info(basis, order)
+    basis = [_scan_monic(g, key) for g in ideal.generators]
+    info = _scan_info(basis, key)
     lms = [t[0] for t in info]
 
     def pair_rank(ij):
@@ -289,20 +312,20 @@ def scan_buchberger(ideal, order, spair_budget):
         if any(_mono_divides(lms[k], lcm_ij) and taken(i, k) and taken(j, k)
                for k in range(len(basis)) if k not in pick):
             continue
-        r = _scan_reduce(grobner.s_polynomial(basis[i], basis[j], order), info, order)
+        r = _scan_reduce(_scan_s_polynomial(basis[i], basis[j], key), info, key)
         if r:
-            r = _scan_monic(r, order)
+            r = _scan_monic(r, key)
             basis.append(r)
             lm = r.leading_monomial(key)
             info.append((lm, r.terms[lm], r))
             lms.append(lm)
             new = len(basis) - 1
             pairs.update((k, new) for k in range(new))
-    return tuple(_scan_autoreduce(basis, order)), processed
+    return tuple(_scan_autoreduce(basis, key)), processed
 
 
 @st.composite
-def ordered_ideals(draw):
+def small_ideals(draw):
     nvars = draw(st.integers(min_value=2, max_value=4))
     variables = tuple(f"x{i}" for i in range(nvars))
     exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars)
@@ -310,8 +333,7 @@ def ordered_ideals(draw):
     terms = st.dictionaries(exponents, coefficients, min_size=1, max_size=3)
     gens = [Polynomial(variables, draw(terms))
             for _ in range(draw(st.integers(min_value=2, max_value=4)))]
-    kind = draw(st.sampled_from(("grevlex", "lex")))
-    return Ideal(variables, gens), MonomialOrder(kind)
+    return Ideal(variables, gens)
 
 
 # reference runs that take more pairs than this are compared at the cap
@@ -322,40 +344,54 @@ def recording_s_pairs(run, *args):
     """Result of run(*args) and the (f, g) of every S-polynomial it formed."""
     calls = []
 
-    def recording(f, g, order=GREVLEX):
+    def recording(f, g):
         calls.append((f, g))
-        return s_polynomial(f, g, order)
+        return s_polynomial(f, g)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(grobner, "s_polynomial", recording)
         return run(*args), calls
 
 
+@contextlib.contextmanager
+def recording_widths():
+    """The field widths of the packings built inside the block, in order."""
+    widths = []
+
+    def recording(nvars, width):
+        widths.append(width)
+        return grobner._Packing(nvars, width)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grobner, "_packing", recording)
+        yield widths
+
+
 class TestBuchbergerOracle:
-    @given(ordered_ideals(), st.integers(min_value=0, max_value=40))
-    def test_matches_the_rescanning_reference(self, case, budget):
-        ideal_, order = case
+    @given(small_ideals(), st.integers(min_value=0, max_value=40))
+    def test_matches_the_rescanning_reference(self, ideal_, budget):
         try:
             (expected, pairs), expected_calls = recording_s_pairs(
-                scan_buchberger, ideal_, order, ORACLE_PAIR_CAP)
+                scan_buchberger, ideal_, ORACLE_PAIR_CAP)
         except SPairBudgetExceeded:
             with pytest.raises(SPairBudgetExceeded):
-                buchberger(ideal_, order, ORACLE_PAIR_CAP)
+                buchberger(ideal_, spair_budget=ORACLE_PAIR_CAP)
             return
-        basis, calls = recording_s_pairs(buchberger, ideal_, order, pairs)
+        basis, calls = recording_s_pairs(
+            lambda: buchberger(ideal_, spair_budget=pairs))
         assert basis.polynomials == expected
         assert calls == expected_calls
         if pairs:
             with pytest.raises(SPairBudgetExceeded):
-                buchberger(ideal_, order, pairs - 1)
+                buchberger(ideal_, spair_budget=pairs - 1)
         if budget < pairs:
             with pytest.raises(SPairBudgetExceeded):
-                scan_buchberger(ideal_, order, budget)
+                scan_buchberger(ideal_, budget)
             with pytest.raises(SPairBudgetExceeded):
-                buchberger(ideal_, order, budget)
+                buchberger(ideal_, spair_budget=budget)
         else:
-            assert buchberger(ideal_, order, budget).polynomials == expected
-            assert scan_buchberger(ideal_, order, budget) == (expected, pairs)
+            assert buchberger(ideal_, spair_budget=budget).polynomials == expected
+            assert scan_buchberger(ideal_, budget) == (expected, pairs)
 
 
 def generic_minors(n, p, t):
@@ -373,62 +409,45 @@ class TestBuchbergerWork:
         (4, 4, 3, 32), (3, 4, 2, 52), (3, 3, 2, 16), (3, 4, 3, 3)])
     def test_s_polynomials_formed_on_generic_minors(self, n, p, t, formed):
         ideal_ = generic_minors(n, p, t)
-        basis, calls = recording_s_pairs(buchberger, ideal_, GREVLEX)
+        basis, calls = recording_s_pairs(buchberger, ideal_)
         assert len(calls) == formed
         (expected, _), expected_calls = recording_s_pairs(
-            scan_buchberger, ideal_, GREVLEX, ORACLE_PAIR_CAP)
+            scan_buchberger, ideal_, ORACLE_PAIR_CAP)
         assert basis.polynomials == expected
         assert calls == expected_calls
 
-    # the first fields hold twice the largest generator degree (grevlex) or
-    # exponent (lex); these bases need more, so the run starts again wider
-    @pytest.mark.parametrize("texts,variables,order", [
-        (("x - y^5", "x^4 - y"), XY, LEX),
-        (("x2*x3 + x1 + 1", "x2 + x3", "x1*x2*x3"), P4, LEX),
-        (("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"), XYZ, GREVLEX),
-    ], ids=["lex-product", "lex-after-s-polynomials", "grevlex-s-polynomial"])
-    def test_field_overflow_restarts_with_wider_fields(self, texts, variables, order):
-        widths = []
-
-        def recording_packing(nvars, order, width):
-            widths.append(width)
-            return grobner._Packing(nvars, order, width)
-
+    # the first fields hold twice the largest generator degree; this basis
+    # needs more, so the run starts again wider
+    @pytest.mark.parametrize("texts,variables", [
+        (("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"), XYZ),
+    ], ids=["grevlex-s-polynomial"])
+    def test_field_overflow_restarts_with_wider_fields(self, texts, variables):
         ideal_ = ideal(texts, variables)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grobner, "_packing", recording_packing)
-            basis, calls = recording_s_pairs(buchberger, ideal_, order)
+        with recording_widths() as widths:
+            basis, calls = recording_s_pairs(buchberger, ideal_)
         assert len(widths) >= 2
         assert widths == sorted(widths) and len(set(widths)) == len(widths)
         (expected, _), expected_calls = recording_s_pairs(
-            scan_buchberger, ideal_, order, ORACLE_PAIR_CAP)
+            scan_buchberger, ideal_, ORACLE_PAIR_CAP)
         assert basis.polynomials == expected
         # the S-polynomials formed before a restart are not formed again
         assert calls == expected_calls
-
-    def test_normal_form_restarts_with_wider_fields(self):
-        basis = buchberger(ideal(("x - y^5",), XY), LEX)
-        f = parse_polynomial("x^4 + x", XY)
-        assert normal_form(f, basis) == parse_polynomial("y^20 + y^5", XY)
 
     def test_integral_coefficients_are_ints(self):
         # halves that cancel to integers; the basis must hold those as ints
         half = Fraction(1, 2)
         gens = [Polynomial(XY, {(2, 1): 3 * half, (1, 2): -half, (1, 0): -1}),
                 Polynomial(XY, {(1, 2): -3 * half, (1, 0): 3 * half})]
-        for order in (GREVLEX, LEX):
-            basis = buchberger(Ideal(XY, gens), order)
-            if order is GREVLEX:
-                assert [str(p) for p in basis.polynomials] == ["x*y^2 - x", "x^2 - x*y"]
-            for p in basis.polynomials:
-                assert all(type(c) is int for c in p.terms.values()), p.terms
+        basis = buchberger(Ideal(XY, gens))
+        assert [str(p) for p in basis.polynomials] == ["x*y^2 - x", "x^2 - x*y"]
+        for p in basis.polynomials:
+            assert all(type(c) is int for c in p.terms.values()), p.terms
 
-    @given(ordered_ideals())
-    def test_no_integral_fractions_in_bases_or_remainders(self, case):
-        ideal_, order = case
+    @given(small_ideals())
+    def test_no_integral_fractions_in_bases_or_remainders(self, ideal_):
         halved = Ideal(ideal_.variables, [g * Fraction(1, 2) for g in ideal_.generators])
         try:
-            basis = buchberger(halved, order, 60)
+            basis = buchberger(halved, spair_budget=60)
         except SPairBudgetExceeded:
             return
         ones = [1] * len(ideal_.variables)
@@ -472,8 +491,8 @@ class TestNormalForm:
         assert not normal_form(cofactor * gen, basis).terms
 
 
-def basis_of(texts, variables, order=GREVLEX):
-    return buchberger(ideal(texts, variables), order)
+def basis_of(texts, variables):
+    return buchberger(ideal(texts, variables))
 
 
 def scan_ideal_dimension(gb):
@@ -494,7 +513,7 @@ def scan_ideal_dimension(gb):
 def monomial_basis(nvars, monomials):
     """A basis whose elements are the given monomials, as `ideal_dimension` reads it."""
     variables = tuple(f"x{i}" for i in range(nvars))
-    return GroebnerBasis(variables, GREVLEX,
+    return GroebnerBasis(variables,
                          tuple(Polynomial(variables, {m: 1}) for m in monomials))
 
 
@@ -533,7 +552,7 @@ class TestDimension:
         ideals = [minors_ideal(model, model.t),
                   Ideal(model.variables, lower_locus_generators(model.matrix, model.t))]
         for ideal_ in ideals:
-            gb = buchberger(ideal_, GREVLEX)
+            gb = buchberger(ideal_)
             assert ideal_dimension(gb) == scan_ideal_dimension(gb)
 
     @pytest.mark.parametrize("nvars,monomials,expected", [
@@ -579,9 +598,6 @@ class TestDimension:
 
     def test_catalecticant_dimension(self):
         assert ideal_dimension(basis_of(CATALECTICANT_MINORS, P4)) == 2
-
-    def test_order_independence(self):
-        assert ideal_dimension(basis_of(CATALECTICANT_MINORS, P4, LEX)) == 2
 
     def test_point_ideal(self):
         assert ideal_dimension(basis_of(("x0", "x1", "x2", "x3"), P4)) == 0
@@ -688,18 +704,100 @@ class TestQuotientDimension:
         assert quotient_dimension(basis_of(("1",), XY)) == 0
 
 
+@st.composite
+def point_systems(draw):
+    """Systems in n = 2..4 variables with int and Fraction coefficients.
+
+    The i-th of the first n generators has degree d_i in {1, 2} and a term
+    in x_i^d_i, and the d_i multiply to at most 8; an optional last one is a
+    quadric.  About half are moved to vanish at a planted rational point.
+    """
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars).filter(
+        lambda m: sum(m) <= 2)
+    coefficients = st.builds(Fraction, st.integers(min_value=-3, max_value=3).filter(bool),
+                             st.sampled_from((1, 1, 2, 3)))
+    terms = st.dictionaries(exponents, coefficients, max_size=3)
+    degrees = draw(st.lists(st.sampled_from((1, 2)), min_size=nvars, max_size=nvars)
+                   .filter(lambda ds: math.prod(ds) <= 8))
+    gens = []
+    for i, d in enumerate(degrees):
+        g = {m: c for m, c in draw(terms).items() if sum(m) <= d}
+        g[tuple(d * (j == i) for j in range(nvars))] = draw(coefficients)
+        gens.append(Polynomial(variables, g))
+    if draw(st.booleans()):
+        gens.append(Polynomial(variables, draw(terms)))
+    if draw(st.booleans()):
+        coordinate = st.builds(Fraction, st.integers(min_value=-2, max_value=2),
+                               st.sampled_from((1, 2)))
+        point = draw(st.tuples(*[coordinate] * nvars))
+        gens = [g - Polynomial.constant(variables, g.evaluate(point)) for g in gens]
+    return Ideal(variables, gens)
+
+
+class TestEliminant:
+    def test_circle_meets_the_diagonal(self):
+        # x^2 + y^2 = 1 and x = y leave 2y^2 = 1
+        gb = basis_of(("x^2 + y^2 - 1", "x - y"), XY)
+        assert eliminant(gb) == [Fraction(-1, 2), 0, 1]
+
+    @given(point_systems())
+    def test_matches_the_univariate_element_of_the_lex_basis(self, ideal_):
+        try:
+            gb = buchberger(ideal_, spair_budget=ORACLE_PAIR_CAP)
+        except SPairBudgetExceeded:
+            return
+        dimension = quotient_dimension(gb)
+        if dimension is None:
+            with pytest.raises(ValueError):
+                eliminant(gb)
+            return
+        try:
+            lex, _ = scan_buchberger(ideal_, ORACLE_PAIR_CAP, lex_key)
+        except SPairBudgetExceeded:
+            return
+        last = len(ideal_.variables) - 1
+        (univariate,) = [p for p in lex if not any(any(m[:last]) for m in p.terms)]
+        expected = [univariate.coefficient((0,) * last + (e,))
+                    for e in range(univariate.total_degree() + 1)]
+        coeffs = eliminant(gb)
+        assert coeffs == expected
+        assert len(coeffs) <= dimension + 1
+        x = Polynomial.variable(ideal_.variables, ideal_.variables[-1])
+        assert not normal_form(sum((c * x ** j for j, c in enumerate(coeffs)),
+                                   Polynomial.zero(ideal_.variables)), gb)
+        assert all(type(c) is int or c.denominator != 1 for c in coeffs)
+
+    def test_restarts_with_wider_fields(self):
+        # z^7 = xy, x^7 = y^7 = 1: NF(z^k) = (xy)^j z^r for k = 7j + r, and
+        # z * NF(z^45) = (xy)^6 z^4 has degree 16, past the degrees below 16
+        # that the first fields hold
+        gb = basis_of(("x^7 - 1", "y^7 - 1", "z^7 - x*y"), XYZ)
+        with recording_widths() as widths:
+            coeffs = eliminant(gb)
+        assert widths == [5, 10]
+        assert coeffs == [-1] + [0] * 48 + [1]
+
+    def test_unit_ideal(self):
+        assert eliminant(basis_of(("x", "1 - x"), XY)) == [1]
+
+    @pytest.mark.parametrize("texts,variables", [
+        (("x*y - 1",), XY), ((), XY), ((), ()),
+    ], ids=["hypersurface", "zero-ideal", "no-variables"])
+    def test_needs_a_finite_quotient(self, texts, variables):
+        with pytest.raises(ValueError):
+            eliminant(basis_of(texts, variables))
+
+
 class TestOrders:
     def test_grevlex_vs_lex_leading_monomial(self):
         f = parse_polynomial("x^2 + y*z", XYZ)
-        assert f.leading_monomial(key=GREVLEX.key) == (2, 0, 0)
+        assert f.leading_monomial() == f.leading_monomial(key=_grevlex_key) == (2, 0, 0)
         g = parse_polynomial("x*z^2 + y^3", XYZ)
         # grevlex prefers the monomial with fewer trailing exponents
-        assert g.leading_monomial(key=GREVLEX.key) == (0, 3, 0)
-        assert g.leading_monomial(key=LEX.key) == (1, 0, 2)
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            MonomialOrder("degrevlex")
+        assert g.leading_monomial() == (0, 3, 0)
+        assert g.leading_monomial(key=lex_key) == (1, 0, 2)
 
 
 def exponent_differences(polys):

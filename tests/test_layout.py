@@ -64,6 +64,24 @@ def test_grobner_has_one_reduction_route():
     assert not names & {"_mono_mul", "_mono_divides"}
 
 
+def test_grobner_has_one_monomial_order():
+    # every basis is grevlex; an eliminant is read from it by normal forms,
+    # so no second order, order object or "lex" order kind comes back
+    path = Path(detsing.__file__).parent / "grobner.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and node.value == "lex":
+            names.add(repr(node.value))
+    assert not names & {"MonomialOrder", "LEX", "GREVLEX", "'lex'"}
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

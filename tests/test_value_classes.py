@@ -3,8 +3,8 @@
 Each class is built positionally, by keyword and from its defaults; every
 check its constructor makes is pinned by exception type and exact message;
 equality and hashing are pinned where the library, README or tests compare or
-hash instances.  The attributes the benchmark tracer reads (`order.kind`,
-`polynomials`, `generators`, `singular_points`) are read here too.
+hash instances.  The attributes the benchmark tracer reads (`polynomials`,
+`generators`, `singular_points`) are read here too.
 """
 
 from fractions import Fraction
@@ -15,8 +15,7 @@ from detsing.detvar import (AFFINE, ESSENTIAL_SINGULAR, PROJECTIVE,
                             SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
                             GermClassification, PointLocation,
                             ProjectivePoint, classify)
-from detsing.grobner import (GREVLEX, LEX, GroebnerBasis, Ideal,
-                             MonomialOrder, buchberger)
+from detsing.grobner import GroebnerBasis, Ideal, buchberger
 from detsing.indexcalc import (ROLE_SMOOTH_FORM_POINT,
                                ROLE_VARIETY_SINGULARITY, SOLVED, VERIFIED,
                                IdentityResult, IndexLedger, LedgerEntry,
@@ -161,28 +160,6 @@ class TestGermClassification:
         assert isinstance(info.rank_basis, GroebnerBasis)
 
 
-class TestMonomialOrder:
-    def test_positional_and_keyword(self):
-        assert MonomialOrder("lex").kind == "lex"
-        assert MonomialOrder(kind="grevlex").kind == "grevlex"
-
-    def test_equal_orders_compare_and_hash_equal(self):
-        # buchberger's packing cache is keyed on the order
-        assert MonomialOrder("lex") == LEX and MonomialOrder("grevlex") == GREVLEX
-        assert hash(MonomialOrder("lex")) == hash(LEX)
-        assert LEX != GREVLEX and not LEX == GREVLEX
-        assert LEX != "lex"
-
-    def test_unknown_kind(self):
-        raises_exactly(ValueError, "unknown order kind 'degrevlex'",
-                       lambda: MonomialOrder("degrevlex"))
-
-    def test_key(self):
-        assert LEX.key((1, 0, 2)) == (1, 0, 2)
-        assert GREVLEX.key((1, 0, 2)) > GREVLEX.key((0, 2, 0))
-        assert LEX.key((1, 0, 0)) > LEX.key((0, 5, 5))
-
-
 class TestIdeal:
     def test_positional_and_keyword_drop_zero_generators(self):
         x = parse_polynomial("x", ("x", "y"))
@@ -204,11 +181,9 @@ class TestIdeal:
 class TestGroebnerBasis:
     def test_positional_and_keyword(self):
         x = parse_polynomial("x", ("x", "y"))
-        for gb in (GroebnerBasis(("x", "y"), LEX, (x,)),
-                   GroebnerBasis(variables=("x", "y"), order=LEX,
-                                 polynomials=(x,))):
+        for gb in (GroebnerBasis(("x", "y"), (x,)),
+                   GroebnerBasis(variables=("x", "y"), polynomials=(x,))):
             assert gb.variables == ("x", "y")
-            assert gb.order.kind == "lex"
             assert gb.polynomials == (x,)
             assert gb.leading_monomials() == ((1, 0),)
 
@@ -217,15 +192,17 @@ class TestGroebnerBasis:
         ideal = Ideal(("x", "y"), gens)
         a, b = buchberger(ideal), buchberger(ideal)
         assert a is not b and a == b and not a != b
-        assert a != buchberger(ideal, LEX)
-        assert a != GroebnerBasis(a.variables, a.order, a.polynomials[:-1])
+        assert a != buchberger(Ideal(("x", "y"), gens[:1]))
+        assert a != GroebnerBasis(a.variables, a.polynomials[:-1])
         assert a != a.polynomials
 
     def test_buchberger_fields_read_by_the_tracer(self):
         ideal = Ideal(("x", "y"), [parse_polynomial("x*y - 1", ("x", "y"))])
-        gb = buchberger(ideal, LEX)
-        assert gb.order.kind == "lex"
+        gb = buchberger(ideal)
         assert len(gb.polynomials) == 1
+        # the tracer would read a second positional argument as an order
+        with pytest.raises(TypeError):
+            buchberger(ideal, 10)
         assert len(ideal.generators) == 1
 
 
