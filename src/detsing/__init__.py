@@ -9,9 +9,9 @@ from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      lower_locus_generators, minors_ideal)
 from .grobner import (DEFAULT_SPAIR_BUDGET, GroebnerBasis, Ideal,
                       ResourceLimitExceeded, SPairBudgetExceeded, buchberger,
-                      eliminant, ideal_dimension, is_groebner_basis,
-                      normal_form, quasi_homogeneous_weights,
-                      quotient_dimension, s_polynomial)
+                      eliminant, ideal_dimension, normal_form,
+                      quasi_homogeneous_weights, quotient_dimension,
+                      s_polynomial)
 from .indexcalc import (IdentityResult, IndexLedger, LedgerEntry,
                         LedgerError, RadialDecomposition, SingularPointRecord,
                         cstar_fixed_points, defect, global_identity,

@@ -10,13 +10,14 @@ weighted-homogeneous, since all symbolic computations here are global.
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from ._linalg import div, exact
 from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
                       buchberger, eliminant, ideal_dimension,
                       quasi_homogeneous_weights)
-from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
+from .polyalg import (Polynomial, PolyMatrix, _ScaledMatrix, minors,
+                      rank_at_point)
 
 PROJECTIVE = "projective"
 AFFINE = "affine"
@@ -482,36 +483,33 @@ def point_label(point):
 
 
 def _chart_frame(model, point):
-    """The point's chart: (entries, numerators, q).
+    """The point's chart: (entries, offsets).
 
     `entries` maps each distinct matrix entry to its polynomial in the chart
     variables: a projective point is dehomogenized at its first nonzero
     coordinate, which is set to 1, and an affine entry stays as it is.  The
-    chart is centred by the offsets numerators[j] / q, integers over one
-    denominator q >= 1.
+    chart is centred by the rational `offsets`, one per chart variable.
     """
     if model.ambient.kind == PROJECTIVE:
         pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint.from_fractions(point)
         if len(pt.coords) != len(model.variables):
             raise ValueError("point length does not match the variable count")
         i = pt.chart_index()
-        numerators = [c for j, c in enumerate(pt.coords) if j != i]
-        q = pt.coords[i]
+        offsets = [div(c, pt.coords[i]) for j, c in enumerate(pt.coords) if j != i]
         fixed = {i: 1}
     else:
         offsets = [exact(x) for x in point]
         if len(offsets) != len(model.variables):
             raise ValueError("point length does not match the variable count")
-        q = lcm(*(a.denominator for a in offsets))
-        numerators = [a.numerator * (q // a.denominator) for a in offsets]
         fixed = None
     distinct = {e for row in model.matrix.entries for e in row}
     entries = {e: e.eliminate(fixed) if fixed else e for e in distinct}
-    return entries, numerators, q
+    return entries, offsets
 
 
-def _charted(model, charted):
-    return PolyMatrix([[charted[e] for e in row] for row in model.matrix.entries])
+def _by_entry(model, values):
+    # the model's grid with each entry e replaced by values[e]
+    return [[values[e] for e in row] for row in model.matrix.entries]
 
 
 def chart_matrix(model, point):
@@ -522,50 +520,74 @@ def chart_matrix(model, point):
     Equal entries are rewritten once.  This is the exact chart that
     `groebner` prints.
     """
-    entries, numerators, q = _chart_frame(model, point)
-    offsets = [div(a, q) for a in numerators]
-    return _charted(model, {e: f.shift(offsets) for e, f in entries.items()})
+    entries, offsets = _chart_frame(model, point)
+    return PolyMatrix(_by_entry(
+        model, {e: f.shift(offsets) for e, f in entries.items()}))
+
+
+def _integer_form(f, offsets):
+    """(c * f((X + a) / q), c) for the offsets a / q of f's variables.
+
+    Each variable x_j goes to (X_j + a_j) / q_j, where a_j / q_j is its own
+    offset in lowest terms, and c = L * prod q_j^d_j, where L is the lcm of
+    f's coefficient denominators and d_j the largest exponent of x_j in f:
+    the term c_m * x^m goes to c_m * c / prod q_j^m_j * (X + a)^m, all in
+    integers.  A variable that f does not contain has the offset 0.
+    """
+    qs = [a.denominator for a in offsets]
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    for q, col in zip(qs, zip(*f.terms)):
+        scale *= q ** max(col)
+    if scale != 1:
+        f = Polynomial._raw(f.variables, {
+            m: c.numerator * (scale // (c.denominator * prod(map(pow, qs, m))))
+            for m, c in f.terms.items()})
+    numerators = [a.numerator for a in offsets]
+    if any(numerators):
+        f = f.shift(numerators)
+    return f, scale
 
 
 def chart_ideal(model, point, shifted=None, products=None):
     """t-minors of the germ chart at a point, with integer coefficients.
 
-    With offsets P / q, every entry f of the centred chart becomes
-    L * q^D * f(X / q), where L is the lcm of the coefficient denominators
-    and D the largest total degree of the entries: the term c*x^m goes to
-    c * L * q^(D - |m|) * (X + P)^m, all in integers.  Every entry takes the
-    same constant, so each minor is a nonzero multiple of the chart minor at
-    X / q: its monomials are those of the centred chart's minor, and so are
+    Each chart variable x_j goes to (X_j + a_j) / q_j, where a_j / q_j is
+    the point's offset in x_j in lowest terms: the centring shift followed
+    by a diagonal rescaling, which keeps every monomial support.  An entry e
+    becomes the integer polynomial E_e = c_e * e((X + a) / q) of
+    `_integer_form`, which depends only on e and the offsets of its own
+    variables.  With C the lcm of the entry constants c_e, the minors are
+    those of the entries (C / c_e) * E_e = C * e((X + a) / q): each is C^t
+    times the centred chart's minor at X_j / q_j, with its monomials and so
     its weights.
 
-    `shifted` memoizes the shifts by (scaled entry, offsets of its
-    variables) and `products` the entry products of the minors (see
-    `polyalg.minors`); `classify` passes one dict of each for all its
-    points, so on a grid a column's points share the shift of an entry in x
-    alone, and f'(x)^2 in their minors is formed once.
+    `shifted` memoizes (E_e, c_e) by e and the offsets of its variables, and
+    `products` the 2 x 2-level products of the E_e in the minors (see
+    `polyalg.minors`); the integer weights C / c_e are applied after those
+    products, keyed by matrix entry, since entries such as x/2 and x share
+    one E_e with different constants.  `classify` passes one dict of each
+    for all its points, so on a grid the points of a column share the shift
+    of an entry in x alone and its square in their minors, whatever the
+    denominators of their other coordinates.
     """
-    entries, numerators, q = _chart_frame(model, point)
-    denom = lcm(*(c.denominator for f in entries.values() for c in f.terms.values()))
-    if q != 1 or denom != 1:
-        top = max(f.total_degree() for f in entries.values())
-        scale = [denom * q ** k for k in range(top + 1)]
-        entries = {e: Polynomial._raw(f.variables, {
-            m: c.numerator * (scale[top - sum(m)] // c.denominator)
-            for m, c in f.terms.items()}) for e, f in entries.items()}
-    if any(numerators):
-        # a point at the chart's origin, such as a cone's vertex, needs no shift
-        if shifted is None:
-            shifted = {}
-        charted = {}
-        for e, f in entries.items():
-            # a zero entry has no monomials, and its key no offsets
-            key = f, tuple(a if any(col) else 0
-                           for a, col in zip(numerators, zip(*f.terms)))
-            if key not in shifted:
-                shifted[key] = f.shift(numerators)
-            charted[e] = shifted[key]
-        entries = charted
-    m = _charted(model, entries)
+    entries, offsets = _chart_frame(model, point)
+    if shifted is None:
+        shifted = {}
+    charted, constants = {}, {}
+    for e, f in entries.items():
+        # a zero entry has no monomials, and its key no offsets
+        key = f, tuple(a if any(col) else 0
+                       for a, col in zip(offsets, zip(*f.terms)))
+        if key not in shifted:
+            shifted[key] = _integer_form(*key)
+        charted[e], constants[e] = shifted[key]
+    common = lcm(*constants.values())
+    grid = _by_entry(model, charted)
+    if common == 1:
+        m = PolyMatrix(grid)
+    else:
+        m = _ScaledMatrix(grid, _by_entry(
+            model, {e: common // c for e, c in constants.items()}))
     return Ideal(m.variables, minors(m, model.t, products))
 
 

@@ -359,16 +359,6 @@ def _buchberger(ideal, spair_budget, pk, spolys):
     return GroebnerBasis(variables, tuple(basis[k] for k in reversed(minimal)))
 
 
-def is_groebner_basis(gb):
-    """Check that every S-polynomial of the basis reduces to zero."""
-    polys = gb.polynomials
-    for j in range(len(polys)):
-        for i in range(j):
-            if normal_form(s_polynomial(polys[i], polys[j]), gb):
-                return False
-    return True
-
-
 def ideal_dimension(gb):
     """Krull dimension of the affine zero set; -1 when 1 lies in the ideal.
 

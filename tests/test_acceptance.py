@@ -8,15 +8,10 @@ import json
 import time
 
 from conftest import fixture_path
-from test_grobner import QUOTIENT_TABLE, brute_force_quotient_dimension
+from test_grobner import (QUOTIENT_TABLE, brute_force_quotient_dimension,
+                          is_groebner_basis)
 
-from detsing.grobner import (
-    Ideal,
-    buchberger,
-    ideal_dimension,
-    is_groebner_basis,
-    quotient_dimension,
-)
+from detsing.grobner import Ideal, buchberger, ideal_dimension, quotient_dimension
 from detsing.indexcalc import SingularPointRecord, defect, phn_from_radial
 from detsing.polyalg import parse_polynomial
 from detsing.topo import (

@@ -1,3 +1,4 @@
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -634,6 +635,40 @@ def charted_models(draw):
     return DeterminantalModel(PolyMatrix(grid), 2, ambient), point
 
 
+@st.composite
+def chart_sequences(draw):
+    """A 2x2 or 2x3 model with t = 1 or 2, and 2 to 5 points to chart it at.
+
+    Affine models over (x, y) take rational points whose coordinates come
+    from two small pools, so that points share offsets in one variable with
+    unlike denominators in the other; projective ones over (x0, x1, x2) take
+    integer points.  Some entries are rational multiples of others, with the
+    same integer form at every point and another constant.
+    """
+    shape = (2, draw(st.integers(min_value=2, max_value=3)))
+    if draw(st.booleans()):
+        variables = ("x0", "x1", "x2")
+        degree = draw(st.integers(min_value=1, max_value=2))
+        entry = polynomials(variables, degree, homogeneous=True)
+        point = st.lists(st.integers(min_value=-3, max_value=3), min_size=3,
+                         max_size=3).filter(any).map(ProjectivePoint)
+        ambient = AmbientSpace(PROJECTIVE, 2)
+    else:
+        variables = ("x", "y")
+        entry = polynomials(variables, 3)
+        xs, ys = (draw(st.lists(small_fractions, min_size=1, max_size=3))
+                  for _ in variables)
+        point = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+        ambient = AmbientSpace(AFFINE, 2)
+    base = [draw(entry) for _ in range(2)]
+    scale = st.sampled_from([2, -1, Fraction(1, 2), Fraction(-2, 3)])
+    cell = st.one_of(entry, st.builds(operator.mul, st.sampled_from(base), scale))
+    grid = [[draw(cell) for _ in range(shape[1])] for _ in range(shape[0])]
+    t = draw(st.integers(min_value=1, max_value=2))
+    points = draw(st.lists(point, min_size=2, max_size=5))
+    return DeterminantalModel(PolyMatrix(grid), t, ambient), points
+
+
 class TestIntegerCharts:
     @given(charted_models())
     def test_integer_minors_keep_the_chart_supports(self, case):
@@ -666,6 +701,34 @@ class TestIntegerCharts:
         assert len(got.singular_points) == 6
         assert any(x.denominator > 1 for pt in got.singular_points for x in pt)
         assert seen and set(seen) == {int}
+
+    def test_entries_sharing_an_integer_form_keep_their_constants(self):
+        # at (2/3, 1/3) both x/2 and x chart to X + 2, with the constants 6
+        # and 3; the point lies on the variety, so the minor x^2/2 - 2*y^2
+        # loses its constant term only if each entry is weighted by its own
+        # constant, not by that of its integer form
+        variables = ("x", "y")
+        x, y = (Polynomial.variable(variables, v) for v in variables)
+        matrix = PolyMatrix([[x * Fraction(1, 2), y], [2 * y, x]])
+        model = DeterminantalModel(matrix, 2, AmbientSpace(AFFINE, 2))
+        point = (Fraction(2, 3), Fraction(1, 3))
+        chart = chart_ideal(model, point)
+        exact_minors = [g for g in minors(chart_matrix(model, point), 2) if g]
+        assert ([set(g.terms) for g in chart.generators]
+                == [set(g.terms) for g in exact_minors]
+                == [{(2, 0), (1, 0), (0, 2), (0, 1)}])
+
+    @given(chart_sequences())
+    def test_shared_memos_match_fresh_charts(self, case):
+        model, points = case
+        shifted, products = {}, {}
+        for point in points:
+            chart = chart_ideal(model, point, shifted, products)
+            assert chart.generators == chart_ideal(model, point).generators
+            exact_minors = [g for g in minors(chart_matrix(model, point), model.t)
+                            if g]
+            assert ([set(g.terms) for g in chart.generators]
+                    == [set(g.terms) for g in exact_minors])
 
 
 @st.composite
@@ -789,6 +852,22 @@ class TestClassifyWork:
                                   "rational_roots": 2, "weights": 2})
         assert len(shift_calls) == 6
         assert len(chart_products) == 6
+
+    def test_rational_grid(self, shift_calls, chart_products):
+        # the roots of f and of g have unlike denominators, but each entry
+        # is charted at the offset of its own variable alone, so the 9
+        # points again share 3 shifts of f and 3 of g, and their squares
+        f, g = "(x + 3)*(2*x - 1)*(3*x - 2)", "(2*y + 3)*(3*y - 1)*(y - 2)"
+        matrix = PolyMatrix.from_strings([[f, g], [g, f]], ("x", "y"))
+        model = DeterminantalModel(matrix, 2, AmbientSpace(AFFINE, 2))
+        got = classify(model)
+        xs = (-3, Fraction(1, 2), Fraction(2, 3))
+        ys = (Fraction(-3, 2), Fraction(1, 3), 2)
+        assert got.singular_points == tuple(sorted(product(xs, ys)))
+        assert len(shift_calls) == 6
+        assert len(chart_products) == 6
+        assert ((got.local_supported, got.notes)
+                == ungated_local_notes(model, got.singular_points))
 
     @given(grid_models())
     def test_matches_fresh_charts_and_a_gate_at_every_point(self, case):

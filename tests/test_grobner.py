@@ -21,7 +21,6 @@ from detsing.grobner import (
     buchberger,
     eliminant,
     ideal_dimension,
-    is_groebner_basis,
     normal_form,
     quasi_homogeneous_weights,
     quotient_dimension,
@@ -47,6 +46,13 @@ def ideal(texts, variables):
 CATALECTICANT_MINORS = ("x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2")
 # grevlex leading terms are x1^2, x1*x2, x2^2, so the monic forms flip sign
 CATALECTICANT_BASIS = ("x1^2 - x0*x2", "x1*x2 - x0*x3", "x2^2 - x1*x3")
+
+
+def is_groebner_basis(gb):
+    """Buchberger's criterion: every S-polynomial reduces to zero."""
+    polys = gb.polynomials
+    return not any(normal_form(s_polynomial(f, g), gb)
+                   for f, g in itertools.combinations(polys, 2))
 
 
 def is_reduced(gb):
