@@ -13,14 +13,13 @@ from .grobner import (DEFAULT_SPAIR_BUDGET, GroebnerBasis, Ideal,
                       quasi_homogeneous_weights, quotient_dimension,
                       s_polynomial)
 from .indexcalc import (IdentityResult, IndexLedger, LedgerEntry,
-                        LedgerError, RadialDecomposition, SingularPointRecord,
-                        cstar_fixed_points, defect, global_identity,
-                        phn_from_radial, phn_from_radial_nonsmoothable,
-                        radial_from_decomposition)
+                        LedgerError, SingularPointRecord, cstar_fixed_points,
+                        defect, global_identity, phn_from_radial,
+                        phn_from_radial_nonsmoothable)
 from .polyalg import (ParseError, Polynomial, PolyMatrix, determinant, minors,
                       parse_polynomial, rank_at_point)
 from .topo import (BouquetDescriptor, CWDescriptor, LeGreuelResult,
-                   MilnorData, UnsupportedDimensionError, chi_additive,
-                   chi_bouquet, chi_cw, chi_smoothing, le_greuel_check)
+                   MilnorData, UnsupportedDimensionError, chi_bouquet,
+                   chi_cw, chi_smoothing, le_greuel_check)
 
 __version__ = "0.1.0"

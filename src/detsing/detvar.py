@@ -16,8 +16,7 @@ from ._linalg import div, exact
 from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
                       buchberger, eliminant, ideal_dimension,
                       quasi_homogeneous_weights)
-from .polyalg import (Polynomial, PolyMatrix, _ScaledMatrix, minors,
-                      rank_at_point)
+from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
 
 PROJECTIVE = "projective"
 AFFINE = "affine"
@@ -525,19 +524,45 @@ def chart_matrix(model, point):
         model, {e: f.shift(offsets) for e, f in entries.items()}))
 
 
-def _integer_form(f, offsets):
-    """(c * f((X + a) / q), c) for the offsets a / q of f's variables.
+def _chart_constant(model, denominators):
+    """K = L * Q^D, with which `chart_ideal` charts a point in integers.
+
+    L is the lcm of the denominators of the coefficients of the model's
+    entries, Q the lcm of `denominators` and D the largest total degree of an
+    entry.  When Q is a multiple of every offset denominator q_j of the
+    charts, the term c * x^m of an entry goes to c * K / prod q_j^m_j *
+    (X + a)^m in the chart, an integer multiple: den(c) divides L, and
+    prod q_j^m_j divides Q^|m|, which divides Q^D.
+    """
+    distinct = {e for row in model.matrix.entries for e in row if e}
+    scale = lcm(*(c.denominator for e in distinct for c in e.terms.values()))
+    degree = max((e.total_degree() for e in distinct), default=0)
+    return scale * lcm(*denominators) ** degree
+
+
+def _chart_memo(model, points):
+    """A fresh `chart_ideal` memo, whose one constant charts all `points`.
+
+    The points are ProjectivePoints or affine coordinate tuples; the chart
+    offsets c_j / c_i of a projective point have denominators dividing its
+    first nonzero coordinate c_i.
+    """
+    if model.ambient.kind == PROJECTIVE:
+        denominators = [pt.coords[pt.chart_index()] for pt in points]
+    else:
+        denominators = [x.denominator for pt in points for x in pt]
+    return _chart_constant(model, denominators), {}, {}
+
+
+def _integer_form(f, offsets, scale):
+    """scale * f((X + a) / q) for the offsets a / q of f's variables.
 
     Each variable x_j goes to (X_j + a_j) / q_j, where a_j / q_j is its own
-    offset in lowest terms, and c = L * prod q_j^d_j, where L is the lcm of
-    f's coefficient denominators and d_j the largest exponent of x_j in f:
-    the term c_m * x^m goes to c_m * c / prod q_j^m_j * (X + a)^m, all in
-    integers.  A variable that f does not contain has the offset 0.
+    offset in lowest terms; `scale` is a `_chart_constant` that makes every
+    coefficient an integer.  A variable that f does not contain has the
+    offset 0.
     """
     qs = [a.denominator for a in offsets]
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    for q, col in zip(qs, zip(*f.terms)):
-        scale *= q ** max(col)
     if scale != 1:
         f = Polynomial._raw(f.variables, {
             m: c.numerator * (scale // (c.denominator * prod(map(pow, qs, m))))
@@ -545,49 +570,42 @@ def _integer_form(f, offsets):
     numerators = [a.numerator for a in offsets]
     if any(numerators):
         f = f.shift(numerators)
-    return f, scale
+    return f
 
 
-def chart_ideal(model, point, shifted=None, products=None):
+def chart_ideal(model, point, memo=None):
     """t-minors of the germ chart at a point, with integer coefficients.
 
     Each chart variable x_j goes to (X_j + a_j) / q_j, where a_j / q_j is
     the point's offset in x_j in lowest terms: the centring shift followed
     by a diagonal rescaling, which keeps every monomial support.  An entry e
-    becomes the integer polynomial E_e = c_e * e((X + a) / q) of
-    `_integer_form`, which depends only on e and the offsets of its own
-    variables.  With C the lcm of the entry constants c_e, the minors are
-    those of the entries (C / c_e) * E_e = C * e((X + a) / q): each is C^t
-    times the centred chart's minor at X_j / q_j, with its monomials and so
-    its weights.
+    becomes the integer polynomial E_e = K * e((X + a) / q) of
+    `_integer_form`, for one constant K of `_chart_constant`, so each minor
+    is K^t times the centred chart's minor at X_j / q_j, with its monomials
+    and so its weights.
 
-    `shifted` memoizes (E_e, c_e) by e and the offsets of its variables, and
-    `products` the 2 x 2-level products of the E_e in the minors (see
-    `polyalg.minors`); the integer weights C / c_e are applied after those
-    products, keyed by matrix entry, since entries such as x/2 and x share
-    one E_e with different constants.  `classify` passes one dict of each
-    for all its points, so on a grid the points of a column share the shift
-    of an entry in x alone and its square in their minors, whatever the
-    denominators of their other coordinates.
+    `memo` is (K, shifted, products): `shifted` memoizes E_e by e and the
+    offsets of its own variables, and `products` the 2 x 2-level products of
+    the E_e in the minors (see `polyalg.minors`).  The three are valid only
+    together, and K must chart every point they are used for.  `classify`
+    builds one memo for all its points, so on a grid the points of a column
+    share the shift of an entry in x alone and its square in their minors,
+    whatever the denominators of their other coordinates.  Without a memo
+    the call takes K from its own point and uses fresh dicts.
     """
     entries, offsets = _chart_frame(model, point)
-    if shifted is None:
-        shifted = {}
-    charted, constants = {}, {}
+    if memo is None:
+        memo = _chart_constant(model, [a.denominator for a in offsets]), {}, {}
+    scale, shifted, products = memo
+    charted = {}
     for e, f in entries.items():
         # a zero entry has no monomials, and its key no offsets
         key = f, tuple(a if any(col) else 0
                        for a, col in zip(offsets, zip(*f.terms)))
         if key not in shifted:
-            shifted[key] = _integer_form(*key)
-        charted[e], constants[e] = shifted[key]
-    common = lcm(*constants.values())
-    grid = _by_entry(model, charted)
-    if common == 1:
-        m = PolyMatrix(grid)
-    else:
-        m = _ScaledMatrix(grid, _by_entry(
-            model, {e: common // c for e, c in constants.items()}))
+            shifted[key] = _integer_form(*key, scale)
+        charted[e] = shifted[key]
+    m = PolyMatrix(_by_entry(model, charted))
     return Ideal(m.variables, minors(m, model.t, products))
 
 
@@ -627,9 +645,10 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     are enumerated exactly when every eliminant splits over the rationals.
     Each singular point's chart ideal must be weighted-homogeneous for
     symbolic local computations; otherwise `local_supported` is False.  The
-    points share one memo of chart shifts and one of entry products, and the
-    weight gate runs once per distinct chart support: it reads only the
-    monomials of the generators, so equal supports get the same answer.
+    points are charted with one constant and share one memo of chart shifts
+    and entry products, and the weight gate runs once per distinct chart
+    support: it reads only the monomials of the generators, so equal
+    supports get the same answer.
     `rank_basis` is the reduced grevlex basis of the t-minors ideal.
     """
     if not any(e for row in model.matrix.entries for e in row):
@@ -657,9 +676,10 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
         notes.append("singular locus is not a finite set of rational points; "
                      "points are reported symbolically by the lower rank ideal")
     local_supported = True
-    shifted, products, gates = {}, {}, {}
+    memo = _chart_memo(model, points)
+    gates = {}
     for pt in points:
-        chart = chart_ideal(model, pt, shifted, products)
+        chart = chart_ideal(model, pt, memo)
         if not chart.generators:
             continue
         support = tuple(frozenset(g.terms) for g in chart.generators)

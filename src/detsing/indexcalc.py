@@ -123,31 +123,20 @@ def defect_known(record):
     return True
 
 
-class RadialDecomposition:
-    """Indices of the comparison form at its zeros inside the collar."""
-
-    __slots__ = ("inner_indices",)
-
-    def __init__(self, inner_indices=()):
-        self.inner_indices = tuple(int(i) for i in inner_indices)
-
-    @property
-    def count(self):
-        return len(self.inner_indices)
-
-
-def radial_from_decomposition(decomposition):
-    """Radial index: 1 plus the indices collected in the decomposition."""
-    return 1 + sum(decomposition.inner_indices)
-
-
 def phn_from_radial(radial_index, d, chi_smoothing_value):
     """Obstruction index from the radial index, smoothable case."""
     return radial_index + (-1) ** d * (chi_smoothing_value - 1)
 
 
 def phn_from_radial_nonsmoothable(radial_index, record):
-    """Obstruction index from the radial index with the lower-stratum term."""
+    """Obstruction index from the radial index with the lower-stratum term.
+
+    The nonsmoothable counterpart of `phn_from_radial`, the bridge that
+    acceptance criterion 8 checks: a radial index of 1 gives the defect of
+    the record, lower-stratum term included.  Nothing in the command line
+    calls it; it stays as the formula of the source paper for germs past
+    the smoothability bound.
+    """
     if record.smoothable:
         raise LedgerError(
             f"record at {record.point} is smoothable; no lower-stratum "

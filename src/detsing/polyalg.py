@@ -535,37 +535,17 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols} over {self.variables})"
 
 
-class _ScaledMatrix(PolyMatrix):
-    """The matrix of weights[i][j] * entries[i][j], for `minors` alone.
-
-    The weights are nonzero integers held apart from the entries, so that
-    `minors` forms every 2 x 2-level product from the unscaled entries,
-    where a `products` memo shared with matrices of other weights stays
-    valid, and scales it after.  The other PolyMatrix methods see the
-    unscaled entries.
-    """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, entries, weights):
-        super().__init__(entries)
-        self.weights = tuple(tuple(row) for row in weights)
-
-
-def _det_cofactor(grid, products, weights=None):
+def _det_cofactor(grid, products):
     """Cofactor expansion along the first row.
 
     `products` memoizes the 2 x 2-level products e * sub by (e, sub): there
     both factors are matrix entries, whose hashes are cached, so minors that
     share a pair of entries form their product once.  A deeper sub is a
-    fresh determinant, so deeper products are not memoized.  `weights`, when
-    given, is a grid of integers, and the determinant is that of the entries
-    weights[i][j] * grid[i][j]: the memo keeps the unscaled products, and
-    each is scaled by its two weights after.
+    fresh determinant, so deeper products are not memoized.
     """
     n = len(grid)
     if n == 1:
-        return grid[0][0] if weights is None else grid[0][0] * weights[0][0]
+        return grid[0][0]
     total = Polynomial.zero(grid[0][0].variables)
     rest = grid[1:]
     for j, e in enumerate(grid[0]):
@@ -576,18 +556,9 @@ def _det_cofactor(grid, products, weights=None):
                 prod = products.get(key)
                 if prod is None:
                     prod = products[key] = e * sub
-                if weights is not None:
-                    w = weights[0][j] * weights[1][1 - j]
-                    if w != 1:
-                        prod = prod * w
             else:
-                cut = [row[:j] + row[j + 1:] for row in rest]
-                if weights is None:
-                    prod = e * _det_cofactor(cut, products)
-                else:
-                    cut_weights = [row[:j] + row[j + 1:] for row in weights[1:]]
-                    prod = (e * weights[0][j]) * _det_cofactor(cut, products,
-                                                               cut_weights)
+                prod = e * _det_cofactor([row[:j] + row[j + 1:] for row in rest],
+                                         products)
             total = total - prod if j & 1 else total + prod
     return total
 
@@ -605,9 +576,7 @@ def minors(matrix, size, products=None):
     `products` memoizes the products of pairs of entries that the cofactor
     expansions form (see `_det_cofactor`); a caller charting many points of
     one model, as `detvar.classify` does, passes one dict for all of them.
-    Without it each call uses a fresh dict.  The memo holds products of
-    unscaled entries only, so it may be shared between `_ScaledMatrix`
-    instances of any weights and plain matrices.
+    Without it each call uses a fresh dict.
     """
     if not isinstance(size, int) or size < 1:
         raise ValueError("minor size must be a positive integer")
@@ -616,9 +585,7 @@ def minors(matrix, size, products=None):
     if products is None:
         products = {}
     entries = matrix.entries
-    weights = getattr(matrix, "weights", None)
-    return [_det_cofactor([[entries[i][j] for j in cset] for i in rset], products,
-                          weights and [[weights[i][j] for j in cset] for i in rset])
+    return [_det_cofactor([[entries[i][j] for j in cset] for i in rset], products)
             for rset in combinations(range(matrix.rows), size)
             for cset in combinations(range(matrix.cols), size)]
 

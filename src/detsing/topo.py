@@ -113,10 +113,3 @@ def le_greuel_check(data):
     if data.m_d == rhs:
         return LeGreuelResult(HOLDS, data.m_d, rhs)
     return LeGreuelResult(VIOLATED, data.m_d, rhs)
-
-
-def chi_additive(chi_x_prime, l):
-    """Euler characteristic after re-attaching l isolated singular points."""
-    if not isinstance(l, int) or l < 0:
-        raise ValueError("the number of singular points must be non-negative")
-    return chi_x_prime + l

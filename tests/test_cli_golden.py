@@ -3,9 +3,10 @@
 The cases are the bundled-fixture commands of the benchmark's `fixtures`
 workload, plus `groebner --ideal lower` and `analyze` on a generic 3x3
 projective model with t = 3, `analyze` on an affine grid with fractional
-roots, and `analyze` and `groebner --ideal minors` on a projective cone
-whose vertex is charted at non-integral offsets, each in text and `--json`
-form.  The expected output in `golden/cli.json` is recorded output, not
+roots, `analyze` and `groebner --ideal minors` on a projective cone
+whose vertex is charted at non-integral offsets, and `analyze` on an affine
+grid whose roots have eight distinct prime denominators, each in text and
+`--json` form.  The expected output in `golden/cli.json` is recorded output, not
 recomputed here, so any change to what these commands print shows up as a
 failure.
 """
@@ -53,10 +54,26 @@ SHIFTED_CONE = {
     "singularities": [],
 }
 
+# [[f(x), g(y)], [g(y), f(x)]] with roots at eight distinct prime
+# denominators: the 4 x 4 grid is charted with one constant for all 16 points,
+# far above what any single point needs
+LARGE_K_GRID = {
+    "schema_version": 1,
+    "variables": ["x", "y"],
+    "matrix": [["(2*x - 1)*(3*x - 1)*(5*x - 1)*(7*x - 1)",
+                "(11*y + 1)*(13*y + 1)*(17*y + 1)*(19*y + 1)"],
+               ["(11*y + 1)*(13*y + 1)*(17*y + 1)*(19*y + 1)",
+                "(2*x - 1)*(3*x - 1)*(5*x - 1)*(7*x - 1)"]],
+    "t": 2,
+    "ambient": {"kind": "affine", "dim": 2},
+    "singularities": [],
+}
+
 INLINE_MODELS = {
     "generic_3x3_t3.json": GENERIC_3X3,
     "fractional_grid.json": FRACTIONAL_GRID,
     "shifted_cone.json": SHIFTED_CONE,
+    "large_k_grid.json": LARGE_K_GRID,
 }
 
 COMMANDS = [
@@ -78,6 +95,7 @@ COMMANDS = [
     ("analyze", "fractional_grid.json"),
     ("analyze", "shifted_cone.json"),
     ("groebner", "shifted_cone.json", "--ideal", "minors"),
+    ("analyze", "large_k_grid.json"),
 ]
 
 CASES = [argv + extra for argv in COMMANDS for extra in ((), ("--json",))]

@@ -642,8 +642,8 @@ def chart_sequences(draw):
     Affine models over (x, y) take rational points whose coordinates come
     from two small pools, so that points share offsets in one variable with
     unlike denominators in the other; projective ones over (x0, x1, x2) take
-    integer points.  Some entries are rational multiples of others, with the
-    same integer form at every point and another constant.
+    integer points.  Some entries are rational multiples of others, whose
+    integer forms are the same multiples of one another.
     """
     shape = (2, draw(st.integers(min_value=2, max_value=3)))
     if draw(st.booleans()):
@@ -702,11 +702,11 @@ class TestIntegerCharts:
         assert any(x.denominator > 1 for pt in got.singular_points for x in pt)
         assert seen and set(seen) == {int}
 
-    def test_entries_sharing_an_integer_form_keep_their_constants(self):
-        # at (2/3, 1/3) both x/2 and x chart to X + 2, with the constants 6
-        # and 3; the point lies on the variety, so the minor x^2/2 - 2*y^2
-        # loses its constant term only if each entry is weighted by its own
-        # constant, not by that of its integer form
+    def test_entries_that_are_multiples_share_the_chart_constant(self):
+        # at (2/3, 1/3) the chart constant is 2 * 3, and x/2 and x chart to
+        # X + 2 and 2*X + 4, one half of the other as in the model; the point
+        # lies on the variety, so the minor x^2/2 - 2*y^2 loses its constant
+        # term only if every entry is charted with the same constant
         variables = ("x", "y")
         x, y = (Polynomial.variable(variables, v) for v in variables)
         matrix = PolyMatrix([[x * Fraction(1, 2), y], [2 * y, x]])
@@ -720,11 +720,17 @@ class TestIntegerCharts:
 
     @given(chart_sequences())
     def test_shared_memos_match_fresh_charts(self, case):
+        # one memo for all the points, as `classify` builds it; an entry
+        # form memoized at one point must be the one that a fresh chart with
+        # the same constant forms at the next
         model, points = case
-        shifted, products = {}, {}
+        memo = detvar._chart_memo(model, points)
         for point in points:
-            chart = chart_ideal(model, point, shifted, products)
-            assert chart.generators == chart_ideal(model, point).generators
+            chart = chart_ideal(model, point, memo)
+            for g in chart.generators:
+                assert all(type(c) is int for c in g.terms.values())
+            fresh = chart_ideal(model, point, (memo[0], {}, {}))
+            assert chart.generators == fresh.generators
             exact_minors = [g for g in minors(chart_matrix(model, point), model.t)
                             if g]
             assert ([set(g.terms) for g in chart.generators]

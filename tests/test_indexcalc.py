@@ -19,7 +19,6 @@ from detsing.indexcalc import (
     IndexLedger,
     LedgerEntry,
     LedgerError,
-    RadialDecomposition,
     SingularPointRecord,
     cstar_fixed_points,
     defect,
@@ -27,7 +26,6 @@ from detsing.indexcalc import (
     global_identity,
     phn_from_radial,
     phn_from_radial_nonsmoothable,
-    radial_from_decomposition,
 )
 from detsing.polyalg import PolyMatrix
 from detsing.topo import MilnorData, chi_smoothing
@@ -143,12 +141,6 @@ class TestDefect:
 
 
 class TestRadialBridge:
-    def test_radial_index_values(self):
-        assert radial_from_decomposition(RadialDecomposition()) == 1
-        assert radial_from_decomposition(RadialDecomposition((1, 1))) == 3
-        assert radial_from_decomposition(RadialDecomposition((-1,))) == 0
-        assert RadialDecomposition((2, 0, 1)).count == 3
-
     def test_surface_example(self):
         assert phn_from_radial(1, 2, 2) == 2
 

@@ -12,7 +12,6 @@ from detsing.polyalg import (
     ParseError,
     PolyMatrix,
     Polynomial,
-    _ScaledMatrix,
     determinant,
     minors,
     parse_polynomial,
@@ -350,28 +349,6 @@ class TestMatrices:
                     for cs in combinations(range(a.cols), size)
                 ]
                 assert minors(a, size, products) == minors(a, size) == expected
-
-    @given(matrices(SQUARE_SHAPES + RECTANGULAR_SHAPES), st.data())
-    def test_scaled_minors_match_leibniz_with_one_memo(self, m, data):
-        # the weights change between calls that share one products memo,
-        # and a plain call comes between them, so a scaled product kept in
-        # the memo would give a wrong minor
-        weight = st.integers(min_value=-3, max_value=3).filter(bool)
-        sizes = range(1, min(m.rows, m.cols) + 1)
-        products = {}
-        for scaled in (True, False, True):
-            weights = [[data.draw(weight) if scaled else 1 for _ in row]
-                       for row in m.entries]
-            matrix = _ScaledMatrix(m.entries, weights) if scaled else m
-            grid = [[e * w for e, w in zip(row, ws)]
-                    for row, ws in zip(m.entries, weights)]
-            for size in sizes:
-                expected = [
-                    leibniz_det([[grid[i][j] for j in cs] for i in rs])
-                    for rs in combinations(range(m.rows), size)
-                    for cs in combinations(range(m.cols), size)
-                ]
-                assert minors(matrix, size, products) == expected
 
     def test_rank_at_points(self):
         m = PolyMatrix.from_strings(TWISTED, P4)

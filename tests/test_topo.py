@@ -10,7 +10,6 @@ from detsing.topo import (
     CWDescriptor,
     MilnorData,
     UnsupportedDimensionError,
-    chi_additive,
     chi_bouquet,
     chi_cw,
     chi_smoothing,
@@ -126,13 +125,3 @@ class TestLeGreuel:
         got = le_greuel_check(data)
         assert got.status == VIOLATED
         assert got.lhs - got.rhs == offset
-
-
-class TestAdditivity:
-    def test_reattaching_points(self):
-        assert chi_additive(2, 1) == 3
-        assert chi_additive(-4, 0) == -4
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            chi_additive(2, -1)

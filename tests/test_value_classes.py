@@ -19,8 +19,8 @@ from detsing.grobner import GroebnerBasis, Ideal, buchberger
 from detsing.indexcalc import (ROLE_SMOOTH_FORM_POINT,
                                ROLE_VARIETY_SINGULARITY, SOLVED, VERIFIED,
                                IdentityResult, IndexLedger, LedgerEntry,
-                               LedgerError, RadialDecomposition,
-                               SingularPointRecord, cstar_fixed_points)
+                               LedgerError, SingularPointRecord,
+                               cstar_fixed_points)
 from detsing.polyalg import PolyMatrix, Polynomial, parse_polynomial
 from detsing.topo import (HOLDS, BouquetDescriptor, CWDescriptor,
                           LeGreuelResult, MilnorData)
@@ -250,17 +250,6 @@ class TestSingularPointRecord:
     ])
     def test_validation(self, args, message):
         raises_exactly(LedgerError, message, lambda: SingularPointRecord(*args))
-
-
-class TestRadialDecomposition:
-    def test_default_positional_and_keyword(self):
-        assert RadialDecomposition().inner_indices == ()
-        assert RadialDecomposition().count == 0
-        for dec in (RadialDecomposition([1, -1, True]),
-                    RadialDecomposition(inner_indices=(1, -1, 1))):
-            assert dec.inner_indices == (1, -1, 1)
-            assert all(type(i) is int for i in dec.inner_indices)
-            assert dec.count == 3
 
 
 class TestLedgerEntry:

@@ -1,0 +1,68 @@
+"""Digest of every report the benchmark workloads produce.
+
+    python3 tools/report_digest.py > digest.txt
+
+Run from any directory; the package is imported from this checkout's `src`
+and the ops are built by `perfbench/workloads.build` (imported, not
+changed) into a temporary directory that is removed afterwards.  Each op of
+the three workloads, at seeds 7 and 11, runs in this process through
+`detsing.cli.main`, once as text and once with `--json`, and prints one
+line: workload, seed, label and format, then the exit code and the sha256
+of standard output and of standard error.  The temporary directory's path
+is replaced by `<workdir>` before hashing, so two checkouts give equal
+lines exactly when their reports are byte-identical.  To check that a
+change keeps every report, run it on the parent and on the change and
+diff the two outputs.
+"""
+
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (7, 11)
+
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from detsing.cli import main  # noqa: E402
+from workloads import WORKLOADS, build  # noqa: E402
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv, workdir):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+    return (code, _sha(out.getvalue().replace(workdir, "<workdir>")),
+            _sha(err.getvalue().replace(workdir, "<workdir>")))
+
+
+def digest_lines():
+    """One line per (workload, seed, op, format), in a fixed order."""
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            workdir = tempfile.mkdtemp(prefix="report-digest-")
+            try:
+                for op in build(workload, seed, workdir):
+                    for fmt, extra in (("text", ()), ("json", ("--json",))):
+                        code, out, err = _run((*op.argv, *extra), workdir)
+                        yield (f"{workload} {seed} {op.label} [{fmt}] "
+                               f"code={code} stdout={out} stderr={err}")
+            finally:
+                shutil.rmtree(workdir, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    for line in digest_lines():
+        print(line)
