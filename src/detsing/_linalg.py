@@ -2,10 +2,14 @@
 
 A rational is an `int` when it is integral and a `Fraction` otherwise, so
 integer arithmetic stays on plain ints.  `div` is the one place where a
-quotient is formed: `1 / lc` with an `int` `lc` would be a float.
+quotient is formed: `1 / lc` with an `int` `lc` would be a float.  `_pivot`
+is the one elimination step, shared by `row_basis` and the simplex of
+`nonnegative_kernel_vector`, and `primitive` the one rescaling of a
+rational vector to integers.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def exact(x):
@@ -30,6 +34,31 @@ def div(a, b):
     return exact(a / b)
 
 
+def primitive(values):
+    """The integer multiple of a rational vector whose entries have gcd 1.
+
+    `values` are ints and Fractions.  They are scaled by the lcm of their
+    denominators and divided by the gcd of the result; signs are kept, and
+    a zero vector stays zero.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _pivot(rows, r, c):
+    """Gauss-Jordan step: row r scaled to 1 in column c, cleared elsewhere."""
+    piv = rows[r][c]
+    if piv != 1:
+        rows[r] = [div(x, piv) for x in rows[r]]
+    row = rows[r]
+    for i, other in enumerate(rows):
+        if i != r and other[c]:
+            f = other[c]
+            rows[i] = [a - f * b for a, b in zip(other, row)]
+
+
 def row_basis(rows):
     """Basis of the row space: the nonzero rows of the reduced echelon form.
 
@@ -39,33 +68,17 @@ def row_basis(rows):
     mat = [[exact(x) for x in row] for row in rows]
     if not mat or not mat[0]:
         return []
-    ncols = len(mat[0])
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        piv = mat[rank][col]
-        if piv != 1:
-            mat[rank] = [div(x, piv) for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        _pivot(mat, rank, col)
         rank += 1
         if rank == len(mat):
             break
     return mat[:rank]
-
-
-def rational_rank(rows):
-    """Rank of a matrix given as an iterable of rows of rationals."""
-    return len(row_basis(rows))
 
 
 def nonnegative_kernel_vector(rows, n):
@@ -82,56 +95,29 @@ def nonnegative_kernel_vector(rows, n):
             raise ValueError("constraint row length mismatch")
     cons.append([1] * n)
     m = len(cons)
-    rhs = [0] * (m - 1) + [1]
-    # tableau columns: n structural, m artificial, then the right-hand side
-    tab = []
-    for i in range(m):
-        row = cons[i][:]
-        if rhs[i] < 0:
-            row = [-x for x in row]
-            rhs[i] = -rhs[i]
-        row += [int(i == j) for j in range(m)]
-        row.append(rhs[i])
-        tab.append(row)
-    basis = [n + i for i in range(m)]
+    # tableau columns: n structural, m artificial, then the right-hand side,
+    # which is 0 for each kernel row and 1 for sum(w) = 1
+    tab = [row + [int(i == j) for j in range(m)] + [int(i == m - 1)]
+           for i, row in enumerate(cons)]
+    # the last row is the phase-one objective, the sum of the artificials
+    # in terms of the other columns: the column sums, with 0 in the
+    # artificial columns
+    tab.append([sum(col) for col in zip(*tab)])
     width = n + m
-    # phase-one objective: minimize the sum of artificials
-    obj = [0] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            obj[j] += tab[i][j]
-    for i in range(m):
-        obj[n + i] -= 1
+    tab[m][n:width] = [0] * m
+    basis = list(range(n, width))
     while True:
-        enter = None
-        for j in range(width):
-            if obj[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if tab[m][j] > 0), None)
         if enter is None:
             break
-        leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = div(tab[i][width], tab[i][enter])
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
+        ratios = [(div(tab[i][width], tab[i][enter]), basis[i], i)
+                  for i in range(m) if tab[i][enter] > 0]
+        if not ratios:
             return None
-        piv = tab[leave][enter]
-        if piv != 1:
-            tab[leave] = [div(x, piv) for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        f = obj[enter]
-        if f:
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
+        leave = min(ratios)[2]
+        _pivot(tab, leave, enter)
         basis[leave] = enter
-    if obj[width] != 0:
+    if tab[m][width] != 0:
         return None
     w = [0] * n
     for i in range(m):

@@ -393,9 +393,15 @@ def cmd_index(inp, args):
 
 def cmd_groebner(inp, args):
     model = inp.model
-    points, _, _ = lower_stratum_points(model, args.spair_budget)
-    chart_point = points[0] if points else None
-    if args.ideal in ("minors", "lower"):
+    chart_point = None
+    if args.ideal == "form":
+        # the form's coefficients are global polynomials: no chart is used
+        if inp.form_kind != "explicit":
+            raise InputError("--ideal form needs an explicit form with coefficients")
+        ideal = Ideal(model.variables, inp.form_coefficients)
+    else:
+        points, _, _ = lower_stratum_points(model, args.spair_budget)
+        chart_point = points[0] if points else None
         matrix = (chart_matrix(model, chart_point)
                   if chart_point is not None else model.matrix)
         if args.ideal == "minors":
@@ -403,10 +409,6 @@ def cmd_groebner(inp, args):
         else:
             gens = lower_locus_generators(matrix, model.t)
         ideal = Ideal(matrix.variables, gens)
-    else:
-        if inp.form_kind != "explicit":
-            raise InputError("--ideal form needs an explicit form with coefficients")
-        ideal = Ideal(model.variables, inp.form_coefficients)
     basis = buchberger(ideal, spair_budget=args.spair_budget)
     dimension = ideal_dimension(basis)
     quotient = quotient_dimension(basis)

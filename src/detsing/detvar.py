@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from ._linalg import div, exact
+from ._linalg import div, exact, primitive
 from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
                       buchberger, eliminant, ideal_dimension,
                       quasi_homogeneous_weights)
@@ -25,10 +25,10 @@ OUTSIDE = "outside"
 SMOOTH_STRATUM = "smooth_stratum"
 ESSENTIAL_SINGULAR = "essential_singular"
 
-# The rational-root search of an eliminant reads the divisors of its
-# constant and leading coefficients: past MAX_ROOT_COEFFICIENT it reports the
-# roots as possibly incomplete, and past MAX_ROOT_CANDIDATES tried candidates
-# it stops with ResourceLimitExceeded.
+# The rational-root search of an eliminant of degree three or more reads the
+# divisors of its constant and leading coefficients: it stops with
+# ResourceLimitExceeded when either is past MAX_ROOT_COEFFICIENT, or past
+# MAX_ROOT_CANDIDATES tried candidates.
 MAX_ROOT_COEFFICIENT = 10 ** 12
 MAX_ROOT_CANDIDATES = 100_000
 
@@ -68,14 +68,10 @@ class ProjectivePoint:
             raise ValueError("projective point coordinates must be integers")
         if not ints or not any(ints):
             raise ValueError("projective point needs a nonzero coordinate")
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c))
-        ints = tuple(c // g for c in ints)
-        first = next(c for c in ints if c)
-        if first < 0:
-            ints = tuple(-c for c in ints)
-        self.coords = ints
+        ints = primitive(ints)
+        if next(c for c in ints if c) < 0:
+            ints = [-c for c in ints]
+        self.coords = tuple(ints)
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -103,11 +99,7 @@ class ProjectivePoint:
 
     @classmethod
     def from_fractions(cls, values):
-        vals = [Fraction(exact(v)) for v in values]
-        scale = 1
-        for v in vals:
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        return cls([int(v * scale) for v in vals])
+        return cls(primitive([exact(v) for v in values]))
 
     def chart_index(self):
         """Index of the first nonzero coordinate."""
@@ -292,15 +284,15 @@ def _rational_roots(coeffs):
 
     `coeffs` is dense, ascending degree.  Returns (roots, complete) where
     complete means the polynomial splits into rational linear factors.  The
-    coefficients are scaled to integers and every candidate of the rational
-    root theorem is divided out as often as it divides, until a quadratic or
-    linear factor is left, whose roots are read off directly.  The search
-    gives up (complete is False) when the constant or leading coefficient
-    exceeds MAX_ROOT_COEFFICIENT, and raises ResourceLimitExceeded after
-    MAX_ROOT_CANDIDATES candidates.
+    coefficients are scaled to their primitive integer multiple and every
+    candidate of the rational root theorem is divided out as often as it
+    divides, until a quadratic or linear factor is left, whose roots are
+    read off directly, whatever their size.  The candidate search, needed
+    only when more than a quadratic is left after the zero roots, raises
+    ResourceLimitExceeded when the constant or leading coefficient exceeds
+    MAX_ROOT_COEFFICIENT, and after MAX_ROOT_CANDIDATES candidates.
     """
-    scale = lcm(*(c.denominator for c in coeffs))
-    work = [c.numerator * (scale // c.denominator) for c in coeffs]
+    work = primitive(coeffs)
     while work and work[-1] == 0:
         work.pop()
     if len(work) <= 1:
@@ -314,9 +306,10 @@ def _rational_roots(coeffs):
         roots.append((Fraction(0), zero_mult))
     if len(work) == 1:
         return roots, True
-    if (abs(work[0]) > MAX_ROOT_COEFFICIENT
-            or abs(work[-1]) > MAX_ROOT_COEFFICIENT):
-        return roots, False
+    if len(work) > 3 and max(abs(work[0]), abs(work[-1])) > MAX_ROOT_COEFFICIENT:
+        raise ResourceLimitExceeded(
+            "rational-root search exceeded its limit of "
+            f"{MAX_ROOT_COEFFICIENT} on the constant and leading coefficients")
     ps, qs = _divisors(work[0]), _divisors(work[-1])
     candidates = _root_candidates(ps, qs)
     tried = 0

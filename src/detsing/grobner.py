@@ -6,10 +6,8 @@ structure makes the global answers equal to the local ones; the
 `quasi_homogeneous_weights` gate decides that admissibility.
 """
 
-from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain, count
-from math import gcd, lcm
 from operator import add, mul
 
 from . import _linalg
@@ -145,12 +143,6 @@ class _Packing:
         return Polynomial._raw(variables, terms)
 
 
-@lru_cache(maxsize=64)
-def _packing(nvars, width):
-    # a packing never changes once built, and most calls share a few shapes
-    return _Packing(nvars, width)
-
-
 def _remainder(work, divisors, pk):
     """Complete division of packed terms (consumed) by monic divisor triples.
 
@@ -188,7 +180,7 @@ def _widening(nvars, polys, run):
     width = (2 * top).bit_length() + 1
     while True:
         try:
-            return run(_packing(nvars, width))
+            return run(_Packing(nvars, width))
         except _FieldOverflow:
             width *= 2
 
@@ -502,13 +494,4 @@ def quasi_homogeneous_weights(polys):
     if len(basis) == nvars:
         return None
     w = _linalg.nonnegative_kernel_vector(basis, nvars)
-    if w is None:
-        return None
-    scale = lcm(*(x.denominator for x in w)) if w else 1
-    ints = [int(x * scale) for x in w]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    return None if w is None else tuple(_linalg.primitive(w))

@@ -211,13 +211,10 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def leading_monomial(self, key=None):
+    def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=key or _grevlex_key)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
+        return max(self.terms, key=_grevlex_key)
 
     def evaluate(self, point):
         """Exact value at a rational point (one coordinate per variable)."""
@@ -317,9 +314,6 @@ class Polynomial:
             d = sum(w * e for w, e in zip(weights, exps))
             parts.setdefault(d, {})[exps] = c
         return {d: Polynomial._raw(self.variables, t) for d, t in sorted(parts.items())}
-
-    def is_weighted_homogeneous(self, weights):
-        return len(self.weight_components(weights)) <= 1
 
     def __str__(self):
         if not self.terms:
@@ -518,9 +512,6 @@ class PolyMatrix:
     def from_strings(cls, grid, variables):
         return cls([[parse_polynomial(s, variables) for s in row] for row in grid])
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def evaluate(self, point):
         """Matrix of exact values at a rational point."""
         point = [exact(x) for x in point]
@@ -592,4 +583,4 @@ def minors(matrix, size, products=None):
 
 def rank_at_point(matrix, point):
     """Exact rank of the matrix evaluated at a rational point."""
-    return _linalg.rational_rank(matrix.evaluate(point))
+    return len(_linalg.row_basis(matrix.evaluate(point)))

@@ -240,6 +240,30 @@ class TestGroebner:
         )
         assert code == 2
 
+    def test_form_ideal_is_global(self, run_cli, tmp_path):
+        # the model has the singular point (1, 2), but the form's
+        # coefficients are global polynomials
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": ["x", "y"],
+            "matrix": [["x - 1", "y - 2"], ["y - 2", "x - 1"]], "t": 2,
+            "ambient": {"kind": "affine", "dim": 2}, "singularities": [],
+            "form": {"kind": "explicit", "coefficients": ["x^2", "y^3"]}}))
+        code, out, err = run_cli("groebner", path, "--ideal", "form", "--json")
+        assert code == 0 and err == ""
+        got = load(out)["groebner"]
+        assert got["chart_point"] is None
+        assert got["basis"] == ["y^3", "x^2"]
+
+    def test_form_ideal_checks_the_form_before_solving(self, run_cli):
+        # one S-pair cannot solve the singular locus of the twisted cubic,
+        # but the missing explicit form is found first
+        code, out, err = run_cli(
+            "groebner", fixture_path("twisted_cubic.json"), "--ideal", "form",
+            "--spair-budget", "1")
+        assert code == 2 and out == ""
+        assert err == "error: --ideal form needs an explicit form with coefficients\n"
+
     def test_smooth_model_uses_global_chart(self, run_cli):
         code, out, _ = run_cli(
             "groebner", fixture_path("smooth_conic.json"), "--ideal", "minors", "--json"
@@ -653,6 +677,34 @@ class TestInputValidation:
                                              "(1062347/1763, 0)"]
         assert report["singular_points_exact"] is True
 
+    def grid_model(self, tmp_path, diagonal, off_diagonal):
+        return self.write(tmp_path, {
+            "schema_version": 1, "variables": ["x", "y"],
+            "matrix": [[diagonal, off_diagonal], [off_diagonal, diagonal]],
+            "t": 2, "ambient": {"kind": "affine", "dim": 2},
+            "singularities": []})
+
+    def test_root_coefficient_bound_stops_the_search(self, run_cli, tmp_path):
+        # the eliminant in y is the cubic g, whose leading coefficient
+        # 1000003 * 1000033 is past the bound: its three rational roots
+        # would need the candidate search, so analyze stops rather than
+        # report an empty singular locus
+        g = "(1000003*y + 1)*(1000033*y + 1)*(y - 2)"
+        code, out, err = run_cli("analyze", self.grid_model(tmp_path, "x - 1", g))
+        assert code == 3 and out == ""
+        assert err == ("resource limit: rational-root search exceeded its "
+                       f"limit of {detvar.MAX_ROOT_COEFFICIENT} on the constant "
+                       "and leading coefficients\n")
+
+    def test_linear_eliminant_past_the_coefficient_bound(self, run_cli, tmp_path):
+        entry = "10000000000037*y - 3"
+        code, out, err = run_cli(
+            "analyze", self.grid_model(tmp_path, "x - 1", entry), "--json")
+        assert code == 0 and err == ""
+        report = load(out)["classification"]
+        assert report["singular_points"] == ["(1, 3/10000000000037)"]
+        assert report["singular_points_exact"] is True
+
     def test_affine_ledger_unsupported(self, run_cli):
         code, _, err = run_cli("verify", fixture_path("non_quasihomogeneous.json"))
         assert code == 3
@@ -701,8 +753,9 @@ class TestLedgerWork:
          {"grevlex": 2, "weights": 0}),
         (("groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower"),
          {"grevlex": 2, "weights": 0}),
+        # the form ideal is global: the singular locus is not solved for it
         (("groebner", fixture_path("form_staircase.json"), "--ideal", "form"),
-         {"grevlex": 2, "weights": 0}),
+         {"grevlex": 1, "weights": 0}),
     ], ids=["verify_twisted_cubic", "index_segre_cone",
             "groebner_minors", "groebner_lower", "groebner_form"])
     def test_pinned_counts(self, run_cli, counts, argv, expected):

@@ -12,6 +12,7 @@ from detsing.detvar import (
     AFFINE,
     ESSENTIAL_SINGULAR,
     MAX_ROOT_CANDIDATES,
+    MAX_ROOT_COEFFICIENT,
     OUTSIDE,
     PROJECTIVE,
     SMOOTH_STRATUM,
@@ -353,6 +354,27 @@ class TestRationalRoots:
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         assert _rational_roots([-b, 0, a]) == ([], False)
 
+    def test_linear_and_quadratic_factors_past_the_coefficient_bound(self):
+        # end coefficients past MAX_ROOT_COEFFICIENT need no search when at
+        # most a quadratic is left
+        big = 10000000000037
+        assert big > MAX_ROOT_COEFFICIENT
+        assert _rational_roots([-3, big]) == ([(Fraction(3, big), 1)], True)
+        # (p*y - 1) (q*y - 1)
+        p, q = 1000003, 1000033
+        assert p * q > MAX_ROOT_COEFFICIENT
+        assert _rational_roots([1, -(p + q), p * q]) == (
+            [(Fraction(1, q), 1), (Fraction(1, p), 1)], True)
+
+    def test_coefficient_bound_stops_the_search(self):
+        # a cubic needs the candidate search, whose divisors the bound guards
+        with pytest.raises(ResourceLimitExceeded,
+                           match=f"rational-root search .* {MAX_ROOT_COEFFICIENT} "):
+            _rational_roots([-3, 0, 0, 10000000000037])
+        # zero roots are divided out before the bound is checked
+        assert _rational_roots([0, 0, -3, 10000000000037]) == (
+            [(Fraction(0), 2), (Fraction(3, 10000000000037), 1)], True)
+
     def test_candidates_shrink_with_the_quotient(self):
         # (b*x - 1) (x^3 - 2*a): the root 1/b comes early, and the cubic
         # quotient has 256 candidates where the original has 368640
@@ -555,14 +577,14 @@ class TestCharts:
         )
         m = chart_matrix(model, ProjectivePoint.parse("[1:0:0:0:1]"))
         assert m.variables == ("x1", "x2", "x3", "x4")
-        assert str(m.entry(0, 0)) == "-x4"
-        assert str(m.entry(1, 2)) == "x3"
+        assert str(m.entries[0][0]) == "-x4"
+        assert str(m.entries[1][2]) == "x3"
 
     def test_affine_shift(self):
         m = PolyMatrix.from_strings([["x"]], ("x", "y"))
         model = DeterminantalModel(m, 1, AmbientSpace(AFFINE, 2))
         shifted = chart_matrix(model, (Fraction(3), Fraction(5)))
-        assert str(shifted.entry(0, 0)) == "x + 3"
+        assert str(shifted.entries[0][0]) == "x + 3"
 
     def test_equal_entries_shift_once(self, shift_calls):
         variables = ("x", "y")

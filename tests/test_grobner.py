@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import operator
+import random
 import sys
 from fractions import Fraction
 from importlib.resources import files
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from conftest import fixture_path
 from detsing import grobner
 from detsing.cli import load_input
-from detsing.detvar import lower_locus_generators, minors_ideal
+from detsing.detvar import (chart_ideal, lower_locus_generators,
+                            lower_stratum_points, minors_ideal)
 from detsing.grobner import (
     GroebnerBasis,
     Ideal,
@@ -26,7 +28,7 @@ from detsing.grobner import (
     quotient_dimension,
     s_polynomial,
 )
-from detsing._linalg import nonnegative_kernel_vector, rational_rank, row_basis
+from detsing._linalg import nonnegative_kernel_vector, row_basis
 from detsing.polyalg import (Polynomial, PolyMatrix, _grevlex_key, minors,
                              parse_polynomial)
 
@@ -237,8 +239,12 @@ def _scan_reduce(f, info, key):
     return Polynomial._raw(f.variables, remainder)
 
 
+def _scan_lm(f, key):
+    return max(f.terms, key=key)
+
+
 def _scan_lead(f, key):
-    lm = f.leading_monomial(key)
+    lm = _scan_lm(f, key)
     return lm, f.terms[lm]
 
 
@@ -263,11 +269,11 @@ def _scan_s_polynomial(f, g, key):
 
 def _scan_autoreduce(polys, key):
     """Minimal filter, then tail reduction repeated until nothing changes."""
-    polys = sorted(polys, key=lambda p: key(p.leading_monomial(key)))
+    polys = sorted(polys, key=lambda p: key(_scan_lm(p, key)))
     minimal = []
     for p in polys:
-        lm = p.leading_monomial(key)
-        if not any(_mono_divides(q.leading_monomial(key), lm) for q in minimal):
+        lm = _scan_lm(p, key)
+        if not any(_mono_divides(_scan_lm(q, key), lm) for q in minimal):
             minimal.append(p)
     changed = True
     while changed:
@@ -278,7 +284,7 @@ def _scan_autoreduce(polys, key):
             if r != p:
                 minimal[i] = r
                 changed = True
-    return sorted(minimal, key=lambda p: key(p.leading_monomial(key)), reverse=True)
+    return sorted(minimal, key=lambda p: key(_scan_lm(p, key)), reverse=True)
 
 
 def scan_buchberger(ideal, spair_budget, key=_grevlex_key):
@@ -322,7 +328,7 @@ def scan_buchberger(ideal, spair_budget, key=_grevlex_key):
         if r:
             r = _scan_monic(r, key)
             basis.append(r)
-            lm = r.leading_monomial(key)
+            lm = _scan_lm(r, key)
             info.append((lm, r.terms[lm], r))
             lms.append(lm)
             new = len(basis) - 1
@@ -366,10 +372,11 @@ def recording_widths():
 
     def recording(nvars, width):
         widths.append(width)
-        return grobner._Packing(nvars, width)
+        return packing(nvars, width)
 
+    packing = grobner._Packing
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grobner, "_packing", recording)
+        patch.setattr(grobner, "_Packing", recording)
         yield widths
 
 
@@ -765,7 +772,7 @@ class TestEliminant:
             return
         last = len(ideal_.variables) - 1
         (univariate,) = [p for p in lex if not any(any(m[:last]) for m in p.terms)]
-        expected = [univariate.coefficient((0,) * last + (e,))
+        expected = [univariate.terms.get((0,) * last + (e,), 0)
                     for e in range(univariate.total_degree() + 1)]
         coeffs = eliminant(gb)
         assert coeffs == expected
@@ -799,11 +806,11 @@ class TestEliminant:
 class TestOrders:
     def test_grevlex_vs_lex_leading_monomial(self):
         f = parse_polynomial("x^2 + y*z", XYZ)
-        assert f.leading_monomial() == f.leading_monomial(key=_grevlex_key) == (2, 0, 0)
+        assert f.leading_monomial() == _scan_lm(f, _grevlex_key) == (2, 0, 0)
         g = parse_polynomial("x*z^2 + y^3", XYZ)
         # grevlex prefers the monomial with fewer trailing exponents
         assert g.leading_monomial() == (0, 3, 0)
-        assert g.leading_monomial(key=lex_key) == (1, 0, 2)
+        assert _scan_lm(g, lex_key) == (1, 0, 2)
 
 
 def exponent_differences(polys):
@@ -813,6 +820,11 @@ def exponent_differences(polys):
         ms = sorted(p.terms)
         rows.extend([Fraction(a - b) for a, b in zip(m, ms[0])] for m in ms[1:])
     return rows
+
+
+def is_weighted_homogeneous(f, weights):
+    """Every monomial of f has the same weighted degree."""
+    return len({sum(map(operator.mul, weights, m)) for m in f.terms}) <= 1
 
 
 def always_simplex_weights(polys):
@@ -857,7 +869,7 @@ class TestWeights:
         w = quasi_homogeneous_weights(gens)
         assert w is not None
         for g in gens:
-            assert g.is_weighted_homogeneous(w)
+            assert is_weighted_homogeneous(g, w)
 
     def test_non_quasi_homogeneous(self):
         gens = polys(("x^2 + x^3 + y^7",), XY)
@@ -898,7 +910,86 @@ class TestWeights:
         if w is not None:
             assert min(w) >= 0 and any(w)
             for g in gens:
-                assert g.is_weighted_homogeneous(w)
+                assert is_weighted_homogeneous(g, w)
         basis = row_basis(rows)
-        assert rational_rank(rows + basis) == len(basis) == rational_rank(rows)
+        assert row_basis(rows + basis) == basis
         assert len(basis) == _rank(rows) == _rank(rows + basis)
+
+
+def vertex_systems(count=50, seed=19):
+    """Seeded systems whose difference rows leave a kernel of dimension >= 2.
+
+    There the weight vector is one vertex of a polytope with several, and
+    which one the simplex returns depends on its pivot order.
+    """
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        nvars = rng.randint(3, 6)
+        variables = tuple(f"x{i}" for i in range(nvars))
+        gens = [Polynomial(variables, {
+                    tuple(rng.randint(0, 3) for _ in variables): rng.randint(1, 3)
+                    for _ in range(rng.randint(2, 3))})
+                for _ in range(rng.randint(1, 2))]
+        if nvars - _rank(exponent_differences(gens)) >= 2:
+            systems.append(gens)
+    return systems
+
+
+# what quasi_homogeneous_weights returns on vertex_systems(), in order
+VERTEX_WEIGHTS = [
+    (0, 1, 0), None, (0, 0, 1, 0), (0, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0),
+    (2, 1, 2, 0), (0, 1, 6, 2, 0, 0), (0, 0, 4, 2, 0, 1), (1, 0, 0, 2, 0),
+    (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (3, 1, 0, 0), (0, 1, 0, 0), None,
+    (4, 2, 1, 0, 4, 0), (1, 1, 0, 1, 0), (0, 1, 0, 0, 0), (1, 0, 3),
+    (1, 4, 6, 0, 4), (2, 0, 1, 0, 0), (1, 0, 0, 2), None, (3, 0, 2, 0, 0),
+    (1, 1, 1, 0), (0, 2, 0, 1, 0), (6, 7, 2, 0, 0, 0), (0, 1, 0, 0, 0),
+    (1, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 1, 2, 7, 0, 0), None,
+    (1, 0, 0, 0), (0, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0), None, None,
+    (0, 0, 2, 3, 0, 0), (0, 1, 1, 0, 0), (0, 1, 0), None, (1, 1, 0, 0, 0, 0),
+    (0, 1, 1, 2), (2, 2, 3, 0), (1, 2, 3, 0, 0), (1, 0, 0, 0), (1, 0, 1, 0),
+    (3, 1, 0, 0, 1), (2, 0, 1), (1, 2, 0), (4, 5, 0, 0, 3, 0),
+]
+
+# systems on which the leaving-row tie-break of the simplex, the least basic
+# column among equal ratios, decides the vertex
+P5 = ("x0", "x1", "x2", "x3", "x4")
+TIE_BREAK_WEIGHTS = [
+    (("2*x0^3*x1^3*x3^2*x4 + x0*x1*x2^3*x3^3*x4 + 2*x1*x2*x3^2*x4^2",),
+     (1, 0, 0, 2, 3)),
+    (("x0^2*x1^3*x2^3*x4^3 + 2*x0^3*x2^3*x3^2*x4^2",
+      "3*x0^2*x1^2*x2^2*x3^2 + 2*x1^2*x2*x4^3"), (1, 0, 1, 0, 1)),
+    (("3*x0*x1^2*x2*x3^2 + x2*x3*x4^2", "x0*x2^2 + 2*x1*x4"), (0, 0, 1, 4, 2)),
+]
+
+# the weights of the chart ideal at the one singular point of each bundled
+# fixture that has one
+FIXTURE_CHART_WEIGHTS = {
+    "non_quasihomogeneous.json": None,
+    "segre_cone.json": (1, 1, 1, 0, 0, 0),
+    "twisted_cubic.json": (3, 2, 1, 0),
+    "twisted_cubic_euler.json": (3, 2, 1, 0),
+    "twisted_cubic_index.json": (3, 2, 1, 0),
+    "twisted_cubic_wrong_chi.json": (3, 2, 1, 0),
+}
+
+
+class TestWeightVertex:
+    """The simplex's vertex, pinned: its pivot rule and tie-break decide it."""
+
+    def test_vertices_of_random_systems(self):
+        assert [quasi_homogeneous_weights(g) for g in vertex_systems()] == VERTEX_WEIGHTS
+
+    @pytest.mark.parametrize("texts,weights", TIE_BREAK_WEIGHTS)
+    def test_leaving_row_tie_break(self, texts, weights):
+        assert quasi_homogeneous_weights(polys(texts, P5)) == weights
+
+    def test_fixture_chart_weights(self):
+        found = {}
+        for path in files("detsing").joinpath("fixtures").iterdir():
+            model = load_input(str(path)).model
+            points, _, _ = lower_stratum_points(model, grobner.DEFAULT_SPAIR_BUDGET)
+            for pt in points:
+                found[path.name] = quasi_homogeneous_weights(
+                    chart_ideal(model, pt).generators)
+        assert found == FIXTURE_CHART_WEIGHTS

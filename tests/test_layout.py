@@ -181,6 +181,14 @@ def test_polyalg_memos_live_inside_one_call():
     assert caches == [], f"function caches on lines {caches}"
 
 
+def test_grobner_memos_live_inside_one_call():
+    # a packing is built per basis call; the S-polynomials that survive a
+    # widening live in that call's dict
+    containers, caches = _per_call_memo_faults("grobner.py")
+    assert containers == [], f"module-level containers on lines {containers}"
+    assert caches == [], f"function caches on lines {caches}"
+
+
 def test_cli_leaves_point_syntax_to_detvar():
     # `detvar.parse_point` owns both point grammars; the CLI adds only the
     # location of a bad point to its message
