@@ -57,18 +57,22 @@ class ProjectivePoint:
     Coordinates are divided by their gcd and the first nonzero entry is made
     positive, so equal points compare and hash equal.  Each coordinate must
     be an integer, as an int or an integral Fraction; a float raises
-    TypeError, as in `_linalg.exact`.
+    TypeError, as in `_linalg.exact`.  `from_fractions` takes rational
+    coordinates, which the same `primitive` pass scales to integers.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        ints = tuple(exact(c) for c in coords)
-        if any(type(c) is not int for c in ints):
+        values = [exact(c) for c in coords]
+        if any(type(c) is not int for c in values):
             raise ValueError("projective point coordinates must be integers")
-        if not ints or not any(ints):
+        self._normalize(values)
+
+    def _normalize(self, values):
+        if not any(values):
             raise ValueError("projective point needs a nonzero coordinate")
-        ints = primitive(ints)
+        ints = primitive(values)
         if next(c for c in ints if c) < 0:
             ints = [-c for c in ints]
         self.coords = tuple(ints)
@@ -99,7 +103,9 @@ class ProjectivePoint:
 
     @classmethod
     def from_fractions(cls, values):
-        return cls(primitive([exact(v) for v in values]))
+        point = cls.__new__(cls)
+        point._normalize([exact(v) for v in values])
+        return point
 
     def chart_index(self):
         """Index of the first nonzero coordinate."""
@@ -306,12 +312,15 @@ def _rational_roots(coeffs):
         roots.append((Fraction(0), zero_mult))
     if len(work) == 1:
         return roots, True
-    if len(work) > 3 and max(abs(work[0]), abs(work[-1])) > MAX_ROOT_COEFFICIENT:
-        raise ResourceLimitExceeded(
-            "rational-root search exceeded its limit of "
-            f"{MAX_ROOT_COEFFICIENT} on the constant and leading coefficients")
-    ps, qs = _divisors(work[0]), _divisors(work[-1])
-    candidates = _root_candidates(ps, qs)
+    if len(work) > 3:
+        if max(abs(work[0]), abs(work[-1])) > MAX_ROOT_COEFFICIENT:
+            raise ResourceLimitExceeded(
+                "rational-root search exceeded its limit of "
+                f"{MAX_ROOT_COEFFICIENT} on the constant and leading coefficients")
+        # trial division up to the square root: only bounded end
+        # coefficients reach it
+        ps, qs = _divisors(work[0]), _divisors(work[-1])
+        candidates = _root_candidates(ps, qs)
     tried = 0
     while len(work) > 3:
         pq = next(candidates, None)

@@ -705,6 +705,17 @@ class TestInputValidation:
         assert report["singular_points"] == ["(1, 3/10000000000037)"]
         assert report["singular_points_exact"] is True
 
+    def test_linear_eliminant_with_a_42_digit_coefficient(self, run_cli, tmp_path):
+        # trial division of the leading coefficient would not finish; the
+        # linear root is read off without it
+        big = 10**41 + 7
+        code, out, err = run_cli(
+            "analyze", self.grid_model(tmp_path, "x - 1", f"{big}*y - 3"), "--json")
+        assert code == 0 and err == ""
+        report = load(out)["classification"]
+        assert report["singular_points"] == [f"(1, 3/{big})"]
+        assert report["singular_points_exact"] is True
+
     def test_affine_ledger_unsupported(self, run_cli):
         code, _, err = run_cli("verify", fixture_path("non_quasihomogeneous.json"))
         assert code == 3

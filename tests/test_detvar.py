@@ -366,6 +366,30 @@ class TestRationalRoots:
         assert _rational_roots([1, -(p + q), p * q]) == (
             [(Fraction(1, q), 1), (Fraction(1, p), 1)], True)
 
+    def test_huge_end_coefficients_of_a_linear_or_quadratic(self):
+        # trial division of a 42-digit end coefficient would take about
+        # 10^20 steps: the roots are read off without it
+        big = 10**41 + 7
+        assert _rational_roots([-3, big]) == ([(Fraction(3, big), 1)], True)
+        assert _rational_roots([0, 0, -3, big]) == (
+            [(Fraction(0), 2), (Fraction(3, big), 1)], True)
+        # (big*y - 1) (y - 2)
+        assert _rational_roots([2, -(2 * big + 1), big]) == (
+            [(Fraction(1, big), 1), (Fraction(2), 1)], True)
+        assert _rational_roots([big, 0, 1]) == ([], False)
+
+    @pytest.mark.parametrize("coeffs", [
+        [-3, 10000000000037], [0, -5, 7], [1, -2003, 2002], [0, 0, 0, 6],
+        [0, 0, 0, -3, 10000000000037],
+    ], ids=["linear", "zero_then_linear", "quadratic", "zeros_then_constant",
+            "zeros_then_linear"])
+    def test_no_divisors_at_degree_two_or_less(self, coeffs, monkeypatch):
+        def no_divisors(n):
+            raise AssertionError(f"_divisors({n}) called")
+
+        monkeypatch.setattr(detvar, "_divisors", no_divisors)
+        _rational_roots(coeffs)
+
     def test_coefficient_bound_stops_the_search(self):
         # a cubic needs the candidate search, whose divisors the bound guards
         with pytest.raises(ResourceLimitExceeded,
