@@ -25,9 +25,10 @@ from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
 from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
                       buchberger, ideal_dimension, quotient_dimension)
 from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
-                        SOLVED, VERIFIED, IndexLedger, LedgerEntry,
-                        LedgerError, SingularPointRecord, cstar_fixed_points,
-                        defect, defect_known, global_identity)
+                        SOLVED, VERIFIED, IdentityResult, IndexLedger,
+                        LedgerEntry, LedgerError, SingularPointRecord,
+                        cstar_fixed_points, defect, defect_known,
+                        global_identity)
 from .polyalg import PolyMatrix, minors, parse_polynomial
 from .topo import UnsupportedDimensionError
 
@@ -300,95 +301,76 @@ def _assemble_ledger(inp, classification):
     return records, entries
 
 
-def _ledger_context(inp, budget):
-    if inp.model.ambient.kind != PROJECTIVE:
-        raise UnsupportedError(
-            "the global identity applies to projective varieties only")
-    classification = classify(inp.model, budget)
-    records, entries = _assemble_ledger(inp, classification)
-    return classification, records, entries
-
-
-def _ledger_block(records, entries, chi_x):
-    return {
-        "chi_X": chi_x,
-        "entries": [{"point": e.point, "role": e.role, "index": e.index}
-                    for e in entries],
-        "defects": [{"point": r.point,
-                     "defect": defect(r) if defect_known(r) else None}
-                    for r in records],
-    }
-
-
 def _identity_block(result):
     return {"status": result.status, "lhs": result.lhs, "rhs": result.rhs,
             "name": result.name, "value": result.value}
 
 
-def _ledger_report(args, inp, classification, records, entries, identity):
-    """The report shared by verify, euler and index."""
-    return {
-        "command": args.command,
-        "input": inp.name,
+def _ledger(inp, args):
+    """(body, records, entries) shared by verify, euler and index.
+
+    The body holds the classification and ledger blocks; each command adds
+    its identity block.
+    """
+    if inp.model.ambient.kind != PROJECTIVE:
+        raise UnsupportedError(
+            "the global identity applies to projective varieties only")
+    classification = classify(inp.model, args.spair_budget)
+    records, entries = _assemble_ledger(inp, classification)
+    body = {
         "classification": _classification_block(classification),
-        "ledger": _ledger_block(records, entries, inp.chi_x),
-        "identity": identity,
-        "timing_ms": None,
+        "ledger": {
+            "chi_X": inp.chi_x,
+            "entries": [{"point": e.point, "role": e.role, "index": e.index}
+                        for e in entries],
+            "defects": [{"point": r.point,
+                         "defect": defect(r) if defect_known(r) else None}
+                        for r in records],
+        },
     }
+    return body, records, entries
 
 
 def cmd_analyze(inp, args):
     classification = classify(inp.model, args.spair_budget)
-    report = {
-        "command": "analyze",
-        "input": inp.name,
-        "classification": _classification_block(classification),
-        "timing_ms": None,
-    }
-    code = EXIT_OK if classification.local_supported else EXIT_UNSUPPORTED
-    return report, code
+    body = {"classification": _classification_block(classification)}
+    return body, EXIT_OK if classification.local_supported else EXIT_UNSUPPORTED
 
 
 def cmd_verify(inp, args):
-    classification, records, entries = _ledger_context(inp, args.spair_budget)
+    body, records, entries = _ledger(inp, args)
     result = global_identity(IndexLedger(entries, inp.chi_x), records)
     if result.status == SOLVED:
         raise UnsupportedError(
             f"verification needs a fully determined ledger; {result.name} "
             "is unknown (use euler or index to solve for it)")
-    report = _ledger_report(args, inp, classification, records, entries,
-                            _identity_block(result))
-    return report, EXIT_OK if result.status == VERIFIED else EXIT_VIOLATED
+    body["identity"] = _identity_block(result)
+    return body, EXIT_OK if result.status == VERIFIED else EXIT_VIOLATED
 
 
 def cmd_euler(inp, args):
     if inp.chi_x is not None:
         raise InputError("euler solves for chi_X, but known.chi_X is already present")
-    classification, records, entries = _ledger_context(inp, args.spair_budget)
+    body, records, entries = _ledger(inp, args)
     result = global_identity(IndexLedger(entries, None), records)
-    report = _ledger_report(args, inp, classification, records, entries,
-                            _identity_block(result))
-    return report, EXIT_OK
+    body["identity"] = _identity_block(result)
+    return body, EXIT_OK
 
 
 def cmd_index(inp, args):
     target = point_label(_parsed(parse_point, args.at, "--at", inp.model))
-    classification, records, entries = _ledger_context(inp, args.spair_budget)
-    by_point = {e.point: e for e in entries}
-    if target not in by_point:
+    body, records, entries = _ledger(inp, args)
+    entry = next((e for e in entries if e.point == target), None)
+    if entry is None:
         raise InputError(f"point {target} is not in the ledger")
-    entry = by_point[target]
     if entry.role == ROLE_SMOOTH_FORM_POINT:
-        result_block = {"status": SOLVED, "lhs": None, "rhs": None,
-                        "name": f"index@{target}", "value": entry.index}
+        result = IdentityResult(SOLVED, name=f"index@{target}", value=entry.index)
+    elif entry.index is not None:
+        raise InputError(f"the index at {target} is already given as {entry.index}")
     else:
-        if entry.index is not None:
-            raise InputError(f"the index at {target} is already given as {entry.index}")
         result = global_identity(IndexLedger(entries, inp.chi_x), records)
-        result_block = _identity_block(result)
-    report = _ledger_report(args, inp, classification, records, entries,
-                            result_block)
-    return report, EXIT_OK
+    body["identity"] = _identity_block(result)
+    return body, EXIT_OK
 
 
 def cmd_groebner(inp, args):
@@ -400,7 +382,7 @@ def cmd_groebner(inp, args):
             raise InputError("--ideal form needs an explicit form with coefficients")
         ideal = Ideal(model.variables, inp.form_coefficients)
     else:
-        points, _, _ = lower_stratum_points(model, args.spair_budget)
+        points, _, _, gb_low = lower_stratum_points(model, args.spair_budget)
         chart_point = points[0] if points else None
         matrix = (chart_matrix(model, chart_point)
                   if chart_point is not None else model.matrix)
@@ -409,24 +391,23 @@ def cmd_groebner(inp, args):
         else:
             gens = lower_locus_generators(matrix, model.t)
         ideal = Ideal(matrix.variables, gens)
-    basis = buchberger(ideal, spair_budget=args.spair_budget)
+    if args.ideal == "lower" and chart_point is None:
+        # the uncharted lower ideal is the one lower_stratum_points reduced
+        basis = gb_low
+    else:
+        basis = buchberger(ideal, spair_budget=args.spair_budget)
     dimension = ideal_dimension(basis)
     quotient = quotient_dimension(basis)
-    report = {
-        "command": "groebner",
-        "input": inp.name,
-        "groebner": {
-            "ideal": args.ideal,
-            "chart_point": (point_label(chart_point)
-                            if chart_point is not None else None),
-            "variables": list(ideal.variables),
-            "basis": [str(p) for p in basis.polynomials],
-            "dimension": dimension,
-            "quotient_dimension": quotient if quotient is not None else "infinite",
-        },
-        "timing_ms": None,
-    }
-    return report, EXIT_OK
+    body = {"groebner": {
+        "ideal": args.ideal,
+        "chart_point": (point_label(chart_point)
+                        if chart_point is not None else None),
+        "variables": list(ideal.variables),
+        "basis": [str(p) for p in basis.polynomials],
+        "dimension": dimension,
+        "quotient_dimension": quotient if quotient is not None else "infinite",
+    }}
+    return body, EXIT_OK
 
 
 def _scalar(value):
@@ -521,7 +502,7 @@ def main(argv=None):
         if args.spair_budget < 1:
             raise InputError("--spair-budget must be a positive integer")
         inp = load_input(args.input)
-        report, code = _COMMANDS[args.command](inp, args)
+        body, code = _COMMANDS[args.command](inp, args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
@@ -536,9 +517,10 @@ def main(argv=None):
         # exit code that no verdict uses
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.timing:
-        report["timing_ms"] = int((time.perf_counter() - started) * 1000)
-    _emit(report, args.json)
+    timing_ms = (int((time.perf_counter() - started) * 1000)
+                 if args.timing else None)
+    _emit({"command": args.command, "input": inp.name, **body,
+           "timing_ms": timing_ms}, args.json)
     return code
 
 

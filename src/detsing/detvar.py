@@ -614,11 +614,12 @@ def chart_ideal(model, point, memo=None):
 def lower_stratum_points(model, spair_budget):
     """Rational points of the rank <= t - 2 stratum, the singular locus.
 
-    Returns (points, exact, dim_low), where dim_low is the ideal dimension of
-    the (t - 1)-minors ideal.  The points are enumerated when that stratum is
-    finite (dim_low <= 1 for a projective cone, 0 in affine mode), sorted, as
-    ProjectivePoints or affine tuples.  exact is False when non-rational or
-    infinitely many points may be missing from the list.
+    Returns (points, exact, dim_low, gb_low), where gb_low is the reduced
+    basis of the (t - 1)-minors ideal and dim_low its ideal dimension.  The
+    points are enumerated when that stratum is finite (dim_low <= 1 for a
+    projective cone, 0 in affine mode), sorted, as ProjectivePoints or affine
+    tuples.  exact is False when non-rational or infinitely many points may
+    be missing from the list.
     """
     projective = model.ambient.kind == PROJECTIVE
     lower_gens = lower_locus_generators(model.matrix, model.t)
@@ -628,12 +629,12 @@ def lower_stratum_points(model, spair_budget):
     if projective and 0 <= dim_low <= 1:
         points, exact = _projective_points(lower_gens, model.variables,
                                            spair_budget)
-        return tuple(points), exact, dim_low
+        return tuple(points), exact, dim_low, gb_low
     if not projective and dim_low == 0:
         points, exact = _solve_zero_dimensional(lower_gens, model.variables,
                                                 spair_budget, gb_low)
-        return tuple(sorted(points)), exact, dim_low
-    return (), dim_low <= (1 if projective else 0), dim_low
+        return tuple(sorted(points)), exact, dim_low, gb_low
+    return (), dim_low <= (1 if projective else 0), dim_low, gb_low
 
 
 def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
@@ -672,7 +673,7 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             notes=tuple(notes), rank_basis=gb_t)
     codim = nvars - dim_t
     determinantal = codim == model.expected_codimension()
-    points, exact, dim_low = lower_stratum_points(model, spair_budget)
+    points, exact, dim_low, _ = lower_stratum_points(model, spair_budget)
     isolated = dim_low <= (1 if projective else 0)
     if not exact:
         notes.append("singular locus is not a finite set of rational points; "

@@ -12,7 +12,7 @@ from operator import add, mul
 
 from . import _linalg
 from ._linalg import div, exact
-from .polyalg import Polynomial, _grevlex_key, _mono_sub
+from .polyalg import Polynomial, _mono_sub
 
 DEFAULT_SPAIR_BUDGET = 100_000
 
@@ -469,14 +469,16 @@ def quotient_dimension(gb):
 def quasi_homogeneous_weights(polys):
     """Non-negative integer weights making every polynomial weighted-homogeneous.
 
-    The exponent differences of each polynomial are first reduced to a basis
-    of their row space, which has the same kernel, so the simplex sees at most
-    one row per variable.  With one row per variable the kernel is {0} and
-    no weights exist; otherwise an exact simplex finds a nonzero non-negative
-    weight vector in that kernel.  Returns a scaled integer tuple taken from
-    a vertex of the feasible polytope (when the kernel has dimension two or
-    more, which vertex depends on the tableau), or None when no such weights
-    exist.
+    The exponent differences of each polynomial from its first term are
+    first reduced to a basis of their row space, which has the same kernel,
+    so the simplex sees at most one row per variable.  Any base term spans
+    the same row space, whose reduced echelon basis is unique, so the term
+    order of a polynomial does not change the weights.  With one row per
+    variable the kernel is {0} and no weights exist; otherwise an exact
+    simplex finds a nonzero non-negative weight vector in that kernel.
+    Returns a scaled integer tuple taken from a vertex of the feasible
+    polytope (when the kernel has dimension two or more, which vertex
+    depends on the tableau), or None when no such weights exist.
     """
     polys = [p for p in polys if p]
     if not polys:
@@ -487,9 +489,8 @@ def quasi_homogeneous_weights(polys):
         return ()
     rows = []
     for p in polys:
-        ms = sorted(p.terms, key=_grevlex_key)
-        base = ms[0]
-        rows.extend(_mono_sub(m, base) for m in ms[1:])
+        base, *rest = p.terms
+        rows.extend(_mono_sub(m, base) for m in rest)
     basis = _linalg.row_basis(rows)
     if len(basis) == nvars:
         return None

@@ -74,9 +74,7 @@ class SingularPointRecord:
                 f"contradicts the value {derived} implied by mu")
 
     def _chi_from_mu(self):
-        # the bouquet description needs 2p > r = d + 2
-        if (self.smoothable and self.mu is not None and self.d in (2, 3)
-                and 2 * self.p > self.d + 2):
+        if self.mu is not None and self.mu_linked():
             return chi_smoothing(MilnorData(d=self.d, mu=self.mu))
         return None
 
@@ -88,6 +86,7 @@ class SingularPointRecord:
 
     def mu_linked(self):
         """Whether the defect is an affine function of a still-unknown mu."""
+        # the bouquet description needs 2p > r = d + 2
         return (self.smoothable and self.d in (2, 3)
                 and 2 * self.p > self.d + 2)
 
@@ -236,26 +235,22 @@ def global_identity(ledger, records):
         rhs = ledger.chi_x + defect_sum
         status = VERIFIED if index_sum == rhs else VIOLATED
         return IdentityResult(status, lhs=index_sum, rhs=rhs)
+    # the unknown balances the identity, so both sides equal the total of
+    # the side that holds no unknown
+    total = ledger.chi_x + defect_sum if open_entries else index_sum
     if open_entries:
-        value = ledger.chi_x + defect_sum - index_sum
-        return IdentityResult(SOLVED, lhs=index_sum + value,
-                              rhs=ledger.chi_x + defect_sum,
-                              name=f"index@{open_entries[0].point}",
-                              value=value)
-    if ledger.chi_x is None:
-        value = index_sum - defect_sum
-        return IdentityResult(SOLVED, lhs=index_sum, rhs=value + defect_sum,
-                              name="chi_X", value=value)
-    record = open_records[0]
-    unknown_defect = index_sum - ledger.chi_x - defect_sum
-    # d = 2: defect = 1 + mu; d = 3: defect = mu
-    mu = unknown_defect - (1 if record.d == 2 else 0)
-    if mu < 0:
-        raise LedgerError(
-            f"record at {record.point}: the identity forces mu = {mu} < 0")
-    return IdentityResult(SOLVED, lhs=index_sum,
-                          rhs=ledger.chi_x + defect_sum + unknown_defect,
-                          name=f"mu@{record.point}", value=mu)
+        name, value = f"index@{open_entries[0].point}", total - index_sum
+    elif ledger.chi_x is None:
+        name, value = "chi_X", total - defect_sum
+    else:
+        record = open_records[0]
+        # d = 2: defect = 1 + mu; d = 3: defect = mu
+        value = total - ledger.chi_x - defect_sum - (1 if record.d == 2 else 0)
+        if value < 0:
+            raise LedgerError(
+                f"record at {record.point}: the identity forces mu = {value} < 0")
+        name = f"mu@{record.point}"
+    return IdentityResult(SOLVED, lhs=total, rhs=total, name=name, value=value)
 
 
 def cstar_fixed_points(model, weights, rank_basis):

@@ -10,6 +10,7 @@ import pytest
 
 import detsing
 from conftest import fixture_path
+from test_cli_golden import GENERIC_3X3
 from detsing import cli, detvar, grobner, indexcalc, polyalg
 
 
@@ -72,6 +73,51 @@ class TestVerify:
             "verify", fixture_path("twisted_cubic.json"), "--json", "--timing"
         )
         assert isinstance(load(out)["timing_ms"], int)
+
+
+# one passing command of each kind
+ENVELOPE_COMMANDS = {
+    "analyze": ("analyze", fixture_path("twisted_cubic.json")),
+    "verify": ("verify", fixture_path("twisted_cubic.json")),
+    "euler": ("euler", fixture_path("twisted_cubic_euler.json")),
+    "index": ("index", fixture_path("twisted_cubic_index.json"),
+              "--at", "[0:0:0:0:1]"),
+    "groebner": ("groebner", fixture_path("twisted_cubic.json"),
+                 "--ideal", "lower"),
+}
+
+
+class TestEnvelope:
+    """Every report: command and input, the command's blocks, then timing_ms."""
+
+    @pytest.mark.parametrize("timing", [False, True], ids=["untimed", "timed"])
+    @pytest.mark.parametrize("argv", ENVELOPE_COMMANDS.values(),
+                             ids=ENVELOPE_COMMANDS.keys())
+    def test_json_envelope(self, run_cli, argv, timing):
+        code, out, _ = run_cli(*argv, "--json", *(["--timing"] if timing else []))
+        assert code == 0
+        report = load(out)
+        keys = list(report)
+        assert keys[:2] == ["command", "input"]
+        assert keys[-1] == "timing_ms"
+        assert (report["command"], report["input"]) == (argv[0], Path(argv[1]).name)
+        if timing:
+            assert type(report["timing_ms"]) is int
+        else:
+            assert report["timing_ms"] is None
+
+    @pytest.mark.parametrize("timing", [False, True], ids=["untimed", "timed"])
+    @pytest.mark.parametrize("argv", ENVELOPE_COMMANDS.values(),
+                             ids=ENVELOPE_COMMANDS.keys())
+    def test_text_envelope(self, run_cli, argv, timing):
+        code, out, _ = run_cli(*argv, *(["--timing"] if timing else []))
+        assert code == 0
+        top = [line for line in out.splitlines() if not line.startswith((" ", "-"))]
+        assert top[:2] == [f"command: {argv[0]}", f"input: {Path(argv[1]).name}"]
+        key, value = top[-1].split(": ")
+        assert key == "timing_ms"
+        assert value.isdigit() if timing else value == "none"
+        assert sum(line.startswith("timing_ms") for line in top) == 1
 
 
 class TestEulerAndIndex:
@@ -774,6 +820,17 @@ class TestLedgerWork:
         assert code == 0
         # Counter equality treats a missing key as zero
         assert counts == Counter(expected)
+
+    def test_uncharted_lower_ideal_is_reduced_once(self, run_cli, counts,
+                                                   tmp_path):
+        # with no singular point to chart, groebner --ideal lower presents
+        # the basis that lower_stratum_points has built
+        path = tmp_path / "generic_3x3_t3.json"
+        path.write_text(json.dumps(GENERIC_3X3))
+        code, out, _ = run_cli("groebner", path, "--ideal", "lower", "--json")
+        assert code == 0
+        assert load(out)["groebner"]["chart_point"] is None
+        assert counts == Counter({"grevlex": 1})
 
 
 class TestModuleEntryPoint:

@@ -988,8 +988,28 @@ class TestWeightVertex:
         found = {}
         for path in files("detsing").joinpath("fixtures").iterdir():
             model = load_input(str(path)).model
-            points, _, _ = lower_stratum_points(model, grobner.DEFAULT_SPAIR_BUDGET)
+            points, _, _, _ = lower_stratum_points(model, grobner.DEFAULT_SPAIR_BUDGET)
             for pt in points:
                 found[path.name] = quasi_homogeneous_weights(
                     chart_ideal(model, pt).generators)
         assert found == FIXTURE_CHART_WEIGHTS
+
+    def test_term_order_does_not_change_the_weights(self):
+        # each polynomial's first term is the base of its difference rows;
+        # every base spans one row space, so each rotation of the terms,
+        # which puts every term first once, returns the same vertex
+        cases = list(zip(vertex_systems(), VERTEX_WEIGHTS))
+        cases += [(polys(texts, P5), w) for texts, w in TIE_BREAK_WEIGHTS]
+        for name, weights in FIXTURE_CHART_WEIGHTS.items():
+            model = load_input(fixture_path(name)).model
+            points, _, _, _ = lower_stratum_points(model, grobner.DEFAULT_SPAIR_BUDGET)
+            cases.append((chart_ideal(model, points[0]).generators, weights))
+        for gens, weights in cases:
+            for k in range(max(len(g.terms) for g in gens)):
+                rotated = []
+                for g in gens:
+                    items = list(g.terms.items())
+                    shift = k % len(items)
+                    rotated.append(Polynomial(g.variables,
+                                              dict(items[shift:] + items[:shift])))
+                assert quasi_homogeneous_weights(rotated) == weights

@@ -197,3 +197,32 @@ def test_cli_leaves_point_syntax_to_detvar():
     lines = [line for line, module in _imported_modules(tree)
              if module in ("re", "fractions")]
     assert lines == [], f"cli.py imports re or fractions on lines {lines}"
+
+
+def _envelope_writes(node, keys):
+    """Lines of `node` that write one of `keys` into a dict."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Dict):
+            found = [k for k in sub.keys
+                     if isinstance(k, ast.Constant) and k.value in keys]
+        elif isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store):
+            found = [sub.slice] if (isinstance(sub.slice, ast.Constant)
+                                    and sub.slice.value in keys) else []
+        else:
+            continue
+        yield from (k.lineno for k in found)
+
+
+def test_cli_writes_the_report_envelope_in_main_only():
+    # each command returns its own blocks and `main` wraps them in command,
+    # input and timing_ms, so every report has one envelope
+    path = Path(detsing.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    keys = {"command", "input", "timing_ms"}
+    writes = {True: [], False: []}
+    for node in tree.body:
+        is_main = isinstance(node, ast.FunctionDef) and node.name == "main"
+        writes[is_main].extend(_envelope_writes(node, keys))
+    outside = writes[False]
+    assert outside == [], f"cli.py writes the envelope outside main on lines {outside}"
+    assert len(writes[True]) == len(keys)
