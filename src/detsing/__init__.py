@@ -16,7 +16,7 @@ from .indexcalc import (IdentityResult, IndexLedger, LedgerEntry,
                         LedgerError, SingularPointRecord, cstar_fixed_points,
                         defect, global_identity, phn_from_radial,
                         phn_from_radial_nonsmoothable)
-from .polyalg import (ParseError, Polynomial, PolyMatrix, determinant, minors,
+from .polyalg import (ParseError, Polynomial, PolyMatrix, minors,
                       parse_polynomial, rank_at_point)
 from .topo import (BouquetDescriptor, CWDescriptor, LeGreuelResult,
                    MilnorData, UnsupportedDimensionError, chi_bouquet,

@@ -391,8 +391,9 @@ def cmd_groebner(inp, args):
         else:
             gens = lower_locus_generators(matrix, model.t)
         ideal = Ideal(matrix.variables, gens)
-    if args.ideal == "lower" and chart_point is None:
-        # the uncharted lower ideal is the one lower_stratum_points reduced
+    if args.ideal == "lower" and chart_point is None and gb_low is not None:
+        # the uncharted lower ideal is the one lower_stratum_points reduced,
+        # unless it only certified its dimension
         basis = gb_low
     else:
         basis = buchberger(ideal, spair_budget=args.spair_budget)

@@ -14,8 +14,8 @@ from math import gcd, isqrt, lcm, prod
 
 from ._linalg import div, exact, primitive
 from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
-                      buchberger, eliminant, ideal_dimension,
-                      quasi_homogeneous_weights)
+                      buchberger, certified_dimension, eliminant,
+                      ideal_dimension, quasi_homogeneous_weights)
 from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
 
 PROJECTIVE = "projective"
@@ -176,7 +176,7 @@ class GermClassification:
     __slots__ = ("empty", "codimension", "dimension", "determinantal",
                  "isolated_singularity", "smoothable", "singular_points",
                  "singular_points_exact", "singular_locus_dimension",
-                 "local_supported", "notes", "rank_basis")
+                 "local_supported", "notes", "_rank_basis", "_rank_ideal")
 
     def __init__(self, empty, codimension, dimension, determinantal,
                  isolated_singularity, smoothable, singular_points,
@@ -193,7 +193,54 @@ class GermClassification:
         self.singular_locus_dimension = singular_locus_dimension
         self.local_supported = local_supported
         self.notes = notes
-        self.rank_basis = rank_basis
+        self._rank_basis = rank_basis
+        # (ideal, S-pair budget) while the rank basis is still to be built
+        self._rank_ideal = None
+
+    @property
+    def rank_basis(self):
+        """Reduced grevlex basis of the t-minors ideal.
+
+        When `classify` certified the rank ideal's dimension without a basis,
+        the basis is built on first read, from the ideal and with the S-pair
+        budget that `classify` used, and then kept.
+        """
+        if self._rank_ideal is not None:
+            ideal, spair_budget = self._rank_ideal
+            self._rank_basis = buchberger(ideal, spair_budget=spair_budget)
+            self._rank_ideal = None
+        return self._rank_basis
+
+
+def _dimension_floor(model, codimension):
+    """Floor on the dimension of an ideal of the model's minors, or None.
+
+    `codimension` is the Eagon-Northcott bound (n - s + 1)(p - s + 1) for
+    the minors' size s: a proper ideal of s-minors of an n x p matrix has at
+    most that height (Eagon & Northcott 1962; Bruns & Vetter, *Determinantal
+    Rings*, Thm 2.1), so its dimension in N variables is at least N minus
+    it.  The ideal is proper when the model is projective, t >= 2 and the
+    entries' common degree is positive: every minor then lies in
+    (x_0, ..., x_N).  None when any of these fails, or when the floor is
+    negative and so cannot be reached.
+    """
+    if model.ambient.kind != PROJECTIVE or model.t < 2:
+        return None
+    # the model's entries share one degree
+    entry = next((e for row in model.matrix.entries for e in row if e), None)
+    floor = len(model.variables) - codimension
+    if entry is None or entry.total_degree() == 0 or floor < 0:
+        return None
+    return floor
+
+
+def _dimension_and_basis(ideal, floor, spair_budget):
+    # (ideal dimension, reduced basis); with a floor, the basis is None when
+    # the floor certified the dimension
+    if floor is None:
+        gb = buchberger(ideal, spair_budget=spair_budget)
+        return ideal_dimension(gb), gb
+    return certified_dimension(ideal, floor, spair_budget=spair_budget)
 
 
 def minors_ideal(model, size):
@@ -614,19 +661,22 @@ def chart_ideal(model, point, memo=None):
 def lower_stratum_points(model, spair_budget):
     """Rational points of the rank <= t - 2 stratum, the singular locus.
 
-    Returns (points, exact, dim_low, gb_low), where gb_low is the reduced
-    basis of the (t - 1)-minors ideal and dim_low its ideal dimension.  The
-    points are enumerated when that stratum is finite (dim_low <= 1 for a
-    projective cone, 0 in affine mode), sorted, as ProjectivePoints or affine
-    tuples.  exact is False when non-rational or infinitely many points may
-    be missing from the list.
+    Returns (points, exact, dim_low, gb_low), where dim_low is the ideal
+    dimension of the (t - 1)-minors ideal and gb_low its reduced basis, or
+    None when a projective model's Eagon-Northcott floor certified dim_low
+    before the basis was complete (`_dimension_floor`).  The points are
+    enumerated when that stratum is finite, sorted, as ProjectivePoints or
+    affine tuples: in affine mode when dim_low is 0, and for a projective
+    cone when dim_low is 1.  A projective dim_low of 0 leaves only the
+    origin, so no point.  exact is False when non-rational or infinitely
+    many points may be missing from the list.
     """
     projective = model.ambient.kind == PROJECTIVE
     lower_gens = lower_locus_generators(model.matrix, model.t)
-    gb_low = buchberger(Ideal(model.variables, lower_gens),
-                        spair_budget=spair_budget)
-    dim_low = ideal_dimension(gb_low)
-    if projective and 0 <= dim_low <= 1:
+    dim_low, gb_low = _dimension_and_basis(
+        Ideal(model.variables, lower_gens),
+        _dimension_floor(model, model.smoothability_bound()), spair_budget)
+    if projective and dim_low == 1:
         points, exact = _projective_points(lower_gens, model.variables,
                                            spair_budget)
         return tuple(points), exact, dim_low, gb_low
@@ -652,25 +702,33 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     and entry products, and the weight gate runs once per distinct chart
     support: it reads only the monomials of the generators, so equal
     supports get the same answer.
-    `rank_basis` is the reduced grevlex basis of the t-minors ideal.
+
+    A projective model with entries of positive degree and t >= 2 gives
+    both ideals an Eagon-Northcott dimension floor (`_dimension_floor`), and
+    Buchberger stops once a partial basis certifies the dimension, so gb_low
+    of `lower_stratum_points` may be None; any other model builds both bases
+    in full.  `rank_basis` is the reduced grevlex basis of the t-minors
+    ideal, built on first read when only its dimension was certified.
     """
     if not any(e for row in model.matrix.entries for e in row):
         raise ValueError("classification requires a nonzero matrix")
     projective = model.ambient.kind == PROJECTIVE
     notes = []
     nvars = len(model.variables)
-    gb_t = buchberger(minors_ideal(model, model.t), spair_budget=spair_budget)
-    dim_t = ideal_dimension(gb_t)
+    rank_ideal = minors_ideal(model, model.t)
+    dim_t, gb_t = _dimension_and_basis(
+        rank_ideal, _dimension_floor(model, model.expected_codimension()),
+        spair_budget)
     smoothable = model.smoothable_type()
     dimension = dim_t - 1 if projective else dim_t
     if dimension < 0:
         notes.append("the variety is empty")
-        return GermClassification(
-            empty=True, codimension=None, dimension=None, determinantal=False,
-            isolated_singularity=True, smoothable=smoothable,
-            singular_points=(), singular_points_exact=True,
-            singular_locus_dimension=None, local_supported=True,
-            notes=tuple(notes), rank_basis=gb_t)
+        return _classification(
+            rank_ideal, gb_t, spair_budget, empty=True, codimension=None,
+            dimension=None, determinantal=False, isolated_singularity=True,
+            smoothable=smoothable, singular_points=(),
+            singular_points_exact=True, singular_locus_dimension=None,
+            local_supported=True, notes=tuple(notes))
     codim = nvars - dim_t
     determinantal = codim == model.expected_codimension()
     points, exact, dim_low, _ = lower_stratum_points(model, spair_budget)
@@ -693,9 +751,19 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             notes.append(f"chart ideal at {point_label(pt)} is not "
                          "weighted-homogeneous; symbolic local computations "
                          "are unsupported")
-    return GermClassification(
-        empty=False, codimension=codim, dimension=dimension,
-        determinantal=determinantal, isolated_singularity=isolated,
-        smoothable=smoothable, singular_points=points,
-        singular_points_exact=exact, singular_locus_dimension=dim_low,
-        local_supported=local_supported, notes=tuple(notes), rank_basis=gb_t)
+    return _classification(
+        rank_ideal, gb_t, spair_budget, empty=False, codimension=codim,
+        dimension=dimension, determinantal=determinantal,
+        isolated_singularity=isolated, smoothable=smoothable,
+        singular_points=points, singular_points_exact=exact,
+        singular_locus_dimension=dim_low, local_supported=local_supported,
+        notes=tuple(notes))
+
+
+def _classification(rank_ideal, gb_t, spair_budget, **fields):
+    # a GermClassification whose rank basis, when None, is built on first
+    # read from the rank ideal
+    info = GermClassification(rank_basis=gb_t, **fields)
+    if gb_t is None:
+        info._rank_ideal = rank_ideal, spair_budget
+    return info

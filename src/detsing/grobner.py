@@ -270,21 +270,57 @@ def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     whole call again with wider fields, reusing the S-polynomials already
     formed, so `s_polynomial` is called once per reduced pair.
     """
+    return _run(ideal, spair_budget, None)
+
+
+def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
+    """(dimension, basis) of an ideal whose dimension is known to be >= floor.
+
+    Every partial basis G of the ideal I has <LM(G)> inside LT(I), so the
+    dimension of its leading monomials bounds dim I from above (dim R/I =
+    dim R/LT(I); Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 9 §3).  Buchberger, as in `buchberger`, tests that bound once after
+    the generators join and again after each join whose leading monomial has
+    a new minimal support (no support already present lies inside it): only
+    such a join can lower it.  Once the bound meets `floor` the dimension is
+    exact and the call returns (floor, None) with no basis.  Otherwise it
+    returns (ideal_dimension(basis), basis) with the reduced basis that
+    `buchberger` builds.  `spair_budget` counts pairs as `buchberger` does.
+    """
+    gb = _run(ideal, spair_budget, floor)
+    return (floor, None) if gb is None else (ideal_dimension(gb), gb)
+
+
+def _run(ideal, spair_budget, floor):
     spolys = {}
     return _widening(len(ideal.variables), ideal.generators,
-                     lambda pk: _buchberger(ideal, spair_budget, pk, spolys))
+                     lambda pk: _buchberger(ideal, spair_budget, pk, spolys, floor))
 
 
-def _buchberger(ideal, spair_budget, pk, spolys):
+def _buchberger(ideal, spair_budget, pk, spolys, floor):
+    # with a floor, None once the leading monomials certify the dimension
     variables, guards, weights, mask = ideal.variables, pk.guards, pk.weights, pk.mask
     basis, lms, packed, pairs, taken = [], [], [], [], set()
+    supports = []  # the inclusion-minimal leading-monomial supports, as bitmasks
 
     def join(p, lm, d):
+        # with a floor, True when the support of lm is a new minimal one
         for i, a in enumerate(lms):
             heappush(pairs, (sum(map(max, a, lm)), i, len(lms)))
         basis.append(p)
         lms.append(lm)
         packed.append(d)
+        if floor is None:
+            return False
+        s = _support(lm)
+        if any(m & s == m for m in supports):
+            return False
+        supports[:] = [m for m in supports if m & s != s]
+        supports.append(s)
+        return True
+
+    def certified():
+        return _dimension(lms, len(variables)) == floor
 
     def pack_tails(ks):
         # a generator's tail is packed only once a reduction needs it (many
@@ -302,6 +338,8 @@ def _buchberger(ideal, spair_budget, pk, spolys):
         p = Polynomial._raw(variables, {m: div(c, lc) for m, c in g.terms.items()})
         key = sum(map(mul, lm, weights))
         join(p, lm, (-key & mask, key, None))
+    if floor is not None and certified():
+        return None
     unpacked = range(len(basis))
     processed = 0
     while pairs:
@@ -331,7 +369,8 @@ def _buchberger(ideal, spair_budget, pk, spolys):
         if r:
             d = pk.divisor(r)
             p = pk.unpack(variables, [(d[1], 1), *d[2]])
-            join(p, next(iter(p.terms)), d)
+            if join(p, next(iter(p.terms)), d) and certified():
+                return None
     # autoreduction: keep the elements whose leading monomial no smaller one
     # divides; no other leading monomial then divides theirs, so one pass of
     # tail reduction leaves every element reduced
@@ -354,11 +393,25 @@ def _buchberger(ideal, spair_budget, pk, spolys):
 def ideal_dimension(gb):
     """Krull dimension of the affine zero set; -1 when 1 lies in the ideal.
 
+    The dimension of the leading monomials of the basis (`_dimension`).
+    """
+    return _dimension(gb.leading_monomials(), len(gb.variables))
+
+
+def _support(lm):
+    # the variables of a monomial, as a bitmask
+    return sum(1 << i for i, e in enumerate(lm) if e)
+
+
+def _dimension(lms, nvars):
+    """Krull dimension of the monomial ideal of `lms` in `nvars` variables.
+
     The dimension is the largest cardinality of a variable subset that
-    contains the support of no leading monomial of the basis (an independent
-    set of the leading term ideal; Kredel & Weispfenning 1988, J. Symb.
-    Comp.).  Its complement meets every support, so the dimension is the
-    variable count minus the size of a smallest such hitting set.
+    contains the support of no leading monomial (an independent set of the
+    leading term ideal; Kredel & Weispfenning 1988, J. Symb. Comp.).  Its
+    complement meets every support, so the dimension is the variable count
+    minus the size of a smallest such hitting set; -1 when a monomial is
+    constant.
 
     The inclusion-minimal supports are held as bitmasks.  They fall into
     classes that share no variable, and a smallest hitting set of each class
@@ -368,10 +421,9 @@ def ideal_dimension(gb):
     need a variable of their own, so a node whose chosen count plus a greedy
     packing of them reaches the best size found so far is pruned.  The worst
     case is still exponential; a smallest hitting set is NP-hard to find.
-    The zero ideal in k variables has dimension k.
+    No monomials in k variables give dimension k.
     """
-    masks = {sum(1 << i for i, e in enumerate(lm) if e)
-             for lm in gb.leading_monomials()}
+    masks = set(map(_support, lms))
     if 0 in masks:
         # a constant leading monomial: the basis element is a unit
         return -1
@@ -384,15 +436,15 @@ def ideal_dimension(gb):
             members += classes.pop(u)
             union |= u
         classes[union] = members
-    return len(gb.variables) - sum(_smallest_hitting_set(members, union)
-                                   for union, members in classes.items())
+    return nvars - sum(_smallest_hitting_set(members, union)
+                       for union, members in classes.items())
 
 
 def _smallest_hitting_set(supports, union):
     """Size of a smallest variable set meeting every support bitmask.
 
     `union` is the union of the supports; the search is the branch and bound
-    that `ideal_dimension` describes.
+    that `_dimension` describes.
     """
     # one variable from each support, or every variable of the class, meets
     # them all

@@ -554,13 +554,6 @@ def _det_cofactor(grid, products):
     return total
 
 
-def determinant(matrix):
-    """Determinant of a square PolyMatrix, by cofactor expansion."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant requires a square matrix")
-    return _det_cofactor(matrix.entries, {})
-
-
 def minors(matrix, size, products=None):
     """All size x size minors, row index sets outer, column sets inner, lex order.
 

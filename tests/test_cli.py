@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -530,18 +531,47 @@ class TestInputValidation:
         assert code == 3
         assert "resource limit" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("verify", fixture_path("twisted_cubic.json")),
-        ("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
-    ])
-    def test_budget_boundary(self, run_cli, argv):
-        # the smallest budget that completes moves with pair order and pair
-        # criteria, so a change to either shows here
-        code, _, err = run_cli(*argv, "--spair-budget", "14")
+    @pytest.mark.parametrize("argv, budget", [
+        # the lower ideal's basis, which the floor -2 cannot certify
+        (("verify", fixture_path("twisted_cubic.json")), 15),
+        # both dimensions certify; the ledger's rank basis takes 3 pairs
+        (("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
+         3),
+    ], ids=["argv0", "argv1"])
+    def test_budget_boundary(self, run_cli, argv, budget):
+        # the smallest budget that completes moves with pair order, pair
+        # criteria and the bases a command builds, so a change to any of
+        # them shows here
+        code, _, err = run_cli(*argv, "--spair-budget", str(budget - 1))
         assert code == 3
-        assert "S-pair budget of 14 exceeded" in err
-        code, _, err = run_cli(*argv, "--spair-budget", "15")
+        assert f"S-pair budget of {budget - 1} exceeded" in err
+        code, _, err = run_cli(*argv, "--spair-budget", str(budget))
         assert code == 0 and err == ""
+
+    def test_dense_model_certifies_within_a_small_budget(self, run_cli, tmp_path):
+        # a 3 x 4 matrix of dense random linear forms, t = 3 in P^11.  The
+        # rank and lower ideals certify their dimensions 10 and 6 after 3 and
+        # 125 pairs; their full bases take 21 and 666
+        rng = random.Random(1)
+        variables = [f"x{i}" for i in range(12)]
+
+        def form():
+            return " + ".join(f"({rng.randint(-3, 3)})*{v}" for v in variables)
+
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": variables,
+            "matrix": [[form() for _ in range(4)] for _ in range(3)], "t": 3,
+            "ambient": {"kind": "projective", "dim": 11}, "singularities": []})
+        code, _, err = run_cli("analyze", path, "--spair-budget", "124")
+        assert code == 3
+        assert "S-pair budget of 124 exceeded" in err
+        code, out, err = run_cli("analyze", path, "--spair-budget", "125",
+                                 "--json")
+        assert code == 0 and err == ""
+        report = load(out)["classification"]
+        assert (report["codimension"], report["dimension"]) == (2, 9)
+        assert report["singular_locus_dimension"] == 6
+        assert report["determinantal"] is True
 
     def test_point_solver_budget_boundary(self, run_cli, tmp_path):
         # a rational 3x3 grid of singular points: the basis of the 1-minors
@@ -772,17 +802,27 @@ class TestInputValidation:
 
 
 class TestLedgerWork:
-    """A command builds each basis once and locates each point once."""
+    """A command builds each basis once and locates each point once.
+
+    "grevlex" counts full bases and "certified" the runs that stopped once
+    the Eagon-Northcott floor certified a dimension, with no basis.
+    """
 
     @pytest.fixture
     def counts(self, monkeypatch):
         seen = Counter()
         buchberger, rank_at_point = grobner.buchberger, polyalg.rank_at_point
         weights = grobner.quasi_homogeneous_weights
+        certified_dimension = grobner.certified_dimension
 
         def counted_buchberger(ideal, **named):
             seen["grevlex"] += 1
             return buchberger(ideal, **named)
+
+        def counted_certified_dimension(ideal, floor, **named):
+            dimension, basis = certified_dimension(ideal, floor, **named)
+            seen["certified" if basis is None else "grevlex"] += 1
+            return dimension, basis
 
         def counted_rank_at_point(*args):
             seen["rank_at_point"] += 1
@@ -793,6 +833,7 @@ class TestLedgerWork:
             return weights(*args)
 
         counted = {"buchberger": counted_buchberger,
+                   "certified_dimension": counted_certified_dimension,
                    "rank_at_point": counted_rank_at_point,
                    "quasi_homogeneous_weights": counted_weights}
         for module in (cli, detvar, grobner, indexcalc, polyalg):
@@ -802,10 +843,13 @@ class TestLedgerWork:
         return seen
 
     @pytest.mark.parametrize("argv, expected", [
+        # the rank dimension certifies, and the ledger builds the rank basis
+        # for the cstar form; the lower ideal's floor is -2, so it has none
         (("verify", fixture_path("twisted_cubic.json")),
-         {"grevlex": 2, "rank_at_point": 6, "weights": 1}),
+         {"grevlex": 2, "certified": 1, "rank_at_point": 6, "weights": 1}),
+        # both dimensions certify; the ledger builds the rank basis
         (("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
-         {"grevlex": 2, "rank_at_point": 8, "weights": 1}),
+         {"grevlex": 1, "certified": 2, "rank_at_point": 8, "weights": 1}),
         (("groebner", fixture_path("twisted_cubic.json"), "--ideal", "minors"),
          {"grevlex": 2, "weights": 0}),
         (("groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower"),
@@ -824,13 +868,46 @@ class TestLedgerWork:
     def test_uncharted_lower_ideal_is_reduced_once(self, run_cli, counts,
                                                    tmp_path):
         # with no singular point to chart, groebner --ideal lower presents
-        # the basis that lower_stratum_points has built
+        # the lower basis; here lower_stratum_points only certifies the
+        # dimension 5 of the 2-minors, so the command builds the one basis
         path = tmp_path / "generic_3x3_t3.json"
         path.write_text(json.dumps(GENERIC_3X3))
         code, out, _ = run_cli("groebner", path, "--ideal", "lower", "--json")
         assert code == 0
         assert load(out)["groebner"]["chart_point"] is None
-        assert counts == Counter({"grevlex": 1})
+        assert counts == Counter({"grevlex": 1, "certified": 1})
+
+
+    def test_empty_projective_locus_is_not_searched(self, run_cli, counts,
+                                                    monkeypatch, tmp_path):
+        # generic 2 x 4, t = 2 in P^7: the 1-minors are the variables, whose
+        # only zero is the origin, so the lower stratum has no projective
+        # point and no cell is eliminated or solved
+        eliminate = polyalg.Polynomial.eliminate
+
+        def counted_eliminate(self, assignments):
+            counts["eliminate"] += 1
+            return eliminate(self, assignments)
+
+        for name in ("_projective_points", "_solve_zero_dimensional"):
+            def solver(*args, name=name):
+                counts[name] += 1
+                raise AssertionError(f"{name} searched an empty locus")
+            monkeypatch.setattr(detvar, name, solver)
+        monkeypatch.setattr(polyalg.Polynomial, "eliminate", counted_eliminate)
+        path = tmp_path / "generic_2x4_t2.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": [f"x{i}" for i in range(8)],
+            "matrix": [["x0", "x1", "x2", "x3"], ["x4", "x5", "x6", "x7"]],
+            "t": 2, "ambient": {"kind": "projective", "dim": 7},
+            "singularities": []}))
+        code, out, _ = run_cli("analyze", path, "--json")
+        assert code == 0
+        report = load(out)["classification"]
+        assert report["singular_locus_dimension"] == 0
+        assert report["singular_points"] == []
+        assert report["singular_points_exact"] is True
+        assert counts == Counter({"certified": 2})
 
 
 class TestModuleEntryPoint:

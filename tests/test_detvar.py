@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detsing import detvar
@@ -31,7 +31,7 @@ from detsing.detvar import (
     point_label,
 )
 from detsing.grobner import (Ideal, ResourceLimitExceeded, buchberger,
-                             ideal_dimension, normal_form,
+                             certified_dimension, ideal_dimension, normal_form,
                              quasi_homogeneous_weights)
 from detsing.polyalg import PolyMatrix, Polynomial, minors, parse_polynomial
 
@@ -249,9 +249,7 @@ class TestIdeals:
             PolyMatrix.from_strings(grid, variables), 2, AmbientSpace(AFFINE, 9)
         )
         basis = buchberger(minors_ideal(model, 2))
-        from detsing.polyalg import determinant
-
-        det = determinant(model.matrix)
+        (det,) = minors(model.matrix, 3)
         assert not normal_form(det, basis).terms
 
     @pytest.mark.parametrize("rows, cols", [(2, 3), (2, 4), (3, 3), (3, 4)])
@@ -1004,3 +1002,133 @@ class TestClassification:
         model = DeterminantalModel(m, 1, AmbientSpace(AFFINE, 1))
         with pytest.raises(ValueError):
             classify(model)
+
+
+@st.composite
+def projective_models(draw):
+    """Projective models in 3 to 6 variables: 2 x 2 to 3 x 3 matrices of
+    linear or quadratic forms, each with at most three terms, at any t."""
+    nvars = draw(st.integers(min_value=3, max_value=6))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    degree = draw(st.sampled_from([1, 2]))
+    monomials = [m for m in product(range(degree + 1), repeat=nvars)
+                 if sum(m) == degree]
+    n, p = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    entries = st.dictionaries(st.sampled_from(monomials),
+                              st.integers(-2, 2).filter(bool), max_size=3)
+    grid = [[Polynomial(variables, draw(entries)) for _ in range(p)]
+            for _ in range(n)]
+    if not any(e for row in grid for e in row):
+        grid[0][0] = Polynomial(variables, {monomials[0]: 1})
+    t = draw(st.integers(min_value=1, max_value=min(n, p)))
+    return DeterminantalModel(PolyMatrix(grid), t,
+                              AmbientSpace(PROJECTIVE, nvars - 1))
+
+
+class TestCertifiedDimension:
+    """The Eagon-Northcott floor only stops Buchberger early: every
+    classification is the one that full bases give."""
+
+    FIELDS = ("empty", "codimension", "dimension", "determinantal",
+              "isolated_singularity", "smoothable", "singular_points",
+              "singular_points_exact", "singular_locus_dimension",
+              "local_supported", "notes")
+
+    @staticmethod
+    def outcome(model):
+        # the classification's fields other than rank_basis, or the error
+        try:
+            info = classify(model)
+        except ResourceLimitExceeded as e:
+            return str(e), None
+        return tuple(getattr(info, f) for f in TestCertifiedDimension.FIELDS), info
+
+    @staticmethod
+    def floored_ideals(model):
+        # (ideal, Eagon-Northcott codimension) of the rank and lower ideals
+        yield minors_ideal(model, model.t), model.expected_codimension()
+        yield (Ideal(model.variables, lower_locus_generators(model.matrix, model.t)),
+               model.smoothability_bound())
+
+    @settings(max_examples=40)
+    @given(projective_models())
+    def test_matches_full_bases(self, model):
+        for ideal, codimension in self.floored_ideals(model):
+            floor = detvar._dimension_floor(model, codimension)
+            if floor is not None:
+                full = buchberger(ideal)
+                dimension, basis = certified_dimension(ideal, floor)
+                assert dimension == ideal_dimension(full)
+                assert basis is None or basis == full
+        fields, info = self.outcome(model)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detvar, "_dimension_floor", lambda *_: None)
+            plain, _ = self.outcome(model)
+        assert fields == plain
+        if info is not None:
+            assert info.rank_basis == buchberger(minors_ideal(model, model.t))
+
+    @staticmethod
+    def model(grid, variables, t, kind):
+        dim = len(variables) - (1 if kind == PROJECTIVE else 0)
+        return DeterminantalModel(PolyMatrix.from_strings(grid, variables), t,
+                                  AmbientSpace(kind, dim))
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """(floor, whether a basis came back) of each certified_dimension call."""
+        seen = []
+
+        def recorded(ideal, floor, **named):
+            dimension, basis = certified_dimension(ideal, floor, **named)
+            seen.append((floor, basis is not None))
+            return dimension, basis
+
+        monkeypatch.setattr(detvar, "certified_dimension", recorded)
+        return seen
+
+    @pytest.mark.parametrize("grid, variables, t, kind", [
+        ([["x", "y", "z"], ["y", "z", "w"]], ("x", "y", "z", "w"), 2, AFFINE),
+        ([["x0", "x1"], ["x2", "x0"]], ("x0", "x1", "x2"), 1, PROJECTIVE),
+        ([["1", "2"], ["3", "4"]], ("x0", "x1"), 2, PROJECTIVE),
+        ([["1", "2"], ["2", "4"]], ("x0", "x1"), 2, PROJECTIVE),
+    ], ids=["affine", "t1", "degree0_empty", "degree0_everywhere"])
+    def test_no_floor(self, runs, grid, variables, t, kind):
+        model = self.model(grid, variables, t, kind)
+        assert detvar._dimension_floor(model, model.expected_codimension()) is None
+        assert detvar._dimension_floor(model, model.smoothability_bound()) is None
+        info = classify(model)
+        assert runs == []
+        assert info.rank_basis == buchberger(minors_ideal(model, model.t))
+
+    def test_non_determinantal_runs_to_completion(self, runs):
+        # the 2-minors are 0, x0^2 and x0*x1: codimension 1, below the
+        # expected 2, so the rank ideal's floor 1 is never reached
+        model = self.model([["x0", "x1", "0"], ["0", "0", "x0"]],
+                           ("x0", "x1", "x2"), 2, PROJECTIVE)
+        info = classify(model)
+        assert (info.codimension, info.determinantal) == (1, False)
+        assert runs == [(1, True)]
+        assert info.rank_basis == buchberger(minors_ideal(model, 2))
+
+    def test_rank_basis_is_built_once_on_first_read(self, monkeypatch):
+        model = segre_cone_model()
+        info = classify(model)
+        built = []
+
+        def counted(ideal, **named):
+            built.append((ideal, named))
+            return buchberger(ideal, **named)
+
+        def no_minors(*_):
+            raise AssertionError("rank_basis took the minors again")
+
+        monkeypatch.setattr(detvar, "buchberger", counted)
+        monkeypatch.setattr(detvar, "minors", no_minors)
+        first = info.rank_basis
+        assert info.rank_basis is first
+        monkeypatch.undo()
+        assert first == buchberger(minors_ideal(model, 2))
+        (ideal, named), = built
+        assert named == {"spair_budget": detvar.DEFAULT_SPAIR_BUDGET}
+        assert ideal.generators == minors_ideal(model, 2).generators

@@ -470,6 +470,38 @@ class TestBuchbergerWork:
                 assert type(c) is int or c.denominator != 1, p.terms
 
 
+class TestCertifiedDimension:
+    """Buchberger stops once the partial leading monomials meet the floor."""
+
+    def test_generic_minors_certify_before_any_pair(self):
+        # the 2-minors of a generic 3 x 3 matrix: codimension 4 in 9
+        # variables, and their own leading monomials show dimension 5
+        ideal_ = generic_minors(3, 3, 2)
+        with pytest.raises(SPairBudgetExceeded):
+            buchberger(ideal_, spair_budget=35)
+        assert grobner.certified_dimension(ideal_, 5, spair_budget=1) == (5, None)
+
+    def test_a_join_certifies_and_the_budget_counts_its_pairs(self):
+        # 2-minors of a 2 x 3 matrix of linear forms: the full basis takes 10
+        # pairs, and the element the second pair adds brings the bound to 2
+        matrix = PolyMatrix.from_strings(
+            [["-x0", "x0 + 2*x1 + 2*x2", "x0"],
+             ["0", "-x0 - 2*x3", "x0 - 2*x1 - x2 + x3"]], P4)
+        ideal_ = Ideal(P4, minors(matrix, 2))
+        assert ideal_dimension(buchberger(ideal_, spair_budget=10)) == 2
+        with pytest.raises(SPairBudgetExceeded):
+            buchberger(ideal_, spair_budget=9)
+        assert grobner.certified_dimension(ideal_, 2, spair_budget=2) == (2, None)
+        with pytest.raises(SPairBudgetExceeded):
+            grobner.certified_dimension(ideal_, 2, spair_budget=1)
+
+    def test_an_unreached_floor_completes_the_basis(self):
+        ideal_ = generic_minors(2, 3, 2)
+        full = buchberger(ideal_)
+        assert ideal_dimension(full) == 4
+        assert grobner.certified_dimension(ideal_, 3) == (4, full)
+
+
 class TestNormalForm:
     def test_generators_reduce_to_zero(self):
         basis = buchberger(ideal(CATALECTICANT_MINORS, P4))
