@@ -241,7 +241,7 @@ def _classification_block(c):
     }
 
 
-def _assemble_ledger(inp, classification):
+def _assemble_ledger(inp, classification, spair_budget):
     """Records and ledger entries from the input file and the form."""
     model = inp.model
     defaults = {"n": model.n, "p": model.p, "t": model.t,
@@ -273,8 +273,7 @@ def _assemble_ledger(inp, classification):
     consumed = set(inp.singularities)
     if inp.form_kind == "cstar":
         try:
-            fixed = cstar_fixed_points(model, inp.weights,
-                                       classification.rank_basis)
+            fixed = cstar_fixed_points(model, inp.weights, spair_budget)
         except ValueError as e:
             raise InputError(str(e))
         for pt, location in fixed:
@@ -316,7 +315,7 @@ def _ledger(inp, args):
         raise UnsupportedError(
             "the global identity applies to projective varieties only")
     classification = classify(inp.model, args.spair_budget)
-    records, entries = _assemble_ledger(inp, classification)
+    records, entries = _assemble_ledger(inp, classification, args.spair_budget)
     body = {
         "classification": _classification_block(classification),
         "ledger": {

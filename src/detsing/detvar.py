@@ -176,12 +176,12 @@ class GermClassification:
     __slots__ = ("empty", "codimension", "dimension", "determinantal",
                  "isolated_singularity", "smoothable", "singular_points",
                  "singular_points_exact", "singular_locus_dimension",
-                 "local_supported", "notes", "_rank_basis", "_rank_ideal")
+                 "local_supported", "notes")
 
     def __init__(self, empty, codimension, dimension, determinantal,
                  isolated_singularity, smoothable, singular_points,
                  singular_points_exact, singular_locus_dimension,
-                 local_supported, notes, rank_basis):
+                 local_supported, notes):
         self.empty = empty
         self.codimension = codimension
         self.dimension = dimension
@@ -193,23 +193,6 @@ class GermClassification:
         self.singular_locus_dimension = singular_locus_dimension
         self.local_supported = local_supported
         self.notes = notes
-        self._rank_basis = rank_basis
-        # (ideal, S-pair budget) while the rank basis is still to be built
-        self._rank_ideal = None
-
-    @property
-    def rank_basis(self):
-        """Reduced grevlex basis of the t-minors ideal.
-
-        When `classify` certified the rank ideal's dimension without a basis,
-        the basis is built on first read, from the ideal and with the S-pair
-        budget that `classify` used, and then kept.
-        """
-        if self._rank_ideal is not None:
-            ideal, spair_budget = self._rank_ideal
-            self._rank_basis = buchberger(ideal, spair_budget=spair_budget)
-            self._rank_ideal = None
-        return self._rank_basis
 
 
 def _dimension_floor(model, codimension):
@@ -232,15 +215,6 @@ def _dimension_floor(model, codimension):
     if entry is None or entry.total_degree() == 0 or floor < 0:
         return None
     return floor
-
-
-def _dimension_and_basis(ideal, floor, spair_budget):
-    # (ideal dimension, reduced basis); with a floor, the basis is None when
-    # the floor certified the dimension
-    if floor is None:
-        gb = buchberger(ideal, spair_budget=spair_budget)
-        return ideal_dimension(gb), gb
-    return certified_dimension(ideal, floor, spair_budget=spair_budget)
 
 
 def minors_ideal(model, size):
@@ -673,9 +647,10 @@ def lower_stratum_points(model, spair_budget):
     """
     projective = model.ambient.kind == PROJECTIVE
     lower_gens = lower_locus_generators(model.matrix, model.t)
-    dim_low, gb_low = _dimension_and_basis(
+    dim_low, gb_low = certified_dimension(
         Ideal(model.variables, lower_gens),
-        _dimension_floor(model, model.smoothability_bound()), spair_budget)
+        _dimension_floor(model, model.smoothability_bound()),
+        spair_budget=spair_budget)
     if projective and dim_low == 1:
         points, exact = _projective_points(lower_gens, model.variables,
                                            spair_budget)
@@ -707,26 +682,25 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     both ideals an Eagon-Northcott dimension floor (`_dimension_floor`), and
     Buchberger stops once a partial basis certifies the dimension, so gb_low
     of `lower_stratum_points` may be None; any other model builds both bases
-    in full.  `rank_basis` is the reduced grevlex basis of the t-minors
-    ideal, built on first read when only its dimension was certified.
+    in full.  The result holds no basis: a caller that needs the rank basis
+    builds it from `minors_ideal(model, model.t)`.
     """
     if not any(e for row in model.matrix.entries for e in row):
         raise ValueError("classification requires a nonzero matrix")
     projective = model.ambient.kind == PROJECTIVE
     notes = []
     nvars = len(model.variables)
-    rank_ideal = minors_ideal(model, model.t)
-    dim_t, gb_t = _dimension_and_basis(
-        rank_ideal, _dimension_floor(model, model.expected_codimension()),
-        spair_budget)
+    dim_t, _ = certified_dimension(
+        minors_ideal(model, model.t),
+        _dimension_floor(model, model.expected_codimension()),
+        spair_budget=spair_budget)
     smoothable = model.smoothable_type()
     dimension = dim_t - 1 if projective else dim_t
     if dimension < 0:
         notes.append("the variety is empty")
-        return _classification(
-            rank_ideal, gb_t, spair_budget, empty=True, codimension=None,
-            dimension=None, determinantal=False, isolated_singularity=True,
-            smoothable=smoothable, singular_points=(),
+        return GermClassification(
+            empty=True, codimension=None, dimension=None, determinantal=False,
+            isolated_singularity=True, smoothable=smoothable, singular_points=(),
             singular_points_exact=True, singular_locus_dimension=None,
             local_supported=True, notes=tuple(notes))
     codim = nvars - dim_t
@@ -751,19 +725,9 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             notes.append(f"chart ideal at {point_label(pt)} is not "
                          "weighted-homogeneous; symbolic local computations "
                          "are unsupported")
-    return _classification(
-        rank_ideal, gb_t, spair_budget, empty=False, codimension=codim,
-        dimension=dimension, determinantal=determinantal,
-        isolated_singularity=isolated, smoothable=smoothable,
-        singular_points=points, singular_points_exact=exact,
-        singular_locus_dimension=dim_low, local_supported=local_supported,
-        notes=tuple(notes))
-
-
-def _classification(rank_ideal, gb_t, spair_budget, **fields):
-    # a GermClassification whose rank basis, when None, is built on first
-    # read from the rank ideal
-    info = GermClassification(rank_basis=gb_t, **fields)
-    if gb_t is None:
-        info._rank_ideal = rank_ideal, spair_budget
-    return info
+    return GermClassification(
+        empty=False, codimension=codim, dimension=dimension,
+        determinantal=determinantal, isolated_singularity=isolated,
+        smoothable=smoothable, singular_points=points,
+        singular_points_exact=exact, singular_locus_dimension=dim_low,
+        local_supported=local_supported, notes=tuple(notes))

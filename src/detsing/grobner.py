@@ -285,7 +285,9 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     such a join can lower it.  Once the bound meets `floor` the dimension is
     exact and the call returns (floor, None) with no basis.  Otherwise it
     returns (ideal_dimension(basis), basis) with the reduced basis that
-    `buchberger` builds.  `spair_budget` counts pairs as `buchberger` does.
+    `buchberger` builds.  A `floor` of None means no floor: the run always
+    completes and returns the basis.  `spair_budget` counts pairs as
+    `buchberger` does.
     """
     gb = _run(ideal, spair_budget, floor)
     return (floor, None) if gb is None else (ideal_dimension(gb), gb)

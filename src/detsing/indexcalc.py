@@ -10,8 +10,7 @@ are either input data or the single unknown the identity is solved for.
 """
 
 from .detvar import OUTSIDE, PROJECTIVE, ProjectivePoint, is_point_on_variety
-from .grobner import buchberger  # unused here; perfbench wraps this binding
-from .grobner import normal_form
+from .grobner import DEFAULT_SPAIR_BUDGET, Ideal, buchberger, normal_form
 from .polyalg import minors
 from .topo import MilnorData, chi_smoothing
 
@@ -253,15 +252,17 @@ def global_identity(ledger, records):
     return IdentityResult(SOLVED, lhs=total, rhs=total, name=name, value=value)
 
 
-def cstar_fixed_points(model, weights, rank_basis):
+def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
     """Coordinate fixed points of the weight action that lie on the variety.
 
     `weights` holds one integer per homogeneous coordinate.  They must be
     pairwise distinct so the fixed points are exactly the coordinate points.
-    The action must preserve the variety; this is checked exactly by reducing
-    every graded component of every defining minor against rank_basis, the
-    reduced basis of the t-minors ideal (`classify(model).rank_basis`).
-    Distinct weights also make every chart weight difference nonzero, so a
+    The action must preserve the variety; this is checked exactly: every
+    graded component of every t-minor must lie in the t-minors ideal.  A
+    minor with one component is that component, so it lies there as it is.
+    Only when some minor splits is the reduced basis of the ideal built,
+    once, within `spair_budget` S-pairs, and each component of every split
+    minor reduced against it.  Distinct weights also make every chart weight difference nonzero, so a
     fixed point in the smooth stratum is a simple zero of the induced form
     and its index is 1.  Returns (point, location) pairs in coordinate order.
     """
@@ -272,10 +273,17 @@ def cstar_fixed_points(model, weights, rank_basis):
                          "repeated weights give a non-isolated fixed locus")
     if len(weights) != len(model.variables):
         raise ValueError("one weight per homogeneous coordinate is required")
-    for gen in minors(model.matrix, model.t):
-        for part in gen.weight_components(weights).values():
-            if normal_form(part, rank_basis):
-                raise ValueError("the weight action does not preserve the variety")
+    gens = minors(model.matrix, model.t)
+    basis = None
+    for gen in gens:
+        parts = gen.weight_components(weights).values()
+        if len(parts) < 2:
+            continue
+        if basis is None:
+            basis = buchberger(Ideal(model.variables, gens),
+                               spair_budget=spair_budget)
+        if any(normal_form(part, basis) for part in parts):
+            raise ValueError("the weight action does not preserve the variety")
     out = []
     count = len(model.variables)
     for j in range(count):

@@ -11,7 +11,7 @@ import pytest
 
 import detsing
 from conftest import fixture_path
-from test_cli_golden import GENERIC_3X3
+from test_cli_golden import GENERIC_3X3, _resolve
 from detsing import cli, detvar, grobner, indexcalc, polyalg
 
 
@@ -533,19 +533,27 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("argv, budget", [
         # the lower ideal's basis, which the floor -2 cannot certify
-        (("verify", fixture_path("twisted_cubic.json")), 15),
-        # both dimensions certify; the ledger's rank basis takes 3 pairs
-        (("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
-         3),
+        (("verify", "twisted_cubic.json"), 15),
+        # both dimensions certify, and a 2-minor splits into weight
+        # components, so the cstar check builds the rank basis: 6 pairs
+        (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"), 6),
     ], ids=["argv0", "argv1"])
-    def test_budget_boundary(self, run_cli, argv, budget):
+    def test_budget_boundary(self, run_cli, tmp_path, argv, budget):
         # the smallest budget that completes moves with pair order, pair
         # criteria and the bases a command builds, so a change to any of
         # them shows here
+        argv = _resolve(argv, tmp_path)
         code, _, err = run_cli(*argv, "--spair-budget", str(budget - 1))
         assert code == 3
         assert f"S-pair budget of {budget - 1} exceeded" in err
         code, _, err = run_cli(*argv, "--spair-budget", str(budget))
+        assert code == 0 and err == ""
+
+    def test_certified_ledger_completes_at_the_smallest_budget(self, run_cli):
+        # both dimensions of the Segre cone certify from the generators, and
+        # no 2-minor splits into weight components, so no basis is built
+        code, _, err = run_cli("index", fixture_path("segre_cone.json"),
+                               "--at", "[0:0:0:0:0:0:1]", "--spair-budget", "1")
         assert code == 0 and err == ""
 
     def test_dense_model_certifies_within_a_small_budget(self, run_cli, tmp_path):
@@ -843,24 +851,29 @@ class TestLedgerWork:
         return seen
 
     @pytest.mark.parametrize("argv, expected", [
-        # the rank dimension certifies, and the ledger builds the rank basis
-        # for the cstar form; the lower ideal's floor is -2, so it has none
-        (("verify", fixture_path("twisted_cubic.json")),
-         {"grevlex": 2, "certified": 1, "rank_at_point": 6, "weights": 1}),
-        # both dimensions certify; the ledger builds the rank basis
-        (("index", fixture_path("segre_cone.json"), "--at", "[0:0:0:0:0:0:1]"),
+        # the rank dimension certifies, and no 2-minor splits into weight
+        # components, so the cstar form needs no rank basis; the lower
+        # ideal's floor is -2, so its basis is built in full
+        (("verify", "twisted_cubic.json"),
+         {"grevlex": 1, "certified": 1, "rank_at_point": 6, "weights": 1}),
+        # both dimensions certify, and no 2-minor splits
+        (("index", "segre_cone.json", "--at", "[0:0:0:0:0:0:1]"),
+         {"certified": 2, "rank_at_point": 8, "weights": 1}),
+        # a 2-minor splits, so the cstar check builds the one rank basis
+        (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"),
          {"grevlex": 1, "certified": 2, "rank_at_point": 8, "weights": 1}),
-        (("groebner", fixture_path("twisted_cubic.json"), "--ideal", "minors"),
+        (("groebner", "twisted_cubic.json", "--ideal", "minors"),
          {"grevlex": 2, "weights": 0}),
-        (("groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower"),
+        (("groebner", "twisted_cubic.json", "--ideal", "lower"),
          {"grevlex": 2, "weights": 0}),
         # the form ideal is global: the singular locus is not solved for it
-        (("groebner", fixture_path("form_staircase.json"), "--ideal", "form"),
+        (("groebner", "form_staircase.json", "--ideal", "form"),
          {"grevlex": 1, "weights": 0}),
     ], ids=["verify_twisted_cubic", "index_segre_cone",
-            "groebner_minors", "groebner_lower", "groebner_form"])
-    def test_pinned_counts(self, run_cli, counts, argv, expected):
-        code, _, _ = run_cli(*argv)
+            "index_segre_cone_column_op", "groebner_minors", "groebner_lower",
+            "groebner_form"])
+    def test_pinned_counts(self, run_cli, counts, tmp_path, argv, expected):
+        code, _, _ = run_cli(*_resolve(argv, tmp_path))
         assert code == 0
         # Counter equality treats a missing key as zero
         assert counts == Counter(expected)

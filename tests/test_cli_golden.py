@@ -5,8 +5,10 @@ workload, plus `groebner --ideal lower` and `analyze` on a generic 3x3
 projective model with t = 3, `analyze` on an affine grid with fractional
 roots, `analyze` and `groebner --ideal minors` on a projective cone
 whose vertex is charted at non-integral offsets, and `analyze` on an affine
-grid whose roots have eight distinct prime denominators, each in text and
-`--json` form.  The expected output in `golden/cli.json` is recorded output, not
+grid whose roots have eight distinct prime denominators, and `verify` and
+`index` on column-operated copies of the twisted cubic and Segre cone
+fixtures, whose cstar check reads the rank basis, each in text and `--json`
+form.  The expected output in `golden/cli.json` is recorded output, not
 recomputed here, so any change to what these commands print shows up as a
 failure.
 """
@@ -69,11 +71,42 @@ LARGE_K_GRID = {
     "singularities": [],
 }
 
+# the twisted cubic and Segre cone fixtures with col3 + col1 as the third
+# column: the same varieties, but the minor of the last two columns, such as
+# x1*(x3 + x1) - x2*(x2 + x0), now splits into weight components, so the
+# cstar check reduces them against the rank basis
+TWISTED_CUBIC_COLUMN_OP = {
+    "schema_version": 1,
+    "variables": [f"x{i}" for i in range(5)],
+    "matrix": [["x0", "x1", "x2 + x0"], ["x1", "x2", "x3 + x1"]],
+    "t": 2,
+    "ambient": {"kind": "projective", "dim": 4},
+    "weights": [0, 1, 2, 3, 4],
+    "singularities": [{"point": "[0:0:0:0:1]", "mu": 1}],
+    "form": {"kind": "cstar"},
+    "known": {"chi_X": 3, "indices": {"[0:0:0:0:1]": 3}},
+}
+
+SEGRE_CONE_COLUMN_OP = {
+    "schema_version": 1,
+    "variables": [f"x{i}" for i in range(7)],
+    "matrix": [["x0", "x1", "x2 + x0"], ["x3", "x4", "x5 + x3"]],
+    "t": 2,
+    "ambient": {"kind": "projective", "dim": 6},
+    "weights": [0, 1, 2, 3, 4, 5, 6],
+    "singularities": [{"point": "[0:0:0:0:0:0:1]", "chi_smoothing": 1,
+                       "chi_lower_stratum": 1}],
+    "form": {"kind": "cstar"},
+    "known": {"chi_X": 7},
+}
+
 INLINE_MODELS = {
     "generic_3x3_t3.json": GENERIC_3X3,
     "fractional_grid.json": FRACTIONAL_GRID,
     "shifted_cone.json": SHIFTED_CONE,
     "large_k_grid.json": LARGE_K_GRID,
+    "twisted_cubic_column_op.json": TWISTED_CUBIC_COLUMN_OP,
+    "segre_cone_column_op.json": SEGRE_CONE_COLUMN_OP,
 }
 
 COMMANDS = [
@@ -96,6 +129,8 @@ COMMANDS = [
     ("analyze", "shifted_cone.json"),
     ("groebner", "shifted_cone.json", "--ideal", "minors"),
     ("analyze", "large_k_grid.json"),
+    ("verify", "twisted_cubic_column_op.json"),
+    ("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"),
 ]
 
 CASES = [argv + extra for argv in COMMANDS for extra in ((), ("--json",))]

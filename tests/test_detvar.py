@@ -836,10 +836,16 @@ class TestClassifyWork:
         seen = Counter()
         buchberger, roots = detvar.buchberger, detvar._rational_roots
         weights, eliminant = detvar.quasi_homogeneous_weights, detvar.eliminant
+        certified_dimension = detvar.certified_dimension
 
         def counted_buchberger(ideal, **named):
             seen["grevlex"] += 1
             return buchberger(ideal, **named)
+
+        def counted_certified_dimension(ideal, floor, **named):
+            dimension, basis = certified_dimension(ideal, floor, **named)
+            seen["certified" if basis is None else "grevlex"] += 1
+            return dimension, basis
 
         def counted_eliminant(gb):
             seen["eliminant"] += 1
@@ -854,6 +860,8 @@ class TestClassifyWork:
             return weights(polys)
 
         monkeypatch.setattr(detvar, "buchberger", counted_buchberger)
+        monkeypatch.setattr(detvar, "certified_dimension",
+                            counted_certified_dimension)
         monkeypatch.setattr(detvar, "eliminant", counted_eliminant)
         monkeypatch.setattr(detvar, "_rational_roots", counted_roots)
         monkeypatch.setattr(detvar, "quasi_homogeneous_weights", counted_weights)
@@ -1036,12 +1044,12 @@ class TestCertifiedDimension:
 
     @staticmethod
     def outcome(model):
-        # the classification's fields other than rank_basis, or the error
+        # the classification's fields, or the error
         try:
             info = classify(model)
         except ResourceLimitExceeded as e:
-            return str(e), None
-        return tuple(getattr(info, f) for f in TestCertifiedDimension.FIELDS), info
+            return str(e)
+        return tuple(getattr(info, f) for f in TestCertifiedDimension.FIELDS)
 
     @staticmethod
     def floored_ideals(model):
@@ -1060,13 +1068,11 @@ class TestCertifiedDimension:
                 dimension, basis = certified_dimension(ideal, floor)
                 assert dimension == ideal_dimension(full)
                 assert basis is None or basis == full
-        fields, info = self.outcome(model)
+        fields = self.outcome(model)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(detvar, "_dimension_floor", lambda *_: None)
-            plain, _ = self.outcome(model)
+            plain = self.outcome(model)
         assert fields == plain
-        if info is not None:
-            assert info.rank_basis == buchberger(minors_ideal(model, model.t))
 
     @staticmethod
     def model(grid, variables, t, kind):
@@ -1076,12 +1082,12 @@ class TestCertifiedDimension:
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        """(floor, whether a basis came back) of each certified_dimension call."""
+        """(floor, basis or None) of each certified_dimension call."""
         seen = []
 
         def recorded(ideal, floor, **named):
             dimension, basis = certified_dimension(ideal, floor, **named)
-            seen.append((floor, basis is not None))
+            seen.append((floor, basis))
             return dimension, basis
 
         monkeypatch.setattr(detvar, "certified_dimension", recorded)
@@ -1097,9 +1103,10 @@ class TestCertifiedDimension:
         model = self.model(grid, variables, t, kind)
         assert detvar._dimension_floor(model, model.expected_codimension()) is None
         assert detvar._dimension_floor(model, model.smoothability_bound()) is None
-        info = classify(model)
-        assert runs == []
-        assert info.rank_basis == buchberger(minors_ideal(model, model.t))
+        classify(model)
+        # the rank ideal first, then the lower one unless the variety is empty
+        assert [floor for floor, _ in runs] == [None] * len(runs)
+        assert runs[0][1] == buchberger(minors_ideal(model, model.t))
 
     def test_non_determinantal_runs_to_completion(self, runs):
         # the 2-minors are 0, x0^2 and x0*x1: codimension 1, below the
@@ -1108,27 +1115,6 @@ class TestCertifiedDimension:
                            ("x0", "x1", "x2"), 2, PROJECTIVE)
         info = classify(model)
         assert (info.codimension, info.determinantal) == (1, False)
-        assert runs == [(1, True)]
-        assert info.rank_basis == buchberger(minors_ideal(model, 2))
-
-    def test_rank_basis_is_built_once_on_first_read(self, monkeypatch):
-        model = segre_cone_model()
-        info = classify(model)
-        built = []
-
-        def counted(ideal, **named):
-            built.append((ideal, named))
-            return buchberger(ideal, **named)
-
-        def no_minors(*_):
-            raise AssertionError("rank_basis took the minors again")
-
-        monkeypatch.setattr(detvar, "buchberger", counted)
-        monkeypatch.setattr(detvar, "minors", no_minors)
-        first = info.rank_basis
-        assert info.rank_basis is first
-        monkeypatch.undo()
-        assert first == buchberger(minors_ideal(model, 2))
-        (ideal, named), = built
-        assert named == {"spair_budget": detvar.DEFAULT_SPAIR_BUDGET}
-        assert ideal.generators == minors_ideal(model, 2).generators
+        # the lower ideal's floor 3 - 6 is negative, so it gets none
+        assert runs == [(1, buchberger(minors_ideal(model, 2))),
+                        (None, buchberger(minors_ideal(model, 1)))]

@@ -1,14 +1,20 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from detsing.detvar import (
     AFFINE,
     ESSENTIAL_SINGULAR,
+    OUTSIDE,
     PROJECTIVE,
     SMOOTH_STRATUM,
     AmbientSpace,
     DeterminantalModel,
-    classify,
+    ProjectivePoint,
+    is_point_on_variety,
+    minors_ideal,
 )
+from detsing.grobner import buchberger, normal_form
 from detsing.indexcalc import (
     ROLE_SMOOTH_FORM_POINT,
     ROLE_VARIETY_SINGULARITY,
@@ -27,7 +33,7 @@ from detsing.indexcalc import (
     phn_from_radial,
     phn_from_radial_nonsmoothable,
 )
-from detsing.polyalg import PolyMatrix
+from detsing.polyalg import PolyMatrix, Polynomial, minors
 from detsing.topo import MilnorData, chi_smoothing
 
 P4 = ("x0", "x1", "x2", "x3", "x4")
@@ -275,13 +281,11 @@ class TestCStarForms:
     def test_repeated_weights_rejected(self):
         model = catalecticant_model()
         with pytest.raises(ValueError, match="pairwise distinct"):
-            cstar_fixed_points(model, (0, 1, 1, 3, 4),
-                               classify(model).rank_basis)
+            cstar_fixed_points(model, (0, 1, 1, 3, 4))
 
     def test_catalecticant_fixed_points(self):
         model = catalecticant_model()
-        got = cstar_fixed_points(model, (0, 1, 2, 3, 4),
-                                 classify(model).rank_basis)
+        got = cstar_fixed_points(model, (0, 1, 2, 3, 4))
         labels = [(str(p), loc.kind) for p, loc in got]
         assert labels == [
             ("[1:0:0:0:0]", SMOOTH_STRATUM),
@@ -292,7 +296,7 @@ class TestCStarForms:
     def test_conic_fixed_points(self):
         m = PolyMatrix.from_strings([["x0*x2 - x1^2"]], ("x0", "x1", "x2"))
         model = DeterminantalModel(m, 1, AmbientSpace(PROJECTIVE, 2))
-        got = cstar_fixed_points(model, (0, 1, 2), classify(model).rank_basis)
+        got = cstar_fixed_points(model, (0, 1, 2))
         labels = [(str(p), loc.kind) for p, loc in got]
         assert labels == [("[1:0:0]", SMOOTH_STRATUM), ("[0:0:1]", SMOOTH_STRATUM)]
 
@@ -300,15 +304,151 @@ class TestCStarForms:
         m = PolyMatrix.from_strings([["x0*x2 - x1^2"]], ("x0", "x1", "x2"))
         model = DeterminantalModel(m, 1, AmbientSpace(PROJECTIVE, 2))
         with pytest.raises(ValueError):
-            cstar_fixed_points(model, (0, 2, 1), classify(model).rank_basis)
+            cstar_fixed_points(model, (0, 2, 1))
 
     def test_affine_rejected(self):
         m = PolyMatrix.from_strings([["x"]], ("x", "y"))
         model = DeterminantalModel(m, 1, AmbientSpace(AFFINE, 2))
         with pytest.raises(ValueError):
-            cstar_fixed_points(model, (0, 1), classify(model).rank_basis)
+            cstar_fixed_points(model, (0, 1))
 
     def test_weight_count_mismatch(self):
         model = catalecticant_model()
         with pytest.raises(ValueError):
-            cstar_fixed_points(model, (0, 1, 2), classify(model).rank_basis)
+            cstar_fixed_points(model, (0, 1, 2))
+
+
+def reduce_every_component(model, weights):
+    """The torus check against the full rank basis, minor by minor: every
+    weight component of every t-minor is reduced against the reduced basis
+    of the t-minors, and the action is refused iff one is nonzero.  On
+    success, the coordinate points on the variety with their locations."""
+    basis = buchberger(minors_ideal(model, model.t))
+    for gen in minors(model.matrix, model.t):
+        for part in gen.weight_components(weights).values():
+            if normal_form(part, basis):
+                raise ValueError("the weight action does not preserve the variety")
+    count = len(model.variables)
+    points = (ProjectivePoint([int(i == j) for i in range(count)])
+              for j in range(count))
+    return [(pt, loc) for pt in points
+            if (loc := is_point_on_variety(model, pt)).kind != OUTSIDE]
+
+
+def torus_outcome(check, model, weights):
+    """The located fixed points as (label, kind) pairs, or the refusal."""
+    try:
+        got = check(model, weights)
+    except ValueError as e:
+        return str(e)
+    return [(str(pt), loc.kind) for pt, loc in got]
+
+
+def linear(variables, coefficients):
+    """The linear form sum c * x over a {variable: c} map."""
+    return sum((Polynomial.variable(variables, v) * c
+                for v, c in coefficients.items()), Polynomial.zero(variables))
+
+
+@st.composite
+def column_operated(draw, additive):
+    """(model, weights): a generic or Hankel matrix of variables, with a few
+    row and column operations that leave its rank ideals unchanged and may
+    split its minors into weight components.  With `additive`, the weight of entry
+    (i, j) is a_i + b_j, so every minor of the unoperated matrix is
+    weighted-homogeneous and the action preserves the variety; otherwise the
+    weights of a generic matrix are not of that form, and it does not."""
+    n, p = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    hankel = additive and draw(st.booleans())
+    count = n + p - 1 if hankel else n * p
+    extra = draw(st.integers(0, 1))  # a coordinate outside the matrix
+    variables = tuple(f"x{i}" for i in range(count + extra))
+    if hankel:
+        index = [[i + j for j in range(p)] for i in range(n)]
+        step = draw(st.integers(1, 3))
+        weights = [step * k for k in range(count)]
+    else:
+        index = [[i * p + j for j in range(p)] for i in range(n)]
+        if additive:
+            rows = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n,
+                                 unique=True))
+            cols = draw(st.lists(st.integers(0, 5), min_size=p, max_size=p,
+                                 unique=True))
+            weights = [rows[i] + 10 * cols[j] for i in range(n) for j in range(p)]
+        else:
+            weights = draw(st.lists(st.integers(-9, 9), min_size=count,
+                                    max_size=count, unique=True))
+            assume(any(weights[i * p + j] + weights[k * p + l]
+                       != weights[i * p + l] + weights[k * p + j]
+                       for i in range(n) for k in range(n)
+                       for j in range(p) for l in range(p)))
+    weights += [max(weights) + 1] * extra
+    grid = [[{variables[k]: 1} for k in row] for row in index]
+    for _ in range(draw(st.integers(1, 3))):
+        on_rows = draw(st.booleans())
+        size = n if on_rows else p
+        target = draw(st.integers(0, size - 1))
+        source = draw(st.integers(0, size - 1).filter(lambda k: k != target))
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        cells = ([(target, j, source, j) for j in range(p)] if on_rows
+                 else [(i, target, i, source) for i in range(n)])
+        for i, j, a, b in cells:
+            for v, x in grid[a][b].items():
+                grid[i][j][v] = grid[i][j].get(v, 0) + c * x
+    matrix = PolyMatrix([[linear(variables, e) for e in row] for row in grid])
+    t = draw(st.integers(2, min(n, p)))
+    model = DeterminantalModel(matrix, t,
+                               AmbientSpace(PROJECTIVE, len(variables) - 1))
+    return model, tuple(weights)
+
+
+@st.composite
+def linear_t1_or_constant(draw):
+    """(model, weights): t = 1 over random linear forms, whose 1-minors are
+    the entries, or any t over a nonzero matrix of constants."""
+    nvars = draw(st.integers(2, 4))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        cell = st.dictionaries(st.sampled_from(variables),
+                               st.integers(-2, 2).filter(bool),
+                               min_size=1, max_size=3)
+        grid = [[linear(variables, draw(cell)) for _ in range(p)]
+                for _ in range(n)]
+        t = 1
+    else:
+        values = draw(st.lists(st.integers(-2, 2), min_size=n * p,
+                               max_size=n * p).filter(any))
+        grid = [[Polynomial.constant(variables, values[i * p + j])
+                 for j in range(p)] for i in range(n)]
+        t = draw(st.integers(1, min(n, p)))
+    weights = draw(st.lists(st.integers(-9, 9), min_size=nvars,
+                            max_size=nvars, unique=True))
+    model = DeterminantalModel(PolyMatrix(grid), t,
+                               AmbientSpace(PROJECTIVE, nvars - 1))
+    return model, tuple(weights)
+
+
+class TestCStarOracle:
+    """`cstar_fixed_points` builds the rank basis only for minors that split,
+    and decides exactly as reducing every component of every minor does."""
+
+    @given(column_operated(additive=True))
+    def test_split_minors_of_a_preserved_variety(self, case):
+        model, weights = case
+        want = torus_outcome(reduce_every_component, model, weights)
+        assert isinstance(want, list)
+        assert torus_outcome(cstar_fixed_points, model, weights) == want
+
+    @given(column_operated(additive=False))
+    def test_weights_that_do_not_preserve_the_variety(self, case):
+        model, weights = case
+        want = torus_outcome(reduce_every_component, model, weights)
+        assert want == "the weight action does not preserve the variety"
+        assert torus_outcome(cstar_fixed_points, model, weights) == want
+
+    @given(linear_t1_or_constant())
+    def test_t1_and_degree_zero_models(self, case):
+        model, weights = case
+        assert (torus_outcome(cstar_fixed_points, model, weights)
+                == torus_outcome(reduce_every_component, model, weights))

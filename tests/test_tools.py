@@ -1,0 +1,44 @@
+"""The maintenance scripts under tools/ run as documented."""
+
+import hashlib
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from conftest import fixture_path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+
+
+def run_tool(name, *args, cwd):
+    done = subprocess.run([sys.executable, str(TOOLS / name), *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    return done.stdout
+
+
+def test_code_lines_lists_every_module_and_sums_them(tmp_path):
+    lines = run_tool("code_lines.py", cwd=tmp_path).splitlines()
+    rows = [line.split() for line in lines]
+    *modules, (total, label) = rows
+    assert label == "total"
+    names = [name for _, name in modules]
+    assert names == sorted(p.name for p in (ROOT / "src" / "detsing").glob("*.py"))
+    assert int(total) == sum(int(count) for count, _ in modules)
+
+
+def test_report_digest_of_a_model_repeats(tmp_path, run_cli):
+    model = fixture_path("twisted_cubic.json")
+    first = run_tool("report_digest.py", model, cwd=tmp_path)
+    lines = first.splitlines()
+    assert len(lines) == 6
+    fields = re.compile(r" code=(\d+) stdout=([0-9a-f]{64}) stderr=([0-9a-f]{64})$")
+    assert all(fields.search(line) for line in lines)
+    # the first line digests the text report of `analyze`
+    code, out, err = run_cli("analyze", model)
+    assert lines[0] == (f"{model} analyze [text] code={code} "
+                        f"stdout={hashlib.sha256(out.encode()).hexdigest()} "
+                        f"stderr={hashlib.sha256(err.encode()).hexdigest()}")
+    assert run_tool("report_digest.py", model, cwd=tmp_path) == first

@@ -140,7 +140,7 @@ class TestGermClassification:
     FIELDS = ("empty", "codimension", "dimension", "determinantal",
               "isolated_singularity", "smoothable", "singular_points",
               "singular_points_exact", "singular_locus_dimension",
-              "local_supported", "notes", "rank_basis")
+              "local_supported", "notes")
 
     def test_positional_and_keyword(self):
         values = tuple(range(len(self.FIELDS)))
@@ -157,7 +157,8 @@ class TestGermClassification:
         assert info.smoothable and info.singular_points_exact
         assert info.singular_locus_dimension == 1 and info.local_supported
         assert isinstance(info.notes, tuple)
-        assert isinstance(info.rank_basis, GroebnerBasis)
+        # a plain record: no basis and no hidden state
+        assert GermClassification.__slots__ == self.FIELDS
 
 
 class TestIdeal:
@@ -352,7 +353,6 @@ class TestLeGreuelResult:
 
 def test_located_points_carry_their_kind():
     model = DeterminantalModel(cone_matrix(), 2, AmbientSpace(PROJECTIVE, 4))
-    info = classify(model)
-    fixed = cstar_fixed_points(model, (0, 1, 2, 3, 4), info.rank_basis)
+    fixed = cstar_fixed_points(model, (0, 1, 2, 3, 4))
     assert [loc.kind for _, loc in fixed][-1] == ESSENTIAL_SINGULAR
     assert all(isinstance(loc, PointLocation) for _, loc in fixed)
