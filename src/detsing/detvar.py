@@ -227,8 +227,9 @@ def lower_locus_generators(matrix, t):
 
     By Laplace expansion the t-minors already lie in this ideal, so they are
     not listed.  For t = 1 the stratum is empty: the unit ideal.  Equal
-    minors repeat, as f and g do in [f, g, g, f] for [[f, g], [g, f]]; only
-    the point solver, `_solve_zero_dimensional`, drops the repeats.
+    minors repeat, as f and g do in [f, g, g, f] for [[f, g], [g, f]]; the
+    point search drops the repeats, `_projective_points` before its cells
+    and `_solve_zero_dimensional` in each subsystem.
     """
     if t == 1:
         return [Polynomial.constant(matrix.variables, 1)]
@@ -411,63 +412,61 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
     nonzero constant only, so the ideal and its reduced basis are those of
     plain substitution.
 
-    Repeated generators are dropped, and each distinct (generators,
+    Zero and repeated generators are dropped, and each distinct (generators,
     variables) subsystem is solved once per call.  Roots often leave equal
     subsystems: on a grid f(x) = g(y) = 0 every root of g leaves [f].
     `basis`, when given, is the reduced basis of the ideal of `gens` in
     `variables`, and the top-level subsystem uses it instead of its own.
     """
-    return _solve(gens, tuple(variables), spair_budget, {}, basis)
+    # each subsystem met so far that needs a basis, as (distinct
+    # generators, variables), mapped to its (points, complete)
+    solved = {}
 
+    def solve(gens, variables, gb=None):
+        gens = tuple(dict.fromkeys(g for g in gens if g))
+        if any(g.total_degree() == 0 for g in gens):
+            return [], True
+        if not variables:
+            return [()], True
+        if (gens, variables) in solved:
+            return solved[gens, variables]
+        if gb is None:
+            gb = buchberger(Ideal(variables, gens), spair_budget=spair_budget)
+        # a unit basis has no zero and a positive-dimensional one no finite
+        # list of them; the eliminant splits a zero-dimensional one
+        roots, complete = [], True
+        if all(p.total_degree() for p in gb.polynomials):
+            roots, complete = (_rational_roots(eliminant(gb))
+                               if ideal_dimension(gb) == 0 else ([], False))
+        points = []
+        for r, _mult in roots:
+            sub = [_substitute_last(g, r) for g in gens]
+            sub_points, sub_complete = solve(sub, variables[:-1])
+            complete = complete and sub_complete
+            points.extend(pt + (r,) for pt in sub_points)
+        solved[gens, variables] = points, complete
+        return points, complete
 
-def _solve(gens, variables, spair_budget, solved, basis=None):
-    # `solved` maps each subsystem met so far in this call that needs a
-    # basis, as (distinct generators, variables), to its (points, complete)
-    gens = [g for g in gens if g]
-    if any(g.total_degree() == 0 for g in gens):
-        return [], True
-    if not variables:
-        return [tuple()], True
-    key = tuple(dict.fromkeys(gens)), variables
-    if key not in solved:
-        solved[key] = _solve_distinct(*key, spair_budget, solved, basis)
-    return solved[key]
-
-
-def _solve_distinct(gens, variables, spair_budget, solved, gb):
-    # the eliminant and root substitution of one distinct subsystem
-    if gb is None:
-        gb = buchberger(Ideal(variables, gens), spair_budget=spair_budget)
-    if any(p.total_degree() == 0 for p in gb.polynomials):
-        return [], True
-    if ideal_dimension(gb) > 0:
-        return [], False
-    roots, complete = _rational_roots(eliminant(gb))
-    points = []
-    for r, _mult in roots:
-        sub_points, sub_complete = _solve(
-            [_substitute_last(g, r) for g in gens], variables[:-1],
-            spair_budget, solved)
-        complete = complete and sub_complete
-        points.extend(pt + (r,) for pt in sub_points)
-    return points, complete
+    return solve(gens, tuple(variables), basis)
 
 
 def _projective_points(gens, variables, spair_budget):
-    # cell decomposition: first nonzero coordinate set to 1, earlier ones to 0
-    pts = []
-    complete = True
+    # cell decomposition: cell i holds the points with x_i = 1 and every
+    # earlier coordinate 0.  The keys of `gens` are the distinct nonzero
+    # generators with x_0..x_{i-1} set to 0, in first-seen order: cell i
+    # sets its first variable to 1, and setting it to 0 instead restricts
+    # `gens` for the cells after it
+    gens = dict.fromkeys(g for g in gens if g)
+    pts, complete = [], True
     for i in range(len(variables)):
-        assignments = {j: 0 for j in range(i)}
-        assignments[i] = 1
-        sub = [g.eliminate(assignments) for g in gens]
-        sols, comp = _solve_zero_dimensional(sub, variables[i + 1:], spair_budget)
+        sols, comp = _solve_zero_dimensional(
+            [g.eliminate({0: 1}) for g in gens], variables[i + 1:],
+            spair_budget)
         complete = complete and comp
-        for s in sols:
-            coords = (0,) * i + (1,) + s
-            pts.append(ProjectivePoint.from_fractions(coords))
-    pts.sort(key=lambda p: p.coords)
-    return pts, complete
+        pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
+                   for s in sols)
+        gens = dict.fromkeys(h for g in gens if (h := g.eliminate({0: 0})))
+    return sorted(pts, key=lambda p: p.coords), complete
 
 
 def parse_point(text, model):
@@ -640,10 +639,11 @@ def lower_stratum_points(model, spair_budget):
     None when a projective model's Eagon-Northcott floor certified dim_low
     before the basis was complete (`_dimension_floor`).  The points are
     enumerated when that stratum is finite, sorted, as ProjectivePoints or
-    affine tuples: in affine mode when dim_low is 0, and for a projective
-    cone when dim_low is 1.  A projective dim_low of 0 leaves only the
-    origin, so no point.  exact is False when non-rational or infinitely
-    many points may be missing from the list.
+    affine tuples: in affine mode when dim_low is 0, by
+    `_solve_zero_dimensional` from gb_low, and for a projective cone when
+    dim_low is 1, by the cell search of `_projective_points`.  A projective
+    dim_low of 0 leaves only the origin, so no point.  exact is False when
+    non-rational or infinitely many points may be missing from the list.
     """
     projective = model.ambient.kind == PROJECTIVE
     lower_gens = lower_locus_generators(model.matrix, model.t)
@@ -651,15 +651,15 @@ def lower_stratum_points(model, spair_budget):
         Ideal(model.variables, lower_gens),
         _dimension_floor(model, model.smoothability_bound()),
         spair_budget=spair_budget)
+    points, exact = [], dim_low <= (1 if projective else 0)
     if projective and dim_low == 1:
         points, exact = _projective_points(lower_gens, model.variables,
                                            spair_budget)
-        return tuple(points), exact, dim_low, gb_low
-    if not projective and dim_low == 0:
+    elif not projective and dim_low == 0:
         points, exact = _solve_zero_dimensional(lower_gens, model.variables,
                                                 spair_budget, gb_low)
-        return tuple(sorted(points)), exact, dim_low, gb_low
-    return (), dim_low <= (1 if projective else 0), dim_low, gb_low
+        points = sorted(points)
+    return tuple(points), exact, dim_low, gb_low
 
 
 def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):

@@ -262,9 +262,11 @@ def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
     minor with one component is that component, so it lies there as it is.
     Only when some minor splits is the reduced basis of the ideal built,
     once, within `spair_budget` S-pairs, and each component of every split
-    minor reduced against it.  Distinct weights also make every chart weight difference nonzero, so a
-    fixed point in the smooth stratum is a simple zero of the induced form
-    and its index is 1.  Returns (point, location) pairs in coordinate order.
+    minor reduced against it.  Distinct weights also make every chart
+    weight difference nonzero, so a fixed point in the smooth stratum is a
+    simple zero of the induced form and its index is 1.  Returns (point,
+    location) pairs in coordinate order.  A weight that is not an int, such
+    as 0.5, raises TypeError.
     """
     if model.ambient.kind != PROJECTIVE:
         raise ValueError("torus fixed points are computed in projective mode only")

@@ -65,7 +65,11 @@ class Polynomial:
         nv = len(self.variables)
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            # an exponent is an int: a float or a bool raises TypeError, as
+            # a float coefficient does in `exact`
+            exps = tuple(exps)
+            if any(type(e) is not int for e in exps):
+                raise TypeError(f"integer exponents required, got {exps}")
             if len(exps) != nv:
                 raise ValueError("exponent vector length mismatch")
             if any(e < 0 for e in exps):
@@ -305,8 +309,14 @@ class Polynomial:
         return None
 
     def weight_components(self, weights):
-        """Split into weighted-homogeneous parts, keyed by weighted degree."""
-        weights = tuple(int(w) for w in weights)
+        """Split into weighted-homogeneous parts, keyed by weighted degree.
+
+        `weights` holds one int per variable; a float or a bool raises
+        TypeError.
+        """
+        weights = tuple(weights)
+        if any(type(w) is not int for w in weights):
+            raise TypeError(f"integer weights required, got {weights}")
         if len(weights) != len(self.variables):
             raise ValueError("one weight per variable required")
         parts = {}

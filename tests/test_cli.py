@@ -850,6 +850,17 @@ class TestLedgerWork:
                     monkeypatch.setattr(module, name, wrapper)
         return seen
 
+    @pytest.fixture
+    def eliminations(self, counts, monkeypatch):
+        # counts["eliminate"]: calls of Polynomial.eliminate
+        eliminate = polyalg.Polynomial.eliminate
+
+        def counted_eliminate(self, assignments):
+            counts["eliminate"] += 1
+            return eliminate(self, assignments)
+
+        monkeypatch.setattr(polyalg.Polynomial, "eliminate", counted_eliminate)
+
     @pytest.mark.parametrize("argv, expected", [
         # the rank dimension certifies, and no 2-minor splits into weight
         # components, so the cstar form needs no rank basis; the lower
@@ -892,22 +903,16 @@ class TestLedgerWork:
 
 
     def test_empty_projective_locus_is_not_searched(self, run_cli, counts,
-                                                    monkeypatch, tmp_path):
+                                                    eliminations, monkeypatch,
+                                                    tmp_path):
         # generic 2 x 4, t = 2 in P^7: the 1-minors are the variables, whose
         # only zero is the origin, so the lower stratum has no projective
         # point and no cell is eliminated or solved
-        eliminate = polyalg.Polynomial.eliminate
-
-        def counted_eliminate(self, assignments):
-            counts["eliminate"] += 1
-            return eliminate(self, assignments)
-
         for name in ("_projective_points", "_solve_zero_dimensional"):
             def solver(*args, name=name):
                 counts[name] += 1
                 raise AssertionError(f"{name} searched an empty locus")
             monkeypatch.setattr(detvar, name, solver)
-        monkeypatch.setattr(polyalg.Polynomial, "eliminate", counted_eliminate)
         path = tmp_path / "generic_2x4_t2.json"
         path.write_text(json.dumps({
             "schema_version": 1, "variables": [f"x{i}" for i in range(8)],
@@ -921,6 +926,27 @@ class TestLedgerWork:
         assert report["singular_points"] == []
         assert report["singular_points_exact"] is True
         assert counts == Counter({"certified": 2})
+
+    def test_projective_cells_restrict_distinct_generators(
+            self, run_cli, counts, eliminations, tmp_path):
+        # Hankel 2 x 4 in P^5, the cone over the rational normal quartic:
+        # its 1-minors list x1, x2 and x3 twice.  Each cell eliminates only
+        # the distinct generators left nonzero by the cells before it, as
+        # x_i = 1, and as x_i = 0 for the cells after it.  Substituting
+        # every earlier coordinate into every generator anew, per cell,
+        # made 53 calls.
+        path = tmp_path / "hankel_2x4.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": [f"x{i}" for i in range(6)],
+            "matrix": [["x0", "x1", "x2", "x3"], ["x1", "x2", "x3", "x4"]],
+            "t": 2, "ambient": {"kind": "projective", "dim": 5},
+            "singularities": []}))
+        code, out, _ = run_cli("analyze", path, "--json")
+        assert code == 0
+        report = load(out)["classification"]
+        assert report["singular_points"] == ["[0:0:0:0:0:1]"]
+        assert report["singular_points_exact"] is True
+        assert counts["eliminate"] == 35
 
 
 class TestModuleEntryPoint:

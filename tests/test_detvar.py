@@ -30,9 +30,9 @@ from detsing.detvar import (
     parse_point,
     point_label,
 )
-from detsing.grobner import (Ideal, ResourceLimitExceeded, buchberger,
-                             certified_dimension, ideal_dimension, normal_form,
-                             quasi_homogeneous_weights)
+from detsing.grobner import (Ideal, ResourceLimitExceeded, SPairBudgetExceeded,
+                             buchberger, certified_dimension, ideal_dimension,
+                             normal_form, quasi_homogeneous_weights)
 from detsing.polyalg import PolyMatrix, Polynomial, minors, parse_polynomial
 
 P4 = ("x0", "x1", "x2", "x3", "x4")
@@ -564,6 +564,74 @@ class TestZeroDimensionalSolver:
         assert got == fresh
         assert (sorted(got[0]), got[1]) == (grid, split)
         assert len(built) - fresh_count == fresh_count - 1
+
+
+@st.composite
+def homogeneous_systems(draw):
+    """Generators of a projective zero set in 3 or 4 variables.
+
+    Each is a product of one or two linear forms with small coefficients,
+    so the cells often meet rational points; a zero form gives a zero
+    generator, and some generators repeat, in any order.
+    """
+    count = draw(st.integers(min_value=3, max_value=4))
+    variables = tuple(f"x{i}" for i in range(count))
+    xs = [Polynomial.variable(variables, v) for v in variables]
+
+    def linear():
+        coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2),
+                               min_size=count, max_size=count))
+        return sum((c * x for c, x in zip(coeffs, xs)),
+                   Polynomial.zero(variables))
+
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=count))):
+        f = linear()
+        if draw(st.booleans()):
+            f = f * linear()
+        gens.append(f)
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=2))
+    return draw(st.permutations(gens + repeats)), variables
+
+
+def cell_by_cell_points(gens, variables, spair_budget):
+    # the reference search: cell i substitutes x_0..x_{i-1} = 0 and x_i = 1
+    # into every generator, repeats and zeros included
+    pts, complete = [], True
+    for i in range(len(variables)):
+        assignments = {j: 0 for j in range(i)}
+        assignments[i] = 1
+        sub = [g.eliminate(assignments) for g in gens]
+        sols, comp = _solve_zero_dimensional(sub, variables[i + 1:],
+                                             spair_budget)
+        complete = complete and comp
+        pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
+                   for s in sols)
+    return sorted(pts, key=lambda p: p.coords), complete
+
+
+class TestProjectiveCells:
+    @given(homogeneous_systems())
+    def test_matches_substituting_every_cell_anew(self, system):
+        # the same points and flag, or the same tripped budget, from the
+        # same Buchberger inputs in the same order
+        gens, variables = system
+        outcomes = []
+        for search in (detvar._projective_points, cell_by_cell_points):
+            built = []
+
+            def counted_buchberger(ideal, **named):
+                built.append(ideal.generators)
+                return buchberger(ideal, **named)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(detvar, "buchberger", counted_buchberger)
+                try:
+                    got = search(gens, variables, 12)
+                except SPairBudgetExceeded:
+                    got = SPairBudgetExceeded
+            outcomes.append((got, built))
+        assert outcomes[0] == outcomes[1]
 
 
 SHIFT = Polynomial.shift

@@ -317,6 +317,13 @@ class TestCStarForms:
         with pytest.raises(ValueError):
             cstar_fixed_points(model, (0, 1, 2))
 
+    def test_non_integer_weights_rejected(self):
+        # distinct, but truncating 4.5 to 4 would give an answer for
+        # weights that were never asked for
+        model = catalecticant_model()
+        with pytest.raises(TypeError, match="integer weight"):
+            cstar_fixed_points(model, (0, 1, 2, 3, 4.5))
+
 
 def reduce_every_component(model, weights):
     """The torus check against the full rank basis, minor by minor: every

@@ -212,6 +212,11 @@ class TestCalculusAndStructure:
         assert list(f.weight_components((3, 2, 1))) == [6]
         assert list(f.weight_components((1, 1, 1))) == [2, 3]
 
+    def test_bool_exponent_is_rejected(self):
+        # a bool is an int to isinstance and to int(), which read True as 1
+        with pytest.raises(TypeError, match="integer exponents"):
+            Polynomial(("x",), {(True,): 1})
+
     def test_eliminate_substitutes_and_drops(self):
         f = parse_polynomial("x0*x2 - x1^2", P4)
         g = f.eliminate({0: Fraction(1)})
@@ -468,8 +473,11 @@ class TestExactCoefficients:
         lambda: poly("x").evaluate((0.5, 0, 0)),
         lambda: poly("x").shift((0.5, 0, 0)),
         lambda: poly("x").eliminate({0: 0.5}),
+        # int() would read the exponent 1.5 as 1 and the weight 0.7 as 0
+        lambda: Polynomial(("x",), {(1.5,): 1}),
+        lambda: poly("x^2 + y^3").weight_components((0.7, 1, 1)),
     ], ids=["exact", "div", "init", "constant", "scale", "add", "evaluate",
-            "shift", "eliminate"])
+            "shift", "eliminate", "exponent", "weight"])
     def test_floats_are_rejected(self, make):
         with pytest.raises(TypeError):
             make()

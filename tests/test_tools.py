@@ -1,12 +1,16 @@
-"""The maintenance scripts under tools/ run as documented."""
+"""The maintenance scripts under tools/ run as documented, and the
+benchmark's tracer still finds every function it wraps."""
 
 import hashlib
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 from conftest import fixture_path
+
+from detsing import grobner
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -42,3 +46,23 @@ def test_report_digest_of_a_model_repeats(tmp_path, run_cli):
                         f"stdout={hashlib.sha256(out.encode()).hexdigest()} "
                         f"stderr={hashlib.sha256(err.encode()).hexdigest()}")
     assert run_tool("report_digest.py", model, cwd=tmp_path) == first
+
+
+def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):
+    # perfbench/run.py --trace 1 wraps every function its tracer names; a
+    # refactor that renames or deletes one fails here, not in the benchmark
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code, _, _ = run_cli("verify", fixture_path("twisted_cubic.json"))
+    finally:
+        tracer.restore()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"detvar.classify", "grobner.s_polynomial",
+            "indexcalc.cstar_fixed_points"} <= names
+    assert not hasattr(grobner.buchberger, "__wrapped__")
