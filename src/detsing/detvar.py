@@ -45,7 +45,7 @@ class AmbientSpace:
     def __init__(self, kind, dim):
         if kind not in (PROJECTIVE, AFFINE):
             raise ValueError(f"unknown ambient kind {kind!r}")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError("ambient dimension must be a positive integer")
         self.kind = kind
         self.dim = dim
@@ -130,7 +130,7 @@ class DeterminantalModel:
 
     def __init__(self, matrix, t, ambient):
         n, p = matrix.rows, matrix.cols
-        if not isinstance(t, int) or not 1 <= t <= min(n, p):
+        if type(t) is not int or not 1 <= t <= min(n, p):
             raise ValueError(f"t must satisfy 1 <= t <= min(n, p) = {min(n, p)}")
         expected = ambient.dim + (1 if ambient.kind == PROJECTIVE else 0)
         if len(matrix.variables) != expected:

@@ -103,9 +103,9 @@ class _Packing:
     key is deg * 2^S minus the fields e_{n-1} ... e_0 (S = n * width).  The
     key is linear in the exponents, so a product is an addition.  In the
     fields alone, the view -key & mask, a divides b exactly when
-    view(b) - view(a) sets no guard bit.  A grevlex reduction never raises
-    the degree of the term it cancels, so degrees under `limit`, the keys
-    up to `ceiling`, keep every field in range.
+    view(b) - view(a) sets no guard bit.  A monomial of degree under `limit`
+    keeps every field in range, and a grevlex reduction never raises the
+    degree of the term it cancels.
     """
 
     def __init__(self, nvars, width):
@@ -115,7 +115,6 @@ class _Packing:
         self.fmask = (1 << width) - 1
         top = 1 << (nvars * width)
         self.mask = top - 1
-        self.ceiling = (self.limit - 1) * top
         self.weights = [top - (1 << s) for s in self.shifts]
 
     def pack(self, terms):
@@ -171,18 +170,10 @@ def _remainder(work, divisors, pk):
     return remainder
 
 
-def _widening(nvars, polys, run):
-    """run(packing), started again with fields twice as wide on each overflow.
-
-    The first fields hold twice the largest degree in `polys`.
-    """
+def _width(polys, factor):
+    """Field width whose fields hold `factor` times the largest degree in `polys`."""
     top = max(map(sum, chain.from_iterable(p.terms for p in polys)), default=0)
-    width = (2 * top).bit_length() + 1
-    while True:
-        try:
-            return run(_Packing(nvars, width))
-        except _FieldOverflow:
-            width *= 2
+    return (factor * top).bit_length() + 1
 
 
 def normal_form(f, basis):
@@ -190,13 +181,13 @@ def normal_form(f, basis):
 
     Divisors are tried in basis enumeration order, and every term of the
     work polynomial is processed, so the result is deterministic and
-    idempotent.  It is zero exactly for ideal members.
+    idempotent.  It is zero exactly for ideal members.  No term of the
+    division has a degree above the largest degree d of f and the basis, so
+    one packing with fields for degree 2d holds them all.
     """
-    def run(pk):
-        divisors = [pk.divisor(pk.pack(p.terms)) for p in basis.polynomials]
-        return pk.unpack(f.variables, _remainder(pk.pack(f.terms), divisors, pk).items())
-
-    return _widening(len(f.variables), (f, *basis.polynomials), run)
+    pk = _Packing(len(f.variables), _width((f, *basis.polynomials), 2))
+    divisors = [pk.divisor(pk.pack(p.terms)) for p in basis.polynomials]
+    return pk.unpack(f.variables, _remainder(pk.pack(f.terms), divisors, pk).items())
 
 
 def eliminant(gb):
@@ -213,6 +204,12 @@ def eliminant(gb):
     -1 - j, so a vector whose keys are all negative is the dependence.  It
     takes at most quotient_dimension(gb) + 1 steps; a basis in one variable
     is its own generator.  Raises ValueError when the quotient is infinite.
+
+    A normal form is a sum of standard monomials, whose exponent of each
+    variable is below that variable's pure power, of degree at most the
+    largest basis degree d.  So x_last * NF and every term its reduction
+    makes have degree at most nvars * d, and one packing with fields for
+    that degree holds them all.
     """
     nvars = len(gb.variables)
     lms = gb.leading_monomials()
@@ -221,33 +218,26 @@ def eliminant(gb):
     if nvars == 1:
         (p,) = gb.polynomials
         return [p.terms.get((e,), 0) for e in range(p.total_degree() + 1)]
-
-    def run(pk):
-        divisors = [pk.divisor(pk.pack(p.terms)) for p in gb.polynomials]
-        step = pk.weights[-1]
-        rows = {}  # pivot key -> the rest of its row, divided by its pivot
-        power = _remainder({0: 1}, divisors, pk)
-        for k in count():
-            vector = {**power, -1 - k: 1}
-            while (m := max(vector)) in rows:
-                c = vector.pop(m)
-                for q, a in rows[m]:
-                    s = vector.get(q, 0) - c * a
-                    if s:
-                        vector[q] = s
-                    else:
-                        del vector[q]
-            if m < 0:
-                return [exact(vector.get(-1 - j, 0)) for j in range(k + 1)]
+    pk = _Packing(nvars, _width(gb.polynomials, nvars))
+    divisors = [pk.divisor(pk.pack(p.terms)) for p in gb.polynomials]
+    step = pk.weights[-1]
+    rows = {}  # pivot key -> the rest of its row, divided by its pivot
+    power = _remainder({0: 1}, divisors, pk)
+    for k in count():
+        vector = {**power, -1 - k: 1}
+        while (m := max(vector)) in rows:
             c = vector.pop(m)
-            rows[m] = [(q, div(a, c)) for q, a in vector.items()]
-            # x_last * NF(x_last^k) may outgrow the fields; the grevlex
-            # reduction that follows keeps within its degree
-            if max(power) + step > pk.ceiling:
-                raise _FieldOverflow
-            power = _remainder({m + step: c for m, c in power.items()}, divisors, pk)
-
-    return _widening(nvars, gb.polynomials, run)
+            for q, a in rows[m]:
+                s = vector.get(q, 0) - c * a
+                if s:
+                    vector[q] = s
+                else:
+                    del vector[q]
+        if m < 0:
+            return [exact(vector.get(-1 - j, 0)) for j in range(k + 1)]
+        c = vector.pop(m)
+        rows[m] = [(q, div(a, c)) for q, a in vector.items()]
+        power = _remainder({m + step: c for m, c in power.items()}, divisors, pk)
 
 
 def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
@@ -294,9 +284,15 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
 
 
 def _run(ideal, spair_budget, floor):
-    spolys = {}
-    return _widening(len(ideal.variables), ideal.generators,
-                     lambda pk: _buchberger(ideal, spair_budget, pk, spolys, floor))
+    # Buchberger's degrees have no bound known in advance: the first fields
+    # hold twice the largest generator degree, and an overflow starts the run
+    # again with fields twice as wide, keeping the S-polynomials formed
+    nvars, spolys, width = len(ideal.variables), {}, _width(ideal.generators, 2)
+    while True:
+        try:
+            return _buchberger(ideal, spair_budget, _Packing(nvars, width), spolys, floor)
+        except _FieldOverflow:
+            width *= 2
 
 
 def _buchberger(ideal, spair_budget, pk, spolys, floor):

@@ -239,9 +239,12 @@ class Polynomial:
         """Substitute rational values for some variables and drop them.
 
         `assignments` maps variable indices to values; the result lives over
-        the remaining variables, in their original order.
+        the remaining variables, in their original order.  An index is an
+        int: a float or a bool raises TypeError.
         """
-        fixed = {int(i): exact(v) for i, v in assignments.items()}
+        if any(type(i) is not int for i in assignments):
+            raise TypeError(f"integer variable indices required, got {list(assignments)}")
+        fixed = {i: exact(v) for i, v in assignments.items()}
         for i in fixed:
             if not 0 <= i < len(self.variables):
                 raise IndexError("variable index out of range")

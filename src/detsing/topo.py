@@ -44,7 +44,7 @@ class MilnorData:
     def __init__(self, d, mu=None, b2=None, m_d=None, mu_slice=None):
         for name, v in (("mu", mu), ("b2", b2), ("m_d", m_d),
                         ("mu_slice", mu_slice)):
-            if v is not None and (not isinstance(v, int) or v < 0):
+            if v is not None and (type(v) is not int or v < 0):
                 raise ValueError(f"{name} must be a non-negative integer")
         self.d = d
         self.mu = mu

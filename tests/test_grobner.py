@@ -511,7 +511,10 @@ class TestNormalForm:
     def test_pinned_reduction(self):
         basis = buchberger(ideal(CATALECTICANT_MINORS, P4))
         f = parse_polynomial("x1^3", P4)
-        assert normal_form(f, basis) == parse_polynomial("x0^2*x3", P4)
+        with recording_widths() as widths:
+            assert normal_form(f, basis) == parse_polynomial("x0^2*x3", P4)
+        # one packing, with fields for twice the largest degree, 3
+        assert widths == [4]
 
     def test_standard_monomial_is_fixed(self):
         basis = buchberger(ideal(CATALECTICANT_MINORS, P4))
@@ -806,7 +809,10 @@ class TestEliminant:
         (univariate,) = [p for p in lex if not any(any(m[:last]) for m in p.terms)]
         expected = [univariate.terms.get((0,) * last + (e,), 0)
                     for e in range(univariate.total_degree() + 1)]
-        coeffs = eliminant(gb)
+        with recording_widths() as widths:
+            coeffs = eliminant(gb)
+        # the fields are sized once, from the basis degrees
+        assert len(widths) == 1
         assert coeffs == expected
         assert len(coeffs) <= dimension + 1
         x = Polynomial.variable(ideal_.variables, ideal_.variables[-1])
@@ -814,14 +820,14 @@ class TestEliminant:
                                    Polynomial.zero(ideal_.variables)), gb)
         assert all(type(c) is int or c.denominator != 1 for c in coeffs)
 
-    def test_restarts_with_wider_fields(self):
+    def test_sizes_its_fields_once_from_the_basis(self):
         # z^7 = xy, x^7 = y^7 = 1: NF(z^k) = (xy)^j z^r for k = 7j + r, and
-        # z * NF(z^45) = (xy)^6 z^4 has degree 16, past the degrees below 16
-        # that the first fields hold
+        # z * NF(z^45) = (xy)^6 z^4 has degree 16, past twice the basis
+        # degree; the one packing holds 3 * 7 = 21, so the run never widens
         gb = basis_of(("x^7 - 1", "y^7 - 1", "z^7 - x*y"), XYZ)
         with recording_widths() as widths:
             coeffs = eliminant(gb)
-        assert widths == [5, 10]
+        assert widths == [6]
         assert coeffs == [-1] + [0] * 48 + [1]
 
     def test_unit_ideal(self):

@@ -82,6 +82,30 @@ def test_grobner_has_one_monomial_order():
     assert not names & {"MonomialOrder", "LEX", "GREVLEX", "'lex'"}
 
 
+def _overflow_handlers(node):
+    """Lines of the except clauses under `node` that catch _FieldOverflow."""
+    return [sub.lineno for sub in ast.walk(node)
+            if isinstance(sub, ast.ExceptHandler) and sub.type is not None
+            and any(isinstance(n, ast.Name) and n.id == "_FieldOverflow"
+                    for n in ast.walk(sub.type))]
+
+
+def test_only_buchberger_widens():
+    # normal forms and eliminants size their fields once from degree bounds;
+    # only Buchberger's degrees are unbounded in advance, so `_run` alone
+    # catches an overflow and starts again wider
+    path = Path(detsing.__file__).parent / "grobner.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (run,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_run"]
+    handlers = _overflow_handlers(tree)
+    assert len(handlers) == 1, f"_FieldOverflow caught on lines {handlers}"
+    assert _overflow_handlers(run) == handlers, "_FieldOverflow caught outside _run"
+    ceilings = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "ceiling"]
+    assert ceilings == [], f"grobner.py names an attribute ceiling on lines {ceilings}"
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -217,6 +217,12 @@ class TestCalculusAndStructure:
         with pytest.raises(TypeError, match="integer exponents"):
             Polynomial(("x",), {(True,): 1})
 
+    @pytest.mark.parametrize("index", [True, 0.5])
+    def test_eliminate_rejects_an_index_that_is_not_an_int(self, index):
+        # int() would read True as x1 and 0.5 as x0
+        with pytest.raises(TypeError, match="integer variable indices"):
+            poly("x*y + y").eliminate({index: 2})
+
     def test_eliminate_substitutes_and_drops(self):
         f = parse_polynomial("x0*x2 - x1^2", P4)
         g = f.eliminate({0: Fraction(1)})

@@ -50,7 +50,7 @@ class TestAmbientSpace:
         raises_exactly(ValueError, "unknown ambient kind 'toric'",
                        lambda: AmbientSpace("toric", 2))
 
-    @pytest.mark.parametrize("dim", [0, -1, 2.0, "3"])
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, "3", True])
     def test_dimension_must_be_a_positive_integer(self, dim):
         raises_exactly(ValueError, "ambient dimension must be a positive integer",
                        lambda: AmbientSpace(AFFINE, dim))
@@ -111,7 +111,7 @@ class TestDeterminantalModel:
             assert model.smoothability_bound() == 6
             assert model.smoothable_type()
 
-    @pytest.mark.parametrize("t", [0, 3, 2.0])
+    @pytest.mark.parametrize("t", [0, 3, 2.0, True])
     def test_threshold_range(self, t):
         raises_exactly(ValueError, "t must satisfy 1 <= t <= min(n, p) = 2",
                        lambda: DeterminantalModel(cone_matrix(), t,
@@ -336,7 +336,7 @@ class TestMilnorData:
             assert tuple(getattr(data, f) for f in self.FIELDS) == values
 
     @pytest.mark.parametrize("name", ["mu", "b2", "m_d", "mu_slice"])
-    @pytest.mark.parametrize("value", [-1, 1.0, "2"])
+    @pytest.mark.parametrize("value", [-1, 1.0, "2", True])
     def test_optional_fields_are_non_negative_integers(self, name, value):
         raises_exactly(ValueError, f"{name} must be a non-negative integer",
                        lambda: MilnorData(2, **{name: value}))
