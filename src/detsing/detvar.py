@@ -10,6 +10,7 @@ weighted-homogeneous, since all symbolic computations here are global.
 
 import re
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 
 from ._linalg import div, exact, primitive
@@ -31,6 +32,10 @@ ESSENTIAL_SINGULAR = "essential_singular"
 # MAX_ROOT_CANDIDATES tried candidates.
 MAX_ROOT_COEFFICIENT = 10 ** 12
 MAX_ROOT_CANDIDATES = 100_000
+
+# the primes that `_divisors` divides out by trial division, and the
+# Miller-Rabin bases of `_is_prime`
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # a projective point entry: ASCII digits with an optional minus sign; an
 # affine coordinate: an integer, a fraction of integers or a plain decimal.
@@ -259,14 +264,50 @@ def is_point_on_variety(model, point):
     return PointLocation(SMOOTH_STRATUM, rank)
 
 
+def _is_prime(n):
+    """Whether n, above 37 and with no prime factor up to 37, is prime.
+
+    Miller-Rabin with the prime bases 2 to 37, which is exact for every n
+    below 3.3 * 10^24, far past MAX_ROOT_COEFFICIENT.
+    """
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s  # n - 1 = d * 2^s with d odd
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _SMALL_PRIMES)
+
+
+def _rho(n):
+    """A proper factor of an odd composite n: Pollard's rho, Brent's cycle search."""
+    for c in count(1):
+        x = y = 2
+        power = steps = d = 1
+        while d == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+            y, steps = (y * y + c) % n, steps + 1
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
 def _divisors(n):
-    n = abs(int(n))
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+    """The positive divisors of a nonzero integer, ascending.
+
+    A part of n is split at its least prime factor up to 37, or else, unless
+    `_is_prime` holds, at a factor that `_rho` finds; each prime factor met
+    multiplies the divisors found so far.
+    """
+    divisors, parts = {1}, [abs(n)]
+    while parts:
+        m = parts.pop()
+        p = next((p for p in _SMALL_PRIMES if m % p == 0), None)
+        if p is None and m > 1 and not _is_prime(m):
+            p = _rho(m)
+        if p and p < m:
+            parts += [p, m // p]
+        elif m > 1:
+            divisors |= {d * m for d in divisors}
+    return sorted(divisors)
 
 
 def _root_candidates(ps, qs):
@@ -339,8 +380,6 @@ def _rational_roots(coeffs):
             raise ResourceLimitExceeded(
                 "rational-root search exceeded its limit of "
                 f"{MAX_ROOT_COEFFICIENT} on the constant and leading coefficients")
-        # trial division up to the square root: only bounded end
-        # coefficients reach it
         ps, qs = _divisors(work[0]), _divisors(work[-1])
         candidates = _root_candidates(ps, qs)
     tried = 0
@@ -503,12 +542,11 @@ def point_label(point):
     return "(" + ", ".join(str(c) for c in point) + ")"
 
 
-def _chart_frame(model, point):
-    """The point's chart: (entries, offsets).
+def _chart_point(model, point):
+    """The point's chart index and offsets: (chart, offsets).
 
-    `entries` maps each distinct matrix entry to its polynomial in the chart
-    variables: a projective point is dehomogenized at its first nonzero
-    coordinate, which is set to 1, and an affine entry stays as it is.  The
+    A projective point is dehomogenized at its first nonzero coordinate,
+    `chart`, which is set to 1; an affine point has the chart None.  The
     chart is centred by the rational `offsets`, one per chart variable.
     """
     if model.ambient.kind == PROJECTIVE:
@@ -516,16 +554,24 @@ def _chart_frame(model, point):
         if len(pt.coords) != len(model.variables):
             raise ValueError("point length does not match the variable count")
         i = pt.chart_index()
-        offsets = [div(c, pt.coords[i]) for j, c in enumerate(pt.coords) if j != i]
-        fixed = {i: 1}
-    else:
-        offsets = [exact(x) for x in point]
-        if len(offsets) != len(model.variables):
-            raise ValueError("point length does not match the variable count")
-        fixed = None
-    distinct = {e for row in model.matrix.entries for e in row}
-    entries = {e: e.eliminate(fixed) if fixed else e for e in distinct}
-    return entries, offsets
+        return i, [div(c, pt.coords[i]) for j, c in enumerate(pt.coords) if j != i]
+    offsets = [exact(x) for x in point]
+    if len(offsets) != len(model.variables):
+        raise ValueError("point length does not match the variable count")
+    return None, offsets
+
+
+def _chart_frame(model, chart):
+    """The distinct entries in one chart, as (e, f, own) triples.
+
+    f is the entry e in the chart variables: dehomogenized at coordinate
+    `chart`, which is set to 1, or e itself when `chart` is None.  `own`
+    holds one bool per chart variable, True where f contains it; it is
+    empty for a zero entry.
+    """
+    return [(e, f, tuple(map(any, zip(*f.terms))))
+            for e in {e for row in model.matrix.entries for e in row}
+            for f in [e if chart is None else e.eliminate({chart: 1})]]
 
 
 def _by_entry(model, values):
@@ -541,9 +587,9 @@ def chart_matrix(model, point):
     Equal entries are rewritten once.  This is the exact chart that
     `groebner` prints.
     """
-    entries, offsets = _chart_frame(model, point)
+    chart, offsets = _chart_point(model, point)
     return PolyMatrix(_by_entry(
-        model, {e: f.shift(offsets) for e, f in entries.items()}))
+        model, {e: f.shift(offsets) for e, f, _ in _chart_frame(model, chart)}))
 
 
 def _chart_constant(model, denominators):
@@ -567,13 +613,14 @@ def _chart_memo(model, points):
 
     The points are ProjectivePoints or affine coordinate tuples; the chart
     offsets c_j / c_i of a projective point have denominators dividing its
-    first nonzero coordinate c_i.
+    first nonzero coordinate c_i.  The memo's frames, shifts and products
+    start empty and fill on the first point that needs each.
     """
     if model.ambient.kind == PROJECTIVE:
         denominators = [pt.coords[pt.chart_index()] for pt in points]
     else:
         denominators = [x.denominator for pt in points for x in pt]
-    return _chart_constant(model, denominators), {}, {}
+    return _chart_constant(model, denominators), {}, {}, {}
 
 
 def _integer_form(f, offsets, scale):
@@ -606,27 +653,31 @@ def chart_ideal(model, point, memo=None):
     is K^t times the centred chart's minor at X_j / q_j, with its monomials
     and so its weights.
 
-    `memo` is (K, shifted, products): `shifted` memoizes E_e by e and the
-    offsets of its own variables, and `products` the 2 x 2-level products of
-    the E_e in the minors (see `polyalg.minors`).  The three are valid only
-    together, and K must chart every point they are used for.  `classify`
-    builds one memo for all its points, so on a grid the points of a column
-    share the shift of an entry in x alone and its square in their minors,
-    whatever the denominators of their other coordinates.  Without a memo
-    the call takes K from its own point and uses fresh dicts.
+    `memo` is (K, frames, shifted, products): `frames` holds the
+    `_chart_frame` of each chart index met, `shifted` memoizes E_e by e and
+    the offsets of its own variables, and `products` the 2 x 2-level
+    products of the E_e in the minors (see `polyalg.minors`).  The four are
+    valid only together, and K must chart every point they are used for.
+    `classify` builds one memo for all its points, so a chart's entries are
+    dehomogenized once, and on a grid the points of a column share the
+    shift of an entry in x alone and its square in their minors, whatever
+    the denominators of their other coordinates.  Without a memo the call
+    takes K from its own point and uses fresh dicts.
     """
-    entries, offsets = _chart_frame(model, point)
+    chart, offsets = _chart_point(model, point)
     if memo is None:
-        memo = _chart_constant(model, [a.denominator for a in offsets]), {}, {}
-    scale, shifted, products = memo
+        memo = _chart_constant(model, [a.denominator for a in offsets]), {}, {}, {}
+    scale, frames, shifted, products = memo
+    if chart not in frames:
+        frames[chart] = _chart_frame(model, chart)
     charted = {}
-    for e, f in entries.items():
-        # a zero entry has no monomials, and its key no offsets
-        key = f, tuple(a if any(col) else 0
-                       for a, col in zip(offsets, zip(*f.terms)))
-        if key not in shifted:
-            shifted[key] = _integer_form(*key, scale)
-        charted[e] = shifted[key]
+    for e, f, own in frames[chart]:
+        key = f, tuple(compress(offsets, own))
+        g = shifted.get(key)
+        if g is None:
+            g = shifted[key] = _integer_form(
+                f, [a if u else 0 for a, u in zip(offsets, own)], scale)
+        charted[e] = g
     m = PolyMatrix(_by_entry(model, charted))
     return Ideal(m.variables, minors(m, model.t, products))
 

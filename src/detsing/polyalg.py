@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from operator import add, neg, sub
 
 from . import _linalg
@@ -87,10 +86,6 @@ class Polynomial:
         p.terms = terms
         p._hash = None
         return p
-
-    @classmethod
-    def zero(cls, variables):
-        return cls(variables)
 
     @classmethod
     def constant(cls, variables, value):
@@ -185,7 +180,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = Polynomial.constant(self.variables, 1)
         base = self
@@ -270,35 +265,33 @@ class Polynomial:
     def shift(self, offsets):
         """Translate coordinates: returns f(x0 + a0, x1 + a1, ...).
 
-        Each term c*x^e is expanded by the binomial theorem,
-        (x_i + a_i)^e_i = sum_k C(e_i, k) * a_i^(e_i - k) * x_i^k, in every
-        variable whose offset is nonzero, straight into one term map.
+        A Taylor shift, one moved variable x_i at a time: the terms that
+        agree off x_i form a column, a polynomial in x_i alone, whose dense
+        coefficients are shifted by repeated synthetic division by
+        (x_i - a_i), that is Horner's rule run once per degree.
         """
         offsets = [exact(a) for a in offsets]
         if len(offsets) != len(self.variables):
             raise ValueError("one offset per variable required")
-        moved = [i for i, a in enumerate(offsets) if a]
-        if not moved:
+        res = self.terms
+        for i, a in enumerate(offsets):
+            if not a:
+                continue
+            columns = {}
+            for m, c in res.items():
+                columns.setdefault(m[:i] + m[i + 1:], {})[m[i]] = c
+            res = {}
+            for rest, column in columns.items():
+                d = max(column)
+                cs = [column.get(k, 0) for k in range(d + 1)]
+                for low in range(d):
+                    for k in range(d - 1, low - 1, -1):
+                        cs[k] += a * cs[k + 1]
+                for k, c in enumerate(cs):
+                    if c:
+                        res[rest[:i] + (k,) + rest[i:]] = c
+        if res is self.terms:
             return self
-        res = {}
-        for exps, c in self.terms.items():
-            # the variables are expanded in turn; the monomials of `part`
-            # differ in the exponents already expanded, so none collide
-            part = {exps: c}
-            for i in moved:
-                e = exps[i]
-                if not e:
-                    continue
-                a = offsets[i]
-                binomial = [(k, comb(e, k) * a ** (e - k)) for k in range(e + 1)]
-                part = {m[:i] + (k,) + m[i + 1:]: v * b
-                        for m, v in part.items() for k, b in binomial}
-            for m, v in part.items():
-                s = res.get(m, 0) + v
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
         if (type(sum(offsets)) is not int
                 or type(sum(self.terms.values())) is not int):
             res = _exact_terms(res)
@@ -540,7 +533,12 @@ class PolyMatrix:
 
 
 def _det_cofactor(grid, products):
-    """Cofactor expansion along the first row.
+    """Cofactor expansion along the first row, summed into one term dict.
+
+    The first signed product e * sub seeds the determinant's term dict as a
+    copy, and each later one adds its terms straight into it.  The
+    coefficients go through `exact` only when a product holds a `Fraction`,
+    since int sums stay ints.
 
     `products` memoizes the 2 x 2-level products e * sub by (e, sub): there
     both factors are matrix entries, whose hashes are cached, so minors that
@@ -550,21 +548,31 @@ def _det_cofactor(grid, products):
     n = len(grid)
     if n == 1:
         return grid[0][0]
-    total = Polynomial.zero(grid[0][0].variables)
-    rest = grid[1:]
+    terms, fractional = {}, False
     for j, e in enumerate(grid[0]):
-        if e:
-            if n == 2:
-                sub = rest[0][1 - j]
-                key = e, sub
-                prod = products.get(key)
-                if prod is None:
-                    prod = products[key] = e * sub
+        if not e:
+            continue
+        if n == 2:
+            sub = grid[1][1 - j]
+            key = e, sub
+            prod = products.get(key)
+            if prod is None:
+                prod = products[key] = e * sub
+        else:
+            prod = e * _det_cofactor([row[:j] + row[j + 1:] for row in grid[1:]],
+                                     products)
+        fractional = fractional or type(sum(prod.terms.values())) is not int
+        if not terms:
+            terms = {m: -c for m, c in prod.terms.items()} if j & 1 else dict(prod.terms)
+            continue
+        for m, c in prod.terms.items():
+            s = terms.get(m, 0) - c if j & 1 else terms.get(m, 0) + c
+            if s:
+                terms[m] = s
             else:
-                prod = e * _det_cofactor([row[:j] + row[j + 1:] for row in rest],
-                                         products)
-            total = total - prod if j & 1 else total + prod
-    return total
+                del terms[m]
+    return Polynomial._raw(grid[0][0].variables,
+                           _exact_terms(terms) if fractional else terms)
 
 
 def minors(matrix, size, products=None):
@@ -575,7 +583,7 @@ def minors(matrix, size, products=None):
     one model, as `detvar.classify` does, passes one dict for all of them.
     Without it each call uses a fresh dict.
     """
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise ValueError("minor size must be a positive integer")
     if size > min(matrix.rows, matrix.cols):
         raise ValueError("minor size exceeds matrix dimensions")

@@ -2,6 +2,8 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import isqrt
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -405,9 +407,9 @@ class TestRationalRoots:
         assert roots == [(Fraction(1, b), 1)] and not complete
 
     def test_divisors_are_found_once(self, monkeypatch):
-        # (x - 1) (x + 1) (2x - 1) (x^3 - p), p = 99999999977 prime: trial
-        # division of p costs tens of milliseconds, and the quotients' end
-        # coefficients divide the original ones
+        # (x - 1) (x + 1) (2x - 1) (x^3 - p), p = 99999999977 prime: the
+        # quotients' end coefficients divide the original ones, so their
+        # divisors are filtered, not found again
         calls = []
 
         def counting_divisors(n):
@@ -423,11 +425,36 @@ class TestRationalRoots:
                          (Fraction(1), 1)] and not complete
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("n", [
+        *Random(0).sample(range(1, MAX_ROOT_COEFFICIENT + 1), 8),
+        999999999989, 999999999959, 1000000000039,
+        999983 ** 2, 1000003 ** 2, 997 ** 4,
+        999983 * 999979, 1000003 * 999961, 1000033 * 1000037,
+        1, 2, 2 ** 39, 2 ** 40,
+        2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37,
+    ])
+    def test_divisors_match_trial_division(self, n):
+        # seeded values up to the bound, primes near it, prime squares,
+        # products of two primes near 10^6, 1 and powers of 2
+        assert detvar._divisors(n) == trial_divisors(n)
+        assert detvar._divisors(-n) == trial_divisors(n)
+
     def test_candidate_limit(self):
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         with pytest.raises(ResourceLimitExceeded,
                            match=f"rational-root search .* {MAX_ROOT_CANDIDATES}"):
             _rational_roots([-b, 0, 0, a])
+
+
+def trial_divisors(n):
+    """The positive divisors of n != 0, by trial division up to its root."""
+    n = abs(n)
+    out = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+    return sorted(out)
 
 
 def _product(f, g):
@@ -582,7 +609,7 @@ def homogeneous_systems(draw):
         coeffs = draw(st.lists(st.integers(min_value=-2, max_value=2),
                                min_size=count, max_size=count))
         return sum((c * x for c, x in zip(coeffs, xs)),
-                   Polynomial.zero(variables))
+                   Polynomial(variables))
 
     gens = []
     for _ in range(draw(st.integers(min_value=1, max_value=count))):
@@ -841,7 +868,7 @@ class TestIntegerCharts:
             chart = chart_ideal(model, point, memo)
             for g in chart.generators:
                 assert all(type(c) is int for c in g.terms.values())
-            fresh = chart_ideal(model, point, (memo[0], {}, {}))
+            fresh = chart_ideal(model, point, (memo[0], {}, {}, {}))
             assert chart.generators == fresh.generators
             exact_minors = [g for g in minors(chart_matrix(model, point), model.t)
                             if g]
@@ -992,6 +1019,45 @@ class TestClassifyWork:
         assert got.singular_points == tuple(sorted(product(xs, ys)))
         assert len(shift_calls) == 6
         assert len(chart_products) == 6
+        assert ((got.local_supported, got.notes)
+                == ungated_local_notes(model, got.singular_points))
+
+    @pytest.fixture
+    def chart_eliminations(self, monkeypatch):
+        """The polynomials passed to Polynomial.eliminate inside `chart_ideal`."""
+        formed, inside = [], []
+        eliminate, chart = Polynomial.eliminate, detvar.chart_ideal
+
+        def counting_eliminate(self, assignments):
+            if inside:
+                formed.append(self)
+            return eliminate(self, assignments)
+
+        def counted_chart(*args):
+            inside.append(True)
+            try:
+                return chart(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Polynomial, "eliminate", counting_eliminate)
+        monkeypatch.setattr(detvar, "chart_ideal", counted_chart)
+        return formed
+
+    def test_projective_points_in_two_charts(self, chart_eliminations):
+        # every entry vanishes only where x2 = 0 and x0*x1*(x0 - x1) = 0:
+        # [1:0:0] and [1:1:0] in the chart x0 = 1, [0:1:0] in x1 = 1; each
+        # of the 4 distinct entries is dehomogenized once per chart, not
+        # once per point
+        grid = [["x0*x1*(x0 - x1)", "x2*x0^2"], ["x2*x1^2", "x2^3"]]
+        matrix = PolyMatrix.from_strings(grid, ("x0", "x1", "x2"))
+        model = DeterminantalModel(matrix, 2, AmbientSpace(PROJECTIVE, 2))
+        got = classify(model)
+        assert [str(p) for p in got.singular_points] == ["[0:1:0]", "[1:0:0]",
+                                                        "[1:1:0]"]
+        assert len({p.chart_index() for p in got.singular_points}) == 2
+        assert len(chart_eliminations) == 4 * 2
+        assert set(chart_eliminations) == {e for row in matrix.entries for e in row}
         assert ((got.local_supported, got.notes)
                 == ungated_local_notes(model, got.singular_points))
 

@@ -175,7 +175,7 @@ class TestBuchberger:
     def test_buchberger_output_is_reduced_groebner(self, raw):
         gens = []
         for term_dict in raw:
-            g = Polynomial.zero(XY)
+            g = Polynomial(XY)
             for (a, b), coeff in term_dict.items():
                 x = Polynomial.variable(XY, "x")
                 y = Polynomial.variable(XY, "y")
@@ -817,7 +817,7 @@ class TestEliminant:
         assert len(coeffs) <= dimension + 1
         x = Polynomial.variable(ideal_.variables, ideal_.variables[-1])
         assert not normal_form(sum((c * x ** j for j, c in enumerate(coeffs)),
-                                   Polynomial.zero(ideal_.variables)), gb)
+                                   Polynomial(ideal_.variables)), gb)
         assert all(type(c) is int or c.denominator != 1 for c in coeffs)
 
     def test_sizes_its_fields_once_from_the_basis(self):

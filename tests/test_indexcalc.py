@@ -354,7 +354,7 @@ def torus_outcome(check, model, weights):
 def linear(variables, coefficients):
     """The linear form sum c * x over a {variable: c} map."""
     return sum((Polynomial.variable(variables, v) * c
-                for v, c in coefficients.items()), Polynomial.zero(variables))
+                for v, c in coefficients.items()), Polynomial(variables))
 
 
 @st.composite

@@ -106,6 +106,62 @@ def test_only_buchberger_widens():
     assert ceilings == [], f"grobner.py names an attribute ceiling on lines {ceilings}"
 
 
+def _function(name, module):
+    path = Path(detsing.__file__).parent / module
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (node,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return node
+
+
+def _calls(node, name):
+    return [sub.lineno for sub in ast.walk(node)
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+            and sub.func.id == name]
+
+
+def test_chart_frames_are_built_on_a_memo_miss():
+    # a chart's dehomogenized entries and their own variables depend on the
+    # chart index alone, so `chart_ideal` builds them under the `if` of a
+    # memo miss and stores them, not once per point
+    chart = _function("chart_ideal", "detvar.py")
+    calls = _calls(chart, "_chart_frame")
+    misses = [node for node in ast.walk(chart) if isinstance(node, ast.If)
+              and any(_calls(stmt, "_chart_frame") for stmt in node.body)]
+    assert calls, "chart_ideal does not call _chart_frame"
+    assert [line for node in misses for stmt in node.body
+            for line in _calls(stmt, "_chart_frame")] == calls
+    stores = [target for node in misses for stmt in node.body
+              if isinstance(stmt, ast.Assign) for target in stmt.targets]
+    assert any(isinstance(target, ast.Subscript) for target in stores), \
+        "the frame built on a miss is not stored in the memo"
+
+
+def _rebinding_sums(node):
+    """Lines of `x = ... x + y ...`, `x = ... x - y ...` and `x += y` under `node`."""
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.AugAssign) and isinstance(sub.op, (ast.Add, ast.Sub))
+                and isinstance(sub.target, ast.Name)):
+            yield sub.lineno
+        elif isinstance(sub, ast.Assign):
+            names = {t.id for t in sub.targets if isinstance(t, ast.Name)}
+            if any(isinstance(op, ast.BinOp) and isinstance(op.op, (ast.Add, ast.Sub))
+                   and {getattr(op.left, "id", None), getattr(op.right, "id", None)} & names
+                   for op in ast.walk(sub.value)):
+                yield sub.lineno
+
+
+def test_determinants_sum_into_one_term_dict():
+    # each signed product of a cofactor expansion adds its terms into one
+    # dict; a running Polynomial total copies every term it has at each sum
+    det = _function("_det_cofactor", "polyalg.py")
+    seeds = [node.lineno for node in ast.walk(det)
+             if isinstance(node, ast.Attribute) and node.attr in ("zero", "constant")]
+    chains = list(_rebinding_sums(det))
+    assert seeds == [], f"_det_cofactor seeds a Polynomial total on lines {seeds}"
+    assert chains == [], f"_det_cofactor rebinds a running sum on lines {chains}"
+
+
 def _imported_modules(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

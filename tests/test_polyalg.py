@@ -12,6 +12,7 @@ from detsing.polyalg import (
     ParseError,
     PolyMatrix,
     Polynomial,
+    _det_cofactor,
     minors,
     parse_polynomial,
     rank_at_point,
@@ -40,13 +41,18 @@ small_integers = st.integers(min_value=-9, max_value=9)
 # plain ints as well as Fractions, so both coefficient types are exercised
 small_rationals = st.one_of(small_integers, small_fractions)
 
+# products of halves are quarters, and sums of quarters are often integers
+halves_and_integers = st.one_of(
+    small_integers, st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                              st.just(2)))
+
 exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
 
 
 @st.composite
 def polynomials(draw, coefficients=small_fractions):
     terms = draw(st.dictionaries(exponents, coefficients, max_size=5))
-    result = Polynomial.zero(XYZ)
+    result = Polynomial(XYZ)
     for expo, coeff in terms.items():
         mono = Polynomial.constant(XYZ, coeff)
         for index, power in enumerate(expo):
@@ -59,7 +65,7 @@ def substitution_shift(f, offsets):
     """f(x0 + a0, ...) by expanding the products of (x_i + a_i)^e_i."""
     moved = [Polynomial.variable(f.variables, v) + a
              for v, a in zip(f.variables, offsets)]
-    total = Polynomial.zero(f.variables)
+    total = Polynomial(f.variables)
     for exps, c in f.terms.items():
         part = Polynomial.constant(f.variables, c)
         for g, e in zip(moved, exps):
@@ -184,6 +190,12 @@ class TestArithmetic:
         assert poly("x + 1") ** 3 == poly("x^3 + 3*x^2 + 3*x + 1")
         assert poly("x") ** 0 == poly("1")
 
+    @pytest.mark.parametrize("k", [-1, 2.0, True])
+    def test_power_exponent_must_be_a_non_negative_integer(self, k):
+        # a bool is an int to isinstance, so True would pass as 1
+        with pytest.raises(ValueError, match="non-negative integer"):
+            poly("x + 1") ** k
+
 
 class TestEvaluation:
     def test_conic_at_points(self):
@@ -240,12 +252,16 @@ class TestCalculusAndStructure:
         assert g == poly("x^2 - 1")
         assert all(g.terms.values())
 
-    @given(polynomials(), st.tuples(*[small_fractions] * 3),
+    @given(polynomials(small_rationals),
+           st.tuples(*[small_fractions] * 3).filter(
+               lambda offsets: sum(map(bool, offsets)) >= 2),
            st.tuples(*[small_fractions] * 3))
     def test_shift_matches_substitution(self, f, offsets, point):
+        # two or three moved variables, each shifted in turn
         g = f.shift(offsets)
         assert g == substitution_shift(f, offsets)
         assert all(g.terms.values())
+        assert all(type(c) is int for c in g.terms.values() if c == int(c))
         moved = [p + a for p, a in zip(point, offsets)]
         assert g.evaluate(point) == f.evaluate(moved)
         assert g.shift([-a for a in offsets]) == f
@@ -263,7 +279,7 @@ def leibniz_det(grid):
     """Determinant as the signed sum over permutations (Leibniz formula)."""
     n = len(grid)
     variables = grid[0][0].variables
-    total = Polynomial.zero(variables)
+    total = Polynomial(variables)
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
         term = Polynomial.constant(variables, (-1) ** inversions)
@@ -298,6 +314,13 @@ class TestMatrices:
     def test_minors_size_one_are_entries(self):
         m = PolyMatrix.from_strings(TWISTED, P4)
         assert minors(m, 1) == [m.entries[i][j] for i in range(2) for j in range(3)]
+
+    @pytest.mark.parametrize("size", [0, -1, 1.0, True])
+    def test_minor_size_must_be_a_positive_integer(self, size):
+        # a bool is an int to isinstance, so True would pass as 1
+        m = PolyMatrix.from_strings(TWISTED, P4)
+        with pytest.raises(ValueError, match="positive integer"):
+            minors(m, size)
 
     def test_minor_size_out_of_range(self):
         m = PolyMatrix.from_strings(TWISTED, P4)
@@ -360,6 +383,31 @@ class TestMatrices:
                     for cs in combinations(range(a.cols), size)
                 ]
                 assert minors(a, size, products) == minors(a, size) == expected
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(st.lists(polynomials(halves_and_integers),
+                                    min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_one_dict_cofactor_matches_leibniz(self, grid):
+        # half-integer coefficients make Fraction products, whose sums are
+        # often integers: those coefficients come out as ints
+        det = _det_cofactor(grid, {})
+        assert det == leibniz_det(grid)
+        assert all(type(c) is int for c in det.terms.values() if c == int(c))
+        m, shared = PolyMatrix(grid), {}
+        for size in range(1, len(grid) + 1):
+            got = minors(m, size, shared)
+            assert got == minors(m, size)
+            for g in got:
+                assert all(type(c) is int for c in g.terms.values() if c == int(c))
+
+    def test_fraction_products_that_sum_to_an_integer(self):
+        # ((x + 1)^2 - (x - 1)^2) / 4 = x
+        half = Fraction(1, 2)
+        plus, minus = poly("x + 1") * half, poly("x - 1") * half
+        (det,) = minors(PolyMatrix([[plus, minus], [minus, plus]]), 2)
+        assert det == poly("x")
+        assert type(det.terms[(1, 0, 0)]) is int
 
     def test_rank_at_points(self):
         m = PolyMatrix.from_strings(TWISTED, P4)

@@ -164,7 +164,7 @@ class TestGermClassification:
 class TestIdeal:
     def test_positional_and_keyword_drop_zero_generators(self):
         x = parse_polynomial("x", ("x", "y"))
-        zero = Polynomial.zero(("x", "y"))
+        zero = Polynomial(("x", "y"))
         for ideal in (Ideal(["x", "y"], [x, zero]),
                       Ideal(variables=("x", "y"), generators=iter([zero, x]))):
             assert ideal.variables == ("x", "y")
