@@ -200,26 +200,30 @@ class GermClassification:
         self.notes = notes
 
 
-def _dimension_floor(model, codimension):
+def _dimension_floor(model, codimension, generators):
     """Floor on the dimension of an ideal of the model's minors, or None.
 
-    `codimension` is the Eagon-Northcott bound (n - s + 1)(p - s + 1) for
-    the minors' size s: a proper ideal of s-minors of an n x p matrix has at
-    most that height (Eagon & Northcott 1962; Bruns & Vetter, *Determinantal
-    Rings*, Thm 2.1), so its dimension in N variables is at least N minus
-    it.  The ideal is proper when the model is projective, t >= 2 and the
-    entries' common degree is positive: every minor then lies in
-    (x_0, ..., x_N).  None when any of these fails, or when the floor is
-    negative and so cannot be reached.
+    `generators` are the minors that generate the ideal and `codimension`
+    is the Eagon-Northcott bound (n - s + 1)(p - s + 1) for their size s.  A
+    proper ideal has height at most that bound (Eagon & Northcott 1962;
+    Bruns & Vetter, *Determinantal Rings*, Thm 2.1) and at most the number m
+    of its distinct nonzero generators (Krull's height theorem; Eisenbud,
+    *Commutative Algebra*, Thm 10.2), so its dimension in N variables is at
+    least N minus the smaller of the two.  The count is the smaller one for
+    the 1-minors of a Hankel 2 x k cone: k + 1 distinct entries in k + 2
+    variables give the floor 1, its dimension.  The ideal is proper when the
+    model is projective, t >= 2 and the entries' common degree is positive:
+    every minor then lies in (x_0, ..., x_N).  None when any of these fails,
+    or when the floor is negative and so cannot be reached.
     """
     if model.ambient.kind != PROJECTIVE or model.t < 2:
         return None
     # the model's entries share one degree
     entry = next((e for row in model.matrix.entries for e in row if e), None)
-    floor = len(model.variables) - codimension
-    if entry is None or entry.total_degree() == 0 or floor < 0:
+    if entry is None or entry.total_degree() == 0:
         return None
-    return floor
+    floor = len(model.variables) - min(codimension, len({g for g in generators if g}))
+    return floor if floor >= 0 else None
 
 
 def minors_ideal(model, size):
@@ -687,7 +691,7 @@ def lower_stratum_points(model, spair_budget):
 
     Returns (points, exact, dim_low, gb_low), where dim_low is the ideal
     dimension of the (t - 1)-minors ideal and gb_low its reduced basis, or
-    None when a projective model's Eagon-Northcott floor certified dim_low
+    None when a projective model's dimension floor certified dim_low
     before the basis was complete (`_dimension_floor`).  The points are
     enumerated when that stratum is finite, sorted, as ProjectivePoints or
     affine tuples: in affine mode when dim_low is 0, by
@@ -700,7 +704,7 @@ def lower_stratum_points(model, spair_budget):
     lower_gens = lower_locus_generators(model.matrix, model.t)
     dim_low, gb_low = certified_dimension(
         Ideal(model.variables, lower_gens),
-        _dimension_floor(model, model.smoothability_bound()),
+        _dimension_floor(model, model.smoothability_bound(), lower_gens),
         spair_budget=spair_budget)
     points, exact = [], dim_low <= (1 if projective else 0)
     if projective and dim_low == 1:
@@ -730,20 +734,23 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     supports get the same answer.
 
     A projective model with entries of positive degree and t >= 2 gives
-    both ideals an Eagon-Northcott dimension floor (`_dimension_floor`), and
-    Buchberger stops once a partial basis certifies the dimension, so gb_low
-    of `lower_stratum_points` may be None; any other model builds both bases
-    in full.  The result holds no basis: a caller that needs the rank basis
-    builds it from `minors_ideal(model, model.t)`.
+    both ideals a dimension floor, the Eagon-Northcott or the Krull bound
+    (`_dimension_floor`), and Buchberger stops once the generators or a
+    partial basis certify the dimension, so gb_low of `lower_stratum_points`
+    may be None; any other model builds both bases in full.  The result
+    holds no basis: a caller that needs the rank basis builds it from
+    `minors_ideal(model, model.t)`.
     """
     if not any(e for row in model.matrix.entries for e in row):
         raise ValueError("classification requires a nonzero matrix")
     projective = model.ambient.kind == PROJECTIVE
     notes = []
     nvars = len(model.variables)
+    rank_ideal = minors_ideal(model, model.t)
     dim_t, _ = certified_dimension(
-        minors_ideal(model, model.t),
-        _dimension_floor(model, model.expected_codimension()),
+        rank_ideal,
+        _dimension_floor(model, model.expected_codimension(),
+                         rank_ideal.generators),
         spair_budget=spair_budget)
     smoothable = model.smoothable_type()
     dimension = dim_t - 1 if projective else dim_t

@@ -259,6 +259,10 @@ def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     the generators' degrees; an exponent that outgrows its field starts the
     whole call again with wider fields, reusing the S-polynomials already
     formed, so `s_polynomial` is called once per reduced pair.
+
+    `certified_dimension` runs the same loop against a dimension floor; it
+    tests the floor on the generators before the loop starts, and inside it
+    only after joins.
     """
     return _run(ideal, spair_budget, None)
 
@@ -269,16 +273,22 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     Every partial basis G of the ideal I has <LM(G)> inside LT(I), so the
     dimension of its leading monomials bounds dim I from above (dim R/I =
     dim R/LT(I); Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
-    ch. 9 §3).  Buchberger, as in `buchberger`, tests that bound once after
-    the generators join and again after each join whose leading monomial has
-    a new minimal support (no support already present lies inside it): only
-    such a join can lower it.  Once the bound meets `floor` the dimension is
-    exact and the call returns (floor, None) with no basis.  Otherwise it
-    returns (ideal_dimension(basis), basis) with the reduced basis that
+    ch. 9 §3).  The generators are such a G, so the bound is tested first on
+    their leading monomials, before any packing, monic copy or pair is
+    built.  Buchberger, as in `buchberger`, then tests it again after each
+    join whose leading monomial has a new minimal support (no support
+    already present lies inside it): only such a join can lower it.  Once
+    the bound meets `floor` the dimension is exact and the call returns
+    (floor, None) with no basis.  Otherwise it returns
+    (ideal_dimension(basis), basis) with the reduced basis that
     `buchberger` builds.  A `floor` of None means no floor: the run always
     completes and returns the basis.  `spair_budget` counts pairs as
-    `buchberger` does.
+    `buchberger` does; a floor met by the generators takes none.
     """
+    if floor is not None and _dimension(
+            [g.leading_monomial() for g in ideal.generators],
+            len(ideal.variables)) == floor:
+        return floor, None
     gb = _run(ideal, spair_budget, floor)
     return (floor, None) if gb is None else (ideal_dimension(gb), gb)
 
@@ -296,7 +306,8 @@ def _run(ideal, spair_budget, floor):
 
 
 def _buchberger(ideal, spair_budget, pk, spolys, floor):
-    # with a floor, None once the leading monomials certify the dimension
+    # with a floor, None once a join certifies the dimension;
+    # certified_dimension has tested the generators alone
     variables, guards, weights, mask = ideal.variables, pk.guards, pk.weights, pk.mask
     basis, lms, packed, pairs, taken = [], [], [], [], set()
     supports = []  # the inclusion-minimal leading-monomial supports, as bitmasks
@@ -317,9 +328,6 @@ def _buchberger(ideal, spair_budget, pk, spolys, floor):
         supports.append(s)
         return True
 
-    def certified():
-        return _dimension(lms, len(variables)) == floor
-
     def pack_tails(ks):
         # a generator's tail is packed only once a reduction needs it (many
         # S-polynomials are zero or skipped); the fields were sized from the
@@ -336,8 +344,6 @@ def _buchberger(ideal, spair_budget, pk, spolys, floor):
         p = Polynomial._raw(variables, {m: div(c, lc) for m, c in g.terms.items()})
         key = sum(map(mul, lm, weights))
         join(p, lm, (-key & mask, key, None))
-    if floor is not None and certified():
-        return None
     unpacked = range(len(basis))
     processed = 0
     while pairs:
@@ -367,7 +373,8 @@ def _buchberger(ideal, spair_budget, pk, spolys, floor):
         if r:
             d = pk.divisor(r)
             p = pk.unpack(variables, [(d[1], 1), *d[2]])
-            if join(p, next(iter(p.terms)), d) and certified():
+            if (join(p, next(iter(p.terms)), d)
+                    and _dimension(lms, len(variables)) == floor):
                 return None
     # autoreduction: keep the elements whose leading monomial no smaller one
     # divides; no other leading monomial then divides theirs, so one pass of

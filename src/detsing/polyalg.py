@@ -590,6 +590,9 @@ def minors(matrix, size, products=None):
     if products is None:
         products = {}
     entries = matrix.entries
+    if size == matrix.rows == matrix.cols:
+        # the matrix is its only minor
+        return [_det_cofactor(entries, products)]
     return [_det_cofactor([[entries[i][j] for j in cset] for i in rset], products)
             for rset in combinations(range(matrix.rows), size)
             for cset in combinations(range(matrix.cols), size)]

@@ -525,15 +525,18 @@ class TestInputValidation:
         assert code == 2
 
     def test_budget_exhaustion_reports_resource_limit(self, run_cli):
+        # the chart basis that groebner --ideal minors presents takes 3 pairs
         code, _, err = run_cli(
-            "verify", fixture_path("twisted_cubic.json"), "--spair-budget", "2"
+            "groebner", fixture_path("twisted_cubic.json"), "--ideal", "minors",
+            "--spair-budget", "2"
         )
         assert code == 3
         assert "resource limit" in err
 
     @pytest.mark.parametrize("argv, budget", [
-        # the lower ideal's basis, which the floor -2 cannot certify
-        (("verify", "twisted_cubic.json"), 15),
+        # both dimensions certify from the generators, so the pairs are
+        # those of the charted lower basis that the command presents
+        (("groebner", "twisted_cubic.json", "--ideal", "lower"), 15),
         # both dimensions certify, and a 2-minor splits into weight
         # components, so the cstar check builds the rank basis: 6 pairs
         (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"), 6),
@@ -813,7 +816,7 @@ class TestLedgerWork:
     """A command builds each basis once and locates each point once.
 
     "grevlex" counts full bases and "certified" the runs that stopped once
-    the Eagon-Northcott floor certified a dimension, with no basis.
+    a dimension floor certified a dimension, with no basis.
     """
 
     @pytest.fixture
@@ -862,21 +865,22 @@ class TestLedgerWork:
         monkeypatch.setattr(polyalg.Polynomial, "eliminate", counted_eliminate)
 
     @pytest.mark.parametrize("argv, expected", [
-        # the rank dimension certifies, and no 2-minor splits into weight
-        # components, so the cstar form needs no rank basis; the lower
-        # ideal's floor is -2, so its basis is built in full
+        # both dimensions certify, the lower one by its Krull floor 5 - 4
+        # (four distinct 1-minors), and no 2-minor splits into weight
+        # components, so the cstar form needs no rank basis
         (("verify", "twisted_cubic.json"),
-         {"grevlex": 1, "certified": 1, "rank_at_point": 6, "weights": 1}),
+         {"certified": 2, "rank_at_point": 6, "weights": 1}),
         # both dimensions certify, and no 2-minor splits
         (("index", "segre_cone.json", "--at", "[0:0:0:0:0:0:1]"),
          {"certified": 2, "rank_at_point": 8, "weights": 1}),
         # a 2-minor splits, so the cstar check builds the one rank basis
         (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"),
          {"grevlex": 1, "certified": 2, "rank_at_point": 8, "weights": 1}),
+        # the lower dimension certifies; only the charted basis is built
         (("groebner", "twisted_cubic.json", "--ideal", "minors"),
-         {"grevlex": 2, "weights": 0}),
+         {"grevlex": 1, "certified": 1, "weights": 0}),
         (("groebner", "twisted_cubic.json", "--ideal", "lower"),
-         {"grevlex": 2, "weights": 0}),
+         {"grevlex": 1, "certified": 1, "weights": 0}),
         # the form ideal is global: the singular locus is not solved for it
         (("groebner", "form_staircase.json", "--ideal", "form"),
          {"grevlex": 1, "weights": 0}),
@@ -888,6 +892,39 @@ class TestLedgerWork:
         assert code == 0
         # Counter equality treats a missing key as zero
         assert counts == Counter(expected)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_hankel_cone_takes_no_pair(self, run_cli, counts, monkeypatch,
+                                       tmp_path, k):
+        # analyze of the Hankel 2 x k cone in P^(k+1), the twisted cubic at
+        # k = 3: the rank ideal's floor comes from Eagon-Northcott, and the
+        # lower ideal's from its k + 1 distinct 1-minors (Krull), which
+        # their own leading monomials meet, so no Buchberger run starts
+        run, s_polynomial = grobner._run, grobner.s_polynomial
+
+        def counted_run(*args):
+            counts["runs"] += 1
+            return run(*args)
+
+        def counted_s_polynomial(*args):
+            counts["s_polynomial"] += 1
+            return s_polynomial(*args)
+
+        monkeypatch.setattr(grobner, "_run", counted_run)
+        monkeypatch.setattr(grobner, "s_polynomial", counted_s_polynomial)
+        path = tmp_path / f"hankel_2x{k}.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": [f"x{i}" for i in range(k + 2)],
+            "matrix": [[f"x{i}" for i in range(k)],
+                       [f"x{i}" for i in range(1, k + 1)]],
+            "t": 2, "ambient": {"kind": "projective", "dim": k + 1},
+            "singularities": []}))
+        code, out, _ = run_cli("analyze", path, "--json")
+        assert code == 0
+        report = load(out)["classification"]
+        assert (report["dimension"], report["singular_locus_dimension"]) == (2, 1)
+        assert report["singular_points"] == [f"[{'0:' * (k + 1)}1]"]
+        assert counts == Counter({"certified": 2, "weights": 1})
 
     def test_uncharted_lower_ideal_is_reduced_once(self, run_cli, counts,
                                                    tmp_path):

@@ -1167,8 +1167,45 @@ def projective_models(draw):
                               AmbientSpace(PROJECTIVE, nvars - 1))
 
 
+@st.composite
+def linear_models(draw):
+    """Projective models of linear forms in 2 to 6 variables: 2 x 2 to 3 x 3
+    matrices whose entries are 0, a signed variable, a repeat of an earlier
+    entry or a dense form, then one column operation (which keeps every
+    minors ideal), at t >= 2, where the floors apply."""
+    nvars = draw(st.integers(min_value=2, max_value=6))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    n, p = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    cells = []
+    for _ in range(n * p):
+        kind = draw(st.sampled_from(["zero", "variable", "repeat", "form"]))
+        if kind == "repeat" and cells:
+            cells.append(cells[draw(st.integers(0, len(cells) - 1))])
+        elif kind == "variable":
+            cells.append(Polynomial(variables, {
+                draw(st.sampled_from(units)): draw(st.sampled_from([-1, 1]))}))
+        elif kind == "form":
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=nvars,
+                                   max_size=nvars))
+            cells.append(Polynomial(variables, {
+                m: c for m, c in zip(units, coeffs) if c}))
+        else:
+            cells.append(Polynomial(variables, {}))
+    grid = [cells[i * p:(i + 1) * p] for i in range(n)]
+    i, j = draw(st.permutations(range(p)))[:2]
+    c = draw(st.sampled_from([-2, -1, 1, 2]))
+    for row in grid:
+        row[i] = row[i] + row[j] * Polynomial.constant(variables, c)
+    if not any(e for row in grid for e in row):
+        grid[0][0] = Polynomial(variables, {units[0]: 1})
+    t = draw(st.integers(min_value=2, max_value=min(n, p)))
+    return DeterminantalModel(PolyMatrix(grid), t,
+                              AmbientSpace(PROJECTIVE, nvars - 1))
+
+
 class TestCertifiedDimension:
-    """The Eagon-Northcott floor only stops Buchberger early: every
+    """The dimension floor only stops Buchberger early: every
     classification is the one that full bases give."""
 
     FIELDS = ("empty", "codimension", "dimension", "determinantal",
@@ -1196,7 +1233,7 @@ class TestCertifiedDimension:
     @given(projective_models())
     def test_matches_full_bases(self, model):
         for ideal, codimension in self.floored_ideals(model):
-            floor = detvar._dimension_floor(model, codimension)
+            floor = detvar._dimension_floor(model, codimension, ideal.generators)
             if floor is not None:
                 full = buchberger(ideal)
                 dimension, basis = certified_dimension(ideal, floor)
@@ -1207,6 +1244,40 @@ class TestCertifiedDimension:
             patch.setattr(detvar, "_dimension_floor", lambda *_: None)
             plain = self.outcome(model)
         assert fields == plain
+
+    @settings(max_examples=80)
+    @given(linear_models())
+    def test_krull_floor_is_a_floor(self, model):
+        # the floor, from the generators as classify passes them (the lower
+        # ones with zeros and repeats), never exceeds the full basis's
+        # dimension, and classify reads the dimensions of the full bases
+        lower_gens = lower_locus_generators(model.matrix, model.t)
+        rank = minors_ideal(model, model.t)
+        full = []
+        for ideal, codimension, generators in (
+                (rank, model.expected_codimension(), rank.generators),
+                (Ideal(model.variables, lower_gens), model.smoothability_bound(),
+                 lower_gens)):
+            full.append(ideal_dimension(buchberger(ideal)))
+            floor = detvar._dimension_floor(model, codimension, generators)
+            assert floor is None or floor <= full[-1]
+        info = classify(model)
+        if full[0] <= 0:
+            assert info.empty
+        else:
+            assert (info.dimension + 1, info.singular_locus_dimension) == tuple(full)
+
+    @pytest.mark.parametrize("k", [3, 6, 20])
+    def test_krull_floor_of_a_hankel_cone(self, k):
+        # the 2 x k Hankel cone in P^(k+1): Eagon-Northcott gives the rank
+        # ideal its floor 3, and the k + 1 distinct 1-minors give the lower
+        # ideal the floor 1, where Eagon-Northcott's 2k would be negative
+        variables = tuple(f"x{i}" for i in range(k + 2))
+        model = self.model([variables[:k], variables[1:k + 1]], variables, 2,
+                           PROJECTIVE)
+        floors = [detvar._dimension_floor(model, codimension, ideal.generators)
+                  for ideal, codimension in self.floored_ideals(model)]
+        assert floors == [3, 1]
 
     @staticmethod
     def model(grid, variables, t, kind):
@@ -1235,8 +1306,9 @@ class TestCertifiedDimension:
     ], ids=["affine", "t1", "degree0_empty", "degree0_everywhere"])
     def test_no_floor(self, runs, grid, variables, t, kind):
         model = self.model(grid, variables, t, kind)
-        assert detvar._dimension_floor(model, model.expected_codimension()) is None
-        assert detvar._dimension_floor(model, model.smoothability_bound()) is None
+        for ideal, codimension in self.floored_ideals(model):
+            assert detvar._dimension_floor(model, codimension,
+                                           ideal.generators) is None
         classify(model)
         # the rank ideal first, then the lower one unless the variety is empty
         assert [floor for floor, _ in runs] == [None] * len(runs)
@@ -1249,6 +1321,7 @@ class TestCertifiedDimension:
                            ("x0", "x1", "x2"), 2, PROJECTIVE)
         info = classify(model)
         assert (info.codimension, info.determinantal) == (1, False)
-        # the lower ideal's floor 3 - 6 is negative, so it gets none
-        assert runs == [(1, buchberger(minors_ideal(model, 2))),
-                        (None, buchberger(minors_ideal(model, 1)))]
+        # the lower ideal's Eagon-Northcott floor 3 - 6 is negative, but its
+        # two distinct 1-minors x0 and x1 give the Krull floor 3 - 2 = 1,
+        # which their leading monomials meet
+        assert runs == [(1, buchberger(minors_ideal(model, 2))), (1, None)]

@@ -401,6 +401,16 @@ class TestMatrices:
             for g in got:
                 assert all(type(c) is int for c in g.terms.values() if c == int(c))
 
+    @given(matrices(SQUARE_SHAPES))
+    def test_maximal_minor_of_a_square_matrix_skips_the_sub_grids(self, m):
+        # the one minor is the cofactor sum over the entries themselves; it
+        # and the products it memoizes are those of the sub-grid the general
+        # path builds
+        products, general = {}, {}
+        grid = [[m.entries[i][j] for j in range(m.cols)] for i in range(m.rows)]
+        assert minors(m, m.rows, products) == [_det_cofactor(grid, general)]
+        assert products == general
+
     def test_fraction_products_that_sum_to_an_integer(self):
         # ((x + 1)^2 - (x - 1)^2) / 4 = x
         half = Fraction(1, 2)

@@ -48,6 +48,27 @@ def test_report_digest_of_a_model_repeats(tmp_path, run_cli):
     assert run_tool("report_digest.py", model, cwd=tmp_path) == first
 
 
+def test_budget_boundaries_of_the_fixture_commands_and_of_an_argv(tmp_path,
+                                                                  run_cli):
+    lines = run_tool("budget_boundaries.py", cwd=tmp_path).splitlines()
+    assert len(lines) == 13
+    fields = re.compile(r" budget=(\d+) code=(\d+)$")
+    assert all(fields.search(line) for line in lines)
+    # both dimensions certify from the generators; the chart bases that the
+    # groebner commands present take pairs
+    assert "verify twisted_cubic budget=1 code=0" in lines
+    assert "groebner minors twisted_cubic budget=3 code=0" in lines
+    assert "groebner lower twisted_cubic budget=15 code=0" in lines
+    # exit 3 for an unsupported germ is not a tripped budget
+    assert "analyze non_quasihomogeneous budget=6 code=3" in lines
+    argv = ("groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower")
+    (line,) = run_tool("budget_boundaries.py", *argv, cwd=tmp_path).splitlines()
+    assert line == " ".join(argv) + " budget=15 code=0"
+    # the boundary is where the command stops tripping the budget
+    for budget, code in ((14, 3), (15, 0)):
+        assert run_cli(*argv, "--spair-budget", budget)[0] == code
+
+
 def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):
     # perfbench/run.py --trace 1 wraps every function its tracer names; a
     # refactor that renames or deletes one fails here, not in the benchmark
@@ -59,9 +80,13 @@ def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):
     try:
         tracer.install()
         code, _, _ = run_cli("verify", fixture_path("twisted_cubic.json"))
+        # verify certifies both dimensions and forms no S-polynomial; the
+        # chart basis of groebner --ideal minors does
+        chart, _, _ = run_cli("groebner", fixture_path("twisted_cubic.json"),
+                              "--ideal", "minors")
     finally:
         tracer.restore()
-    assert code == 0
+    assert code == chart == 0
     names = {span[0] for span in tracer.spans}
     assert {"detvar.classify", "grobner.s_polynomial",
             "indexcalc.cstar_fixed_points"} <= names
