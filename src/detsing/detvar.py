@@ -14,9 +14,9 @@ from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 
 from ._linalg import div, exact, primitive
-from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
-                      buchberger, certified_dimension, eliminant,
-                      ideal_dimension, quasi_homogeneous_weights)
+from .grobner import (DEFAULT_SPAIR_BUDGET, GroebnerBasis, Ideal,
+                      ResourceLimitExceeded, buchberger, certified_dimension,
+                      eliminant, ideal_dimension, quasi_homogeneous_weights)
 from .polyalg import Polynomial, PolyMatrix, minors, rank_at_point
 
 PROJECTIVE = "projective"
@@ -211,18 +211,32 @@ def _dimension_floor(model, codimension, generators):
     *Commutative Algebra*, Thm 10.2), so its dimension in N variables is at
     least N minus the smaller of the two.  The count is the smaller one for
     the 1-minors of a Hankel 2 x k cone: k + 1 distinct entries in k + 2
-    variables give the floor 1, its dimension.  The ideal is proper when the
-    model is projective, t >= 2 and the entries' common degree is positive:
-    every minor then lies in (x_0, ..., x_N).  None when any of these fails,
-    or when the floor is negative and so cannot be reached.
+    variables give the floor 1, its dimension.
+
+    The ideal is known to be proper, and gets the floor, when
+    - the model is projective, its entries share a positive degree and so
+      do the generators: every minor then lies in (x_0, ..., x_N), while
+      the unit ideal that stands for the lower ideal at t = 1 has degree 0;
+    - the model is affine and no generator has a constant term: every
+      minor vanishes at the origin;
+    - the model is affine and the ideal has one distinct nonzero generator,
+      which is nonconstant: a principal ideal of positive degree, of height
+      exactly 1 (Krull's principal ideal theorem).
+    None otherwise, or when the floor is negative and so cannot be reached.
     """
-    if model.ambient.kind != PROJECTIVE or model.t < 2:
+    distinct = {g for g in generators if g}
+    if model.ambient.kind == PROJECTIVE:
+        # the model's entries share one degree, and the minors of one size
+        entry = next((e for row in model.matrix.entries for e in row if e), None)
+        proper = (entry is not None and entry.total_degree() > 0
+                  and all(g.total_degree() for g in distinct))
+    else:
+        origin = (0,) * len(model.variables)
+        proper = (all(origin not in g.terms for g in distinct)
+                  or (len(distinct) == 1 and next(iter(distinct)).total_degree() > 0))
+    if not proper:
         return None
-    # the model's entries share one degree
-    entry = next((e for row in model.matrix.entries for e in row if e), None)
-    if entry is None or entry.total_degree() == 0:
-        return None
-    floor = len(model.variables) - min(codimension, len({g for g in generators if g}))
+    floor = len(model.variables) - min(codimension, len(distinct))
     return floor if floor >= 0 else None
 
 
@@ -232,17 +246,17 @@ def minors_ideal(model, size):
 
 
 def lower_locus_generators(matrix, t):
-    """Generators of the rank <= t - 2 stratum: the (t - 1)-minors.
+    """Generators of the rank <= t - 2 stratum: the distinct nonzero
+    (t - 1)-minors, in first-seen order.
 
     By Laplace expansion the t-minors already lie in this ideal, so they are
     not listed.  For t = 1 the stratum is empty: the unit ideal.  Equal
-    minors repeat, as f and g do in [f, g, g, f] for [[f, g], [g, f]]; the
-    point search drops the repeats, `_projective_points` before its cells
-    and `_solve_zero_dimensional` in each subsystem.
+    minors are listed once, as [f, g] for the minors [f, g, g, f] of
+    [[f, g], [g, f]], so no consumer pairs or solves a repeat.
     """
     if t == 1:
         return [Polynomial.constant(matrix.variables, 1)]
-    return minors(matrix, t - 1)
+    return list(dict.fromkeys(g for g in minors(matrix, t - 1) if g))
 
 
 def is_point_on_variety(model, point):
@@ -450,14 +464,26 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
 
     Returns (points, complete); complete is False when non-rational points
     may exist (an eliminant fails to split over the rationals) or when the
-    zero set is not finite.  A root of the eliminant is substituted into
-    each generator by `_substitute_last`, which changes the generator by a
-    nonzero constant only, so the ideal and its reduced basis are those of
-    plain substitution.
+    zero set is not finite.  The eliminant in the last variable is read
+    from the subsystem's reduced basis (`eliminant`), and each of its roots
+    is substituted into every generator that contains that variable by
+    `_substitute_last`, which changes the generator by a nonzero constant
+    only, so the ideal and its reduced basis are those of plain
+    substitution.  A generator without the last variable is the same after
+    every root, so it is projected to the remaining variables once per
+    subsystem, and one in the last variable alone, a multiple of the
+    eliminant, is dropped.
+
+    When the basis element that the eliminant is read from is the only one
+    with the last variable, the other elements, projected, are the reduced
+    basis of the subsystem left by each root: they generate the ideal, as
+    the eliminant vanishes there, and they were a reduced basis already.
+    That subsystem then builds no basis of its own.
 
     Zero and repeated generators are dropped, and each distinct (generators,
     variables) subsystem is solved once per call.  Roots often leave equal
-    subsystems: on a grid f(x) = g(y) = 0 every root of g leaves [f].
+    subsystems: on a grid f(x) = g(y) = 0 every root of g leaves the one
+    projected [f], whose basis is the projected element f / lc(f).
     `basis`, when given, is the reduced basis of the ideal of `gens` in
     `variables`, and the top-level subsystem uses it instead of its own.
     """
@@ -477,14 +503,32 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
             gb = buchberger(Ideal(variables, gens), spair_budget=spair_budget)
         # a unit basis has no zero and a positive-dimensional one no finite
         # list of them; the eliminant splits a zero-dimensional one
-        roots, complete = [], True
-        if all(p.total_degree() for p in gb.polynomials):
-            roots, complete = (_rational_roots(eliminant(gb))
-                               if ideal_dimension(gb) == 0 else ([], False))
+        dimension = ideal_dimension(gb)
+        if dimension:
+            solved[gens, variables] = found = [], dimension < 0
+            return found
+        roots, complete = _rational_roots(eliminant(gb))
+        last, rest = len(variables) - 1, variables[:-1]
+
+        def project(g):
+            return Polynomial._raw(rest, {m[:last]: c for m, c in g.terms.items()})
+
+        # the generators after a root: one in the last variable alone is a
+        # multiple of the eliminant, so every root kills it, and one without
+        # the last variable is the same after every root, so it is projected
+        # once
+        kept = [(g, None if any(m[last] for m in g.terms) else project(g))
+                for g in gens if any(any(m[:last]) for m in g.terms)]
+        with_last = [p for p in gb.polynomials if any(m[last] for m in p.terms)]
+        sub_basis = None
+        if not any(any(m[:last]) for p in with_last for m in p.terms):
+            sub_basis = GroebnerBasis(rest, tuple(
+                project(p) for p in gb.polynomials if p is not with_last[0]))
         points = []
         for r, _mult in roots:
-            sub = [_substitute_last(g, r) for g in gens]
-            sub_points, sub_complete = solve(sub, variables[:-1])
+            sub = [h if h is not None else _substitute_last(g, r)
+                   for g, h in kept]
+            sub_points, sub_complete = solve(sub, rest, sub_basis)
             complete = complete and sub_complete
             points.extend(pt + (r,) for pt in sub_points)
         solved[gens, variables] = points, complete
@@ -495,11 +539,10 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
 
 def _projective_points(gens, variables, spair_budget):
     # cell decomposition: cell i holds the points with x_i = 1 and every
-    # earlier coordinate 0.  The keys of `gens` are the distinct nonzero
-    # generators with x_0..x_{i-1} set to 0, in first-seen order: cell i
-    # sets its first variable to 1, and setting it to 0 instead restricts
-    # `gens` for the cells after it
-    gens = dict.fromkeys(g for g in gens if g)
+    # earlier coordinate 0.  `gens` are the distinct nonzero generators with
+    # x_0..x_{i-1} set to 0, in first-seen order (`lower_locus_generators`
+    # lists them so for cell 0): cell i sets its first variable to 1, and
+    # setting it to 0 instead restricts `gens` for the cells after it
     pts, complete = [], True
     for i in range(len(variables)):
         sols, comp = _solve_zero_dimensional(
@@ -682,8 +725,19 @@ def chart_ideal(model, point, memo=None):
             g = shifted[key] = _integer_form(
                 f, [a if u else 0 for a, u in zip(offsets, own)], scale)
         charted[e] = g
-    m = PolyMatrix(_by_entry(model, charted))
+    m = PolyMatrix._raw(_by_entry(model, charted))
     return Ideal(m.variables, minors(m, model.t, products))
+
+
+def _sorted_points(points):
+    """Rational coordinate tuples in ascending order, as `sorted` gives.
+
+    Each coordinate is compared as an integer: scaled by the lcm of the
+    denominators in its column, which keeps the order of the column.
+    """
+    scales = [lcm(*(x.denominator for x in column)) for column in zip(*points)]
+    return sorted(points, key=lambda pt: [
+        x.numerator * (s // x.denominator) for x, s in zip(pt, scales)])
 
 
 def lower_stratum_points(model, spair_budget):
@@ -691,11 +745,12 @@ def lower_stratum_points(model, spair_budget):
 
     Returns (points, exact, dim_low, gb_low), where dim_low is the ideal
     dimension of the (t - 1)-minors ideal and gb_low its reduced basis, or
-    None when a projective model's dimension floor certified dim_low
-    before the basis was complete (`_dimension_floor`).  The points are
-    enumerated when that stratum is finite, sorted, as ProjectivePoints or
-    affine tuples: in affine mode when dim_low is 0, by
-    `_solve_zero_dimensional` from gb_low, and for a projective cone when
+    None when the model's dimension floor certified dim_low before the
+    basis was complete (`_dimension_floor`).  The points are enumerated
+    when that stratum is finite, sorted, as ProjectivePoints or affine
+    tuples: in affine mode when dim_low is 0, by `_solve_zero_dimensional`
+    from gb_low, or from a basis of its own when gb_low is None, sorted on
+    exact integer keys (`_sorted_points`), and for a projective cone when
     dim_low is 1, by the cell search of `_projective_points`.  A projective
     dim_low of 0 leaves only the origin, so no point.  exact is False when
     non-rational or infinitely many points may be missing from the list.
@@ -713,7 +768,7 @@ def lower_stratum_points(model, spair_budget):
     elif not projective and dim_low == 0:
         points, exact = _solve_zero_dimensional(lower_gens, model.variables,
                                                 spair_budget, gb_low)
-        points = sorted(points)
+        points = _sorted_points(points)
     return tuple(points), exact, dim_low, gb_low
 
 
@@ -733,12 +788,14 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     support: it reads only the monomials of the generators, so equal
     supports get the same answer.
 
-    A projective model with entries of positive degree and t >= 2 gives
-    both ideals a dimension floor, the Eagon-Northcott or the Krull bound
-    (`_dimension_floor`), and Buchberger stops once the generators or a
+    An ideal that `_dimension_floor` knows to be proper gets a dimension
+    floor, the Eagon-Northcott or the Krull bound: in a projective model
+    with entries of positive degree, every ideal but the unit lower ideal of
+    t = 1; in an affine one, an ideal whose generators all vanish at the
+    origin or a principal one.  Buchberger stops once the generators or a
     partial basis certify the dimension, so gb_low of `lower_stratum_points`
-    may be None; any other model builds both bases in full.  The result
-    holds no basis: a caller that needs the rank basis builds it from
+    may be None; an ideal without a floor gets its basis in full.  The
+    result holds no basis: a caller that needs the rank basis builds it from
     `minors_ideal(model, model.t)`.
     """
     if not any(e for row in model.matrix.entries for e in row):

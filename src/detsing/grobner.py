@@ -193,17 +193,41 @@ def normal_form(f, basis):
 def eliminant(gb):
     """Ascending coefficients of the monic generator of I ∩ Q[x_last].
 
-    I is the ideal of a GroebnerBasis whose quotient ring is finite, and the
-    generator is the minimal polynomial of multiplication by the last
-    variable on Q[x]/I: the first linear dependence among the normal forms
-    NF(1), NF(x_last), NF(x_last^2), ... (Cox, Little & O'Shea, *Using
-    Algebraic Geometry*, ch. 2 §4; Faugere, Gianni, Lazard & Mora 1993).
-    Each normal form is the remainder of x_last times the one before, kept
-    packed, and is reduced on arrival against an echelon form keyed by its
-    pivot monomial.  The power x_last^j rides along under the negative key
-    -1 - j, so a vector whose keys are all negative is the dependence.  It
-    takes at most quotient_dimension(gb) + 1 steps; a basis in one variable
-    is its own generator.  Raises ValueError when the quotient is infinite.
+    I is the ideal of a reduced GroebnerBasis whose quotient ring is finite,
+    and the generator is the minimal polynomial of multiplication by the
+    last variable on Q[x]/I.  Raises ValueError when the quotient is
+    infinite.
+
+    A basis element that involves x_last alone is that generator, read off
+    with no other work.  In a reduced basis only one leading monomial is a
+    power of x_last, and the generator's leading monomial x_last^k is
+    divisible by it, so the element's degree j is at most k; the generator
+    divides the element, so k is at most j, and both are monic.  Otherwise
+    `_minimal_polynomial` computes it.
+    """
+    nvars = len(gb.variables)
+    lms = gb.leading_monomials()
+    if not nvars or not all(any(lm[i] == sum(lm) for lm in lms) for i in range(nvars)):
+        raise ValueError("eliminant needs a basis with a finite quotient")
+    last = nvars - 1
+    for p in gb.polynomials:
+        if not any(any(m[:last]) for m in p.terms):
+            return [p.terms.get((0,) * last + (e,), 0)
+                    for e in range(p.total_degree() + 1)]
+    return _minimal_polynomial(gb)
+
+
+def _minimal_polynomial(gb):
+    """`eliminant` of a basis with a finite quotient, by Krylov steps.
+
+    The generator is the first linear dependence among the normal
+    forms NF(1), NF(x_last), NF(x_last^2), ... (Cox, Little & O'Shea,
+    *Using Algebraic Geometry*, ch. 2 §4; Faugere, Gianni, Lazard & Mora
+    1993).  Each normal form is the remainder of x_last times the one
+    before, kept packed, and is reduced on arrival against an echelon form
+    keyed by its pivot monomial.  The power x_last^j rides along under the
+    negative key -1 - j, so a vector whose keys are all negative is the
+    dependence.  It takes at most quotient_dimension(gb) + 1 steps.
 
     A normal form is a sum of standard monomials, whose exponent of each
     variable is below that variable's pure power, of degree at most the
@@ -212,12 +236,6 @@ def eliminant(gb):
     that degree holds them all.
     """
     nvars = len(gb.variables)
-    lms = gb.leading_monomials()
-    if not nvars or not all(any(lm[i] == sum(lm) for lm in lms) for i in range(nvars)):
-        raise ValueError("eliminant needs a basis with a finite quotient")
-    if nvars == 1:
-        (p,) = gb.polynomials
-        return [p.terms.get((e,), 0) for e in range(p.total_degree() + 1)]
     pk = _Packing(nvars, _width(gb.polynomials, nvars))
     divisors = [pk.divisor(pk.pack(p.terms)) for p in gb.polynomials]
     step = pk.weights[-1]
@@ -281,13 +299,15 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     the bound meets `floor` the dimension is exact and the call returns
     (floor, None) with no basis.  Otherwise it returns
     (ideal_dimension(basis), basis) with the reduced basis that
-    `buchberger` builds.  A `floor` of None means no floor: the run always
-    completes and returns the basis.  `spair_budget` counts pairs as
-    `buchberger` does; a floor met by the generators takes none.
+    `buchberger` builds.  A `floor` of None means no floor: the call is
+    `buchberger` itself, and returns the basis.  `spair_budget` counts pairs
+    as `buchberger` does; a floor met by the generators takes none.
     """
-    if floor is not None and _dimension(
-            [g.leading_monomial() for g in ideal.generators],
-            len(ideal.variables)) == floor:
+    if floor is None:
+        gb = buchberger(ideal, spair_budget=spair_budget)
+        return ideal_dimension(gb), gb
+    if _dimension([g.leading_monomial() for g in ideal.generators],
+                  len(ideal.variables)) == floor:
         return floor, None
     gb = _run(ideal, spair_budget, floor)
     return (floor, None) if gb is None else (ideal_dimension(gb), gb)
@@ -441,15 +461,23 @@ def _dimension(lms, nvars):
             members += classes.pop(u)
             union |= u
         classes[union] = members
-    return nvars - sum(_smallest_hitting_set(members, union)
+    return nvars - sum(_smallest_hitting_set(sorted(members), union)
                        for union, members in classes.items())
 
 
 def _smallest_hitting_set(supports, union):
     """Size of a smallest variable set meeting every support bitmask.
 
-    `union` is the union of the supports; the search is the branch and bound
-    that `_dimension` describes.
+    `union` is the union of the supports, which come in ascending bitmask
+    order, so that supports along a chain of variables pack greedily along
+    it; the search is the branch and bound that `_dimension` describes.  A
+    node first takes every variable that a
+    support left with one allowed variable forces.  When its greedy packing
+    takes every unmet support, they are pairwise disjoint, and one variable
+    of each is a smallest completion, so the bound is the node's exact size
+    and it does not branch.  Otherwise the variables of its smallest unmet
+    support are tried in order of how many unmet supports they meet, most
+    first, ties in variable order, so that an early leaf sets a tight bound.
     """
     # one variable from each support, or every variable of the class, meets
     # them all
@@ -461,21 +489,28 @@ def _smallest_hitting_set(supports, union):
     stack = [(supports, 0)]
     while stack:
         open_, chosen = stack.pop()
+        # the distinct one-variable supports, whose sum is their union
+        forced = sum({s for s in open_ if not s & (s - 1)})
+        if forced:
+            chosen += forced.bit_count()
+            open_ = [s for s in open_ if not s & forced]
         open_.sort(key=int.bit_count)
-        bound, packed = chosen, 0
+        bound, packed, disjoint = chosen, 0, True
         for s in open_:
-            if not s & packed:
+            if s & packed:
+                disjoint = False
+            else:
                 packed |= s
                 bound += 1
         if bound >= best:
             continue
-        if not open_:
-            best = chosen
+        if disjoint:
+            best = bound
             continue
         first, children = open_[0], []
-        while first:
-            v = first & -first
-            first ^= v
+        variables = [1 << i for i in range(first.bit_length()) if first >> i & 1]
+        variables.sort(key=lambda v: -sum(1 for s in open_ if s & v))
+        for v in variables:
             children.append(([s for s in open_ if not s & v], chosen + 1))
             open_ = [s & ~v for s in open_]
             if not all(open_):

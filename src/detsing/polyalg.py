@@ -515,6 +515,15 @@ class PolyMatrix:
         self.variables = first.variables
 
     @classmethod
+    def _raw(cls, entries):
+        """A matrix of rows of polynomials already known to share one
+        variable list, with no checks."""
+        m = object.__new__(cls)
+        m.entries, m.rows, m.cols = entries, len(entries), len(entries[0])
+        m.variables = entries[0][0].variables
+        return m
+
+    @classmethod
     def from_strings(cls, grid, variables):
         return cls([[parse_polynomial(s, variables) for s in row] for row in grid])
 

@@ -535,8 +535,9 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("argv, budget", [
         # both dimensions certify from the generators, so the pairs are
-        # those of the charted lower basis that the command presents
-        (("groebner", "twisted_cubic.json", "--ideal", "lower"), 15),
+        # those of the charted lower basis that the command presents: the
+        # C(4, 2) pairs of the four distinct 1-minors x0, x1, x2, x3
+        (("groebner", "twisted_cubic.json", "--ideal", "lower"), 6),
         # both dimensions certify, and a 2-minor splits into weight
         # components, so the cstar check builds the rank basis: 6 pairs
         (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"), 6),
@@ -584,21 +585,69 @@ class TestInputValidation:
         assert report["singular_locus_dimension"] == 6
         assert report["determinantal"] is True
 
+    def test_dense_affine_model_certifies_within_a_small_budget(self, run_cli,
+                                                                tmp_path):
+        # the dense model above read as affine in A^12: its linear forms
+        # vanish at the origin, so the same floors certify the same ideals
+        # after the same 125 pairs, where the full bases take 21 and 666
+        rng = random.Random(1)
+        variables = [f"x{i}" for i in range(12)]
+
+        def form():
+            return " + ".join(f"({rng.randint(-3, 3)})*{v}" for v in variables)
+
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": variables,
+            "matrix": [[form() for _ in range(4)] for _ in range(3)], "t": 3,
+            "ambient": {"kind": "affine", "dim": 12}, "singularities": []})
+        code, _, err = run_cli("analyze", path, "--spair-budget", "124")
+        assert code == 3
+        assert "S-pair budget of 124 exceeded" in err
+        started = time.perf_counter()
+        code, out, err = run_cli("analyze", path, "--spair-budget", "125",
+                                 "--json")
+        assert time.perf_counter() - started < 5
+        assert code == 0 and err == ""
+        report = load(out)["classification"]
+        assert (report["codimension"], report["dimension"]) == (2, 10)
+        assert report["singular_locus_dimension"] == 6
+        assert report["determinantal"] is True
+        assert report["singular_points"] == []
+
     def test_point_solver_budget_boundary(self, run_cli, tmp_path):
-        # a rational 3x3 grid of singular points: the basis of the 1-minors
-        # [f, g, g, f] takes their 6 pairs, the point solver reads the
-        # eliminant of [f, g] from that basis, and the basis of [f] takes
-        # fewer.  The germs are not weighted-homogeneous, so a completed
+        # a rational 3x3x3 grid of singular points of [[f, g], [h, f]] with
+        # f(x), g(y), h(z) vanishing at the origin.  The rank ideal is
+        # principal and the three distinct 1-minors give the lower ideal the
+        # floor 0, so both dimensions certify with no pair, and the point
+        # solver builds the lower basis itself: its 3 pairs are the only
+        # ones.  Each root's subsystem takes the projected rest of that
+        # basis.  The germs are not weighted-homogeneous, so a completed
         # report also exits 3.
+        f, g, h = ("x*(2*x + 1)*(x + 3)", "y*(3*y - 1)*(y + 1)",
+                   "z*(z - 2)*(2*z + 3)")
+        path = self.write(tmp_path, {
+            "schema_version": 1, "variables": ["x", "y", "z"],
+            "matrix": [[f, g], [h, f]], "t": 2,
+            "ambient": {"kind": "affine", "dim": 3}, "singularities": []})
+        code, out, err = run_cli("analyze", path, "--spair-budget", "2")
+        assert code == 3 and out == ""
+        assert "S-pair budget of 2 exceeded" in err
+        code, out, err = run_cli("analyze", path, "--spair-budget", "3")
+        assert code == 3 and err == ""
+        assert "singular_points_exact: true" in out
+        assert out.count("is not weighted-homogeneous") == 27
+
+    def test_grid_solver_builds_no_basis_with_pairs(self, run_cli, tmp_path):
+        # [[f, g], [g, f]]: the rank ideal is principal, the lower basis of
+        # the distinct [f, g] takes their one pair, and every root of g
+        # leaves the projected f, whose basis is read off the lower basis,
+        # so the smallest budget completes the 3x3 grid
         f, g = "(x - 1)*(2*x + 1)*(x + 3)", "(y - 2)*(3*y - 1)*(y + 1)"
         path = self.write(tmp_path, {
             "schema_version": 1, "variables": ["x", "y"],
             "matrix": [[f, g], [g, f]], "t": 2,
             "ambient": {"kind": "affine", "dim": 2}, "singularities": []})
-        code, out, err = run_cli("analyze", path, "--spair-budget", "5")
-        assert code == 3 and out == ""
-        assert "S-pair budget of 5 exceeded" in err
-        code, out, err = run_cli("analyze", path, "--spair-budget", "6")
+        code, out, err = run_cli("analyze", path, "--spair-budget", "1")
         assert code == 3 and err == ""
         assert "singular_points_exact: true" in out
         assert out.count("is not weighted-homogeneous") == 9

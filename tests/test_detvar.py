@@ -1,3 +1,4 @@
+import json
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detsing import detvar
+from detsing import detvar, grobner
 from detsing.detvar import (
     AFFINE,
     ESSENTIAL_SINGULAR,
@@ -275,6 +276,18 @@ class TestIdeals:
             full = minors(m, t - 1) + minors(m, t)
             assert (buchberger(Ideal(v, lower_locus_generators(m, t)))
                     == buchberger(Ideal(v, full)))
+
+    def test_lower_generators_are_the_distinct_nonzero_minors(self):
+        # the 1-minors of [[f, g], [g, f]] are [f, g, g, f], and a zero
+        # entry is no generator
+        f, g = "x^2 - 1", "y^3 - y"
+        m = PolyMatrix.from_strings([[f, g], [g, f]], ("x", "y"))
+        assert lower_locus_generators(m, 2) == [m.entries[0][0], m.entries[0][1]]
+        m = PolyMatrix.from_strings([["x", "0", "x"], ["0", "y", "x"]], ("x", "y"))
+        assert lower_locus_generators(m, 2) == [m.entries[0][0], m.entries[1][1]]
+        # the 2-minors of [[x, x, y], [y, y, x]] are 0, x^2 - y^2, x^2 - y^2
+        m = PolyMatrix.from_strings([["x", "x", "y"], ["y", "y", "x"]], ("x", "y"))
+        assert lower_locus_generators(m, 3) == [minors(m, 2)[1]]
 
     def test_lower_generators_for_t_one_are_the_unit_ideal(self):
         m = catalecticant_model().matrix
@@ -991,20 +1004,59 @@ class TestClassifyWork:
         return formed
 
     def test_integer_grid(self, counts, shift_calls, chart_products):
-        # the 1-minors are [f, g, g, f], whose basis gives the eliminant g;
-        # every root of g leaves the subsystem [f], whose basis in one
-        # variable is its own eliminant, and each of the 9 points shares the
-        # shift of f with its column and that of g with its row, and so the
-        # product f'*f' with its column and g'*g' with its row; the weight
-        # gate sees two supports, as g shifted to y = -1, the middle of its
-        # roots, is the odd y^3 - 9*y
+        # the rank ideal (f^2 - g^2) is principal, so its floor certifies it
+        # with no basis.  The distinct 1-minors are [f, g], whose basis gives
+        # the eliminant g; every root of g leaves the projected [f], whose
+        # basis is the rest of that basis and whose eliminant is f.  Each of
+        # the 9 points shares the shift of f with its column and that of g
+        # with its row, and so the product f'*f' with its column and g'*g'
+        # with its row; the weight gate sees two supports, as g shifted to
+        # y = -1, the middle of its roots, is the odd y^3 - 9*y
         got = classify(self.grid_model())
         assert got.singular_points == tuple(sorted(product((-3, 1, 2), (-4, -1, 2))))
         assert not got.local_supported
-        assert counts == Counter({"grevlex": 3, "eliminant": 2,
+        assert counts == Counter({"certified": 1, "grevlex": 1, "eliminant": 2,
                                   "rational_roots": 2, "weights": 2})
         assert len(shift_calls) == 6
         assert len(chart_products) == 6
+
+    def test_grid_builds_one_basis_and_takes_no_krylov_step(self, run_cli,
+                                                            tmp_path):
+        # analyze of a 4 x 4 grid: the rank ideal is principal and
+        # certifies, the lower basis of [f, g] is the one Buchberger run,
+        # and both eliminants are basis elements, read off with no packing
+        f = "(x - 1)*(x + 2)*(2*x - 3)*(x + 4)"
+        g = "(y + 1)*(y - 3)*(3*y + 2)*(y - 5)"
+        path = tmp_path / "grid4.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": ["x", "y"],
+            "matrix": [[f, g], [g, f]], "t": 2,
+            "ambient": {"kind": "affine", "dim": 2}, "singularities": []}))
+        runs, packings = [], []
+        run, packing = grobner._run, grobner._Packing
+
+        def counted_run(*args):
+            runs.append(args[0])
+            return run(*args)
+
+        def counted_packing(*args):
+            packings.append(args)
+            return packing(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grobner, "_run", counted_run)
+            patch.setattr(grobner, "_Packing", counted_packing)
+            patch.setattr(grobner, "_minimal_polynomial", None)
+            code, out, err = run_cli("analyze", path, "--json")
+        assert code == 3 and err == ""
+        assert len(json.loads(out)["classification"]["singular_points"]) == 16
+        assert [len(ideal.generators) for ideal in runs] == [2]
+        assert len(packings) == 1
+
+    @given(st.lists(st.tuples(small_fractions, small_fractions, small_fractions),
+                    max_size=12))
+    def test_integer_sort_keys_match_sorted(self, points):
+        assert detvar._sorted_points(points) == sorted(points)
 
     def test_rational_grid(self, shift_calls, chart_products):
         # the roots of f and of g have unlike denominators, but each entry
@@ -1204,6 +1256,31 @@ def linear_models(draw):
                               AmbientSpace(PROJECTIVE, nvars - 1))
 
 
+@st.composite
+def affine_models(draw):
+    """Affine models in 2 or 3 variables that the floors cover.
+
+    Either every entry lacks a constant term, so every minor vanishes at the
+    origin, or the matrix is square at full t, so the rank ideal has the
+    one generator det, and then the entries may have constant terms.
+    """
+    nvars = draw(st.integers(min_value=2, max_value=3))
+    variables = ("x", "y", "z")[:nvars]
+    principal = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=2))
+    p = n if principal else draw(st.integers(min_value=max(n, 2), max_value=3))
+    monomials = [m for m in product(range(3), repeat=nvars)
+                 if (0 if principal else 1) <= sum(m) <= 2]
+    entries = st.dictionaries(st.sampled_from(monomials),
+                              st.integers(min_value=-2, max_value=2).filter(bool),
+                              max_size=3).map(lambda t: Polynomial(variables, t))
+    grid = [[draw(entries) for _ in range(p)] for _ in range(n)]
+    if not any(e for row in grid for e in row):
+        grid[0][0] = Polynomial.variable(variables, variables[0])
+    t = n if principal else draw(st.integers(min_value=1, max_value=n))
+    return DeterminantalModel(PolyMatrix(grid), t, AmbientSpace(AFFINE, nvars))
+
+
 class TestCertifiedDimension:
     """The dimension floor only stops Buchberger early: every
     classification is the one that full bases give."""
@@ -1248,9 +1325,9 @@ class TestCertifiedDimension:
     @settings(max_examples=80)
     @given(linear_models())
     def test_krull_floor_is_a_floor(self, model):
-        # the floor, from the generators as classify passes them (the lower
-        # ones with zeros and repeats), never exceeds the full basis's
-        # dimension, and classify reads the dimensions of the full bases
+        # the floor, from the generators as classify passes them (the rank
+        # ones with repeats), never exceeds the full basis's dimension, and
+        # classify reads the dimensions of the full bases
         lower_gens = lower_locus_generators(model.matrix, model.t)
         rank = minors_ideal(model, model.t)
         full = []
@@ -1266,6 +1343,77 @@ class TestCertifiedDimension:
             assert info.empty
         else:
             assert (info.dimension + 1, info.singular_locus_dimension) == tuple(full)
+
+    @settings(max_examples=60)
+    @given(affine_models())
+    def test_affine_floor_is_a_floor(self, model):
+        # an affine floor never exceeds the full basis's dimension, the
+        # dimension it certifies is that one, and classify reads the
+        # dimensions of the full bases
+        for ideal, codimension in self.floored_ideals(model):
+            floor = detvar._dimension_floor(model, codimension, ideal.generators)
+            if floor is not None:
+                full = ideal_dimension(buchberger(ideal))
+                assert floor <= full
+                assert certified_dimension(ideal, floor)[0] == full
+        fields = self.outcome(model)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detvar, "_dimension_floor", lambda *_: None)
+            plain = self.outcome(model)
+        assert fields == plain
+
+    @pytest.mark.parametrize("grid, variables, t, floors", [
+        # entries without a constant term: Eagon-Northcott and Krull
+        ([["x", "y", "z"], ["y", "z", "w"]], ("x", "y", "z", "w"), 2, [2, 0]),
+        # the principal rank ideal of the determinant, whose entries have
+        # constant terms, so the two distinct 1-minors get no floor
+        ([["x + 1", "y"], ["y", "x + 1"]], ("x", "y"), 2, [1, None]),
+        # a constant entry alone: the unit ideal, and at t = 1 the unit
+        # lower ideal
+        ([["2", "0"]], ("x", "y"), 1, [None, None]),
+    ], ids=["origin", "principal", "unit"])
+    def test_affine_floors(self, grid, variables, t, floors):
+        model = self.model(grid, variables, t, AFFINE)
+        assert [detvar._dimension_floor(model, codimension, ideal.generators)
+                for ideal, codimension in self.floored_ideals(model)] == floors
+
+    def test_t1_rank_ideal_gets_its_floor(self, runs):
+        # at t = 1 the rank ideal of linear entries gets the floor
+        # 3 - min(4, 3) = 0, while the lower ideal is the unit ideal
+        model = self.model([["x0", "x1"], ["x2", "x0"]], ("x0", "x1", "x2"), 1,
+                           PROJECTIVE)
+        floors = [detvar._dimension_floor(model, codimension, ideal.generators)
+                  for ideal, codimension in self.floored_ideals(model)]
+        assert floors == [0, None]
+        info = classify(model)
+        assert info.empty
+        assert runs == [(0, None)]
+
+    def test_t1_verify_builds_fewer_full_bases(self, run_cli, tmp_path):
+        # the rank ideal of [[x0, x1 + x0]] certifies its floor 1 after one
+        # pair, so only the unit lower basis and the rank basis that the
+        # cstar check builds for the split minor x1 + x0 run to completion
+        path = tmp_path / "t1.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": ["x0", "x1", "x2"],
+            "matrix": [["x0", "x1 + x0"]], "t": 1,
+            "ambient": {"kind": "projective", "dim": 2}, "weights": [0, 1, 2],
+            "singularities": [], "form": {"kind": "cstar"},
+            "known": {"chi_X": 1}}))
+        completed = []
+        run = grobner._run
+
+        def counted_run(*args):
+            basis = run(*args)
+            completed.append(basis is not None)
+            return basis
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grobner, "_run", counted_run)
+            code, out, err = run_cli("verify", path)
+        assert code == 0 and err == ""
+        assert "status: verified" in out
+        assert completed == [False, True, True]
 
     @pytest.mark.parametrize("k", [3, 6, 20])
     def test_krull_floor_of_a_hankel_cone(self, k):
@@ -1299,8 +1447,13 @@ class TestCertifiedDimension:
         return seen
 
     @pytest.mark.parametrize("grid, variables, t, kind", [
-        ([["x", "y", "z"], ["y", "z", "w"]], ("x", "y", "z", "w"), 2, AFFINE),
-        ([["x0", "x1"], ["x2", "x0"]], ("x0", "x1", "x2"), 1, PROJECTIVE),
+        # two constant entries make a 2-minor with a constant term, and the
+        # 2-minors and the 1-minors are more than one
+        ([["x + 1", "y", "z"], ["y", "w + 1", "x"]], ("x", "y", "z", "w"), 2,
+         AFFINE),
+        # the rank ideal's floor 2 - min(3, 3) is negative, and the lower
+        # ideal of t = 1 is the unit ideal
+        ([["x0", "x1", "x0 + x1"]], ("x0", "x1"), 1, PROJECTIVE),
         ([["1", "2"], ["3", "4"]], ("x0", "x1"), 2, PROJECTIVE),
         ([["1", "2"], ["2", "4"]], ("x0", "x1"), 2, PROJECTIVE),
     ], ids=["affine", "t1", "degree0_empty", "degree0_everywhere"])

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import itertools
 import math
 import operator
@@ -624,13 +625,29 @@ class TestDimension:
 
     def test_hitting_set_larger_than_the_recursion_limit(self):
         # pairs {x_2i, x_2i+1} tied together by {x_1, x_3, ..., x_2k-1, x_2k}:
-        # one class whose search descends k levels before it finds x_2i+1
+        # one class whose smallest hitting set holds k variables.  A search
+        # that tries the variables of a pair in index order descends k
+        # levels before it finds x_2i+1; trying the most-used x_2i+1 first,
+        # its first leaf is that set
         k = sys.getrecursionlimit() + 50
         nvars = 2 * k + 1
         monomials = [tuple(int(j in (2 * i, 2 * i + 1)) for j in range(nvars))
                      for i in range(k)]
         monomials.append(tuple(int(j % 2 or j == 2 * k) for j in range(nvars)))
         assert ideal_dimension(monomial_basis(nvars, monomials)) == k + 1
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # the path x_0 x_1, x_1 x_2, ..., x_399 x_400: the search takes one
+        # variable of every other edge, 200 levels deep, under a recursion
+        # limit 100 frames above the test's own depth
+        gb = pair_products(401, [(i, i + 1) for i in range(400)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            dimension = ideal_dimension(gb)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert dimension == 201
 
     def test_variable_disjoint_classes_are_searched_apart(self):
         # 20 disjoint pairs and a triangle: the triangle needs two variables
@@ -811,14 +828,42 @@ class TestEliminant:
                     for e in range(univariate.total_degree() + 1)]
         with recording_widths() as widths:
             coeffs = eliminant(gb)
-        # the fields are sized once, from the basis degrees
-        assert len(widths) == 1
+        # a basis element in the last variable alone is read off with no
+        # packing; otherwise the fields are sized once, from the basis
+        # degrees
+        read_off = any(not any(any(m[:last]) for m in p.terms)
+                       for p in gb.polynomials)
+        assert len(widths) == (0 if read_off else 1)
         assert coeffs == expected
         assert len(coeffs) <= dimension + 1
         x = Polynomial.variable(ideal_.variables, ideal_.variables[-1])
         assert not normal_form(sum((c * x ** j for j, c in enumerate(coeffs)),
                                    Polynomial(ideal_.variables)), gb)
         assert all(type(c) is int or c.denominator != 1 for c in coeffs)
+
+    @given(point_systems())
+    def test_read_off_matches_the_krylov_steps(self, ideal_):
+        # the element read off a reduced basis is the minimal polynomial
+        # that the Krylov steps find; bases without such an element take
+        # those steps in `eliminant` too
+        try:
+            gb = buchberger(ideal_, spair_budget=ORACLE_PAIR_CAP)
+        except SPairBudgetExceeded:
+            return
+        if quotient_dimension(gb) is not None:
+            assert eliminant(gb) == grobner._minimal_polynomial(gb)
+
+    @pytest.mark.parametrize("texts,variables", [
+        (("x^2 - 2*x",), ("x",)), (("x^2 - 1", "y^3 - y"), XY),
+        (("x - 1", "y^2 + y - 2", "z - y"), XYZ),
+    ], ids=["univariate", "grid", "triangular"])
+    def test_reads_the_univariate_element_without_krylov_steps(self, texts,
+                                                                variables):
+        gb = basis_of(texts, variables)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grobner, "_minimal_polynomial", None)
+            coeffs = eliminant(gb)
+        assert coeffs == grobner._minimal_polynomial(gb)
 
     def test_sizes_its_fields_once_from_the_basis(self):
         # z^7 = xy, x^7 = y^7 = 1: NF(z^k) = (xy)^j z^r for k = 7j + r, and

@@ -55,18 +55,36 @@ def test_budget_boundaries_of_the_fixture_commands_and_of_an_argv(tmp_path,
     fields = re.compile(r" budget=(\d+) code=(\d+)$")
     assert all(fields.search(line) for line in lines)
     # both dimensions certify from the generators; the chart bases that the
-    # groebner commands present take pairs
+    # groebner commands present take pairs, the lower one C(4, 2) for its
+    # four distinct 1-minors
     assert "verify twisted_cubic budget=1 code=0" in lines
     assert "groebner minors twisted_cubic budget=3 code=0" in lines
-    assert "groebner lower twisted_cubic budget=15 code=0" in lines
-    # exit 3 for an unsupported germ is not a tripped budget
-    assert "analyze non_quasihomogeneous budget=6 code=3" in lines
+    assert "groebner lower twisted_cubic budget=6 code=0" in lines
+    # exit 3 for an unsupported germ is not a tripped budget; the lower
+    # basis of its three distinct 1-minors takes their 3 pairs
+    assert "analyze non_quasihomogeneous budget=3 code=3" in lines
     argv = ("groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower")
     (line,) = run_tool("budget_boundaries.py", *argv, cwd=tmp_path).splitlines()
-    assert line == " ".join(argv) + " budget=15 code=0"
+    assert line == " ".join(argv) + " budget=6 code=0"
     # the boundary is where the command stops tripping the budget
-    for budget, code in ((14, 3), (15, 0)):
+    for budget, code in ((5, 3), (6, 0)):
         assert run_cli(*argv, "--spair-budget", budget)[0] == code
+    assert run_tool("budget_boundaries.py", "--workload", "fixtures",
+                    cwd=tmp_path).splitlines() == lines
+
+
+def test_budget_boundaries_of_a_workload(tmp_path):
+    # every singular grid certifies its principal rank ideal, and its lower
+    # basis of the distinct [f, g] takes their one pair
+    lines = run_tool("budget_boundaries.py", "--workload", "singular_points",
+                     cwd=tmp_path).splitlines()
+    assert len(lines) == 13
+    assert all(re.fullmatch(r"analyze grid[456]_\d budget=1 code=3", line)
+               for line in lines)
+    done = subprocess.run([sys.executable, str(TOOLS / "budget_boundaries.py"),
+                           "--workload", "nothing"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode != 0 and "usage" in done.stderr
 
 
 def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):

@@ -1,14 +1,17 @@
 """Smallest `--spair-budget` at which each command stops tripping the budget.
 
     python3 tools/budget_boundaries.py > boundaries.txt
+    python3 tools/budget_boundaries.py --workload NAME > boundaries.txt
     python3 tools/budget_boundaries.py COMMAND MODEL.json [OPTION ...]
 
 Run from any directory; the package is imported from this checkout's `src`.
 With no arguments it runs the `fixtures` workload's commands (the README
-and acceptance commands on the bundled fixtures, built by
-`perfbench/workloads.build`, imported, not changed, into a temporary
-directory that is removed afterwards); given arguments, it runs them as one
-detsing command.  Each command runs in this process through
+and acceptance commands on the bundled fixtures); with `--workload NAME` it
+runs the commands of that benchmark workload, at seed 7 for the seeded
+ones.  The commands are built by `perfbench/workloads.build`, imported, not
+changed, into a temporary directory that is removed afterwards.  Given
+other arguments, it runs them as one detsing command.  Each command runs
+in this process through
 `detsing.cli.main` and prints one line: its label (the op label, or the
 arguments as given), the smallest budget whose run does not stop with
 "S-pair budget of ... exceeded" (exit 3), and the exit code at that budget.
@@ -35,7 +38,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from detsing.cli import main  # noqa: E402
 from detsing.grobner import DEFAULT_SPAIR_BUDGET  # noqa: E402
-from workloads import build  # noqa: E402
+from workloads import WORKLOADS, build  # noqa: E402
+
+SEED = 7  # the seed of the seeded workloads' models
 
 
 def _run(argv, budget):
@@ -76,11 +81,11 @@ def _line(label, argv):
     return f"{label} budget={shown} code={code}"
 
 
-def fixture_lines():
-    """One line per command of the fixtures workload, in workload order."""
+def workload_lines(workload="fixtures"):
+    """One line per command of a benchmark workload, in workload order."""
     workdir = tempfile.mkdtemp(prefix="budget-boundaries-")
     try:
-        for op in build("fixtures", 0, workdir):
+        for op in build(workload, SEED, workdir):
             yield _line(op.label, op.argv)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -88,5 +93,11 @@ def fixture_lines():
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
-    for line in [_line(" ".join(argv), argv)] if argv else fixture_lines():
+    if argv[:1] == ["--workload"]:
+        if len(argv) != 2 or argv[1] not in WORKLOADS:
+            sys.exit(f"usage: --workload {{{','.join(WORKLOADS)}}}")
+        lines = workload_lines(argv[1])
+    else:
+        lines = [_line(" ".join(argv), argv)] if argv else workload_lines()
+    for line in lines:
         print(line)
