@@ -93,7 +93,11 @@ def s_polynomial(f, g):
 
 
 class _FieldOverflow(Exception):
-    """A packed exponent outgrew its field."""
+    """A packed exponent outgrew its field.
+
+    A guard, caught nowhere: every packing is sized from a degree bound
+    that its monomials keep to.
+    """
 
 
 class _Packing:
@@ -170,10 +174,14 @@ def _remainder(work, divisors, pk):
     return remainder
 
 
-def _width(polys, factor):
-    """Field width whose fields hold `factor` times the largest degree in `polys`."""
-    top = max(map(sum, chain.from_iterable(p.terms for p in polys)), default=0)
-    return (factor * top).bit_length() + 1
+def _width(degree):
+    """Field width whose fields hold every monomial of total degree up to `degree`."""
+    return degree.bit_length() + 1
+
+
+def _top_degree(polys):
+    """Largest total degree of a term of `polys`; 0 when they have none."""
+    return max(map(sum, chain.from_iterable(p.terms for p in polys)), default=0)
 
 
 def normal_form(f, basis):
@@ -185,7 +193,7 @@ def normal_form(f, basis):
     division has a degree above the largest degree d of f and the basis, so
     one packing with fields for degree 2d holds them all.
     """
-    pk = _Packing(len(f.variables), _width((f, *basis.polynomials), 2))
+    pk = _Packing(len(f.variables), _width(2 * _top_degree((f, *basis.polynomials))))
     divisors = [pk.divisor(pk.pack(p.terms)) for p in basis.polynomials]
     return pk.unpack(f.variables, _remainder(pk.pack(f.terms), divisors, pk).items())
 
@@ -236,7 +244,7 @@ def _minimal_polynomial(gb):
     that degree holds them all.
     """
     nvars = len(gb.variables)
-    pk = _Packing(nvars, _width(gb.polynomials, nvars))
+    pk = _Packing(nvars, _width(nvars * _top_degree(gb.polynomials)))
     divisors = [pk.divisor(pk.pack(p.terms)) for p in gb.polynomials]
     step = pk.weights[-1]
     rows = {}  # pivot key -> the rest of its row, divided by its pivot
@@ -273,16 +281,20 @@ def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
 
     Reduction and autoreduction run on exponent vectors packed into one int
     each (`_Packing`; Monagan & Pearce 2007): a product is an addition and a
-    divisibility test a subtraction and a mask.  The field width comes from
-    the generators' degrees; an exponent that outgrows its field starts the
-    whole call again with wider fields, reusing the S-polynomials already
-    formed, so `s_polynomial` is called once per reduced pair.
+    divisibility test a subtraction and a mask.  Each element is packed once,
+    when it joins.  The first fields hold twice the largest generator degree.
+    No term of an S-polynomial or of its reduction has a degree above the
+    pair's lcm degree, so a pair whose lcm degree reaches the fields' limit
+    first widens them in place: the basis is packed again into fields that
+    hold twice that degree, and the call goes on with the pairs it has.  One
+    call takes each pair once, and `s_polynomial` is called once per reduced
+    pair.
 
     `certified_dimension` runs the same loop against a dimension floor; it
     tests the floor on the generators before the loop starts, and inside it
     only after joins.
     """
-    return _run(ideal, spair_budget, None)
+    return _buchberger(ideal, spair_budget, None)
 
 
 def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
@@ -293,15 +305,16 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     dim R/LT(I); Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
     ch. 9 §3).  The generators are such a G, so the bound is tested first on
     their leading monomials, before any packing, monic copy or pair is
-    built.  Buchberger, as in `buchberger`, then tests it again after each
-    join whose leading monomial has a new minimal support (no support
-    already present lies inside it): only such a join can lower it.  Once
-    the bound meets `floor` the dimension is exact and the call returns
-    (floor, None) with no basis.  Otherwise it returns
+    built.  Buchberger, the same single pass as `buchberger`, then tests it
+    again after each join whose leading monomial has a new minimal support
+    (no support already present lies inside it): only such a join can lower
+    it.  Once the bound meets `floor` the dimension is exact and the call
+    returns (floor, None) with no basis.  Otherwise it returns
     (ideal_dimension(basis), basis) with the reduced basis that
     `buchberger` builds.  A `floor` of None means no floor: the call is
-    `buchberger` itself, and returns the basis.  `spair_budget` counts pairs
-    as `buchberger` does; a floor met by the generators takes none.
+    `buchberger` itself, and returns the basis.  `spair_budget` counts every
+    pair the call takes, widenings included, as `buchberger` does; a floor
+    met by the generators takes none.
     """
     if floor is None:
         gb = buchberger(ideal, spair_budget=spair_budget)
@@ -309,26 +322,16 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     if _dimension([g.leading_monomial() for g in ideal.generators],
                   len(ideal.variables)) == floor:
         return floor, None
-    gb = _run(ideal, spair_budget, floor)
+    gb = _buchberger(ideal, spair_budget, floor)
     return (floor, None) if gb is None else (ideal_dimension(gb), gb)
 
 
-def _run(ideal, spair_budget, floor):
-    # Buchberger's degrees have no bound known in advance: the first fields
-    # hold twice the largest generator degree, and an overflow starts the run
-    # again with fields twice as wide, keeping the S-polynomials formed
-    nvars, spolys, width = len(ideal.variables), {}, _width(ideal.generators, 2)
-    while True:
-        try:
-            return _buchberger(ideal, spair_budget, _Packing(nvars, width), spolys, floor)
-        except _FieldOverflow:
-            width *= 2
-
-
-def _buchberger(ideal, spair_budget, pk, spolys, floor):
+def _buchberger(ideal, spair_budget, floor):
     # with a floor, None once a join certifies the dimension;
     # certified_dimension has tested the generators alone
-    variables, guards, weights, mask = ideal.variables, pk.guards, pk.weights, pk.mask
+    variables, nvars = ideal.variables, len(ideal.variables)
+    pk = _Packing(nvars, _width(2 * _top_degree(ideal.generators)))
+    guards, weights, mask = pk.guards, pk.weights, pk.mask
     basis, lms, packed, pairs, taken = [], [], [], [], set()
     supports = []  # the inclusion-minimal leading-monomial supports, as bitmasks
 
@@ -348,26 +351,13 @@ def _buchberger(ideal, spair_budget, pk, spolys, floor):
         supports.append(s)
         return True
 
-    def pack_tails(ks):
-        # a generator's tail is packed only once a reduction needs it (many
-        # S-polynomials are zero or skipped); the fields were sized from the
-        # generators, so it fits
-        for k in ks:
-            v, key, tail = packed[k]
-            if tail is None:
-                tail = [(sum(map(mul, m, weights)), c)
-                        for m, c in basis[k].terms.items() if m != lms[k]]
-                packed[k] = v, key, tail
-
     for g in ideal.generators:
         lm, lc = leading_term(g)
         p = Polynomial._raw(variables, {m: div(c, lc) for m, c in g.terms.items()})
-        key = sum(map(mul, lm, weights))
-        join(p, lm, (-key & mask, key, None))
-    unpacked = range(len(basis))
+        join(p, lm, pk.divisor(pk.pack(p.terms)))
     processed = 0
     while pairs:
-        _, i, j = heappop(pairs)
+        degree, i, j = heappop(pairs)
         processed += 1
         if processed > spair_budget:
             raise SPairBudgetExceeded(
@@ -376,25 +366,27 @@ def _buchberger(ideal, spair_budget, pk, spolys, floor):
         a, b = lms[i], lms[j]
         if not any(map(min, a, b)):
             continue
+        # each field of the lcm is one of a packed leading monomial's, so
+        # the view fits at any width
         lv = -sum(map(mul, map(max, a, b), weights)) & mask
         if any(not (lv - d[0]) & guards and k != i and k != j
                and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
                for k, d in enumerate(packed)):
             continue
-        s = spolys.get((i, j))
-        if s is None:
-            s = spolys[i, j] = s_polynomial(basis[i], basis[j])
-        work = pk.pack(s.terms)
+        if degree >= pk.limit:
+            # the S-polynomial and its reduction stay within the lcm degree
+            pk = _Packing(nvars, _width(2 * degree))
+            guards, weights, mask = pk.guards, pk.weights, pk.mask
+            packed[:] = [pk.divisor(pk.pack(p.terms)) for p in basis]
+        work = pk.pack(s_polynomial(basis[i], basis[j]).terms)
         if not work:
             continue
-        pack_tails(unpacked)
-        unpacked = ()
         r = _remainder(work, packed, pk)
         if r:
             d = pk.divisor(r)
             p = pk.unpack(variables, [(d[1], 1), *d[2]])
             if (join(p, next(iter(p.terms)), d)
-                    and _dimension(lms, len(variables)) == floor):
+                    and _dimension(lms, nvars) == floor):
                 return None
     # autoreduction: keep the elements whose leading monomial no smaller one
     # divides; no other leading monomial then divides theirs, so one pass of
@@ -404,7 +396,6 @@ def _buchberger(ideal, spair_budget, pk, spolys, floor):
         if all((packed[k][0] - packed[q][0]) & guards for q in minimal):
             minimal.append(k)
     if len(minimal) > 1:
-        pack_tails(minimal)
         for k in minimal:
             v, lm, tail = packed[k]
             tail = dict(tail)

@@ -26,6 +26,13 @@ class LedgerError(ValueError):
     """The ledger is inconsistent or underdetermined."""
 
 
+def _integers(where, values, optional=False):
+    # `type(...) is` keeps a bool from passing as an integer
+    for name, value in values:
+        if type(value) is not int and not (optional and value is None):
+            raise LedgerError(f"{where}: {name} must be an integer")
+
+
 class SingularPointRecord:
     """Local invariants of one isolated singular point.
 
@@ -40,6 +47,12 @@ class SingularPointRecord:
 
     def __init__(self, point, n, p, t, d, smoothable, mu=None,
                  chi_smoothing=None, chi_lower_stratum=None):
+        where = f"record at {point}"
+        _integers(where, (("n", n), ("p", p), ("t", t), ("d", d)))
+        _integers(where, (("mu", mu), ("chi_smoothing", chi_smoothing),
+                          ("chi_lower_stratum", chi_lower_stratum)), optional=True)
+        if type(smoothable) is not bool:
+            raise LedgerError(f"{where}: smoothable must be a boolean")
         if not 1 <= t <= min(n, p):
             raise LedgerError(f"record at {point}: t must lie in [1, min(n, p)]")
         codim = (n - t + 1) * (p - t + 1)
@@ -150,6 +163,7 @@ class LedgerEntry:
     def __init__(self, point, role, index=None):
         if role not in (ROLE_VARIETY_SINGULARITY, ROLE_SMOOTH_FORM_POINT):
             raise LedgerError(f"unknown ledger role {role!r}")
+        _integers(f"ledger entry {point}", (("index", index),), optional=True)
         self.point = point
         self.role = role
         self.index = index
@@ -161,6 +175,7 @@ class IndexLedger:
     __slots__ = ("entries", "chi_x")
 
     def __init__(self, entries, chi_x=None):
+        _integers("ledger", (("chi_x", chi_x),), optional=True)
         self.entries = tuple(entries)
         self.chi_x = chi_x
 

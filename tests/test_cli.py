@@ -49,6 +49,25 @@ class TestVerify:
         assert report["ledger"]["defects"] == []
         assert report["identity"]["lhs"] == 2
 
+    @pytest.mark.parametrize("index,code,status,lhs", [
+        (1, 0, "verified", 2), (2, 1, "violated", 3)])
+    def test_known_indices_at_smooth_points_without_a_form(
+            self, run_cli, tmp_path, index, code, status, lhs):
+        # with no C*-form, each known index at a smooth point of the conic
+        # enters the ledger as given, not as a fixed point's computed 1
+        data = json.loads(Path(fixture_path("smooth_conic.json")).read_text())
+        del data["form"], data["weights"]
+        data["known"] = {"chi_X": 2, "indices": {"[1:0:0]": 1, "[0:0:1]": index}}
+        path = tmp_path / "smooth_conic_known.json"
+        path.write_text(json.dumps(data))
+        got, out, _ = run_cli("verify", path, "--json")
+        assert got == code
+        report = load(out)
+        identity = report["identity"]
+        assert (identity["status"], identity["lhs"], identity["rhs"]) == (status, lhs, 2)
+        assert [e["role"] for e in report["ledger"]["entries"]] == [
+            "form_singularity_smooth_point"] * 2
+
     def test_nonsmoothable_ledger_solves_index(self, run_cli):
         code, out, _ = run_cli("index", fixture_path("segre_cone.json"),
                                "--at", "[0:0:0:0:0:0:1]", "--json")
@@ -949,7 +968,7 @@ class TestLedgerWork:
         # k = 3: the rank ideal's floor comes from Eagon-Northcott, and the
         # lower ideal's from its k + 1 distinct 1-minors (Krull), which
         # their own leading monomials meet, so no Buchberger run starts
-        run, s_polynomial = grobner._run, grobner.s_polynomial
+        run, s_polynomial = grobner._buchberger, grobner.s_polynomial
 
         def counted_run(*args):
             counts["runs"] += 1
@@ -959,7 +978,7 @@ class TestLedgerWork:
             counts["s_polynomial"] += 1
             return s_polynomial(*args)
 
-        monkeypatch.setattr(grobner, "_run", counted_run)
+        monkeypatch.setattr(grobner, "_buchberger", counted_run)
         monkeypatch.setattr(grobner, "s_polynomial", counted_s_polynomial)
         path = tmp_path / f"hankel_2x{k}.json"
         path.write_text(json.dumps({

@@ -716,6 +716,23 @@ class TestCharts:
         shifted = chart_matrix(model, (Fraction(3), Fraction(5)))
         assert str(shifted.entries[0][0]) == "x + 3"
 
+    @pytest.mark.parametrize("chart", [chart_ideal, chart_matrix])
+    @pytest.mark.parametrize("kind,point", [
+        (PROJECTIVE, (0, 0, 0, 1)), (PROJECTIVE, (0, 0, 0, 0, 0, 1)),
+        (PROJECTIVE, ProjectivePoint((0, 0, 0, 1))),
+        (PROJECTIVE, ProjectivePoint((0, 0, 0, 0, 0, 1))),
+        (AFFINE, (0, 0, 0, 0)), (AFFINE, (0, 0, 0, 0, 0, 0)),
+    ], ids=["projective-short", "projective-long", "projective-point-short",
+            "projective-point-long", "affine-short", "affine-long"])
+    def test_point_length_must_match_the_variables(self, chart, kind, point):
+        # five variables: P^4, or A^5 with the same matrix
+        model = catalecticant_model()
+        if kind == AFFINE:
+            model = DeterminantalModel(model.matrix, 2, AmbientSpace(AFFINE, 5))
+        with pytest.raises(ValueError) as info:
+            chart(model, point)
+        assert str(info.value) == "point length does not match the variable count"
+
     def test_equal_entries_shift_once(self, shift_calls):
         variables = ("x", "y")
         f, g = "(x - 1)*(x + 2)", "(y - 3)*(y + 1)"
@@ -1033,7 +1050,7 @@ class TestClassifyWork:
             "matrix": [[f, g], [g, f]], "t": 2,
             "ambient": {"kind": "affine", "dim": 2}, "singularities": []}))
         runs, packings = [], []
-        run, packing = grobner._run, grobner._Packing
+        run, packing = grobner._buchberger, grobner._Packing
 
         def counted_run(*args):
             runs.append(args[0])
@@ -1044,7 +1061,7 @@ class TestClassifyWork:
             return packing(*args)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grobner, "_run", counted_run)
+            patch.setattr(grobner, "_buchberger", counted_run)
             patch.setattr(grobner, "_Packing", counted_packing)
             patch.setattr(grobner, "_minimal_polynomial", None)
             code, out, err = run_cli("analyze", path, "--json")
@@ -1401,7 +1418,7 @@ class TestCertifiedDimension:
             "singularities": [], "form": {"kind": "cstar"},
             "known": {"chi_X": 1}}))
         completed = []
-        run = grobner._run
+        run = grobner._buchberger
 
         def counted_run(*args):
             basis = run(*args)
@@ -1409,7 +1426,7 @@ class TestCertifiedDimension:
             return basis
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grobner, "_run", counted_run)
+            patch.setattr(grobner, "_buchberger", counted_run)
             code, out, err = run_cli("verify", path)
         assert code == 0 and err == ""
         assert "status: verified" in out

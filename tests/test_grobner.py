@@ -431,21 +431,34 @@ class TestBuchbergerWork:
         assert calls == expected_calls
 
     # the first fields hold twice the largest generator degree; this basis
-    # needs more, so the run starts again wider
+    # needs more, so the call widens them in place and goes on with its pairs
     @pytest.mark.parametrize("texts,variables", [
         (("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"), XYZ),
     ], ids=["grevlex-s-polynomial"])
-    def test_field_overflow_restarts_with_wider_fields(self, texts, variables):
+    def test_field_overflow_widens_in_place(self, texts, variables):
         ideal_ = ideal(texts, variables)
-        with recording_widths() as widths:
+        popped = []
+
+        def counted_heappop(heap):
+            popped.append(heap[0])
+            return pop(heap)
+
+        pop = grobner.heappop
+        with recording_widths() as widths, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grobner, "heappop", counted_heappop)
             basis, calls = recording_s_pairs(buchberger, ideal_)
         assert len(widths) >= 2
         assert widths == sorted(widths) and len(set(widths)) == len(widths)
-        (expected, _), expected_calls = recording_s_pairs(
+        (expected, pairs), expected_calls = recording_s_pairs(
             scan_buchberger, ideal_, ORACLE_PAIR_CAP)
         assert basis.polynomials == expected
-        # the S-polynomials formed before a restart are not formed again
+        # each S-polynomial is formed once, and each pair taken once, so the
+        # budget counts the 21 pairs of the one call (a restart took 37)
         assert calls == expected_calls
+        assert len(popped) == len(set(popped)) == pairs == 21
+        assert buchberger(ideal_, spair_budget=21).polynomials == expected
+        with pytest.raises(SPairBudgetExceeded):
+            buchberger(ideal_, spair_budget=20)
 
     def test_integral_coefficients_are_ints(self):
         # halves that cancel to integers; the basis must hold those as ints

@@ -264,6 +264,20 @@ class TestGlobalIdentity:
         with pytest.raises(LedgerError):
             global_identity(IndexLedger(entries, chi_x=0), recs)
 
+    def test_duplicate_records_rejected(self):
+        with pytest.raises(LedgerError, match="^duplicate singular point records$"):
+            global_identity(cone_ledger(), [cone_record(), cone_record()])
+
+    def test_mixed_germ_dimensions_rejected(self):
+        entries = (
+            LedgerEntry("a", ROLE_VARIETY_SINGULARITY, 1),
+            LedgerEntry("b", ROLE_VARIETY_SINGULARITY, 1),
+        )
+        recs = [cone_record(point="a", d=2, mu=0), cone_record(point="b", d=3, mu=1)]
+        with pytest.raises(LedgerError,
+                           match="^records must share one germ dimension d$"):
+            global_identity(IndexLedger(entries, chi_x=0), recs)
+
     def test_classical_smooth_ledger(self):
         entries = (
             LedgerEntry("[1:0]", ROLE_SMOOTH_FORM_POINT, 1),

@@ -92,15 +92,19 @@ def _overflow_handlers(node):
 
 def test_only_buchberger_widens():
     # normal forms and eliminants size their fields once from degree bounds;
-    # only Buchberger's degrees are unbounded in advance, so `_run` alone
-    # catches an overflow and starts again wider
+    # only Buchberger's degrees are unbounded in advance, so `_buchberger`
+    # alone builds a wider packing, inside its pair loop, and goes on.  The
+    # overflow is a guard that no code catches
+    handlers = {path.name: _overflow_handlers(
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in SOURCES}
+    assert not any(handlers.values()), f"_FieldOverflow caught: {handlers}"
     path = Path(detsing.__file__).parent / "grobner.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    (run,) = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "_run"]
-    handlers = _overflow_handlers(tree)
-    assert len(handlers) == 1, f"_FieldOverflow caught on lines {handlers}"
-    assert _overflow_handlers(run) == handlers, "_FieldOverflow caught outside _run"
+    widening = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                for loop in ast.walk(node) if isinstance(loop, (ast.For, ast.While))
+                if _calls(loop, "_Packing")}
+    assert widening == {"_buchberger"}
     ceilings = [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "ceiling"]
     assert ceilings == [], f"grobner.py names an attribute ceiling on lines {ceilings}"

@@ -3,6 +3,7 @@ benchmark's tracer still finds every function it wraps."""
 
 import hashlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -71,6 +72,22 @@ def test_budget_boundaries_of_the_fixture_commands_and_of_an_argv(tmp_path,
         assert run_cli(*argv, "--spair-budget", budget)[0] == code
     assert run_tool("budget_boundaries.py", "--workload", "fixtures",
                     cwd=tmp_path).splitlines() == lines
+
+
+def test_budget_boundary_across_a_widening(tmp_path, run_cli):
+    # the form basis outgrows the first fields, which hold twice the
+    # generator degree 3; the call widens them and goes on, so the budget
+    # counts its 21 pairs once
+    model = tmp_path / "widening.json"
+    model.write_text(json.dumps({
+        "schema_version": 1, "variables": ["x", "y", "z"], "matrix": [["x"]],
+        "t": 1, "ambient": {"kind": "affine", "dim": 3}, "singularities": [],
+        "form": {"kind": "explicit", "coefficients": [
+            "x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"]}}))
+    argv = ("groebner", str(model), "--ideal", "form")
+    (line,) = run_tool("budget_boundaries.py", *argv, cwd=tmp_path).splitlines()
+    assert line == " ".join(argv) + " budget=21 code=0"
+    assert run_cli(*argv, "--spair-budget", 20)[0] == 3
 
 
 def test_budget_boundaries_of_a_workload(tmp_path):

@@ -248,6 +248,27 @@ class TestSingularPointRecord:
          "record at P: mu must be non-negative"),
         (("P", 2, 3, 2, 2, True, 3, 5),
          "record at P: chi_smoothing 5 contradicts the value 4 implied by mu"),
+        # a bool or a float is not an integer, and an int is not a bool
+        (("P", True, 3, 1, 2, True), "record at P: n must be an integer"),
+        (("P", 2.0, 3, 2, 2, True), "record at P: n must be an integer"),
+        (("P", 2, True, 1, 2, True), "record at P: p must be an integer"),
+        (("P", 2, 3.0, 2, 2, True), "record at P: p must be an integer"),
+        (("P", 2, 3, True, 2, True), "record at P: t must be an integer"),
+        (("P", 2, 3, 2.0, 2, True), "record at P: t must be an integer"),
+        (("P", 2, 3, 2, True, True), "record at P: d must be an integer"),
+        (("P", 2, 3, 2, 2.0, True), "record at P: d must be an integer"),
+        (("P", 2, 3, 2, 2, True, False), "record at P: mu must be an integer"),
+        (("P", 2, 3, 2, 2, True, 3.0), "record at P: mu must be an integer"),
+        (("P", 2, 3, 2, 2, True, None, True),
+         "record at P: chi_smoothing must be an integer"),
+        (("P", 2, 3, 2, 2, True, None, 4.0),
+         "record at P: chi_smoothing must be an integer"),
+        (("P", 2, 3, 2, 4, False, None, 5, True),
+         "record at P: chi_lower_stratum must be an integer"),
+        (("P", 2, 3, 2, 4, False, None, 5, 0.5),
+         "record at P: chi_lower_stratum must be an integer"),
+        (("P", 2, 3, 2, 2, 1), "record at P: smoothable must be a boolean"),
+        (("P", 2, 3, 2, 2, None), "record at P: smoothable must be a boolean"),
     ])
     def test_validation(self, args, message):
         raises_exactly(LedgerError, message, lambda: SingularPointRecord(*args))
@@ -266,6 +287,11 @@ class TestLedgerEntry:
         raises_exactly(LedgerError, "unknown ledger role 'cusp'",
                        lambda: LedgerEntry("A", "cusp", 1))
 
+    @pytest.mark.parametrize("index", [1.5, 1.0, True])
+    def test_index_is_an_integer(self, index):
+        raises_exactly(LedgerError, "ledger entry A: index must be an integer",
+                       lambda: LedgerEntry("A", ROLE_SMOOTH_FORM_POINT, index))
+
 
 class TestIndexLedger:
     def test_default_positional_and_keyword(self):
@@ -275,6 +301,11 @@ class TestIndexLedger:
                        IndexLedger(entries=[entry], chi_x=2)):
             assert ledger.entries == (entry,)
             assert ledger.chi_x == 2
+
+    @pytest.mark.parametrize("chi_x", [1.5, 2.0, False])
+    def test_chi_x_is_an_integer(self, chi_x):
+        raises_exactly(LedgerError, "ledger: chi_x must be an integer",
+                       lambda: IndexLedger([], chi_x))
 
 
 class TestIdentityResult:
