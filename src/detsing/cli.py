@@ -135,6 +135,12 @@ def load_input(path):
     if (not isinstance(variables, list) or not variables
             or not all(isinstance(v, str) for v in variables)):
         raise InputError("variables must be a nonempty list of strings")
+    for i, v in enumerate(variables):
+        # one name token of the entry grammar (`polyalg._tokenize`)
+        if not (v[:1].isalpha() or v[:1] == "_") or not all(
+                c.isalnum() or c == "_" for c in v[1:]):
+            raise InputError(f"variables[{i}]: {v!r} is not a variable name: "
+                             "a letter or '_', then letters, digits or '_'")
     if len(set(variables)) != len(variables):
         raise InputError("variable names must be distinct")
 

@@ -541,17 +541,25 @@ def _projective_points(gens, variables, spair_budget):
     # cell decomposition: cell i holds the points with x_i = 1 and every
     # earlier coordinate 0.  `gens` are the distinct nonzero generators with
     # x_0..x_{i-1} set to 0, in first-seen order (`lower_locus_generators`
-    # lists them so for cell 0): cell i sets its first variable to 1, and
-    # setting it to 0 instead restricts `gens` for the cells after it
+    # lists them so for cell 0).  Cell i sets its first variable to 1, one
+    # generator at a time, and is empty at the first that becomes a nonzero
+    # constant; keeping the terms without that variable, and dropping its
+    # coordinate, restricts `gens` to x_i = 0 for the cells after it
     pts, complete = [], True
     for i in range(len(variables)):
-        sols, comp = _solve_zero_dimensional(
-            [g.eliminate({0: 1}) for g in gens], variables[i + 1:],
-            spair_budget)
-        complete = complete and comp
-        pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
-                   for s in sols)
-        gens = dict.fromkeys(h for g in gens if (h := g.eliminate({0: 0})))
+        rest, cell = variables[i + 1:], []
+        for g in gens:
+            h = g.eliminate({0: 1})
+            if h.total_degree() == 0:
+                break
+            cell.append(h)
+        else:
+            sols, comp = _solve_zero_dimensional(cell, rest, spair_budget)
+            complete = complete and comp
+            pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
+                       for s in sols)
+        gens = dict.fromkeys(h for g in gens if (h := Polynomial._raw(
+            rest, {m[1:]: c for m, c in g.terms.items() if not m[0]})))
     return sorted(pts, key=lambda p: p.coords), complete
 
 
@@ -786,7 +794,10 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     points are charted with one constant and share one memo of chart shifts
     and entry products, and the weight gate runs once per distinct chart
     support: it reads only the monomials of the generators, so equal
-    supports get the same answer.
+    supports get the same answer.  A support whose generators are all
+    homogeneous, as at a cone's vertex, passes without the simplex of
+    `quasi_homogeneous_weights`: the weights (1, ..., 1) make it
+    weighted-homogeneous.
 
     An ideal that `_dimension_floor` knows to be proper gets a dimension
     floor, the Eagon-Northcott or the Krull bound: in a projective model
@@ -834,7 +845,9 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             continue
         support = tuple(frozenset(g.terms) for g in chart.generators)
         if support not in gates:
-            gates[support] = quasi_homogeneous_weights(chart.generators) is not None
+            gates[support] = (
+                all(g.homogeneous_degree() is not None for g in chart.generators)
+                or quasi_homogeneous_weights(chart.generators) is not None)
         if not gates[support]:
             local_supported = False
             notes.append(f"chart ideal at {point_label(pt)} is not "

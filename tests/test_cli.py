@@ -3,11 +3,14 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detsing
 from conftest import fixture_path
@@ -378,6 +381,38 @@ class TestInputValidation:
         code, _, err = run_cli("analyze", self.write(tmp_path, payload))
         assert code == 2
         assert err.startswith("error: matrix[0][1]: ")
+
+    @pytest.mark.parametrize("name", ["α1", "_t", "ξ_2", "x٣"])
+    def test_unicode_names_that_read_back_pass(self, run_cli, tmp_path, name):
+        # a Unicode letter starts a name, and a Unicode digit may follow
+        payload = self.base_payload()
+        payload["variables"][4] = name
+        payload["matrix"][1][2] = name
+        code, _, err = run_cli("analyze", self.write(tmp_path, payload))
+        assert code == 0, err
+
+    @settings(max_examples=200)
+    @given(st.text(max_size=4))
+    def test_accepted_names_are_one_name_token(self, name):
+        # load_input takes a name exactly when the entry grammar reads it
+        # back as one name token
+        try:
+            one_token = polyalg._tokenize(name) == [("name", name, 0),
+                                                     ("end", None, len(name))]
+        except polyalg.ParseError:
+            one_token = False
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "input.json"
+            path.write_text(json.dumps({
+                "schema_version": 1, "variables": [name], "matrix": [["1"]],
+                "t": 1, "ambient": {"kind": "affine", "dim": 1},
+                "singularities": []}), encoding="utf-8")
+            try:
+                cli.load_input(path)
+            except cli.InputError as e:
+                assert not one_token and str(e).startswith("variables[0]: ")
+            else:
+                assert one_token
 
     def test_missing_file(self, run_cli):
         code, _, err = run_cli("verify", "/nonexistent/input.json")
@@ -935,15 +970,16 @@ class TestLedgerWork:
     @pytest.mark.parametrize("argv, expected", [
         # both dimensions certify, the lower one by its Krull floor 5 - 4
         # (four distinct 1-minors), and no 2-minor splits into weight
-        # components, so the cstar form needs no rank basis
+        # components, so the cstar form needs no rank basis; the vertex
+        # chart's minors are homogeneous, so its weight gate runs no simplex
         (("verify", "twisted_cubic.json"),
-         {"certified": 2, "rank_at_point": 6, "weights": 1}),
+         {"certified": 2, "rank_at_point": 6}),
         # both dimensions certify, and no 2-minor splits
         (("index", "segre_cone.json", "--at", "[0:0:0:0:0:0:1]"),
-         {"certified": 2, "rank_at_point": 8, "weights": 1}),
+         {"certified": 2, "rank_at_point": 8}),
         # a 2-minor splits, so the cstar check builds the one rank basis
         (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"),
-         {"grevlex": 1, "certified": 2, "rank_at_point": 8, "weights": 1}),
+         {"grevlex": 1, "certified": 2, "rank_at_point": 8}),
         # the lower dimension certifies; only the charted basis is built
         (("groebner", "twisted_cubic.json", "--ideal", "minors"),
          {"grevlex": 1, "certified": 1, "weights": 0}),
@@ -967,7 +1003,8 @@ class TestLedgerWork:
         # analyze of the Hankel 2 x k cone in P^(k+1), the twisted cubic at
         # k = 3: the rank ideal's floor comes from Eagon-Northcott, and the
         # lower ideal's from its k + 1 distinct 1-minors (Krull), which
-        # their own leading monomials meet, so no Buchberger run starts
+        # their own leading monomials meet, so no Buchberger run starts; the
+        # vertex chart's minors are homogeneous, so no weight simplex runs
         run, s_polynomial = grobner._buchberger, grobner.s_polynomial
 
         def counted_run(*args):
@@ -992,7 +1029,7 @@ class TestLedgerWork:
         report = load(out)["classification"]
         assert (report["dimension"], report["singular_locus_dimension"]) == (2, 1)
         assert report["singular_points"] == [f"[{'0:' * (k + 1)}1]"]
-        assert counts == Counter({"certified": 2, "weights": 1})
+        assert counts == Counter({"certified": 2})
 
     def test_uncharted_lower_ideal_is_reduced_once(self, run_cli, counts,
                                                    tmp_path):
@@ -1032,14 +1069,48 @@ class TestLedgerWork:
         assert report["singular_points_exact"] is True
         assert counts == Counter({"certified": 2})
 
+    def test_cone_vertex_gate_runs_no_simplex(self, run_cli, counts):
+        # the twisted cubic's only singular point is the cone's vertex,
+        # whose chart minors are homogeneous
+        code, out, _ = run_cli("analyze", fixture_path("twisted_cubic.json"),
+                               "--json")
+        assert code == 0
+        assert load(out)["classification"]["local_supported"] is True
+        assert counts["weights"] == 0
+
+    def test_inhomogeneous_charts_run_the_simplex(self, run_cli, counts,
+                                                  tmp_path):
+        # a curve in P^2 singular at [0:0:1] and [1:0:0], where neither
+        # chart's minors are homogeneous: each support runs the simplex,
+        # which finds no weights
+        path = tmp_path / "p2_two_points.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": ["x0", "x1", "x2"],
+            "matrix": [["x0*x2^2", "x1*x2^2"],
+                       ["x1*x2^2", "x0^2*x2 + x1^3 - x1^2*x2"]],
+            "t": 2, "ambient": {"kind": "projective", "dim": 2},
+            "singularities": []}))
+        code, out, _ = run_cli("analyze", path, "--json")
+        assert code == 3
+        report = load(out)["classification"]
+        assert report["singular_points"] == ["[0:0:1]", "[1:0:0]"]
+        assert report["local_supported"] is False
+        assert report["notes"] == [
+            f"chart ideal at {point} is not weighted-homogeneous; symbolic "
+            "local computations are unsupported"
+            for point in ("[0:0:1]", "[1:0:0]")]
+        assert counts["weights"] == 2
+
     def test_projective_cells_restrict_distinct_generators(
             self, run_cli, counts, eliminations, tmp_path):
         # Hankel 2 x 4 in P^5, the cone over the rational normal quartic:
-        # its 1-minors list x1, x2 and x3 twice.  Each cell eliminates only
-        # the distinct generators left nonzero by the cells before it, as
-        # x_i = 1, and as x_i = 0 for the cells after it.  Substituting
-        # every earlier coordinate into every generator anew, per cell,
-        # made 53 calls.
+        # its 1-minors list x1, x2 and x3 twice.  Cell i sets x_i = 1 in the
+        # distinct generators left nonzero by the cells before it and stops
+        # at x_i, which becomes 1: one call per cell, five in all, next to
+        # the five that chart the vertex.  Restricting to x_i = 0 for the
+        # later cells makes no call.  Eliminating both ways in every
+        # generator made 35 calls, and substituting every earlier coordinate
+        # anew, per cell, 53.
         path = tmp_path / "hankel_2x4.json"
         path.write_text(json.dumps({
             "schema_version": 1, "variables": [f"x{i}" for i in range(6)],
@@ -1051,7 +1122,7 @@ class TestLedgerWork:
         report = load(out)["classification"]
         assert report["singular_points"] == ["[0:0:0:0:0:1]"]
         assert report["singular_points_exact"] is True
-        assert counts["eliminate"] == 35
+        assert counts["eliminate"] == 10
 
 
 class TestModuleEntryPoint:

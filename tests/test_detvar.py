@@ -674,6 +674,137 @@ class TestProjectiveCells:
         assert outcomes[0] == outcomes[1]
 
 
+def restrict_both_ways_points(gens, variables, spair_budget):
+    # the reference search: every cell restricts every generator to both
+    # x_i = 1 and x_i = 0 by `eliminate`, and solves every cell, empty or not
+    pts, complete = [], True
+    for i in range(len(variables)):
+        sols, comp = _solve_zero_dimensional(
+            [g.eliminate({0: 1}) for g in gens], variables[i + 1:],
+            spair_budget)
+        complete = complete and comp
+        pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
+                   for s in sols)
+        gens = dict.fromkeys(h for g in gens if (h := g.eliminate({0: 0})))
+    return sorted(pts, key=lambda p: p.coords), complete
+
+
+def cell_search_outcome(search, gens, variables, spair_budget):
+    """((points, complete) or the tripped budget, Buchberger inputs)."""
+    built = []
+
+    def counted_buchberger(ideal, **named):
+        built.append(ideal.generators)
+        return buchberger(ideal, **named)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detvar, "buchberger", counted_buchberger)
+        try:
+            got = search(gens, variables, spair_budget)
+        except SPairBudgetExceeded:
+            got = SPairBudgetExceeded
+    return got, built
+
+
+def linear_forms(draw, variables, count):
+    """`count` dense integer linear forms, none zero."""
+    xs = [Polynomial.variable(variables, v) for v in variables]
+    coefficients = st.lists(st.integers(min_value=-3, max_value=3),
+                            min_size=len(xs), max_size=len(xs)).filter(any)
+    return [sum((c * x for c, x in zip(draw(coefficients), xs)),
+                Polynomial(variables)) for _ in range(count)]
+
+
+@st.composite
+def coordinate_systems(draw):
+    """Coordinates x_j with repeats, in any order, as a Hankel 2 x k cone's
+    1-minors list them; fewer than n - 1 distinct ones leave a locus that
+    is not finite."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    variables = tuple(f"x{i}" for i in range(n))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                          min_size=1, max_size=2 * n))
+    return [Polynomial.variable(variables, variables[j]) for j in picks], variables
+
+
+@st.composite
+def dense_linear_systems(draw):
+    """2-4 dense integer linear forms in 3-5 variables, as the lower ideals
+    of the random-coordinate rank models."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    variables = tuple(f"x{i}" for i in range(n))
+    return linear_forms(draw, variables, draw(st.integers(min_value=2,
+                                                          max_value=4))), variables
+
+
+P2_GRID = [["x0*x2^2", "x1*x2^2"], ["x1*x2^2", "x0^2*x2 + x1^3 - x1^2*x2"]]
+
+
+@st.composite
+def p2_lower_systems(draw):
+    """The lower generators of the P^2 model P2_GRID at t = 2, in any
+    coordinate order and generator order, with repeats."""
+    variables = tuple(draw(st.permutations(("x0", "x1", "x2"))))
+    gens = lower_locus_generators(PolyMatrix.from_strings(P2_GRID, variables), 2)
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=2))
+    return draw(st.permutations(gens + repeats)), variables
+
+
+@st.composite
+def positive_dimensional_systems(draw):
+    """At most n - 2 forms in n variables, products of one or two linear
+    forms: the projective locus has dimension at least 1."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    variables = tuple(f"x{i}" for i in range(n))
+    gens = []
+    for f in linear_forms(draw, variables, draw(st.integers(min_value=1,
+                                                            max_value=n - 2))):
+        if draw(st.booleans()):
+            f = f * linear_forms(draw, variables, 1)[0]
+        gens.append(f)
+    return gens, variables
+
+
+class TestEmptyCells:
+    """The cell search that stops an empty cell at its first unit gives the
+    points, in order, the flag, the Buchberger inputs and the budget trips
+    of the search that restricts every generator both ways."""
+
+    def check(self, gens, variables):
+        for budget in (12, detvar.DEFAULT_SPAIR_BUDGET):
+            outcomes = [cell_search_outcome(search, gens, variables, budget)
+                        for search in (detvar._projective_points,
+                                       restrict_both_ways_points)]
+            assert outcomes[0] == outcomes[1]
+        return outcomes[0][0]
+
+    @given(coordinate_systems())
+    def test_coordinates_with_repeats(self, system):
+        gens, variables = system
+        points, complete = self.check(gens, variables)
+        distinct = {g.leading_monomial() for g in gens}
+        if len(distinct) >= len(variables) - 1:
+            # the only point has its one free coordinate, or none, set to 1
+            free = len(variables) - len(distinct)
+            assert complete and len(points) == free
+        else:
+            assert not complete
+
+    @given(dense_linear_systems())
+    def test_dense_linear_forms(self, system):
+        self.check(*system)
+
+    @given(p2_lower_systems())
+    def test_p2_model_lower_generators(self, system):
+        points, complete = self.check(*system)
+        assert complete and len(points) == 2
+
+    @given(positive_dimensional_systems())
+    def test_locus_that_is_not_finite(self, system):
+        points, complete = self.check(*system)
+        assert not complete
+
+
 SHIFT = Polynomial.shift
 
 
@@ -1127,6 +1258,19 @@ class TestClassifyWork:
         assert len({p.chart_index() for p in got.singular_points}) == 2
         assert len(chart_eliminations) == 4 * 2
         assert set(chart_eliminations) == {e for row in matrix.entries for e in row}
+        assert ((got.local_supported, got.notes)
+                == ungated_local_notes(model, got.singular_points))
+
+    def test_one_homogeneous_chart_minor_runs_the_simplex(self):
+        # at the vertex [0:0:1] the chart minor -x0^2*x1 + x0*x1^2 is
+        # homogeneous and the other two are not, so the gate runs the
+        # simplex, which finds no weights for the three together
+        grid = [["x0*x2", "x1*x2", "x0^2"], ["x1*x2", "x0*x2 + x1^2", "x1^2"]]
+        matrix = PolyMatrix.from_strings(grid, ("x0", "x1", "x2"))
+        model = DeterminantalModel(matrix, 2, AmbientSpace(PROJECTIVE, 2))
+        got = classify(model)
+        assert [str(p) for p in got.singular_points] == ["[0:0:1]"]
+        assert got.local_supported is False
         assert ((got.local_supported, got.notes)
                 == ungated_local_notes(model, got.singular_points))
 

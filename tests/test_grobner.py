@@ -947,6 +947,26 @@ def weight_systems(draw):
             for _ in range(draw(st.integers(min_value=1, max_value=3)))]
 
 
+@st.composite
+def homogeneous_weight_systems(draw):
+    """1-4 nonzero homogeneous integer polynomials in 2-5 variables, each of
+    its own degree."""
+    nvars = draw(st.integers(min_value=2, max_value=5))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    gens = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        degree = draw(st.integers(min_value=0, max_value=4))
+        # a composition of `degree` into nvars parts, as nvars - 1 cuts
+        exponents = st.lists(st.integers(min_value=0, max_value=degree),
+                             min_size=nvars - 1, max_size=nvars - 1).map(
+            lambda cuts: tuple(b - a for a, b in
+                               zip([0] + sorted(cuts), sorted(cuts) + [degree])))
+        coefficients = st.integers(min_value=-5, max_value=5).filter(bool)
+        gens.append(Polynomial(variables, draw(st.dictionaries(
+            exponents, coefficients, min_size=1, max_size=5))))
+    return gens
+
+
 class TestWeights:
     def test_plane_cusp_weights(self):
         w = quasi_homogeneous_weights(polys(("x^2 + y^3",), XY))
@@ -1010,6 +1030,16 @@ class TestWeights:
         basis = row_basis(rows)
         assert row_basis(rows + basis) == basis
         assert len(basis) == _rank(rows) == _rank(rows + basis)
+
+    @given(homogeneous_weight_systems())
+    def test_homogeneous_systems_always_get_weights(self, gens):
+        # (1, ..., 1) is a nonzero non-negative kernel vector, so the
+        # simplex is feasible: the weight gate of `classify` passes a chart
+        # of homogeneous generators without running it
+        w = quasi_homogeneous_weights(gens)
+        assert type(w) is tuple and min(w) >= 0 and any(w)
+        for g in gens:
+            assert is_weighted_homogeneous(g, w)
 
 
 def vertex_systems(count=50, seed=19):

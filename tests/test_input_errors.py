@@ -80,6 +80,9 @@ CASES = {
     "variables empty": analyze(("variables", [])),
     "variables non-string": analyze(("variables", 1, 7)),
     "variables repeated": analyze(("variables", 1, "x0")),
+    # "2" would read as the integer 2 in the matrix, "y z" as two names
+    "variables not a name": analyze(("variables", 1, "2")),
+    "variables name with a space": analyze(("variables", 1, "y z")),
     "variables then matrix": analyze(("variables", []), ("matrix", [])),
     # the matrix
     "matrix not a list": analyze(("matrix", "x0")),
