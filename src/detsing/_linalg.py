@@ -86,9 +86,13 @@ def nonnegative_kernel_vector(rows, n):
 
     Phase-one simplex with Bland's rule, so the search is exact and always
     terminates.  The returned vector is a vertex of the feasible polytope.
+    With n = 0 the row sum(w) = 1 reads 0 = 1, so the tableau returns None;
+    the one caller, `grobner.quasi_homogeneous_weights`, returns () before
+    it calls for no variables.  Phase one minimises the sum of the
+    artificial variables, which is never negative, so the objective is
+    bounded: a column that lowers it has a positive entry in some row, and
+    the ratio test always has a row to pivot on.
     """
-    if n == 0:
-        return None
     cons = [[exact(x) for x in row] for row in rows]
     for row in cons:
         if len(row) != n:
@@ -112,8 +116,6 @@ def nonnegative_kernel_vector(rows, n):
             break
         ratios = [(div(tab[i][width], tab[i][enter]), basis[i], i)
                   for i in range(m) if tab[i][enter] > 0]
-        if not ratios:
-            return None
         leave = min(ratios)[2]
         _pivot(tab, leave, enter)
         basis[leave] = enter

@@ -9,8 +9,6 @@ Exit codes: 0 success (report, identity verified, or value solved),
 4 internal error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -429,6 +427,11 @@ def _scalar(value):
 
 
 def _render(value, indent=0):
+    """The text lines of a report dict or list, indented by `indent`.
+
+    Only dicts and lists reach here: a report is a dict, and an item is
+    rendered by a nested call only when it is a dict or a list itself.
+    """
     pad = "  " * indent
     lines = []
     if isinstance(value, dict):
@@ -438,15 +441,13 @@ def _render(value, indent=0):
                 lines.extend(_render(item, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar(item)}")
-    elif isinstance(value, list):
+    else:
         for item in value:
             if isinstance(item, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render(item, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
     return lines
 
 

@@ -377,11 +377,11 @@ def _rational_roots(coeffs):
     read off directly, whatever their size.  The candidate search, needed
     only when more than a quadratic is left after the zero roots, raises
     ResourceLimitExceeded when the constant or leading coefficient exceeds
-    MAX_ROOT_COEFFICIENT, and after MAX_ROOT_CANDIDATES candidates.
+    MAX_ROOT_COEFFICIENT, and after MAX_ROOT_CANDIDATES candidates.  The
+    last entry of `coeffs` is nonzero, since the one caller passes a monic
+    eliminant, so no trailing zeros are stripped.
     """
     work = primitive(coeffs)
-    while work and work[-1] == 0:
-        work.pop()
     if len(work) <= 1:
         return [], True
     roots = []

@@ -9,17 +9,12 @@ where integral, and sums and products of ints stay ints; a `Fraction` comes
 only from a `Fraction` input or an exact division (`_linalg.div`).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import combinations
 from operator import add, neg, sub
 
 from . import _linalg
 from ._linalg import exact
-
-# a monomial is an exponent vector, one entry per variable
-Monomial = tuple
 
 
 def _grevlex_key(exps):

@@ -1140,6 +1140,19 @@ class TestModuleEntryPoint:
         assert done.stdout == out
         assert out.startswith("command: analyze")
 
+    def test_script_entry_exits_with_the_code_of_main(self, monkeypatch,
+                                                      capsys):
+        # the `detsing` console script: main's exit code leaves as SystemExit
+        for argv, code in ((["analyze", fixture_path("twisted_cubic.json")], 0),
+                           (["euler", fixture_path("twisted_cubic.json")], 2)):
+            monkeypatch.setattr(sys, "argv", ["detsing", *argv])
+            with pytest.raises(SystemExit) as stop:
+                cli.main_script()
+            assert stop.value.code == code
+        out, err = capsys.readouterr()
+        assert out.startswith("command: analyze")
+        assert err.startswith("error: ")
+
     def test_parser_is_built_once(self, run_cli, monkeypatch):
         def rebuilt():
             raise AssertionError("main rebuilt the argument parser")

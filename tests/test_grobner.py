@@ -381,6 +381,15 @@ def recording_widths():
         yield widths
 
 
+def test_packing_rejects_a_monomial_past_its_fields():
+    # a guard: every packing is sized so that its monomials fit
+    pk = grobner._Packing(2, 4)
+    assert pk.limit == 8
+    assert len(pk.pack({(3, 4): 1, (0, 7): 2})) == 2
+    with pytest.raises(grobner._FieldOverflow):
+        pk.pack({(1, 0): 1, (4, 4): 1})
+
+
 class TestBuchbergerOracle:
     @given(small_ideals(), st.integers(min_value=0, max_value=40))
     def test_matches_the_rescanning_reference(self, ideal_, budget):
@@ -994,6 +1003,19 @@ class TestWeights:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             quasi_homogeneous_weights([])
+
+    def test_no_variables_take_the_empty_weights(self):
+        # a nonzero constant over no variables is homogeneous of degree 0
+        # for the empty weight vector, and the simplex is not consulted
+        assert quasi_homogeneous_weights([Polynomial((), {(): 5})]) == ()
+
+    def test_kernel_vector_rows_have_one_entry_per_variable(self):
+        with pytest.raises(ValueError, match="row length mismatch"):
+            nonnegative_kernel_vector([[1, -1]], 3)
+
+    def test_kernel_vector_of_no_variables_is_none(self):
+        # sum(w) = 1 reads 0 = 1, so phase one ends infeasible
+        assert nonnegative_kernel_vector([], 0) is None
 
     @given(weight_systems())
     def test_full_rank_short_cut_matches_the_simplex(self, gens):

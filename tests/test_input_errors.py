@@ -2,11 +2,13 @@
 
 Each case is one malformed model file or argument, built from a bundled
 fixture by a few edits.  Together they reach every input-error message of
-the model loader and of the ledger assembly, the `ValueError`s that the
-loader forwards from `AmbientSpace`, `DeterminantalModel`, `PolyMatrix` and
-`ProjectivePoint`, and, in the `then` cases, which of two faults is
-reported.  The expected output in `golden/input_errors.json` is recorded
-output; the model's path reads MODEL there.  To record it afresh, run
+the model loader, of the polynomial parser and of the ledger assembly, the
+`ValueError`s that the loader forwards from `AmbientSpace`,
+`DeterminantalModel`, `PolyMatrix` and `ProjectivePoint`, and, in the
+`then` cases, which of two faults is reported.  The `ledger` cases reach
+every message with which `verify` declines a well-formed ledger (exit 3).
+The expected output in `golden/input_errors.json` is recorded output; the
+model's path reads MODEL there.  To record it afresh, run
 `PYTHONPATH=src python tests/test_input_errors.py`.
 """
 
@@ -97,6 +99,10 @@ CASES = {
     "matrix cell non-ascii digit": analyze(("matrix", 1, 2, "x3^²")),
     "matrix cell deep nesting": analyze(
         ("matrix", 0, 0, "(" * 101 + "x0" + ")" * 101)),
+    "matrix cell unclosed parenthesis": analyze(("matrix", 0, 0, "(x0 + x1")),
+    "matrix cell trailing token": analyze(("matrix", 0, 0, "x0 x1")),
+    "matrix cell literal past the digit limit": analyze(
+        ("matrix", 0, 0, "x0 + " + FIVE_THOUSAND_NINES)),
     "matrix cell order": analyze(("matrix", 1, 0, 1), ("matrix", 0, 2, 2)),
     "matrix all zero": analyze(("matrix", [["0", "0", "0"], ["0", "0", "0"]])),
     "matrix ragged": analyze(("matrix", 1, ["x1", "x2"])),
@@ -237,6 +243,19 @@ CASES = {
         ("known", "indices", {"[1:0:0:0:0]": 2})),
     "known index point outside the smooth stratum": verify(
         ("known", "indices", {"[1:1:0:0:0]": 1})),
+    "record codimension past the formulas": verify(
+        ("singularities", 0, "p", 4)),
+    # exit 3: the ledger is well formed, but the identity cannot settle it
+    "ledger with mu open": verify(("singularities", 0, "mu", DROP)),
+    "ledger forcing a negative mu": verify(
+        ("singularities", 0, "mu", DROP),
+        ("known", "indices", "[0:0:0:0:1]", -5)),
+    "ledger defect of no one unknown": verify(
+        ("singularities", 0, "mu", DROP), ("singularities", 0, "n", 3),
+        ("singularities", 0, "p", 2)),
+    "ledger with two unknowns": verify(("singularities", 0, "mu", DROP),
+                                       ("known", "chi_X", DROP)),
+    "ledger of an affine model": verify(name=FS),
     # commands and arguments
     "spair budget zero": (("analyze", "MODEL", "--spair-budget", "0"),
                           edited(TC)),

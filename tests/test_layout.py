@@ -266,8 +266,8 @@ def test_polyalg_memos_live_inside_one_call():
 
 
 def test_grobner_memos_live_inside_one_call():
-    # a packing is built per basis call; the S-polynomials that survive a
-    # widening live in that call's dict
+    # a packing, the pair queue and the partial basis are built per basis
+    # call, and a widening repacks them within that call
     containers, caches = _per_call_memo_faults("grobner.py")
     assert containers == [], f"module-level containers on lines {containers}"
     assert caches == [], f"function caches on lines {caches}"

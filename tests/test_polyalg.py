@@ -272,6 +272,54 @@ class TestCalculusAndStructure:
         assert str(poly("-x + 1")) == "-x + 1"
 
 
+class TestRejectedOperands:
+    def test_constructor_checks_names_and_exponents(self):
+        with pytest.raises(ValueError, match="duplicate variable names"):
+            Polynomial(("x", "y", "x"))
+        with pytest.raises(ValueError, match="exponent vector length"):
+            Polynomial(XYZ, {(1, 0): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(XYZ, {(1, -1, 0): 1})
+
+    def test_unknown_variable_name(self):
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            Polynomial.variable(XYZ, "w")
+
+    def test_operands_over_different_variable_lists(self):
+        f, g = poly("x"), poly("x", ("x", "y"))
+        with pytest.raises(ValueError, match="different variable lists"):
+            f + g
+        with pytest.raises(ValueError, match="different variable lists"):
+            f * g
+
+    def test_reflected_and_foreign_operands(self):
+        f = poly("x + 1")
+        assert 3 - f == poly("-x + 2")
+        with pytest.raises(TypeError):
+            f - "x"
+        with pytest.raises(TypeError):
+            "x" - f
+        assert f != 3
+
+    def test_zero_polynomial_has_no_leading_monomial(self):
+        with pytest.raises(ValueError, match="no leading monomial"):
+            poly("0").leading_monomial()
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_eliminate_index_out_of_range(self, index):
+        with pytest.raises(IndexError, match="out of range"):
+            poly("x*y").eliminate({index: 2})
+
+    def test_one_offset_and_one_weight_per_variable(self):
+        with pytest.raises(ValueError, match="one offset per variable"):
+            poly("x").shift((1, 2))
+        with pytest.raises(ValueError, match="one weight per variable"):
+            poly("x").weight_components((1, 2))
+
+    def test_repr_shows_the_string_form(self):
+        assert repr(poly("x^2 - 1")) == "Polynomial('x^2 - 1')"
+
+
 TWISTED = [["x0", "x1", "x2"], ["x1", "x2", "x3"]]
 
 
@@ -428,6 +476,24 @@ class TestMatrices:
     def test_nonrectangular_rejected(self):
         with pytest.raises(ValueError):
             PolyMatrix.from_strings([["x", "y"], ["z"]], XYZ)
+
+    @pytest.mark.parametrize("entries, message", [
+        ([], "non-empty"),
+        ([[]], "non-empty"),
+        ([[1]], "must be polynomials"),
+        ([[poly("x"), 1]], "share one variable list"),
+        ([[poly("x")], [poly("x", ("x", "y"))]], "share one variable list"),
+    ])
+    def test_entries_rejected(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            PolyMatrix(entries)
+
+    def test_equality_and_repr(self):
+        m = PolyMatrix.from_strings(TWISTED, P4)
+        assert m == PolyMatrix.from_strings(TWISTED, P4)
+        assert m != PolyMatrix.from_strings(TWISTED[::-1], P4)
+        assert m != m.entries
+        assert repr(m) == "PolyMatrix(2x3 over ('x0', 'x1', 'x2', 'x3', 'x4'))"
 
 
 def assert_exact(values):

@@ -34,6 +34,69 @@ def test_code_lines_lists_every_module_and_sums_them(tmp_path):
     assert int(total) == sum(int(count) for count, _ in modules)
 
 
+SWEPT_MODULE = '''"""A module whose every kind of line the sweep must sort."""
+
+import os
+
+
+def used(x):
+    """Both branches run."""
+    if x:
+        return 1
+    return (
+        2)
+
+
+def unused():
+    return 3
+
+
+class Box:
+    size = 1
+
+    def method(self):
+        try:
+            return os.sep
+        except ValueError:
+            return None
+'''
+
+SWEPT_TESTS = '''from detsing.mod import Box, used
+
+
+def test_used():
+    assert used(1) == 1 and used(0) == 2
+    assert Box().method()
+'''
+
+
+def test_line_sweep_lists_the_statements_no_test_runs(tmp_path):
+    # a copy of the tool in a tree of its own sweeps that tree's package
+    # and tests, never the real suite
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "line_sweep.py").write_text(
+        (TOOLS / "line_sweep.py").read_text(encoding="utf-8"), encoding="utf-8")
+    package = tmp_path / "src" / "detsing"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "mod.py").write_text(SWEPT_MODULE, encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(SWEPT_TESTS,
+                                                    encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "line_sweep.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout
+    lines = done.stdout.splitlines()
+    assert "1 passed" in lines[-5]
+    # the docstrings, the def and class lines and the import are not
+    # statements, and the `return` over two lines ran as one
+    assert lines[-4:] == ["mod:15: return 3",
+                          "mod:24: except ValueError:",
+                          "mod:25: return None",
+                          "3 statements never ran"]
+
+
 def test_report_digest_of_a_model_repeats(tmp_path, run_cli):
     model = fixture_path("twisted_cubic.json")
     first = run_tool("report_digest.py", model, cwd=tmp_path)
