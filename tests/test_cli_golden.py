@@ -7,8 +7,9 @@ roots, `analyze` and `groebner --ideal minors` on a projective cone
 whose vertex is charted at non-integral offsets, and `analyze` on an affine
 grid whose roots have eight distinct prime denominators, and `verify` and
 `index` on column-operated copies of the twisted cubic and Segre cone
-fixtures, whose cstar check reads the rank basis, each in text and `--json`
-form.  The expected output in `golden/cli.json` is recorded output, not
+fixtures, whose cstar check reads the rank basis, and `analyze` and
+`groebner --ideal lower` on an affine model whose point solver substitutes
+roots, each in text and `--json` form.  The expected output in `golden/cli.json` is recorded output, not
 recomputed here, so any change to what these commands print shows up as a
 failure.
 """
@@ -100,6 +101,20 @@ SEGRE_CONE_COLUMN_OP = {
     "known": {"chi_X": 7},
 }
 
+# [[y - x^2, h(x)], [h(x), y - x^2]] with h = x (x - 1) (x - 2): rank 0 at
+# (0, 0), (1, 1) and (2, 4).  The lower basis keeps x*y + 2*x - 3*y, so the
+# eliminant in y is not its only element with y, and the point solver
+# substitutes each root of y (y - 1) (y - 4) into the generators
+PARABOLA_ROOTS = {
+    "schema_version": 1,
+    "variables": ["x", "y"],
+    "matrix": [["y - x^2", "x*(x - 1)*(x - 2)"],
+               ["x*(x - 1)*(x - 2)", "y - x^2"]],
+    "t": 2,
+    "ambient": {"kind": "affine", "dim": 2},
+    "singularities": [],
+}
+
 INLINE_MODELS = {
     "generic_3x3_t3.json": GENERIC_3X3,
     "fractional_grid.json": FRACTIONAL_GRID,
@@ -107,6 +122,7 @@ INLINE_MODELS = {
     "large_k_grid.json": LARGE_K_GRID,
     "twisted_cubic_column_op.json": TWISTED_CUBIC_COLUMN_OP,
     "segre_cone_column_op.json": SEGRE_CONE_COLUMN_OP,
+    "parabola_roots.json": PARABOLA_ROOTS,
 }
 
 COMMANDS = [
@@ -131,6 +147,8 @@ COMMANDS = [
     ("analyze", "large_k_grid.json"),
     ("verify", "twisted_cubic_column_op.json"),
     ("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"),
+    ("analyze", "parabola_roots.json"),
+    ("groebner", "parabola_roots.json", "--ideal", "lower"),
 ]
 
 CASES = [argv + extra for argv in COMMANDS for extra in ((), ("--json",))]
