@@ -334,8 +334,8 @@ def _root_candidates(ps, qs):
     With ps and qs the divisors of the constant term and of the leading
     coefficient of an integer polynomial, these are by the rational root
     theorem the only possible rational roots p/q.  Generated lazily, in the
-    order of ps; which roots are found, and with what multiplicity, does not
-    depend on the order they are tried in.
+    order of ps; which roots are found does not depend on the order they are
+    tried in.
     """
     for p in ps:
         for q in qs:
@@ -367,7 +367,7 @@ def _divide_linear(coeffs, p, q):
 
 
 def _rational_roots(coeffs):
-    """Rational roots with multiplicity of a nonzero univariate polynomial.
+    """Distinct rational roots, ascending, of a nonzero univariate polynomial.
 
     `coeffs` is dense, ascending degree.  Returns (roots, complete) where
     complete means the polynomial splits into rational linear factors.  The
@@ -385,12 +385,10 @@ def _rational_roots(coeffs):
     if len(work) <= 1:
         return [], True
     roots = []
-    zero_mult = 0
-    while work[0] == 0:
-        zero_mult += 1
-        work.pop(0)
-    if zero_mult:
-        roots.append((Fraction(0), zero_mult))
+    if work[0] == 0:
+        roots.append(Fraction(0))
+        while work[0] == 0:
+            work.pop(0)
     if len(work) == 1:
         return roots, True
     if len(work) > 3:
@@ -411,17 +409,15 @@ def _rational_roots(coeffs):
                 "rational-root search exceeded its limit of "
                 f"{MAX_ROOT_CANDIDATES} candidates")
         p, q = pq
-        mult = 0
         quo = _divide_linear(work, p, q)
-        while quo is not None:
-            work = quo
-            mult += 1
-            quo = _divide_linear(work, p, q)
-        if mult:
-            roots.append((Fraction(p, q), mult))
-            # the quotient's end coefficients are c0 / p^mult and
-            # cn / q^mult, so their divisors are among those already found;
-            # and none below |p| is a root
+        if quo is not None:
+            roots.append(Fraction(p, q))
+            # p/q is divided out as often as it divides, m times; the
+            # quotient's end coefficients are c0 / p^m and cn / q^m, so their
+            # divisors are among those already found; and none below |p| is
+            # a root
+            while quo is not None:
+                work, quo = quo, _divide_linear(quo, p, q)
             ps = [d for d in ps if d >= abs(p) and work[0] % d == 0]
             qs = [d for d in qs if work[-1] % d == 0]
             candidates = _root_candidates(ps, qs)
@@ -432,31 +428,14 @@ def _rational_roots(coeffs):
         disc = b * b - 4 * a * c
         if disc >= 0 and isqrt(disc) ** 2 == disc:
             s = isqrt(disc)
-            if s:
-                roots.append((Fraction(-b - s, 2 * a), 1))
-                roots.append((Fraction(-b + s, 2 * a), 1))
-            else:
-                roots.append((Fraction(-b, 2 * a), 2))
+            # a set: one root when the discriminant is 0
+            roots += {Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)}
             work = work[2:]
     if len(work) == 2:
         # the last linear factor's root needs no search, and is a new one
-        roots.append((Fraction(-work[0], work[1]), 1))
+        roots.append(Fraction(-work[0], work[1]))
         work = work[1:]
-    roots.sort(key=lambda rm: rm[0])
-    return roots, len(work) == 1
-
-
-def _substitute_last(g, root):
-    """q^d * g(..., p/q) for root = p/q, over all but the last variable.
-
-    d is the degree of g in its last variable, so the term c*m*x^e goes to
-    c * q^(d - e) * p^e * m, in integers when g has integer coefficients:
-    g with the root substituted, times the nonzero constant q^d.
-    """
-    p, q = root.numerator, root.denominator
-    d = max(m[-1] for m in g.terms)
-    scaled = {m: c * q ** (d - m[-1]) for m, c in g.terms.items()}
-    return Polynomial._raw(g.variables, scaled).eliminate({len(g.variables) - 1: p})
+    return sorted(roots), len(work) == 1
 
 
 def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
@@ -464,77 +443,54 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
 
     Returns (points, complete); complete is False when non-rational points
     may exist (an eliminant fails to split over the rationals) or when the
-    zero set is not finite.  The eliminant in the last variable is read
-    from the subsystem's reduced basis (`eliminant`), and each of its roots
-    is substituted into every generator that contains that variable by
-    `_substitute_last`, which changes the generator by a nonzero constant
-    only, so the ideal and its reduced basis are those of plain
-    substitution.  A generator without the last variable is the same after
-    every root, so it is projected to the remaining variables once per
-    subsystem, and one in the last variable alone, a multiple of the
-    eliminant, is dropped.
-
-    When the basis element that the eliminant is read from is the only one
-    with the last variable, the other elements, projected, are the reduced
-    basis of the subsystem left by each root: they generate the ideal, as
-    the eliminant vanishes there, and they were a reduced basis already.
-    That subsystem then builds no basis of its own.
-
-    Zero and repeated generators are dropped, and each distinct (generators,
-    variables) subsystem is solved once per call.  Roots often leave equal
-    subsystems: on a grid f(x) = g(y) = 0 every root of g leaves the one
-    projected [f], whose basis is the projected element f / lc(f).
+    zero set is not finite.  Zero and repeated generators are dropped.
     `basis`, when given, is the reduced basis of the ideal of `gens` in
-    `variables`, and the top-level subsystem uses it instead of its own.
+    `variables`, and no basis is built.  The distinct rational roots of the
+    eliminant e in the last variable, read from that basis (`eliminant`),
+    are the last coordinates of the points.
+
+    When e is the only basis element with the last variable, the ideal is
+    (G') + (e) with G' the other elements, which lie in the other
+    variables, so the zero set is V(G') x V(e) (elimination; Cox, Little
+    and O'Shea, Using Algebraic Geometry, ch. 2 section 4).  G' is solved
+    once, and its elements, projected by `Polynomial.eliminate`, are its
+    own reduced basis: they generate its ideal and were a reduced basis
+    already.  Otherwise each root is substituted into every generator by
+    `Polynomial.eliminate`, and the system left is solved in the other
+    variables; a generator in the last variable alone, a multiple of e,
+    becomes zero.
     """
-    # each subsystem met so far that needs a basis, as (distinct
-    # generators, variables), mapped to its (points, complete)
-    solved = {}
-
-    def solve(gens, variables, gb=None):
-        gens = tuple(dict.fromkeys(g for g in gens if g))
-        if any(g.total_degree() == 0 for g in gens):
-            return [], True
-        if not variables:
-            return [()], True
-        if (gens, variables) in solved:
-            return solved[gens, variables]
-        if gb is None:
-            gb = buchberger(Ideal(variables, gens), spair_budget=spair_budget)
-        # a unit basis has no zero and a positive-dimensional one no finite
-        # list of them; the eliminant splits a zero-dimensional one
-        dimension = ideal_dimension(gb)
-        if dimension:
-            solved[gens, variables] = found = [], dimension < 0
-            return found
-        roots, complete = _rational_roots(eliminant(gb))
-        last, rest = len(variables) - 1, variables[:-1]
-
-        def project(g):
-            return Polynomial._raw(rest, {m[:last]: c for m, c in g.terms.items()})
-
-        # the generators after a root: one in the last variable alone is a
-        # multiple of the eliminant, so every root kills it, and one without
-        # the last variable is the same after every root, so it is projected
-        # once
-        kept = [(g, None if any(m[last] for m in g.terms) else project(g))
-                for g in gens if any(any(m[:last]) for m in g.terms)]
-        with_last = [p for p in gb.polynomials if any(m[last] for m in p.terms)]
-        sub_basis = None
-        if not any(any(m[:last]) for p in with_last for m in p.terms):
-            sub_basis = GroebnerBasis(rest, tuple(
-                project(p) for p in gb.polynomials if p is not with_last[0]))
-        points = []
-        for r, _mult in roots:
-            sub = [h if h is not None else _substitute_last(g, r)
-                   for g, h in kept]
-            sub_points, sub_complete = solve(sub, rest, sub_basis)
-            complete = complete and sub_complete
-            points.extend(pt + (r,) for pt in sub_points)
-        solved[gens, variables] = points, complete
-        return points, complete
-
-    return solve(gens, tuple(variables), basis)
+    gens = tuple(dict.fromkeys(g for g in gens if g))
+    if any(g.total_degree() == 0 for g in gens):
+        return [], True
+    if not variables:
+        return [()], True
+    if basis is None:
+        basis = buchberger(Ideal(variables, gens), spair_budget=spair_budget)
+    # a unit basis has no zero and a positive-dimensional one no finite
+    # list of them; the eliminant splits a zero-dimensional one
+    dimension = ideal_dimension(basis)
+    if dimension:
+        return [], dimension < 0
+    roots, complete = _rational_roots(eliminant(basis))
+    if not roots:
+        return [], complete
+    last, rest = len(variables) - 1, variables[:-1]
+    with_last = [p for p in basis.polynomials if any(m[last] for m in p.terms)]
+    if not any(any(m[:last]) for p in with_last for m in p.terms):
+        others = tuple(p.eliminate({last: 0}) for p in basis.polynomials
+                       if p is not with_last[0])
+        points, rest_complete = _solve_zero_dimensional(
+            others, rest, spair_budget, GroebnerBasis(rest, others))
+        return ([pt + (r,) for r in roots for pt in points],
+                complete and rest_complete)
+    points = []
+    for r in roots:
+        sub_points, sub_complete = _solve_zero_dimensional(
+            [g.eliminate({last: r}) for g in gens], rest, spair_budget)
+        complete = complete and sub_complete
+        points.extend(pt + (r,) for pt in sub_points)
+    return points, complete
 
 
 def _projective_points(gens, variables, spair_budget):
@@ -757,8 +713,9 @@ def lower_stratum_points(model, spair_budget):
     basis was complete (`_dimension_floor`).  The points are enumerated
     when that stratum is finite, sorted, as ProjectivePoints or affine
     tuples: in affine mode when dim_low is 0, by `_solve_zero_dimensional`
-    from gb_low, or from a basis of its own when gb_low is None, sorted on
-    exact integer keys (`_sorted_points`), and for a projective cone when
+    from gb_low, or from a basis it builds when gb_low is None (a product
+    of root lists where that basis splits), sorted on exact integer keys
+    (`_sorted_points`), and for a projective cone when
     dim_low is 1, by the cell search of `_projective_points`.  A projective
     dim_low of 0 leaves only the origin, so no point.  exact is False when
     non-rational or infinitely many points may be missing from the list.

@@ -674,8 +674,8 @@ class TestInputValidation:
         # principal and the three distinct 1-minors give the lower ideal the
         # floor 0, so both dimensions certify with no pair, and the point
         # solver builds the lower basis itself: its 3 pairs are the only
-        # ones.  Each root's subsystem takes the projected rest of that
-        # basis.  The germs are not weighted-homogeneous, so a completed
+        # ones.  The basis splits at every variable, so the rest of it,
+        # projected, is solved once for all the roots.  The germs are not weighted-homogeneous, so a completed
         # report also exits 3.
         f, g, h = ("x*(2*x + 1)*(x + 3)", "y*(3*y - 1)*(y + 1)",
                    "z*(z - 2)*(2*z + 3)")
@@ -693,8 +693,8 @@ class TestInputValidation:
 
     def test_grid_solver_builds_no_basis_with_pairs(self, run_cli, tmp_path):
         # [[f, g], [g, f]]: the rank ideal is principal, the lower basis of
-        # the distinct [f, g] takes their one pair, and every root of g
-        # leaves the projected f, whose basis is read off the lower basis,
+        # the distinct [f, g] takes their one pair, and the roots of g meet
+        # those of the projected f, whose basis is read off the lower basis,
         # so the smallest budget completes the 3x3 grid
         f, g = "(x - 1)*(2*x + 1)*(x + 3)", "(y - 2)*(3*y - 1)*(y + 1)"
         path = self.write(tmp_path, {

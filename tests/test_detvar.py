@@ -296,14 +296,11 @@ class TestIdeals:
 
 class TestRationalRoots:
     def test_splitting_polynomial(self):
-        # 2*x^4 + x^3 - 3*x^2 = x^2 (x - 1) (2*x + 3)
+        # 2*x^4 + x^3 - 3*x^2 = x^2 (x - 1) (2*x + 3): the double root 0
+        # is listed once
         coeffs = [Fraction(c) for c in (0, 0, -3, 1, 2)]
         roots, complete = _rational_roots(coeffs)
-        assert roots == [
-            (Fraction(-3, 2), 1),
-            (Fraction(0), 2),
-            (Fraction(1), 1),
-        ]
+        assert roots == [Fraction(-3, 2), Fraction(0), Fraction(1)]
         assert complete
 
     def test_irreducible_quadratic(self):
@@ -314,7 +311,7 @@ class TestRationalRoots:
         # (x - 1)^2 (x^2 + 1)
         coeffs = [Fraction(c) for c in (1, -2, 2, -2, 1)]
         roots, complete = _rational_roots(coeffs)
-        assert roots == [(Fraction(1), 2)] and not complete
+        assert roots == [Fraction(1)] and not complete
 
     def test_constant(self):
         assert _rational_roots([Fraction(5)]) == ([], True)
@@ -322,7 +319,7 @@ class TestRationalRoots:
     def test_denominators_cleared(self):
         coeffs = [Fraction(-1, 2), Fraction(0), Fraction(1, 2)]
         roots, complete = _rational_roots(coeffs)
-        assert roots == [(Fraction(-1), 1), (Fraction(1), 1)] and complete
+        assert roots == [Fraction(-1), Fraction(1)] and complete
 
     @given(st.dictionaries(
                st.builds(Fraction, st.integers(min_value=-12, max_value=12),
@@ -343,16 +340,15 @@ class TestRationalRoots:
                     product[i + j] += a * b
             coeffs = product
         roots, complete = _rational_roots(coeffs)
-        assert roots == sorted(mults.items())
+        assert roots == sorted(mults)
         assert complete == (not quadratic)
 
     def test_linear_factor_needs_no_search(self):
         # 2^8 3^5 5^3 7^2 11 13 has 2592 divisors and 17 19 23 29 31 37 has 64:
         # far more candidates than the limit, but a linear root is read off
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
-        assert _rational_roots([-b, a]) == ([(Fraction(b, a), 1)], True)
-        assert _rational_roots([0, -b, a]) == (
-            [(Fraction(0), 1), (Fraction(b, a), 1)], True)
+        assert _rational_roots([-b, a]) == ([Fraction(b, a)], True)
+        assert _rational_roots([0, -b, a]) == ([Fraction(0), Fraction(b, a)], True)
 
     def test_quadratic_factor_needs_no_search(self):
         # (33263*x - 907200) (1763*x - 1062347): 6720 divisors of the constant
@@ -360,10 +356,10 @@ class TestRationalRoots:
         # more candidates than the limit
         roots, complete = _rational_roots(
             _product([-907200, 29 * 31 * 37], [-1062347, 41 * 43]))
-        assert roots == [(Fraction(907200, 33263), 1),
-                         (Fraction(1062347, 1763), 1)] and complete
-        assert _rational_roots(_product([-3, 2], [-3, 2])) == (
-            [(Fraction(3, 2), 2)], True)
+        assert roots == [Fraction(907200, 33263),
+                         Fraction(1062347, 1763)] and complete
+        # a double root is listed once
+        assert _rational_roots(_product([-3, 2], [-3, 2])) == ([Fraction(3, 2)], True)
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         assert _rational_roots([-b, 0, a]) == ([], False)
 
@@ -372,23 +368,23 @@ class TestRationalRoots:
         # most a quadratic is left
         big = 10000000000037
         assert big > MAX_ROOT_COEFFICIENT
-        assert _rational_roots([-3, big]) == ([(Fraction(3, big), 1)], True)
+        assert _rational_roots([-3, big]) == ([Fraction(3, big)], True)
         # (p*y - 1) (q*y - 1)
         p, q = 1000003, 1000033
         assert p * q > MAX_ROOT_COEFFICIENT
         assert _rational_roots([1, -(p + q), p * q]) == (
-            [(Fraction(1, q), 1), (Fraction(1, p), 1)], True)
+            [Fraction(1, q), Fraction(1, p)], True)
 
     def test_huge_end_coefficients_of_a_linear_or_quadratic(self):
         # trial division of a 42-digit end coefficient would take about
         # 10^20 steps: the roots are read off without it
         big = 10**41 + 7
-        assert _rational_roots([-3, big]) == ([(Fraction(3, big), 1)], True)
+        assert _rational_roots([-3, big]) == ([Fraction(3, big)], True)
         assert _rational_roots([0, 0, -3, big]) == (
-            [(Fraction(0), 2), (Fraction(3, big), 1)], True)
+            [Fraction(0), Fraction(3, big)], True)
         # (big*y - 1) (y - 2)
         assert _rational_roots([2, -(2 * big + 1), big]) == (
-            [(Fraction(1, big), 1), (Fraction(2), 1)], True)
+            [Fraction(1, big), Fraction(2)], True)
         assert _rational_roots([big, 0, 1]) == ([], False)
 
     @pytest.mark.parametrize("coeffs", [
@@ -410,14 +406,14 @@ class TestRationalRoots:
             _rational_roots([-3, 0, 0, 10000000000037])
         # zero roots are divided out before the bound is checked
         assert _rational_roots([0, 0, -3, 10000000000037]) == (
-            [(Fraction(0), 2), (Fraction(3, 10000000000037), 1)], True)
+            [Fraction(0), Fraction(3, 10000000000037)], True)
 
     def test_candidates_shrink_with_the_quotient(self):
         # (b*x - 1) (x^3 - 2*a): the root 1/b comes early, and the cubic
         # quotient has 256 candidates where the original has 368640
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         roots, complete = _rational_roots(_product([-1, b], [-2 * a, 0, 0, 1]))
-        assert roots == [(Fraction(1, b), 1)] and not complete
+        assert roots == [Fraction(1, b)] and not complete
 
     def test_divisors_are_found_once(self, monkeypatch):
         # (x - 1) (x + 1) (2x - 1) (x^3 - p), p = 99999999977 prime: the
@@ -434,8 +430,7 @@ class TestRationalRoots:
         coeffs = _product(_product([-1, 1], [1, 1]),
                           _product([-1, 2], [-99999999977, 0, 0, 1]))
         roots, complete = _rational_roots(coeffs)
-        assert roots == [(Fraction(-1), 1), (Fraction(1, 2), 1),
-                         (Fraction(1), 1)] and not complete
+        assert roots == [Fraction(-1), Fraction(1, 2), Fraction(1)] and not complete
         assert len(calls) == 2
 
     @pytest.mark.parametrize("n", [
@@ -477,11 +472,6 @@ def _product(f, g):
         for j, y in enumerate(g):
             out[i + j] += x * y
     return out
-
-
-def _eliminate_last(g, root):
-    """Plain substitution of a root for the last variable."""
-    return g.eliminate({len(g.variables) - 1: root})
 
 
 small_fractions = st.builds(Fraction, st.integers(min_value=-4, max_value=4),
@@ -537,6 +527,30 @@ def grid_systems(draw):
     return gens, variables, sorted(product(*roots)), split
 
 
+@pytest.fixture
+def solver_work(monkeypatch):
+    """Calls of `_solve_zero_dimensional` and the roots it substitutes.
+
+    A substitution is an `eliminate` call that sets a variable its
+    polynomial holds; one that sets only absent variables projects.
+    """
+    work = Counter()
+    solve, eliminate = detvar._solve_zero_dimensional, Polynomial.eliminate
+
+    def counted_solve(*args):
+        work["calls"] += 1
+        return solve(*args)
+
+    def counting_eliminate(self, assignments):
+        if any(m[i] for m in self.terms for i in assignments):
+            work["substitutions"] += 1
+        return eliminate(self, assignments)
+
+    monkeypatch.setattr(detvar, "_solve_zero_dimensional", counted_solve)
+    monkeypatch.setattr(Polynomial, "eliminate", counting_eliminate)
+    return work
+
+
 class TestZeroDimensionalSolver:
     def solve(self, texts, variables):
         gens = [parse_polynomial(t, variables) for t in texts]
@@ -559,20 +573,39 @@ class TestZeroDimensionalSolver:
         points, complete = self.solve(("x*y",), ("x", "y"))
         assert points == [] and not complete
 
-    @given(polynomials(("x", "y"), 3).filter(bool), small_fractions)
-    def test_root_substitution_scales_plain_substitution(self, g, root):
-        d = max(m[1] for m in g.terms)
-        assert (detvar._substitute_last(g, root)
-                == g.eliminate({1: root}) * root.denominator ** d)
-
     @given(grid_systems())
     def test_matches_substitution_by_eliminate(self, system):
+        # the points are the grid of the roots, and complete exactly when
+        # every F_i splits
         gens, variables, grid, split = system
         got = _solve_zero_dimensional(gens, variables, 10_000)
         assert (sorted(got[0]), got[1]) == (grid, split)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(detvar, "_substitute_last", _eliminate_last)
-            assert _solve_zero_dimensional(gens, variables, 10_000) == got
+
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (3, 2, 1), (2, 4, 5)])
+    def test_split_grid_is_solved_once_per_variable(self, solver_work, counts):
+        # the basis [h(z), g(y), f(x)] splits at every level: each call reads
+        # one eliminant, projects the rest of the basis and solves it once,
+        # so one call per variable and one with none, whatever the roots
+        variables = ("x", "y", "z")
+        roots = [range(1, k + 1) for k in counts]
+        texts = ["*".join(f"({v} - {r})" for r in rs)
+                 for v, rs in zip(variables, roots)]
+        gens = [parse_polynomial(t, variables) for t in texts]
+        points, complete = detvar._solve_zero_dimensional(gens, variables, 10_000)
+        assert sorted(points) == sorted(product(*roots)) and complete
+        assert solver_work == Counter({"calls": 4})
+
+    def test_unsplit_basis_substitutes_each_root(self, solver_work):
+        # the basis of [y - x^2, x (x - 1) (x - 2)] keeps x*y + 2*x - 3*y
+        # next to the eliminant y (y - 1) (y - 4), so each root is
+        # substituted into y - x^2, and each system in x, [x^2 - r,
+        # x (x - 1) (x - 2)], is solved on its own
+        variables = ("x", "y")
+        gens = [parse_polynomial(t, variables)
+                for t in ("y - x^2", "x*(x - 1)*(x - 2)")]
+        points, complete = detvar._solve_zero_dimensional(gens, variables, 10_000)
+        assert sorted(points) == [(0, 0), (1, 1), (2, 4)] and complete
+        assert solver_work == Counter({"calls": 7, "substitutions": 3})
 
     @given(grid_systems(), st.data())
     def test_repeated_and_shuffled_generators(self, system, data):
@@ -1154,8 +1187,9 @@ class TestClassifyWork:
     def test_integer_grid(self, counts, shift_calls, chart_products):
         # the rank ideal (f^2 - g^2) is principal, so its floor certifies it
         # with no basis.  The distinct 1-minors are [f, g], whose basis gives
-        # the eliminant g; every root of g leaves the projected [f], whose
-        # basis is the rest of that basis and whose eliminant is f.  Each of
+        # the eliminant g and splits, so the projected [f], whose basis is
+        # the rest of that basis and whose eliminant is f, is solved once
+        # for all the roots of g.  Each of
         # the 9 points shares the shift of f with its column and that of g
         # with its row, and so the product f'*f' with its column and g'*g'
         # with its row; the weight gate sees two supports, as g shifted to
@@ -1167,6 +1201,13 @@ class TestClassifyWork:
                                   "rational_roots": 2, "weights": 2})
         assert len(shift_calls) == 6
         assert len(chart_products) == 6
+
+    def test_grid_solves_its_points_as_a_product(self, solver_work):
+        # the lower basis [g, f] splits: the roots of the eliminant g meet
+        # the roots of f, which is solved once in x, and the third call has
+        # no variables left; no root is substituted
+        classify(self.grid_model())
+        assert solver_work == Counter({"calls": 3})
 
     def test_grid_builds_one_basis_and_takes_no_krylov_step(self, run_cli,
                                                             tmp_path):

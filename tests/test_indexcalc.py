@@ -1,6 +1,12 @@
+import json
+from importlib.resources import files
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+
+from conftest import fixture_path
+from detsing.cli import load_input
 
 from detsing.detvar import (
     AFFINE,
@@ -473,3 +479,74 @@ class TestCStarOracle:
         model, weights = case
         assert (torus_outcome(cstar_fixed_points, model, weights)
                 == torus_outcome(reduce_every_component, model, weights))
+
+
+def cstar_fixtures():
+    """The bundled fixtures whose form is the cstar form, by file name."""
+    return sorted(
+        path.name for path in (files("detsing") / "fixtures").iterdir()
+        if json.loads(path.read_text(encoding="utf-8")).get("form", {}).get("kind")
+        == "cstar")
+
+
+def hankel_model(k, cone):
+    """The 2 x k Hankel matrix in x0..xk at t = 2: the rational normal curve
+    of degree k, or with one more coordinate the cone over it."""
+    count = k + 1 + cone
+    variables = tuple(f"x{i}" for i in range(count))
+    grid = [[f"x{r + c}" for c in range(k)] for r in range(2)]
+    return DeterminantalModel(PolyMatrix.from_strings(grid, variables), 2,
+                              AmbientSpace(PROJECTIVE, count - 1))
+
+
+def generic_model(n, p):
+    """The generic n x p matrix at t = 2: the Segre variety P^(n-1) x P^(p-1)."""
+    variables = tuple(f"x{i}" for i in range(n * p))
+    grid = [[f"x{r * p + c}" for c in range(p)] for r in range(n)]
+    return DeterminantalModel(PolyMatrix.from_strings(grid, variables), 2,
+                              AmbientSpace(PROJECTIVE, n * p - 1))
+
+
+class TestFixedPointEuler:
+    """chi(X) counted from the torus fixed points, independently of the
+    identity: with pairwise distinct weights the torus fixes exactly the
+    coordinate points, and every other orbit has Euler characteristic 0, so
+    chi(X) is the number of coordinate points on X (Bialynicki-Birula 1973,
+    Ann. of Math. 98), singular or not."""
+
+    def test_the_fixtures_include_the_solved_and_the_wrong_chi(self):
+        names = cstar_fixtures()
+        assert {"twisted_cubic_euler.json", "twisted_cubic_wrong_chi.json"} <= set(names)
+
+    @pytest.mark.parametrize("name", cstar_fixtures())
+    def test_every_cstar_fixture(self, run_cli, name):
+        loaded = load_input(fixture_path(name))
+        fixed = len(cstar_fixed_points(loaded.model, loaded.weights))
+        chi = loaded.chi_x
+        if chi is None:
+            # left out, chi(X) is the unknown that `euler` solves for
+            code, out, _ = run_cli("euler", fixture_path(name), "--json")
+            identity = json.loads(out)["identity"]
+            assert (code, identity["status"], identity["name"]) == (0, SOLVED, "chi_X")
+            chi = identity["value"]
+        if name == "twisted_cubic_wrong_chi.json":
+            # built to violate the identity: the twisted cubic cone has 3
+            assert (fixed, chi) == (3, 4)
+        else:
+            assert fixed == chi
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_hankel_curves_and_cones(self, k):
+        # the curve's fixed points are [1:0:...:0] and [0:...:0:1]; the
+        # cone adds its vertex
+        for cone, chi in ((False, 2), (True, 3)):
+            model = hankel_model(k, cone)
+            weights = tuple(range(len(model.variables)))
+            assert len(cstar_fixed_points(model, weights)) == chi
+
+    @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_generic_segre_varieties(self, n, p):
+        # chi(P^(n-1) x P^(p-1)) = n * p, and every coordinate point has rank 1
+        model = generic_model(n, p)
+        weights = tuple(range(n * p))
+        assert len(cstar_fixed_points(model, weights)) == n * p

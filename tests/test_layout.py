@@ -248,13 +248,40 @@ def _assigned_names(node):
 
 
 def test_detvar_memos_live_inside_one_call():
-    # the point solver, the chart shifts and the weight gate memoize per
-    # call; a module-level container, context variable or lru_cache would
-    # carry them from one model to the next, or hide them from the
-    # signatures
+    # the chart shifts and the weight gate memoize per call; a module-level
+    # container, context variable or lru_cache would carry them from one
+    # model to the next, or hide them from the signatures
     containers, caches = _per_call_memo_faults("detvar.py")
     assert containers == [], f"module-level containers on lines {containers}"
     assert caches == [], f"function caches on lines {caches}"
+
+
+def test_point_solver_has_one_route():
+    # `_solve_zero_dimensional` is one plain recursion: a split basis is
+    # solved as a product and any other substitutes each root; a nested
+    # solver, a table of solved subsystems or a second substitution (a
+    # scaled one on raw terms) would open another route to the same points
+    path = Path(detsing.__file__).parent / "detvar.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    solver = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_solve_zero_dimensional")
+    nested = [node.lineno for node in ast.walk(solver) if node is not solver
+              and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    # a dict display passed to `eliminate` is an assignment, not a table
+    tables = [node.lineno for node in ast.walk(solver)
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr))
+              and (isinstance(node.value, (ast.Dict, ast.Set, ast.DictComp,
+                                           ast.SetComp))
+                   or isinstance(node.value, ast.Call)
+                   and isinstance(node.value.func, ast.Name)
+                   and node.value.func.id in {"dict", "set", "defaultdict"})]
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(solver)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert nested == [], f"nested functions on lines {nested}"
+    assert tables == [], f"containers on lines {tables}"
+    assert "eliminate" in names
+    assert not {n for n in names if n == "_raw" or n.startswith("_substitute")}
 
 
 def test_polyalg_memos_live_inside_one_call():
