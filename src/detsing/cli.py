@@ -238,7 +238,7 @@ def _classification_block(c):
         "isolated_singularity": c.isolated_singularity,
         "smoothable": c.smoothable,
         "singular_locus_dimension": c.singular_locus_dimension,
-        "singular_points": [point_label(p) for p in c.singular_points],
+        "singular_points": list(c.point_labels),
         "singular_points_exact": c.singular_points_exact,
         "local_supported": c.local_supported,
         "notes": list(c.notes),
@@ -264,8 +264,7 @@ def _assemble_ledger(inp, classification, spair_budget):
         except LedgerError as e:
             raise InputError(str(e))
     if classification.singular_points_exact:
-        computed = sorted(point_label(p)
-                          for p in classification.singular_points)
+        computed = sorted(classification.point_labels)
         listed = sorted(inp.singularities)
         if computed != listed:
             raise InputError("the singularities list does not match the computed "

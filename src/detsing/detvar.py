@@ -176,17 +176,20 @@ class DeterminantalModel:
 
 
 class GermClassification:
-    """What `classify` found; the dimensions are None for an empty variety."""
+    """What `classify` found; the dimensions are None for an empty variety.
+
+    `point_labels` holds the `point_label` of each singular point, in order.
+    """
 
     __slots__ = ("empty", "codimension", "dimension", "determinantal",
                  "isolated_singularity", "smoothable", "singular_points",
                  "singular_points_exact", "singular_locus_dimension",
-                 "local_supported", "notes")
+                 "local_supported", "notes", "point_labels")
 
     def __init__(self, empty, codimension, dimension, determinantal,
                  isolated_singularity, smoothable, singular_points,
                  singular_points_exact, singular_locus_dimension,
-                 local_supported, notes):
+                 local_supported, notes, point_labels):
         self.empty = empty
         self.codimension = codimension
         self.dimension = dimension
@@ -198,6 +201,7 @@ class GermClassification:
         self.singular_locus_dimension = singular_locus_dimension
         self.local_supported = local_supported
         self.notes = notes
+        self.point_labels = point_labels
 
 
 def _dimension_floor(model, codimension, generators):
@@ -366,6 +370,19 @@ def _divide_linear(coeffs, p, q):
     return quo
 
 
+def _excluded(values, p, q):
+    """Whether the values (f(1), f(-1)) of an integer polynomial f rule out
+    the root p/q, gcd(p, q) = 1.
+
+    A root makes f = (q*x - p) * g with g integral, by Gauss's lemma, so
+    q - p divides f(1) = (q - p) * g(1) and q + p divides
+    f(-1) = -(q + p) * g(-1); a zero divisor asks for a zero value.
+    """
+    at_one, at_minus_one = values
+    return ((at_one % (q - p) if q != p else at_one)
+            or (at_minus_one % (q + p) if q != -p else at_minus_one))
+
+
 def _rational_roots(coeffs):
     """Distinct rational roots, ascending, of a nonzero univariate polynomial.
 
@@ -374,7 +391,9 @@ def _rational_roots(coeffs):
     coefficients are scaled to their primitive integer multiple and every
     candidate of the rational root theorem is divided out as often as it
     divides, until a quadratic or linear factor is left, whose roots are
-    read off directly, whatever their size.  The candidate search, needed
+    read off directly, whatever their size.  A candidate is tried by
+    division only when the values at 1 and -1 admit it (`_excluded`); every
+    candidate generated counts against the limit.  The candidate search, needed
     only when more than a quadratic is left after the zero roots, raises
     ResourceLimitExceeded when the constant or leading coefficient exceeds
     MAX_ROOT_COEFFICIENT, and after MAX_ROOT_CANDIDATES candidates.  The
@@ -398,6 +417,8 @@ def _rational_roots(coeffs):
                 f"{MAX_ROOT_COEFFICIENT} on the constant and leading coefficients")
         ps, qs = _divisors(work[0]), _divisors(work[-1])
         candidates = _root_candidates(ps, qs)
+        # f(1) and f(-1), kept for `_excluded`
+        values = sum(work), sum(work[::2]) - sum(work[1::2])
     tried = 0
     while len(work) > 3:
         pq = next(candidates, None)
@@ -409,6 +430,8 @@ def _rational_roots(coeffs):
                 "rational-root search exceeded its limit of "
                 f"{MAX_ROOT_CANDIDATES} candidates")
         p, q = pq
+        if _excluded(values, p, q):
+            continue
         quo = _divide_linear(work, p, q)
         if quo is not None:
             roots.append(Fraction(p, q))
@@ -417,7 +440,8 @@ def _rational_roots(coeffs):
             # divisors are among those already found; and none below |p| is
             # a root
             while quo is not None:
-                work, quo = quo, _divide_linear(quo, p, q)
+                work, values = quo, (sum(quo), sum(quo[::2]) - sum(quo[1::2]))
+                quo = None if _excluded(values, p, q) else _divide_linear(work, p, q)
             ps = [d for d in ps if d >= abs(p) and work[0] % d == 0]
             qs = [d for d in qs if work[-1] % d == 0]
             candidates = _root_candidates(ps, qs)
@@ -573,21 +597,20 @@ def _chart_point(model, point):
 
 
 def _chart_frame(model, chart):
-    """The distinct entries in one chart, as (e, f, own) triples.
+    """The model's grid in one chart, as (cells, frame).
 
-    f is the entry e in the chart variables: dehomogenized at coordinate
-    `chart`, which is set to 1, or e itself when `chart` is None.  `own`
-    holds one bool per chart variable, True where f contains it; it is
-    empty for a zero entry.
+    `frame` lists the distinct entries e as (f, own) pairs: f is e in the
+    chart variables, dehomogenized at coordinate `chart`, which is set to
+    1, or e itself when `chart` is None; `own` holds one bool per chart
+    variable, True where f contains it, and is empty for a zero entry.
+    `cells` is the grid with each entry replaced by its index in `frame`.
     """
-    return [(e, f, tuple(map(any, zip(*f.terms))))
-            for e in {e for row in model.matrix.entries for e in row}
-            for f in [e if chart is None else e.eliminate({chart: 1})]]
-
-
-def _by_entry(model, values):
-    # the model's grid with each entry e replaced by values[e]
-    return [[values[e] for e in row] for row in model.matrix.entries]
+    distinct = {}
+    cells = [[distinct.setdefault(e, len(distinct)) for e in row]
+             for row in model.matrix.entries]
+    return cells, [(f, tuple(map(any, zip(*f.terms))))
+                   for e in distinct
+                   for f in [e if chart is None else e.eliminate({chart: 1})]]
 
 
 def chart_matrix(model, point):
@@ -599,8 +622,9 @@ def chart_matrix(model, point):
     `groebner` prints.
     """
     chart, offsets = _chart_point(model, point)
-    return PolyMatrix(_by_entry(
-        model, {e: f.shift(offsets) for e, f, _ in _chart_frame(model, chart)}))
+    cells, frame = _chart_frame(model, chart)
+    shifted = [f.shift(offsets) for f, _ in frame]
+    return PolyMatrix([[shifted[k] for k in row] for row in cells])
 
 
 def _chart_constant(model, denominators):
@@ -665,10 +689,11 @@ def chart_ideal(model, point, memo=None):
     and so its weights.
 
     `memo` is (K, frames, shifted, products): `frames` holds the
-    `_chart_frame` of each chart index met, `shifted` memoizes E_e by e and
-    the offsets of its own variables, and `products` the 2 x 2-level
-    products of the E_e in the minors (see `polyalg.minors`).  The four are
-    valid only together, and K must chart every point they are used for.
+    `_chart_frame` of each chart index met, `shifted` memoizes E_e under one
+    flat key, e in the chart followed by the offsets of its own variables,
+    and `products` the 2 x 2-level products of the E_e in the minors (see
+    `polyalg.minors`).  The four are valid only together, and K must chart
+    every point they are used for.
     `classify` builds one memo for all its points, so a chart's entries are
     dehomogenized once, and on a grid the points of a column share the
     shift of an entry in x alone and its square in their minors, whatever
@@ -681,16 +706,18 @@ def chart_ideal(model, point, memo=None):
     scale, frames, shifted, products = memo
     if chart not in frames:
         frames[chart] = _chart_frame(model, chart)
-    charted = {}
-    for e, f, own in frames[chart]:
-        key = f, tuple(compress(offsets, own))
+    cells, frame = frames[chart]
+    charted = []
+    for f, own in frame:
+        key = f, *compress(offsets, own)
         g = shifted.get(key)
         if g is None:
             g = shifted[key] = _integer_form(
                 f, [a if u else 0 for a, u in zip(offsets, own)], scale)
-        charted[e] = g
-    m = PolyMatrix._raw(_by_entry(model, charted))
-    return Ideal(m.variables, minors(m, model.t, products))
+        charted.append(g)
+    m = PolyMatrix._raw([[charted[k] for k in row] for row in cells])
+    return Ideal._raw(m.variables,
+                      tuple(filter(None, minors(m, model.t, products))))
 
 
 def _sorted_points(points):
@@ -785,7 +812,7 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
             empty=True, codimension=None, dimension=None, determinantal=False,
             isolated_singularity=True, smoothable=smoothable, singular_points=(),
             singular_points_exact=True, singular_locus_dimension=None,
-            local_supported=True, notes=tuple(notes))
+            local_supported=True, notes=tuple(notes), point_labels=())
     codim = nvars - dim_t
     determinantal = codim == model.expected_codimension()
     points, exact, dim_low, _ = lower_stratum_points(model, spair_budget)
@@ -796,7 +823,8 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     local_supported = True
     memo = _chart_memo(model, points)
     gates = {}
-    for pt in points:
+    labels = tuple(map(point_label, points))
+    for pt, label in zip(points, labels):
         chart = chart_ideal(model, pt, memo)
         if not chart.generators:
             continue
@@ -807,7 +835,7 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
                 or quasi_homogeneous_weights(chart.generators) is not None)
         if not gates[support]:
             local_supported = False
-            notes.append(f"chart ideal at {point_label(pt)} is not "
+            notes.append(f"chart ideal at {label} is not "
                          "weighted-homogeneous; symbolic local computations "
                          "are unsupported")
     return GermClassification(
@@ -815,4 +843,5 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
         determinantal=determinantal, isolated_singularity=isolated,
         smoothable=smoothable, singular_points=points,
         singular_points_exact=exact, singular_locus_dimension=dim_low,
-        local_supported=local_supported, notes=tuple(notes))
+        local_supported=local_supported, notes=tuple(notes),
+        point_labels=labels)

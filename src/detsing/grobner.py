@@ -7,7 +7,7 @@ structure makes the global answers equal to the local ones; the
 """
 
 from heapq import heappop, heappush
-from itertools import chain, count
+from itertools import chain, compress, count
 from operator import add, mul
 
 from . import _linalg
@@ -42,6 +42,14 @@ class Ideal:
                 gens.append(g)
         self.variables = variables
         self.generators = tuple(gens)
+
+    @classmethod
+    def _raw(cls, variables, generators):
+        """An ideal of a tuple of nonzero polynomials already known to live
+        over `variables`, with no checks."""
+        ideal = object.__new__(cls)
+        ideal.variables, ideal.generators = variables, generators
+        return ideal
 
 
 class GroebnerBasis:
@@ -334,6 +342,7 @@ def _buchberger(ideal, spair_budget, floor):
     guards, weights, mask = pk.guards, pk.weights, pk.mask
     basis, lms, packed, pairs, taken = [], [], [], [], set()
     supports = []  # the inclusion-minimal leading-monomial supports, as bitmasks
+    bits = [1 << i for i in range(nvars)]
 
     def join(p, lm, d):
         # with a floor, True when the support of lm is a new minimal one
@@ -344,7 +353,7 @@ def _buchberger(ideal, spair_budget, floor):
         packed.append(d)
         if floor is None:
             return False
-        s = _support(lm)
+        s = sum(compress(bits, lm))
         if any(m & s == m for m in supports):
             return False
         supports[:] = [m for m in supports if m & s != s]
@@ -414,11 +423,6 @@ def ideal_dimension(gb):
     return _dimension(gb.leading_monomials(), len(gb.variables))
 
 
-def _support(lm):
-    # the variables of a monomial, as a bitmask
-    return sum(1 << i for i, e in enumerate(lm) if e)
-
-
 def _dimension(lms, nvars):
     """Krull dimension of the monomial ideal of `lms` in `nvars` variables.
 
@@ -439,14 +443,18 @@ def _dimension(lms, nvars):
     case is still exponential; a smallest hitting set is NP-hard to find.
     No monomials in k variables give dimension k.
     """
-    masks = set(map(_support, lms))
+    # the variables of each monomial, as a bitmask
+    bits = [1 << i for i in range(nvars)]
+    masks = {sum(compress(bits, lm)) for lm in lms}
     if 0 in masks:
         # a constant leading monomial: the basis element is a unit
         return -1
     classes = {}  # union of the class's variables -> its minimal supports
+    minimal = []  # every minimal support, as one flat list to scan
     for s in sorted(masks, key=int.bit_count):
-        if any(m & s == m for members in classes.values() for m in members):
+        if any(m & s == m for m in minimal):
             continue
+        minimal.append(s)
         members, union = [s], s
         for u in [u for u in classes if u & s]:
             members += classes.pop(u)
@@ -474,18 +482,28 @@ def _smallest_hitting_set(supports, union):
     # them all
     best = min(len(supports), union.bit_count())
     # depth-first, on a stack rather than the call stack: a hitting set can
-    # hold more variables than the recursion limit allows frames.  Each node
-    # is (the unmet supports restricted to the variables still allowed, the
-    # number of variables chosen).
-    stack = [(supports, 0)]
+    # hold more variables than the recursion limit allows frames.  A node is
+    # (its parent's unmet supports, the variable it takes, the variables an
+    # earlier sibling tried, the number of variables chosen), and builds its
+    # own list only when it is popped, so a pruned sibling copies nothing.
+    # The first node's bound is below every hitting set, so a leaf that
+    # reaches it ends the search
+    stack, floor = [(supports, 0, 0, 0)], None
     while stack:
-        open_, chosen = stack.pop()
-        # the distinct one-variable supports, whose sum is their union
-        forced = sum({s for s in open_ if not s & (s - 1)})
-        if forced:
-            chosen += forced.bit_count()
-            open_ = [s for s in open_ if not s & forced]
-        open_.sort(key=int.bit_count)
+        parent, taken, tried, chosen = stack.pop()
+        if taken and not tried:
+            # the first child of a node only drops the supports its variable
+            # meets, which leaves them sorted and with none of one variable
+            open_ = [s for s in parent if not s & taken]
+        else:
+            # the first node takes no variable, and owns its list
+            open_ = [s & ~tried for s in parent if not s & taken] if taken else parent
+            # the distinct one-variable supports, whose sum is their union
+            forced = sum({s for s in open_ if not s & (s - 1)})
+            if forced:
+                chosen += forced.bit_count()
+                open_ = [s for s in open_ if not s & forced]
+            open_.sort(key=int.bit_count)
         bound, packed, disjoint = chosen, 0, True
         for s in open_:
             if s & packed:
@@ -493,18 +511,28 @@ def _smallest_hitting_set(supports, union):
             else:
                 packed |= s
                 bound += 1
+        if floor is None:
+            floor = bound
         if bound >= best:
             continue
         if disjoint:
             best = bound
+            if best == floor:
+                break
             continue
-        first, children = open_[0], []
-        variables = [1 << i for i in range(first.bit_length()) if first >> i & 1]
-        variables.sort(key=lambda v: -sum(1 for s in open_ if s & v))
+        first, children, tried = open_[0], [], 0
+        meeting = [s for s in open_ if s & first]
+        variables, rest = [], first
+        while rest:
+            variables.append(rest & -rest)
+            rest &= rest - 1
+        variables.sort(key=lambda v: -sum(1 for s in meeting if s & v))
         for v in variables:
-            children.append(([s for s in open_ if not s & v], chosen + 1))
-            open_ = [s & ~v for s in open_]
-            if not all(open_):
+            children.append((open_, v, tried, chosen + 1))
+            # a support within the variables tried leaves no later sibling
+            # a way to meet it
+            tried |= v
+            if any(not s & ~tried for s in meeting):
                 break
         stack.extend(reversed(children))
     return best

@@ -21,16 +21,58 @@ def _grevlex_key(exps):
     return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
-def _mono_mul(a, b):
-    return tuple(map(add, a, b))
-
-
 def _mono_sub(a, b):
     return tuple(map(sub, a, b))
 
 
 def _exact_terms(terms):
     return {m: exact(c) for m, c in terms.items()}
+
+
+def _product(a, b):
+    """The term map of the product of two term maps.
+
+    Each cross term is formed once.  When `a` is `b`, of two terms or more,
+    the product is a square: the terms' own squares, whose monomials 2m are
+    distinct, then each pair of distinct terms once, doubled.  Coefficients are summed as
+    they come, so a sum of Fractions may be integral; a zero sum is dropped.
+    """
+    square = a is b and len(a) > 1
+    res = {tuple(map(add, m, m)): c * c for m, c in a.items()} if square else {}
+    items = list(b.items())
+    for ma, ca in a.items():
+        if square:
+            # this term with each later one, doubled
+            ca, items = 2 * ca, items[1:]
+        for mb, cb in items:
+            m = tuple(map(add, ma, mb))
+            s = res.get(m, 0) + ca * cb
+            if s:
+                res[m] = s
+            else:
+                del res[m]
+    return res
+
+
+def _power(terms, k, one):
+    """The term map of terms^k, a fresh one, by repeated squaring; `one` is
+    the zero exponent vector."""
+    if k < 2:
+        return dict(terms) if k else {one: 1}
+    half = _power(terms, k >> 1, one)
+    square = _product(half, half)
+    return _product(square, terms) if k & 1 else square
+
+
+def _add_into(terms, other, negate=False):
+    """Add the term map `other`, or its negative, into `terms` in place; a
+    zero sum is dropped."""
+    for m, c in other.items():
+        s = terms.get(m, 0) - c if negate else terms.get(m, 0) + c
+        if s:
+            terms[m] = s
+        else:
+            del terms[m]
 
 
 class ParseError(ValueError):
@@ -117,12 +159,7 @@ class Polynomial:
             return NotImplemented
         self._check(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, 0) + c
-            if s:
-                res[m] = s
-            else:
-                res.pop(m, None)
+        _add_into(res, other.terms)
         # a sum of ints is an int and a Fraction makes it a Fraction, so
         # `sum` tells in C whether an operand holds a Fraction; only two
         # Fractions can add up to an integer
@@ -158,15 +195,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        res = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mono_mul(ma, mb)
-                s = res.get(m, 0) + ca * cb
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
+        res = _product(self.terms, other.terms)
         if (type(sum(self.terms.values())) is not int
                 or type(sum(other.terms.values())) is not int):
             res = _exact_terms(res)
@@ -177,14 +206,10 @@ class Polynomial:
     def __pow__(self, k):
         if type(k) is not int or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.constant(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        res = _power(self.terms, k, (0,) * len(self.variables))
+        if type(sum(self.terms.values())) is not int:
+            res = _exact_terms(res)
+        return Polynomial._raw(self.variables, res)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -389,11 +414,20 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent straight into term maps with int coefficients.
+
+    Every method returns a fresh map that its caller owns, so sums
+    accumulate in place.
+    """
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = tuple(variables)
-        self.index = {v: i for i, v in enumerate(self.variables)}
+        self.one = (0,) * len(self.variables)
+        # a repeated name reads as its first position, as `tuple.index`
+        # finds it: that position is written last
+        self.index = {v: i for i, v in reversed(tuple(enumerate(self.variables)))}
         self.depth = 0
 
     def peek(self):
@@ -405,27 +439,23 @@ class _Parser:
         return t
 
     def expression(self):
-        negate = False
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            negate = True
-        result = self.term()
+        negate = self.peek()[:2] == ("op", "-")
         if negate:
-            result = -result
+            self.advance()
+        result = {}
         while True:
+            _add_into(result, self.term(), negate)
             kind, val, _pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                t = self.term()
-                result = result + t if val == "+" else result - t
-            else:
+            if kind != "op" or val not in "+-":
                 return result
+            self.advance()
+            negate = val == "-"
 
     def term(self):
         result = self.factor()
         while self.peek()[:2] == ("op", "*"):
             self.advance()
-            result = result * self.factor()
+            result = _product(result, self.factor())
         return result
 
     def factor(self):
@@ -435,17 +465,18 @@ class _Parser:
             kind, val, pos = self.advance()
             if kind != "int":
                 raise ParseError("exponent must be a non-negative integer literal", pos)
-            return base ** val
+            return _power(base, val, self.one)
         return base
 
     def base(self):
         kind, val, pos = self.advance()
         if kind == "int":
-            return Polynomial.constant(self.variables, val)
+            return {self.one: val} if val else {}
         if kind == "name":
-            if val not in self.index:
+            i = self.index.get(val)
+            if i is None:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            return Polynomial.variable(self.variables, val)
+            return {self.one[:i] + (1,) + self.one[i + 1:]: 1}
         if (kind, val) == ("op", "("):
             if self.depth == MAX_NESTING:
                 raise ParseError(
@@ -457,10 +488,6 @@ class _Parser:
             if (k2, v2) != ("op", ")"):
                 raise ParseError("expected ')'", p2)
             return inner
-        return self._fail(kind, val, pos)
-
-    @staticmethod
-    def _fail(kind, val, pos):
         what = "end of input" if kind == "end" else repr(val)
         raise ParseError(f"expected a number, variable, or '(', found {what}", pos)
 
@@ -479,11 +506,11 @@ def parse_polynomial(text, variables):
     MAX_NESTING levels deep.  Errors carry the offending position.
     """
     parser = _Parser(_tokenize(text), variables)
-    result = parser.expression()
+    terms = parser.expression()
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)
-    return result
+    return Polynomial._raw(parser.variables, terms)
 
 
 class PolyMatrix:
@@ -540,14 +567,16 @@ def _det_cofactor(grid, products):
     """Cofactor expansion along the first row, summed into one term dict.
 
     The first signed product e * sub seeds the determinant's term dict as a
-    copy, and each later one adds its terms straight into it.  The
-    coefficients go through `exact` only when a product holds a `Fraction`,
-    since int sums stay ints.
+    copy, and each later one adds its terms straight into it, so a 2 x 2
+    grid [[a, b], [c, d]] is a*d - b*c.  The coefficients go through
+    `exact` only when a product holds a `Fraction`, since int sums stay
+    ints.
 
-    `products` memoizes the 2 x 2-level products e * sub by (e, sub): there
-    both factors are matrix entries, whose hashes are cached, so minors that
-    share a pair of entries form their product once.  A deeper sub is a
-    fresh determinant, so deeper products are not memoized.
+    `products` memoizes the 2 x 2-level products e * sub by (e, sub), each
+    as its term dict and whether it holds a `Fraction`: there both factors
+    are matrix entries, whose hashes are cached, so minors that share a
+    pair of entries form their product once.  A deeper sub is a fresh
+    determinant, so deeper products are not memoized.
     """
     n = len(grid)
     if n == 1:
@@ -557,24 +586,21 @@ def _det_cofactor(grid, products):
         if not e:
             continue
         if n == 2:
-            sub = grid[1][1 - j]
-            key = e, sub
-            prod = products.get(key)
-            if prod is None:
-                prod = products[key] = e * sub
+            key = e, grid[1][1 - j]
+            hit = products.get(key)
+            if hit is None:
+                prod = (e * key[1]).terms
+                hit = products[key] = prod, type(sum(prod.values())) is not int
+            prod, holds = hit
         else:
-            prod = e * _det_cofactor([row[:j] + row[j + 1:] for row in grid[1:]],
-                                     products)
-        fractional = fractional or type(sum(prod.terms.values())) is not int
-        if not terms:
-            terms = {m: -c for m, c in prod.terms.items()} if j & 1 else dict(prod.terms)
-            continue
-        for m, c in prod.terms.items():
-            s = terms.get(m, 0) - c if j & 1 else terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
+            prod = (e * _det_cofactor([row[:j] + row[j + 1:] for row in grid[1:]],
+                                      products)).terms
+            holds = type(sum(prod.values())) is not int
+        fractional = fractional or holds
+        if terms:
+            _add_into(terms, prod, j & 1)
+        else:
+            terms = {m: -c for m, c in prod.items()} if j & 1 else dict(prod)
     return Polynomial._raw(grid[0][0].variables,
                            _exact_terms(terms) if fractional else terms)
 

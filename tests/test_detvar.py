@@ -7,7 +7,7 @@ from math import isqrt
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from detsing import detvar, grobner
@@ -447,6 +447,33 @@ class TestRationalRoots:
         assert detvar._divisors(n) == trial_divisors(n)
         assert detvar._divisors(-n) == trial_divisors(n)
 
+    def test_values_at_one_and_minus_one_cut_the_division_trials(self, monkeypatch):
+        # a grid side's eliminant, (x + 3) (2x + 1) (3x - 2) (x - 1) (2x - 5),
+        # made monic: a candidate p/q is divided only when q - p divides
+        # f(1) and q + p divides f(-1), 7 trials where dividing by every
+        # candidate takes 19
+        trials = []
+        divide = detvar._divide_linear
+
+        def counted(coeffs, p, q):
+            trials.append(Fraction(p, q))
+            return divide(coeffs, p, q)
+
+        monkeypatch.setattr(detvar, "_divide_linear", counted)
+        coeffs = _product(_product(_product([3, 1], [1, 2]), _product([-2, 3], [-1, 1])),
+                          [-5, 2])
+        roots, complete = _rational_roots([c / coeffs[-1] for c in coeffs])
+        assert roots == [Fraction(-3), Fraction(-1, 2), Fraction(2, 3), Fraction(1),
+                         Fraction(5, 2)] and complete
+        assert len(trials) == 7
+
+    def test_roots_one_and_minus_one_pass_the_zero_divisor_test(self):
+        # q - p = 0 for the root 1 and q + p = 0 for -1: the filter asks for
+        # f(1) = 0 and f(-1) = 0, also for the quotients of repeated roots
+        coeffs = _product(_product(_product([-1, 1], [-1, 1]), _product([-1, 1], [1, 1])),
+                          _product(_product([1, 1], [-2, 1]), [2, 0, 1]))
+        assert _rational_roots(coeffs) == ([Fraction(-1), Fraction(1), Fraction(2)], False)
+
     def test_candidate_limit(self):
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         with pytest.raises(ResourceLimitExceeded,
@@ -500,31 +527,41 @@ def polynomials(variables, degree, homogeneous=False):
 
 @st.composite
 def grid_systems(draw):
-    """Coupled univariate products: F_i(x_i) + sum over j < i of c * x_i * F_j.
+    """Coupled systems: F_i + sum over j < i of c * x_i * F_j.
 
-    Every F_i is a product of distinct rational linear factors, times the
-    irreducible x_i^2 + 2 now and then, and a generator may carry a
-    fractional scale.  The rational points are the grid of the roots.
+    Mostly F_i is a univariate product in x_i of distinct rational linear
+    factors, times the irreducible x_i^2 + 2 now and then.  Past the first
+    variable, F_i may instead be x_i - c * x_{i-1}^2, which ties x_i to the
+    variable before it, so the basis does not split and the solver
+    substitutes each root of the eliminant.  A generator may carry a
+    fractional scale.  The rational points are the grid of the roots, with
+    each tied coordinate read off the one before it.
     """
     variables = ("x", "y", "z")[:draw(st.integers(min_value=1, max_value=3))]
     xs = [Polynomial.variable(variables, v) for v in variables]
-    factors, roots, split = [], [], True
-    for x in xs:
+    factors, points, split = [], [()], True
+    for i, x in enumerate(xs):
+        if i and draw(st.booleans()):
+            c = draw(st.sampled_from([1, -2, Fraction(1, 2)]))
+            factors.append(x - c * xs[i - 1] * xs[i - 1])
+            points = [pt + (c * pt[-1] ** 2,) for pt in points]
+            continue
         f = Polynomial.constant(variables, 1)
-        roots.append(draw(st.lists(small_fractions, min_size=1, max_size=3,
-                                   unique=True)))
-        for r in roots[-1]:
+        roots = draw(st.lists(small_fractions, min_size=1, max_size=3,
+                              unique=True))
+        for r in roots:
             f = f * (x * r.denominator - r.numerator)
         if draw(st.booleans()):
             f = f * (x * x + 2)
             split = False
         factors.append(f)
+        points = [pt + (r,) for pt in points for r in roots]
     gens = []
     for i, (x, f) in enumerate(zip(xs, factors)):
         for h in factors[:i]:
             f = f + draw(st.integers(min_value=-2, max_value=2)) * x * h
         gens.append(f * draw(st.sampled_from([1, -2, Fraction(1, 2)])))
-    return gens, variables, sorted(product(*roots)), split
+    return gens, variables, sorted(points), split
 
 
 @pytest.fixture
@@ -572,6 +609,23 @@ class TestZeroDimensionalSolver:
     def test_positive_dimensional(self):
         points, complete = self.solve(("x*y",), ("x", "y"))
         assert points == [] and not complete
+
+    def test_drawn_systems_reach_the_substitution_branch(self, solver_work):
+        # the strategy draws systems that the product route solves and
+        # systems whose roots the solver substitutes; the first drawn example
+        # of each will do, unshrunk
+        def solved_by(route):
+            def check(system):
+                gens, variables, grid, split = system
+                solver_work.clear()
+                got = _solve_zero_dimensional(gens, variables, 10_000)
+                substituted = solver_work["substitutions"] > 0
+                return (sorted(got[0]), got[1]) == (grid, split) and substituted == route
+            return check
+
+        for route in (True, False):
+            find(grid_systems(), solved_by(route),
+                 settings=settings(phases=[Phase.generate]))
 
     @given(grid_systems())
     def test_matches_substitution_by_eliminate(self, system):

@@ -671,6 +671,14 @@ class TestDimension:
             sys.setrecursionlimit(limit)
         assert dimension == 201
 
+    def test_search_a_thousand_levels_deep(self):
+        # the path x_0 x_1, ..., x_2100 x_2101: the search takes one variable
+        # of every other edge, 1050 levels deep.  A node builds its list of
+        # open supports only when it is popped, and the first leaf meets the
+        # first node's packing bound and ends the search
+        gb = pair_products(2102, [(i, i + 1) for i in range(2101)])
+        assert ideal_dimension(gb) == 1051
+
     def test_variable_disjoint_classes_are_searched_apart(self):
         # 20 disjoint pairs and a triangle: the triangle needs two variables
         # but packs one support, so one joint search would branch on every

@@ -13,6 +13,8 @@ from detsing.polyalg import (
     PolyMatrix,
     Polynomial,
     _det_cofactor,
+    _product,
+    _tokenize,
     minors,
     parse_polynomial,
     rank_at_point,
@@ -157,6 +159,174 @@ class TestParsing:
     def test_str_round_trip(self, f):
         # integer coefficients only: the grammar has no fraction literal
         assert parse_polynomial(str(f), XYZ) == f
+
+
+class ArithmeticParser:
+    """The recursive-descent parser as it was before it built term maps: each
+    base is a Polynomial, and sums, products and powers are Polynomial
+    arithmetic.  An oracle for `parse_polynomial`."""
+
+    def __init__(self, text, variables):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.variables = tuple(variables)
+        self.index = {v: i for i, v in enumerate(self.variables)}
+        self.depth = 0
+
+    def parse(self):
+        result = self.expression()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {val!r}", pos)
+        return result
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def expression(self):
+        negate = False
+        if self.peek()[:2] == ("op", "-"):
+            self.advance()
+            negate = True
+        result = self.term()
+        if negate:
+            result = -result
+        while True:
+            kind, val, _pos = self.peek()
+            if kind == "op" and val in "+-":
+                self.advance()
+                t = self.term()
+                result = result + t if val == "+" else result - t
+            else:
+                return result
+
+    def term(self):
+        result = self.factor()
+        while self.peek()[:2] == ("op", "*"):
+            self.advance()
+            result = result * self.factor()
+        return result
+
+    def factor(self):
+        base = self.base()
+        if self.peek()[:2] == ("op", "^"):
+            self.advance()
+            kind, val, pos = self.advance()
+            if kind != "int":
+                raise ParseError("exponent must be a non-negative integer literal", pos)
+            return base ** val
+        return base
+
+    def base(self):
+        kind, val, pos = self.advance()
+        if kind == "int":
+            return Polynomial.constant(self.variables, val)
+        if kind == "name":
+            if val not in self.index:
+                raise ParseError(f"unknown variable {val!r}", pos)
+            return Polynomial.variable(self.variables, val)
+        if (kind, val) == ("op", "("):
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
+            inner = self.expression()
+            self.depth -= 1
+            k2, v2, p2 = self.advance()
+            if (k2, v2) != ("op", ")"):
+                raise ParseError("expected ')'", p2)
+            return inner
+        what = "end of input" if kind == "end" else repr(val)
+        raise ParseError(f"expected a number, variable, or '(', found {what}", pos)
+
+
+def parse_outcome(parse, text, variables):
+    """The parsed polynomial, or ("error", message, position)."""
+    try:
+        return parse(text, variables)
+    except ParseError as e:
+        return "error", str(e), e.position
+
+
+# well-formed shapes and their near misses: a unary minus inside a sum or
+# after an operator, powers of powers, empty parentheses, unknown names
+expression_texts = st.recursive(
+    st.one_of(st.integers(min_value=0, max_value=12).map(str),
+              st.sampled_from(["x", "y", "z", "w", "x_1"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", " - "]),
+                  inner).map("".join),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(inner, st.integers(min_value=0, max_value=3)).map(
+            lambda pair: f"{pair[0]}^{pair[1]}")),
+    max_leaves=6)
+
+# token soup: mostly errors, at every kind of position
+token_texts = st.lists(st.sampled_from(
+    ["x", "y", "2", "10", "+", "-", "*", "^", "(", ")", " ", "(x", "w", "3x",
+     "$"]),
+    max_size=12).map("".join)
+
+
+class TestParserOracle:
+    @given(st.one_of(expression_texts, token_texts))
+    def test_term_maps_match_polynomial_arithmetic(self, text):
+        got = parse_outcome(parse_polynomial, text, XYZ)
+        want = parse_outcome(lambda t, v: ArithmeticParser(t, v).parse(), text, XYZ)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert isinstance(got, Polynomial) and got.variables == XYZ
+            assert got.terms == want.terms
+            assert_ints(got.terms.values())
+
+    def test_a_repeated_name_reads_as_its_first_position(self):
+        variables = ("x", "y", "x")
+        got = parse_polynomial("x*y + x^2", variables)
+        assert got.terms == {(1, 1, 0): 1, (2, 0, 0): 1}
+        assert got.terms == ArithmeticParser("x*y + x^2", variables).parse().terms
+
+
+def naive_product(a, b):
+    """Term map of a product, every pair of terms on its own."""
+    res = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(i + j for i, j in zip(ma, mb))
+            res[m] = res.get(m, 0) + ca * cb
+    return {m: c for m, c in res.items() if c}
+
+
+class TestProductKernel:
+    @given(polynomials(small_rationals), polynomials(small_rationals))
+    def test_general_product_matches_every_pair(self, f, g):
+        assert _product(f.terms, g.terms) == naive_product(f.terms, g.terms)
+
+    @given(polynomials(st.one_of(small_integers, small_fractions,
+                                 halves_and_integers)))
+    def test_square_matches_the_general_product(self, f):
+        # the same map twice takes the square path; an equal copy does not
+        square = _product(f.terms, f.terms)
+        assert square == _product(f.terms, dict(f.terms))
+        assert square == naive_product(f.terms, f.terms)
+        assert all(square.values())
+        for h in (f * f, f ** 2, f ** 3):
+            assert_normalized(h.terms.values())
+        assert (f * f).terms == square and f ** 3 == f * f * f
+
+    def test_square_of_halves_stores_ints(self):
+        # (x/2 + 2)^2 = x^2/4 + 2x + 4: the doubled cross term is integral
+        f = Polynomial(("x",), {(1,): Fraction(1, 2), (0,): 2})
+        square = f * f
+        assert square.terms == {(2,): Fraction(1, 4), (1,): 2, (0,): 4}
+        assert_normalized(square.terms.values())
+        assert type(square.terms[(1,)]) is int
 
 
 class TestArithmetic:

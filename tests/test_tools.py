@@ -189,3 +189,42 @@ def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):
     assert {"detvar.classify", "grobner.s_polynomial",
             "indexcalc.cstar_fixed_points"} <= names
     assert not hasattr(grobner.buchberger, "__wrapped__")
+
+
+def canned_result(op_ms, ops_per_s, attempted, rss):
+    """One result line of perfbench/run.py, as the benchmark prints it."""
+    return json.dumps({
+        "correct": True, "attempted": attempted, "failed": 0,
+        "metrics": {"op_ms_p50": {"value": op_ms, "unit": "ms"},
+                    "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+                    "peak_rss_mb": {"value": rss, "unit": "MB"}}})
+
+
+def test_alternate_bench_summary_of_canned_runs():
+    # no benchmark runs here: the summary of three pairs of result lines,
+    # in which the change wins two pairs on the lower-is-better op_ms_p50
+    # and every pair on the higher-is-better ops_per_s
+    spec = importlib.util.spec_from_file_location(
+        "alternate_bench", TOOLS / "alternate_bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    lines = [(canned_result(1.8, 550, 2000, 20.5), canned_result(1.6, 600, 2400, 20.7)),
+             (canned_result(1.9, 540, 1900, 20.6), canned_result(1.7, 590, 2300, 20.8)),
+             (canned_result(1.7, 560, 2100, 20.4), canned_result(1.75, 570, 2200, 20.6))]
+    pairs = [tuple(json.loads(line) for line in pair) for pair in lines]
+    summary = bench.summarize(pairs, [("op_ms_p50", "lower"), ("ops_per_s", "higher")])
+    assert summary == [
+        "3 pairs; median [quartiles] of parent and change, change in the "
+        "median, pairs the change won",
+        "op_ms_p50: 1.8 [1.75, 1.85] -> 1.7 [1.65, 1.725] -5.6% won 2/3 "
+        "(lower is better)",
+        "ops_per_s: 550 [545, 555] -> 590 [580, 595] +7.3% won 3/3 "
+        "(higher is better)",
+        "pair 0: parent attempted 2000 failed 0 peak_rss_mb 20.50; "
+        "change attempted 2400 failed 0 peak_rss_mb 20.70",
+        "pair 1: parent attempted 1900 failed 0 peak_rss_mb 20.60; "
+        "change attempted 2300 failed 0 peak_rss_mb 20.80",
+        "pair 2: parent attempted 2100 failed 0 peak_rss_mb 20.40; "
+        "change attempted 2200 failed 0 peak_rss_mb 20.60"]
+    # one pair has no spread: its quartiles are its value
+    assert bench.quartiles([2.0]) == (2.0, 2.0, 2.0)

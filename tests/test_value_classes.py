@@ -140,7 +140,7 @@ class TestGermClassification:
     FIELDS = ("empty", "codimension", "dimension", "determinantal",
               "isolated_singularity", "smoothable", "singular_points",
               "singular_points_exact", "singular_locus_dimension",
-              "local_supported", "notes")
+              "local_supported", "notes", "point_labels")
 
     def test_positional_and_keyword(self):
         values = tuple(range(len(self.FIELDS)))
@@ -157,6 +157,7 @@ class TestGermClassification:
         assert info.smoothable and info.singular_points_exact
         assert info.singular_locus_dimension == 1 and info.local_supported
         assert isinstance(info.notes, tuple)
+        assert info.point_labels == ("[0:0:0:0:1]",)
         # a plain record: no basis and no hidden state
         assert GermClassification.__slots__ == self.FIELDS
 
