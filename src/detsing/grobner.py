@@ -8,7 +8,7 @@ structure makes the global answers equal to the local ones; the
 
 from heapq import heappop, heappush
 from itertools import chain, compress, count
-from operator import add, mul
+from operator import mul
 
 from . import _linalg
 from ._linalg import div, exact
@@ -71,33 +71,39 @@ class GroebnerBasis:
         return tuple(p.leading_monomial() for p in self.polynomials)
 
 
-def leading_term(f):
-    """(monomial, coefficient) of the grevlex-largest term of a nonzero polynomial."""
-    lm = f.leading_monomial()
-    return lm, f.terms[lm]
-
-
 def s_polynomial(f, g):
     """S-polynomial: the leading terms cancel against their least common multiple.
 
-    Built in one pass over both term maps as f*(l/lm_f)/lc_f - g*(l/lm_g)/lc_g,
-    where l is the lcm of the two leading monomials.
+    f*(l/lm_f)/lc_f - g*(l/lm_g)/lc_g, where l is the lcm of the two leading
+    monomials, formed on packed terms by the kernel Buchberger runs
+    (`_s_pair`), with integral coefficients as ints.  No term has a degree
+    above l's, at most twice the larger degree of f and g.
     """
-    fm, fc = leading_term(f)
-    gm, gc = leading_term(g)
-    l = tuple(map(max, fm, gm))
-    u = _mono_sub(l, fm)
-    res = {tuple(map(add, u, m)): c if fc == 1 else div(c, fc)
-           for m, c in f.terms.items()}
-    u = _mono_sub(l, gm)
-    for m, c in g.terms.items():
-        m = tuple(map(add, u, m))
-        s = res.get(m, 0) - (c if gc == 1 else div(c, gc))
+    pk = _Packing(len(f.variables), _width(2 * _top_degree((f, g))))
+    a, b = (pk.divisor(pk.pack(p.terms)) for p in (f, g))
+    lcm = sum(map(mul, map(max, pk.monomial(a[1]), pk.monomial(b[1])), pk.weights))
+    return pk.unpack(f.variables, _s_pair(a, b, lcm).items())
+
+
+def _s_pair(f, g, lcm):
+    """Packed S-polynomial of two monic divisor triples whose leading
+    monomials divide the key `lcm`.
+
+    Each tail is shifted by lcm minus its leading key, one addition per
+    term, and g's is subtracted from f's; the leading terms cancel, so
+    neither is formed.
+    """
+    q = lcm - f[1]
+    work = {m + q: c for m, c in f[2]}
+    q = lcm - g[1]
+    for m, c in g[2]:
+        m += q
+        s = work.get(m, 0) - c
         if s:
-            res[m] = s
+            work[m] = s
         else:
-            del res[m]
-    return Polynomial._raw(f.variables, res)
+            del work[m]
+    return work
 
 
 class _FieldOverflow(Exception):
@@ -142,6 +148,11 @@ class _Packing:
         lc = terms[lm]
         tail = [(m, c if lc == 1 else div(c, lc)) for m, c in terms.items() if m != lm]
         return -lm & self.mask, lm, tail
+
+    def monomial(self, key):
+        """Exponent tuple of a packed key."""
+        v = -key & self.mask
+        return tuple([(v >> s) & self.fmask for s in self.shifts])
 
     def unpack(self, variables, items):
         """Polynomial of (key, coefficient) pairs, integral coefficients as ints."""
@@ -287,16 +298,20 @@ def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     SPairBudgetExceeded once more than `spair_budget` pairs have been taken
     off the heap, skipped ones included.
 
-    Reduction and autoreduction run on exponent vectors packed into one int
-    each (`_Packing`; Monagan & Pearce 2007): a product is an addition and a
-    divisibility test a subtraction and a mask.  Each element is packed once,
-    when it joins.  The first fields hold twice the largest generator degree.
-    No term of an S-polynomial or of its reduction has a degree above the
-    pair's lcm degree, so a pair whose lcm degree reaches the fields' limit
-    first widens them in place: the basis is packed again into fields that
-    hold twice that degree, and the call goes on with the pairs it has.  One
-    call takes each pair once, and `s_polynomial` is called once per reduced
-    pair.
+    The whole run is on exponent vectors packed into one int each
+    (`_Packing`; Monagan & Pearce 2007): a product is an addition and a
+    divisibility test a subtraction and a mask.  A generator is packed from
+    its term map and made monic there, and an element stays packed from its
+    join until the reduced basis is output, one `Polynomial` per element of
+    that basis.  The leading monomials that the pair heap and the criteria
+    read are decoded from the leading keys.  Each reduced pair's
+    S-polynomial is formed on the two packed elements by `_s_pair`.  The
+    first fields hold twice the largest generator degree.  No term of an
+    S-polynomial or of its reduction has a degree above the pair's lcm
+    degree, so a pair whose lcm degree reaches the fields' limit first
+    widens them in place: each element is decoded from the old fields and
+    packed into fields that hold twice that degree, and the call goes on
+    with the pairs it has.  One call takes each pair once.
 
     `certified_dimension` runs the same loop against a dimension floor; it
     tests the floor on the generators before the loop starts, and inside it
@@ -312,12 +327,12 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     dimension of its leading monomials bounds dim I from above (dim R/I =
     dim R/LT(I); Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
     ch. 9 §3).  The generators are such a G, so the bound is tested first on
-    their leading monomials, before any packing, monic copy or pair is
-    built.  Buchberger, the same single pass as `buchberger`, then tests it
-    again after each join whose leading monomial has a new minimal support
-    (no support already present lies inside it): only such a join can lower
-    it.  Once the bound meets `floor` the dimension is exact and the call
-    returns (floor, None) with no basis.  Otherwise it returns
+    their leading monomials, before any packing or pair is built.
+    Buchberger, the same single pass as `buchberger`, then tests it again
+    after each join whose leading monomial has a new minimal support (no
+    support already present lies inside it): only such a join can lower it.
+    Once the bound meets `floor` the dimension is exact and the call returns
+    (floor, None) with no basis.  Otherwise it returns
     (ideal_dimension(basis), basis) with the reduced basis that
     `buchberger` builds.  A `floor` of None means no floor: the call is
     `buchberger` itself, and returns the basis.  `spair_budget` counts every
@@ -340,15 +355,16 @@ def _buchberger(ideal, spair_budget, floor):
     variables, nvars = ideal.variables, len(ideal.variables)
     pk = _Packing(nvars, _width(2 * _top_degree(ideal.generators)))
     guards, weights, mask = pk.guards, pk.weights, pk.mask
-    basis, lms, packed, pairs, taken = [], [], [], [], set()
+    lms, packed, pairs, taken = [], [], [], set()
     supports = []  # the inclusion-minimal leading-monomial supports, as bitmasks
     bits = [1 << i for i in range(nvars)]
 
-    def join(p, lm, d):
-        # with a floor, True when the support of lm is a new minimal one
+    def join(d):
+        # with a floor, True when the support of the leading monomial is a
+        # new minimal one
+        lm = pk.monomial(d[1])
         for i, a in enumerate(lms):
             heappush(pairs, (sum(map(max, a, lm)), i, len(lms)))
-        basis.append(p)
         lms.append(lm)
         packed.append(d)
         if floor is None:
@@ -361,9 +377,7 @@ def _buchberger(ideal, spair_budget, floor):
         return True
 
     for g in ideal.generators:
-        lm, lc = leading_term(g)
-        p = Polynomial._raw(variables, {m: div(c, lc) for m, c in g.terms.items()})
-        join(p, lm, pk.divisor(pk.pack(p.terms)))
+        join(pk.divisor(pk.pack(g.terms)))
     processed = 0
     while pairs:
         degree, i, j = heappop(pairs)
@@ -377,26 +391,23 @@ def _buchberger(ideal, spair_budget, floor):
             continue
         # each field of the lcm is one of a packed leading monomial's, so
         # the view fits at any width
-        lv = -sum(map(mul, map(max, a, b), weights)) & mask
+        lcm = sum(map(mul, map(max, a, b), weights))
+        lv = -lcm & mask
         if any(not (lv - d[0]) & guards and k != i and k != j
                and (min(i, k), max(i, k)) in taken and (min(j, k), max(j, k)) in taken
                for k, d in enumerate(packed)):
             continue
         if degree >= pk.limit:
             # the S-polynomial and its reduction stay within the lcm degree
-            pk = _Packing(nvars, _width(2 * degree))
+            old, pk = pk, _Packing(nvars, _width(2 * degree))
             guards, weights, mask = pk.guards, pk.weights, pk.mask
-            packed[:] = [pk.divisor(pk.pack(p.terms)) for p in basis]
-        work = pk.pack(s_polynomial(basis[i], basis[j]).terms)
-        if not work:
-            continue
-        r = _remainder(work, packed, pk)
-        if r:
-            d = pk.divisor(r)
-            p = pk.unpack(variables, [(d[1], 1), *d[2]])
-            if (join(p, next(iter(p.terms)), d)
-                    and _dimension(lms, nvars) == floor):
-                return None
+            packed[:] = [pk.divisor(pk.pack({old.monomial(m): c
+                                             for m, c in [(lm, 1), *tail]}))
+                         for _, lm, tail in packed]
+            lcm = sum(map(mul, map(max, a, b), weights))
+        r = _remainder(_s_pair(packed[i], packed[j], lcm), packed, pk)
+        if r and join(pk.divisor(r)) and _dimension(lms, nvars) == floor:
+            return None
     # autoreduction: keep the elements whose leading monomial no smaller one
     # divides; no other leading monomial then divides theirs, so one pass of
     # tail reduction leaves every element reduced
@@ -407,12 +418,11 @@ def _buchberger(ideal, spair_budget, floor):
     if len(minimal) > 1:
         for k in minimal:
             v, lm, tail = packed[k]
-            tail = dict(tail)
             rem = _remainder(dict(tail), [packed[q] for q in minimal if q != k], pk)
-            if rem != tail:
-                packed[k] = v, lm, list(rem.items())
-                basis[k] = pk.unpack(variables, [(lm, 1), *packed[k][2]])
-    return GroebnerBasis(variables, tuple(basis[k] for k in reversed(minimal)))
+            packed[k] = v, lm, rem.items()
+    return GroebnerBasis(variables, tuple(
+        pk.unpack(variables, [(packed[k][1], 1), *packed[k][2]])
+        for k in reversed(minimal)))
 
 
 def ideal_dimension(gb):

@@ -1005,18 +1005,18 @@ class TestLedgerWork:
         # lower ideal's from its k + 1 distinct 1-minors (Krull), which
         # their own leading monomials meet, so no Buchberger run starts; the
         # vertex chart's minors are homogeneous, so no weight simplex runs
-        run, s_polynomial = grobner._buchberger, grobner.s_polynomial
+        run, s_pair = grobner._buchberger, grobner._s_pair
 
         def counted_run(*args):
             counts["runs"] += 1
             return run(*args)
 
-        def counted_s_polynomial(*args):
-            counts["s_polynomial"] += 1
-            return s_polynomial(*args)
+        def counted_s_pair(*args):
+            counts["s_pair"] += 1
+            return s_pair(*args)
 
         monkeypatch.setattr(grobner, "_buchberger", counted_run)
-        monkeypatch.setattr(grobner, "s_polynomial", counted_s_polynomial)
+        monkeypatch.setattr(grobner, "_s_pair", counted_s_pair)
         path = tmp_path / f"hankel_2x{k}.json"
         path.write_text(json.dumps({
             "schema_version": 1, "variables": [f"x{i}" for i in range(k + 2)],

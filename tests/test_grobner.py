@@ -258,10 +258,7 @@ def _scan_monic(f, key):
 
 
 def _scan_s_polynomial(f, g, key):
-    # grevlex S-polynomials come from the library, so that recording_s_pairs
-    # sees them; other keys get (l / lm_f) * f / lc_f - (l / lm_g) * g / lc_g
-    if key is _grevlex_key:
-        return grobner.s_polynomial(f, g)
+    """(l / lm_f) * f / lc_f - (l / lm_g) * g / lc_g, by Polynomial arithmetic."""
     (fm, fc), (gm, gc) = _scan_lead(f, key), _scan_lead(g, key)
     l = tuple(map(max, fm, gm))
     return (Polynomial(f.variables, {_mono_sub(l, fm): Fraction(1) / fc}) * f
@@ -354,15 +351,35 @@ ORACLE_PAIR_CAP = 400
 
 
 def recording_s_pairs(run, *args):
-    """Result of run(*args) and the (f, g) of every S-polynomial it formed."""
-    calls = []
+    """Result of run(*args) and the term maps of the (f, g) of every
+    S-polynomial it formed.
 
-    def recording(f, g):
-        calls.append((f, g))
-        return s_polynomial(f, g)
+    Buchberger forms them with the packed kernel `_s_pair`, whose monic
+    elements are decoded with the packing built last; the reference forms
+    them with `_scan_s_polynomial`.
+    """
+    calls, packings = [], []
 
+    def packing(nvars, width):
+        packings.append(Packing(nvars, width))
+        return packings[-1]
+
+    def kernel(f, g, lcm):
+        pk = packings[-1]
+        calls.append(tuple({pk.monomial(m): c for m, c in [(key, 1), *tail]}
+                           for _, key, tail in (f, g)))
+        return s_pair(f, g, lcm)
+
+    def scan(f, g, key):
+        calls.append((f.terms, g.terms))
+        return scan_s_polynomial(f, g, key)
+
+    Packing, s_pair, scan_s_polynomial = (grobner._Packing, grobner._s_pair,
+                                          _scan_s_polynomial)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(grobner, "s_polynomial", recording)
+        patch.setattr(grobner, "_Packing", packing)
+        patch.setattr(grobner, "_s_pair", kernel)
+        patch.setattr(sys.modules[__name__], "_scan_s_polynomial", scan)
         return run(*args), calls
 
 
@@ -388,6 +405,33 @@ def test_packing_rejects_a_monomial_past_its_fields():
     assert len(pk.pack({(3, 4): 1, (0, 7): 2})) == 2
     with pytest.raises(grobner._FieldOverflow):
         pk.pack({(1, 0): 1, (4, 4): 1})
+
+
+def rational_polynomials(variables):
+    """Nonzero polynomials with exponents up to 2 and coefficients +-1 or +-3
+    over 1 or 2."""
+    exponents = st.tuples(*[st.integers(min_value=0, max_value=2)] * len(variables))
+    coefficients = st.builds(Fraction, st.sampled_from((-3, -1, 1, 3)),
+                             st.sampled_from((1, 2)))
+    return st.dictionaries(exponents, coefficients, min_size=1, max_size=4).map(
+        lambda terms: Polynomial(variables, terms))
+
+
+class TestSPolynomial:
+    def test_integral_coefficients_are_ints(self):
+        # the halves of x*y^2*z cancel to 1, which stays an int
+        f = Polynomial(XYZ, {(1, 2, 1): Fraction(3, 2), (0, 2, 1): Fraction(1, 2),
+                             (0, 0, 2): -3})
+        g = Polynomial(XYZ, {(2, 0, 1): Fraction(3, 2), (1, 1, 1): 3, (1, 0, 1): -1})
+        s = s_polynomial(f, g)
+        assert s == parse_polynomial("x*y^2*z - 2*x*y^3*z - 2*x*z^2", XYZ)
+        assert type(s.terms[(1, 2, 1)]) is int
+
+    @given(rational_polynomials(XYZ), rational_polynomials(XYZ))
+    def test_matches_polynomial_arithmetic(self, f, g):
+        s = s_polynomial(f, g)
+        assert s == _scan_s_polynomial(f, g, _grevlex_key)
+        assert all(type(c) is int or c.denominator != 1 for c in s.terms.values())
 
 
 class TestBuchbergerOracle:
@@ -439,13 +483,19 @@ class TestBuchbergerWork:
         assert basis.polynomials == expected
         assert calls == expected_calls
 
-    # the first fields hold twice the largest generator degree; this basis
-    # needs more, so the call widens them in place and goes on with its pairs
-    @pytest.mark.parametrize("texts,variables", [
-        (("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"), XYZ),
-    ], ids=["grevlex-s-polynomial"])
-    def test_field_overflow_widens_in_place(self, texts, variables):
-        ideal_ = ideal(texts, variables)
+    # the first fields hold twice the largest generator degree; these bases
+    # need more, so the call widens them in place and goes on with its pairs.
+    # The second case keeps the first one's supports, with coefficients drawn
+    # by random.Random(1) from +-1 and +-3 over 1 or 2, and its basis holds
+    # Fractions
+    @pytest.mark.parametrize("gens", [
+        polys(("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"), XYZ),
+        [Polynomial(XYZ, {(3, 0, 0): 3, (0, 1, 2): 3}),
+         Polynomial(XYZ, {(1, 2, 0): Fraction(-1, 2), (1, 0, 2): 3}),
+         Polynomial(XYZ, {(0, 3, 0): 1, (0, 0, 3): Fraction(-1, 2)})],
+    ], ids=["grevlex-s-polynomial", "fractions"])
+    def test_field_overflow_widens_in_place(self, gens):
+        ideal_ = Ideal(XYZ, gens)
         popped = []
 
         def counted_heappop(heap):

@@ -12,6 +12,7 @@ from pathlib import Path
 from conftest import fixture_path
 
 from detsing import grobner
+from detsing.polyalg import parse_polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
@@ -182,9 +183,14 @@ def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):
         # chart basis of groebner --ideal minors does
         chart, _, _ = run_cli("groebner", fixture_path("twisted_cubic.json"),
                               "--ideal", "minors")
+        # Buchberger forms its S-polynomials on packed terms, so the public
+        # wrapper the tracer names is called here
+        s = grobner.s_polynomial(*(parse_polynomial(t, ("x", "y"))
+                                   for t in ("x^2 - y", "x*y - 1")))
     finally:
         tracer.restore()
     assert code == chart == 0
+    assert str(s) == "-y^2 + x"
     names = {span[0] for span in tracer.spans}
     assert {"detvar.classify", "grobner.s_polynomial",
             "indexcalc.cstar_fixed_points"} <= names
@@ -228,3 +234,32 @@ def test_alternate_bench_summary_of_canned_runs():
         "change attempted 2200 failed 0 peak_rss_mb 20.60"]
     # one pair has no spread: its quartiles are its value
     assert bench.quartiles([2.0]) == (2.0, 2.0, 2.0)
+
+
+def test_command_times_summary_of_canned_timings():
+    # no timed run here: the medians of canned seconds per command, slowest
+    # first, with the tail and the one or two middle commands marked
+    spec = importlib.util.spec_from_file_location(
+        "command_times", TOOLS / "command_times.py")
+    times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(times)
+    runs = {"analyze a": [0.0010, 0.0012, 0.0011],
+            "groebner b": [0.0023, 0.0021, 0.0022],
+            "analyze c": [0.0004, 0.0005, 0.0006]}
+    assert times.summarize(runs) == [
+        "    2.200  groebner b  <- op_ms_tail",
+        "    1.100  analyze a  <- op_ms_p50",
+        "    0.500  analyze c",
+        "op_ms_p50 1.100 op_ms_tail 2.200"]
+    # with an even count the p50 is the mean of the two middle medians
+    runs["verify d"] = [0.0003]
+    assert times.summarize(runs) == [
+        "    2.200  groebner b  <- op_ms_tail",
+        "    1.100  analyze a  <- op_ms_p50",
+        "    0.500  analyze c  <- op_ms_p50",
+        "    0.300  verify d",
+        "op_ms_p50 0.800 op_ms_tail 2.200"]
+    # one command sets both
+    assert times.summarize({"only": [0.001]}) == [
+        "    1.000  only  <- op_ms_tail  <- op_ms_p50",
+        "op_ms_p50 1.000 op_ms_tail 1.000"]
