@@ -27,7 +27,7 @@ from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
                         LedgerEntry, LedgerError, SingularPointRecord,
                         cstar_fixed_points, defect, defect_known,
                         global_identity)
-from .polyalg import PolyMatrix, minors, parse_polynomial
+from .polyalg import PolyMatrix, is_variable_name, minors, parse_polynomial
 from .topo import UnsupportedDimensionError
 
 EXIT_OK = 0
@@ -134,9 +134,7 @@ def load_input(path):
             or not all(isinstance(v, str) for v in variables)):
         raise InputError("variables must be a nonempty list of strings")
     for i, v in enumerate(variables):
-        # one name token of the entry grammar (`polyalg._tokenize`)
-        if not (v[:1].isalpha() or v[:1] == "_") or not all(
-                c.isalnum() or c == "_" for c in v[1:]):
+        if not is_variable_name(v):
             raise InputError(f"variables[{i}]: {v!r} is not a variable name: "
                              "a letter or '_', then letters, digits or '_'")
     if len(set(variables)) != len(variables):

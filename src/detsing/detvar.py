@@ -263,22 +263,33 @@ def lower_locus_generators(matrix, t):
     return list(dict.fromkeys(g for g in minors(matrix, t - 1) if g))
 
 
+def _coordinates(model, point):
+    """The exact coordinates of a point, one per variable of the model.
+
+    The point is a ProjectivePoint or a sequence of ints and Fractions; a
+    projective point may be any rational representative.  ValueError when
+    the count is not the model's variable count, and then when the model is
+    projective and every coordinate is zero.
+    """
+    if isinstance(point, ProjectivePoint):
+        point = point.coords
+    coords = [exact(x) for x in point]
+    if len(coords) != len(model.variables):
+        raise ValueError("point length does not match the variable count")
+    if model.ambient.kind == PROJECTIVE and not any(coords):
+        raise ValueError("projective point needs a nonzero coordinate")
+    return coords
+
+
 def is_point_on_variety(model, point):
     """Locate a point against the rank stratification of the model.
 
     Rank >= t means outside the variety, rank <= t - 2 lands in the lower
     stratum (an essential singular point candidate), and rank t - 1 is the
-    smooth stratum.  Projective points may be given by any rational
-    representative.
+    smooth stratum.  The point is checked and read by `_coordinates`, so a
+    projective point may be given by any rational representative.
     """
-    if isinstance(point, ProjectivePoint):
-        point = point.coords
-    point = [exact(x) for x in point]
-    if len(point) != len(model.variables):
-        raise ValueError("point length does not match the variable count")
-    if model.ambient.kind == PROJECTIVE and not any(point):
-        raise ValueError("projective point needs a nonzero coordinate")
-    rank = rank_at_point(model.matrix, point)
+    rank = rank_at_point(model.matrix, _coordinates(model, point))
     if rank >= model.t:
         return PointLocation(OUTSIDE, rank)
     if rank <= model.t - 2:
@@ -370,19 +381,6 @@ def _divide_linear(coeffs, p, q):
     return quo
 
 
-def _excluded(values, p, q):
-    """Whether the values (f(1), f(-1)) of an integer polynomial f rule out
-    the root p/q, gcd(p, q) = 1.
-
-    A root makes f = (q*x - p) * g with g integral, by Gauss's lemma, so
-    q - p divides f(1) = (q - p) * g(1) and q + p divides
-    f(-1) = -(q + p) * g(-1); a zero divisor asks for a zero value.
-    """
-    at_one, at_minus_one = values
-    return ((at_one % (q - p) if q != p else at_one)
-            or (at_minus_one % (q + p) if q != -p else at_minus_one))
-
-
 def _rational_roots(coeffs):
     """Distinct rational roots, ascending, of a nonzero univariate polynomial.
 
@@ -391,14 +389,14 @@ def _rational_roots(coeffs):
     coefficients are scaled to their primitive integer multiple and every
     candidate of the rational root theorem is divided out as often as it
     divides, until a quadratic or linear factor is left, whose roots are
-    read off directly, whatever their size.  A candidate is tried by
-    division only when the values at 1 and -1 admit it (`_excluded`); every
-    candidate generated counts against the limit.  The candidate search, needed
-    only when more than a quadratic is left after the zero roots, raises
-    ResourceLimitExceeded when the constant or leading coefficient exceeds
-    MAX_ROOT_COEFFICIENT, and after MAX_ROOT_CANDIDATES candidates.  The
-    last entry of `coeffs` is nonzero, since the one caller passes a monic
-    eliminant, so no trailing zeros are stripped.
+    read off directly, whatever their size.  Each candidate is tried by
+    exact division (`_divide_linear`) and counts against the limit.  The
+    candidate search, needed only when more than a quadratic is left after
+    the zero roots, raises ResourceLimitExceeded when the constant or
+    leading coefficient exceeds MAX_ROOT_COEFFICIENT, and after
+    MAX_ROOT_CANDIDATES candidates.  The last entry of `coeffs` is nonzero,
+    since the one caller passes a monic eliminant, so no trailing zeros are
+    stripped.
     """
     work = primitive(coeffs)
     if len(work) <= 1:
@@ -417,8 +415,6 @@ def _rational_roots(coeffs):
                 f"{MAX_ROOT_COEFFICIENT} on the constant and leading coefficients")
         ps, qs = _divisors(work[0]), _divisors(work[-1])
         candidates = _root_candidates(ps, qs)
-        # f(1) and f(-1), kept for `_excluded`
-        values = sum(work), sum(work[::2]) - sum(work[1::2])
     tried = 0
     while len(work) > 3:
         pq = next(candidates, None)
@@ -430,8 +426,6 @@ def _rational_roots(coeffs):
                 "rational-root search exceeded its limit of "
                 f"{MAX_ROOT_CANDIDATES} candidates")
         p, q = pq
-        if _excluded(values, p, q):
-            continue
         quo = _divide_linear(work, p, q)
         if quo is not None:
             roots.append(Fraction(p, q))
@@ -440,8 +434,7 @@ def _rational_roots(coeffs):
             # divisors are among those already found; and none below |p| is
             # a root
             while quo is not None:
-                work, values = quo, (sum(quo), sum(quo[::2]) - sum(quo[1::2]))
-                quo = None if _excluded(values, p, q) else _divide_linear(work, p, q)
+                work, quo = quo, _divide_linear(quo, p, q)
             ps = [d for d in ps if d >= abs(p) and work[0] % d == 0]
             qs = [d for d in qs if work[-1] % d == 0]
             candidates = _root_candidates(ps, qs)
@@ -463,7 +456,7 @@ def _rational_roots(coeffs):
 
 
 def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
-    """All rational points of a finite affine zero set.
+    """All rational points of a finite affine zero set, in ascending order.
 
     Returns (points, complete); complete is False when non-rational points
     may exist (an eliminant fails to split over the rationals) or when the
@@ -479,10 +472,12 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
     and O'Shea, Using Algebraic Geometry, ch. 2 section 4).  G' is solved
     once, and its elements, projected by `Polynomial.eliminate`, are its
     own reduced basis: they generate its ideal and were a reduced basis
-    already.  Otherwise each root is substituted into every generator by
-    `Polynomial.eliminate`, and the system left is solved in the other
-    variables; a generator in the last variable alone, a multiple of e,
-    becomes zero.
+    already.  Its points, ascending, each take the ascending distinct roots
+    in turn, so the product comes out in lexicographic order as built.
+    Otherwise each root is substituted into every generator by
+    `Polynomial.eliminate`, the system left is solved in the other
+    variables, and the points of all roots are sorted; a generator in the
+    last variable alone, a multiple of e, becomes zero.
     """
     gens = tuple(dict.fromkeys(g for g in gens if g))
     if any(g.total_degree() == 0 for g in gens):
@@ -506,7 +501,7 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
                        if p is not with_last[0])
         points, rest_complete = _solve_zero_dimensional(
             others, rest, spair_budget, GroebnerBasis(rest, others))
-        return ([pt + (r,) for r in roots for pt in points],
+        return ([pt + (r,) for pt in points for r in roots],
                 complete and rest_complete)
     points = []
     for r in roots:
@@ -514,7 +509,7 @@ def _solve_zero_dimensional(gens, variables, spair_budget, basis=None):
             [g.eliminate({last: r}) for g in gens], rest, spair_budget)
         complete = complete and sub_complete
         points.extend(pt + (r,) for pt in sub_points)
-    return points, complete
+    return sorted(points), complete
 
 
 def _projective_points(gens, variables, spair_budget):
@@ -581,19 +576,17 @@ def _chart_point(model, point):
     """The point's chart index and offsets: (chart, offsets).
 
     A projective point is dehomogenized at its first nonzero coordinate,
-    `chart`, which is set to 1; an affine point has the chart None.  The
-    chart is centred by the rational `offsets`, one per chart variable.
+    `chart`, which is set to 1: each other coordinate is divided by it,
+    and these ratios are the same for every representative of the point.
+    An affine point has the chart None.  The chart is centred by the
+    rational `offsets`, one per chart variable.  The coordinates come from
+    `_coordinates`, which checks them.
     """
+    coords = _coordinates(model, point)
     if model.ambient.kind == PROJECTIVE:
-        pt = point if isinstance(point, ProjectivePoint) else ProjectivePoint.from_fractions(point)
-        if len(pt.coords) != len(model.variables):
-            raise ValueError("point length does not match the variable count")
-        i = pt.chart_index()
-        return i, [div(c, pt.coords[i]) for j, c in enumerate(pt.coords) if j != i]
-    offsets = [exact(x) for x in point]
-    if len(offsets) != len(model.variables):
-        raise ValueError("point length does not match the variable count")
-    return None, offsets
+        i = next(i for i, c in enumerate(coords) if c)
+        return i, [div(c, coords[i]) for j, c in enumerate(coords) if j != i]
+    return None, coords
 
 
 def _chart_frame(model, chart):
@@ -720,17 +713,6 @@ def chart_ideal(model, point, memo=None):
                       tuple(filter(None, minors(m, model.t, products))))
 
 
-def _sorted_points(points):
-    """Rational coordinate tuples in ascending order, as `sorted` gives.
-
-    Each coordinate is compared as an integer: scaled by the lcm of the
-    denominators in its column, which keeps the order of the column.
-    """
-    scales = [lcm(*(x.denominator for x in column)) for column in zip(*points)]
-    return sorted(points, key=lambda pt: [
-        x.numerator * (s // x.denominator) for x, s in zip(pt, scales)])
-
-
 def lower_stratum_points(model, spair_budget):
     """Rational points of the rank <= t - 2 stratum, the singular locus.
 
@@ -738,12 +720,13 @@ def lower_stratum_points(model, spair_budget):
     dimension of the (t - 1)-minors ideal and gb_low its reduced basis, or
     None when the model's dimension floor certified dim_low before the
     basis was complete (`_dimension_floor`).  The points are enumerated
-    when that stratum is finite, sorted, as ProjectivePoints or affine
-    tuples: in affine mode when dim_low is 0, by `_solve_zero_dimensional`
-    from gb_low, or from a basis it builds when gb_low is None (a product
-    of root lists where that basis splits), sorted on exact integer keys
-    (`_sorted_points`), and for a projective cone when
-    dim_low is 1, by the cell search of `_projective_points`.  A projective
+    when that stratum is finite, in ascending order, as ProjectivePoints or
+    affine tuples: in affine mode when dim_low is 0, by
+    `_solve_zero_dimensional` from gb_low, or from a basis it builds when
+    gb_low is None (a product of root lists where that basis splits), which
+    returns them in order; and for a projective cone when dim_low is 1, by
+    the cell search of `_projective_points`, sorted on their normalized
+    integer coordinates.  A projective
     dim_low of 0 leaves only the origin, so no point.  exact is False when
     non-rational or infinitely many points may be missing from the list.
     """
@@ -760,7 +743,6 @@ def lower_stratum_points(model, spair_budget):
     elif not projective and dim_low == 0:
         points, exact = _solve_zero_dimensional(lower_gens, model.variables,
                                                 spair_budget, gb_low)
-        points = _sorted_points(points)
     return tuple(points), exact, dim_low, gb_low
 
 

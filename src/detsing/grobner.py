@@ -315,7 +315,7 @@ def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
 
     `certified_dimension` runs the same loop against a dimension floor; it
     tests the floor on the generators before the loop starts, and inside it
-    only after joins.
+    after each join.
     """
     return _buchberger(ideal, spair_budget, None)
 
@@ -329,10 +329,11 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     ch. 9 §3).  The generators are such a G, so the bound is tested first on
     their leading monomials, before any packing or pair is built.
     Buchberger, the same single pass as `buchberger`, then tests it again
-    after each join whose leading monomial has a new minimal support (no
-    support already present lies inside it): only such a join can lower it.
-    Once the bound meets `floor` the dimension is exact and the call returns
-    (floor, None) with no basis.  Otherwise it returns
+    after each join.  Only a join whose leading monomial has a new minimal
+    support (no support already present lies inside it) can lower the
+    bound, so testing every join stops at the same join as testing those
+    alone would.  Once the bound meets `floor` the dimension is exact and
+    the call returns (floor, None) with no basis.  Otherwise it returns
     (ideal_dimension(basis), basis) with the reduced basis that
     `buchberger` builds.  A `floor` of None means no floor: the call is
     `buchberger` itself, and returns the basis.  `spair_budget` counts every
@@ -356,25 +357,13 @@ def _buchberger(ideal, spair_budget, floor):
     pk = _Packing(nvars, _width(2 * _top_degree(ideal.generators)))
     guards, weights, mask = pk.guards, pk.weights, pk.mask
     lms, packed, pairs, taken = [], [], [], set()
-    supports = []  # the inclusion-minimal leading-monomial supports, as bitmasks
-    bits = [1 << i for i in range(nvars)]
 
     def join(d):
-        # with a floor, True when the support of the leading monomial is a
-        # new minimal one
         lm = pk.monomial(d[1])
         for i, a in enumerate(lms):
             heappush(pairs, (sum(map(max, a, lm)), i, len(lms)))
         lms.append(lm)
         packed.append(d)
-        if floor is None:
-            return False
-        s = sum(compress(bits, lm))
-        if any(m & s == m for m in supports):
-            return False
-        supports[:] = [m for m in supports if m & s != s]
-        supports.append(s)
-        return True
 
     for g in ideal.generators:
         join(pk.divisor(pk.pack(g.terms)))
@@ -406,8 +395,10 @@ def _buchberger(ideal, spair_budget, floor):
                          for _, lm, tail in packed]
             lcm = sum(map(mul, map(max, a, b), weights))
         r = _remainder(_s_pair(packed[i], packed[j], lcm), packed, pk)
-        if r and join(pk.divisor(r)) and _dimension(lms, nvars) == floor:
-            return None
+        if r:
+            join(pk.divisor(r))
+            if floor is not None and _dimension(lms, nvars) == floor:
+                return None
     # autoreduction: keep the elements whose leading monomial no smaller one
     # divides; no other leading monomial then divides theirs, so one pass of
     # tail reduction leaves every element reduced

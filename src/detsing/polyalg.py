@@ -413,6 +413,15 @@ def _tokenize(text):
     return tokens
 
 
+def is_variable_name(text):
+    """Whether `text` reads as exactly one name token of the entry grammar
+    (`_tokenize`); text that does not tokenize is no name."""
+    try:
+        return [t[:2] for t in _tokenize(text)] == [("name", text), ("end", None)]
+    except ParseError:
+        return False
+
+
 class _Parser:
     """Recursive descent straight into term maps with int coefficients.
 

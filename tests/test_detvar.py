@@ -447,29 +447,9 @@ class TestRationalRoots:
         assert detvar._divisors(n) == trial_divisors(n)
         assert detvar._divisors(-n) == trial_divisors(n)
 
-    def test_values_at_one_and_minus_one_cut_the_division_trials(self, monkeypatch):
-        # a grid side's eliminant, (x + 3) (2x + 1) (3x - 2) (x - 1) (2x - 5),
-        # made monic: a candidate p/q is divided only when q - p divides
-        # f(1) and q + p divides f(-1), 7 trials where dividing by every
-        # candidate takes 19
-        trials = []
-        divide = detvar._divide_linear
-
-        def counted(coeffs, p, q):
-            trials.append(Fraction(p, q))
-            return divide(coeffs, p, q)
-
-        monkeypatch.setattr(detvar, "_divide_linear", counted)
-        coeffs = _product(_product(_product([3, 1], [1, 2]), _product([-2, 3], [-1, 1])),
-                          [-5, 2])
-        roots, complete = _rational_roots([c / coeffs[-1] for c in coeffs])
-        assert roots == [Fraction(-3), Fraction(-1, 2), Fraction(2, 3), Fraction(1),
-                         Fraction(5, 2)] and complete
-        assert len(trials) == 7
-
     def test_roots_one_and_minus_one_pass_the_zero_divisor_test(self):
-        # q - p = 0 for the root 1 and q + p = 0 for -1: the filter asks for
-        # f(1) = 0 and f(-1) = 0, also for the quotients of repeated roots
+        # the roots 1 (q - p = 0) and -1 (q + p = 0), three and two times:
+        # each is divided out as often as it divides, and x^2 + 2 is left
         coeffs = _product(_product(_product([-1, 1], [-1, 1]), _product([-1, 1], [1, 1])),
                           _product(_product([1, 1], [-2, 1]), [2, 0, 1]))
         assert _rational_roots(coeffs) == ([Fraction(-1), Fraction(1), Fraction(2)], False)
@@ -620,7 +600,7 @@ class TestZeroDimensionalSolver:
                 solver_work.clear()
                 got = _solve_zero_dimensional(gens, variables, 10_000)
                 substituted = solver_work["substitutions"] > 0
-                return (sorted(got[0]), got[1]) == (grid, split) and substituted == route
+                return got == (grid, split) and substituted == route
             return check
 
         for route in (True, False):
@@ -633,7 +613,7 @@ class TestZeroDimensionalSolver:
         # every F_i splits
         gens, variables, grid, split = system
         got = _solve_zero_dimensional(gens, variables, 10_000)
-        assert (sorted(got[0]), got[1]) == (grid, split)
+        assert got == (grid, split)
 
     @pytest.mark.parametrize("counts", [(1, 1, 1), (3, 2, 1), (2, 4, 5)])
     def test_split_grid_is_solved_once_per_variable(self, solver_work, counts):
@@ -646,7 +626,7 @@ class TestZeroDimensionalSolver:
                  for v, rs in zip(variables, roots)]
         gens = [parse_polynomial(t, variables) for t in texts]
         points, complete = detvar._solve_zero_dimensional(gens, variables, 10_000)
-        assert sorted(points) == sorted(product(*roots)) and complete
+        assert points == sorted(product(*roots)) and complete
         assert solver_work == Counter({"calls": 4})
 
     def test_unsplit_basis_substitutes_each_root(self, solver_work):
@@ -658,7 +638,7 @@ class TestZeroDimensionalSolver:
         gens = [parse_polynomial(t, variables)
                 for t in ("y - x^2", "x*(x - 1)*(x - 2)")]
         points, complete = detvar._solve_zero_dimensional(gens, variables, 10_000)
-        assert sorted(points) == [(0, 0), (1, 1), (2, 4)] and complete
+        assert points == [(0, 0), (1, 1), (2, 4)] and complete
         assert solver_work == Counter({"calls": 7, "substitutions": 3})
 
     @given(grid_systems(), st.data())
@@ -669,7 +649,7 @@ class TestZeroDimensionalSolver:
         repeats = data.draw(st.lists(st.sampled_from(gens), max_size=4))
         shuffled = data.draw(st.permutations(gens + repeats))
         got = _solve_zero_dimensional(shuffled, variables, 10_000)
-        assert (sorted(got[0]), got[1]) == (grid, split)
+        assert got == (grid, split)
 
     @given(grid_systems())
     def test_a_given_basis_serves_the_top_level_system(self, system):
@@ -689,7 +669,7 @@ class TestZeroDimensionalSolver:
             fresh_count = len(built)
             got = _solve_zero_dimensional(gens, variables, 10_000, basis)
         assert got == fresh
-        assert (sorted(got[0]), got[1]) == (grid, split)
+        assert got == (grid, split)
         assert len(built) - fresh_count == fresh_count - 1
 
 
@@ -950,6 +930,29 @@ class TestCharts:
         with pytest.raises(ValueError) as info:
             chart(model, point)
         assert str(info.value) == "point length does not match the variable count"
+
+    @pytest.mark.parametrize("coords", [(1, 2, 4, 8, 5), (0, 0, 0, 2, 3)])
+    def test_point_check_is_shared_and_takes_any_representative(self, coords):
+        # is_point_on_variety, chart_matrix and chart_ideal read a point
+        # through one check: a ProjectivePoint, its integer coordinates and
+        # a negative rational multiple locate and chart the same point
+        model = catalecticant_model()
+        representatives = [ProjectivePoint(coords), coords,
+                           tuple(Fraction(-2, 3) * c for c in coords)]
+        located = {(loc.kind, loc.rank) for loc in
+                   (is_point_on_variety(model, pt) for pt in representatives)}
+        assert located == {(SMOOTH_STRATUM, 1)}
+        assert len({chart_matrix(model, pt).entries for pt in representatives}) == 1
+        assert len({chart_ideal(model, pt).generators for pt in representatives}) == 1
+        # a point of the wrong length is reported as such even when every
+        # coordinate is zero; a zero point of the right length is no point
+        for point, message in [
+                ((0, 0, 0), "point length does not match the variable count"),
+                ((0, 0, 0, 0, 0), "projective point needs a nonzero coordinate")]:
+            for check in (is_point_on_variety, chart_matrix, chart_ideal):
+                with pytest.raises(ValueError) as info:
+                    check(model, point)
+                assert str(info.value) == message
 
     def test_equal_entries_shift_once(self, shift_calls):
         variables = ("x", "y")
@@ -1295,11 +1298,6 @@ class TestClassifyWork:
         assert len(json.loads(out)["classification"]["singular_points"]) == 16
         assert [len(ideal.generators) for ideal in runs] == [2]
         assert len(packings) == 1
-
-    @given(st.lists(st.tuples(small_fractions, small_fractions, small_fractions),
-                    max_size=12))
-    def test_integer_sort_keys_match_sorted(self, points):
-        assert detvar._sorted_points(points) == sorted(points)
 
     def test_rational_grid(self, shift_calls, chart_products):
         # the roots of f and of g have unlike denominators, but each entry

@@ -310,6 +310,17 @@ def test_cli_leaves_point_syntax_to_detvar():
     assert lines == [], f"cli.py imports re or fractions on lines {lines}"
 
 
+def test_cli_leaves_the_variable_name_rule_to_polyalg():
+    # `polyalg.is_variable_name` reads a name as the entry tokenizer does;
+    # the CLI makes no character test of its own
+    path = Path(detsing.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("isalpha", "isalnum")]
+    assert lines == [], f"cli.py tests name characters on lines {lines}"
+
+
 def _envelope_writes(node, keys):
     """Lines of `node` that write one of `keys` into a dict."""
     for sub in ast.walk(node):

@@ -15,6 +15,7 @@ from detsing.polyalg import (
     _det_cofactor,
     _product,
     _tokenize,
+    is_variable_name,
     minors,
     parse_polynomial,
     rank_at_point,
@@ -154,6 +155,16 @@ class TestParsing:
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError):
             poly("   ")
+
+    @pytest.mark.parametrize("text,name", [
+        ("x", True), ("_a1", True), ("x0_y", True), ("é", True),
+        ("", False), (" x", False), ("x ", False), ("x y", False),
+        ("2x", False), ("x+y", False), ("x$", False), ("1" * 5000, False),
+    ])
+    def test_a_variable_name_is_one_name_token(self, text, name):
+        # "x$" and the 5000-digit literal raise ParseError in the tokenizer,
+        # which reads as no name
+        assert is_variable_name(text) is name
 
     @given(polynomials(coefficients=small_integers))
     def test_str_round_trip(self, f):

@@ -1,6 +1,7 @@
 """The maintenance scripts under tools/ run as documented, and the
 benchmark's tracer still finds every function it wraps."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 from conftest import fixture_path
 
-from detsing import grobner
+from detsing import detvar, grobner
 from detsing.polyalg import parse_polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +97,27 @@ def test_line_sweep_lists_the_statements_no_test_runs(tmp_path):
                           "mod:24: except ValueError:",
                           "mod:25: return None",
                           "3 statements never ran"]
+
+
+def _body_lines(module, name):
+    """First lines of the statements directly in function `name`'s body."""
+    path = Path(module.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (node,) = [n for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.name == name]
+    return [stmt.lineno for stmt in node.body[1:]]  # after the docstring
+
+
+def test_traffic_sweep_lists_what_the_fixture_ops_leave_unrun(tmp_path):
+    # every fixture eliminant comes from a basis element in the last
+    # variable alone, so `_minimal_polynomial` never runs; `classify` does
+    lines = run_tool("traffic_sweep.py", "--workload", "fixtures",
+                     cwd=tmp_path).splitlines()
+    assert re.fullmatch(r"\d+ statements never ran", lines[-1])
+    listed = {line.split(" ", 1)[0] for line in lines[:-1]}
+    assert all(f"grobner:{n}:" in listed
+               for n in _body_lines(grobner, "_minimal_polynomial"))
+    assert f"detvar:{_body_lines(detvar, 'classify')[0]}:" not in listed
 
 
 def test_report_digest_of_a_model_repeats(tmp_path, run_cli):

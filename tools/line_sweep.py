@@ -63,11 +63,14 @@ def statements(source):
     return owner
 
 
-def sweep(owners):
-    """Run `pytest tests` under the tracer.
+def sweep(owners, run):
+    """Call `run`, with no arguments, under the tracer.
 
-    `owners` maps each traced file's path to its `statements`.  Returns
-    pytest's exit code and {path: first lines of the statements that ran}.
+    `owners` maps each traced file's path to its `statements`, and `run`
+    returns an exit code.  Returns that code and {path: first lines of the
+    statements that ran}.  The package's `src` directory is put on
+    `sys.path` first; `run` imports the package itself, so that its
+    module-level statements run under the tracer.
     """
     ran = {path: set() for path in owners}
     # {id(code): its statements not yet run}, empty for code outside the
@@ -104,18 +107,27 @@ def sweep(owners):
     threading.settrace(call)
     sys.settrace(call)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        code = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return int(code), ran
 
 
-def main():
+def run_tests():
+    """`pytest tests`, in this process; pytest's exit code."""
+    return pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+
+
+def main(run=run_tests):
+    """Print each statement that `run` leaves unrun, then their count.
+
+    Returns the exit code of `run` (see `sweep`).
+    """
     paths = sorted(PACKAGE.glob("*.py"))
     sources = {str(path): path.read_text(encoding="utf-8") for path in paths}
     owners = {path: statements(source) for path, source in sources.items()}
-    code, ran = sweep(owners)
+    code, ran = sweep(owners, run)
     missed = 0
     for path in paths:
         lines = sources[str(path)].splitlines()
