@@ -7,18 +7,15 @@ Run from any directory; the package is imported from this checkout's `src`.
 The ops of the three benchmark workloads, or of the one named, at seeds 7
 and 11, are built by `perfbench/workloads.build` (imported, not changed)
 into a temporary directory that is removed afterwards.  Each op runs once
-with `--json`, as the benchmark runs it, in this process through
-`detsing.cli.main`, under the tracer of `tools/line_sweep.py`.  It then
-prints `module:line: source` for every statement of `src/detsing` that no
-op ran, and their count, as that tool does.  A change confined to those
-statements cannot move any benchmark figure.  An op whose exit code or
-report differs from what its workload expects is named on standard error,
-and the exit code is then 1.
+with `--json` in this process through `detsing.cli.main`, by the
+benchmark's own `perfbench/run.run_in_process`, under the tracer of
+`tools/line_sweep.py`.  It then prints `module:line: source` for every
+statement of `src/detsing` that no op ran, and their count, as that tool
+does.  A change confined to those statements cannot move any benchmark
+figure.  An op whose exit code or report differs from what its workload
+expects is named on standard error, and the exit code is then 1.
 """
 
-import contextlib
-import io
-import json
 import shutil
 import sys
 import tempfile
@@ -28,36 +25,20 @@ from line_sweep import ROOT, main
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import WORKLOADS, build, check  # noqa: E402
+# `run_in_process` imports the package when it first runs, under the
+# tracer, so the package's module-level statements count as run
+from run import run_in_process  # noqa: E402
+from workloads import WORKLOADS, build  # noqa: E402
 
 SEEDS = (7, 11)
 
 
-def _report(stdout):
-    try:
-        report = json.loads(stdout)
-    except ValueError:
-        return None
-    return report if isinstance(report, dict) else None
-
-
 def run_ops(ops):
-    """Run each op through `detsing.cli.main`; 1 when one goes wrong, else 0.
-
-    The package is imported here, under the tracer, so that its
-    module-level statements count as run.
-    """
-    from detsing.cli import main as cli_main
-
+    """Run each op as the benchmark's in-process runs do; 1 when one goes
+    wrong, else 0."""
     failed = 0
     for op in ops:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli_main([*op.argv, "--json"])
-            except SystemExit as stop:
-                code = stop.code
-        problems = check(op, code, _report(out.getvalue()), err.getvalue())
+        *_, problems = run_in_process(op)
         if problems:
             failed = 1
             print(f"{op.label}: {'; '.join(problems)}", file=sys.stderr)
