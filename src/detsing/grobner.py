@@ -12,7 +12,7 @@ from operator import mul
 
 from . import _linalg
 from ._linalg import div, exact
-from .polyalg import Polynomial, _mono_sub
+from .polyalg import Polynomial, _mono_sub, _polynomial
 
 DEFAULT_SPAIR_BUDGET = 100_000
 
@@ -155,14 +155,13 @@ class _Packing:
         return tuple([(v >> s) & self.fmask for s in self.shifts])
 
     def unpack(self, variables, items):
-        """Polynomial of (key, coefficient) pairs, integral coefficients as ints."""
+        """Polynomial of (key, coefficient) pairs, built by `_polynomial`."""
         mask, fmask, shifts = self.mask, self.fmask, self.shifts
         terms = {}
         for m, c in items:
             v = -m & mask
-            terms[tuple([(v >> s) & fmask for s in shifts])] = (
-                c if type(c) is int else exact(c))
-        return Polynomial._raw(variables, terms)
+            terms[tuple([(v >> s) & fmask for s in shifts])] = c
+        return _polynomial(variables, terms)
 
 
 def _remainder(work, divisors, pk):

@@ -6,7 +6,10 @@ non-negative exponents aligned with an ordered variable list, and terms are
 kept against a fixed graded reverse lexicographic order so printing is
 deterministic.  Inputs (coefficients, points, offsets) are stored as ints
 where integral, and sums and products of ints stay ints; a `Fraction` comes
-only from a `Fraction` input or an exact division (`_linalg.div`).
+only from a `Fraction` input or an exact division (`_linalg.div`).  Every
+computed polynomial, a determinant included, is summed on plain term maps
+and built by `_polynomial`, the one place that makes integral coefficients
+ints.
 """
 
 from fractions import Fraction
@@ -23,10 +26,6 @@ def _grevlex_key(exps):
 
 def _mono_sub(a, b):
     return tuple(map(sub, a, b))
-
-
-def _exact_terms(terms):
-    return {m: exact(c) for m, c in terms.items()}
 
 
 def _product(a, b):
@@ -73,6 +72,18 @@ def _add_into(terms, other, negate=False):
             terms[m] = s
         else:
             del terms[m]
+
+
+def _polynomial(variables, terms):
+    """The Polynomial of a computed term map, integral coefficients as ints.
+
+    A sum of ints is an int and a Fraction makes it a Fraction, so one `sum`
+    tells whether the map holds a Fraction, in C on an int map, the common
+    case; only then does each coefficient go through `exact`.
+    """
+    if type(sum(terms.values())) is not int:
+        terms = {m: exact(c) for m, c in terms.items()}
+    return Polynomial._raw(variables, terms)
 
 
 class ParseError(ValueError):
@@ -160,13 +171,7 @@ class Polynomial:
         self._check(other)
         res = dict(self.terms)
         _add_into(res, other.terms)
-        # a sum of ints is an int and a Fraction makes it a Fraction, so
-        # `sum` tells in C whether an operand holds a Fraction; only two
-        # Fractions can add up to an integer
-        if (type(sum(other.terms.values())) is not int
-                and type(sum(self.terms.values())) is not int):
-            res = _exact_terms(res)
-        return Polynomial._raw(self.variables, res)
+        return _polynomial(self.variables, res)
 
     __radd__ = __add__
 
@@ -190,26 +195,20 @@ class Polynomial:
             c = exact(other)
             if not c:
                 return Polynomial._raw(self.variables, {})
-            return Polynomial._raw(self.variables,
-                                   {m: exact(c * v) for m, v in self.terms.items()})
+            return _polynomial(self.variables,
+                               {m: c * v for m, v in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        res = _product(self.terms, other.terms)
-        if (type(sum(self.terms.values())) is not int
-                or type(sum(other.terms.values())) is not int):
-            res = _exact_terms(res)
-        return Polynomial._raw(self.variables, res)
+        return _polynomial(self.variables, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if type(k) is not int or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        res = _power(self.terms, k, (0,) * len(self.variables))
-        if type(sum(self.terms.values())) is not int:
-            res = _exact_terms(res)
-        return Polynomial._raw(self.variables, res)
+        return _polynomial(self.variables,
+                           _power(self.terms, k, (0,) * len(self.variables)))
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -236,19 +235,19 @@ class Polynomial:
         return max(self.terms, key=_grevlex_key)
 
     def evaluate(self, point):
-        """Exact value at a rational point (one coordinate per variable)."""
+        """Exact value at a rational point (one coordinate per variable), an
+        `int` where it is integral."""
         point = [exact(x) for x in point]
         if len(point) != len(self.variables):
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {len(self.variables)}")
         total = 0
         for exps, c in self.terms.items():
-            v = c
             for x, e in zip(point, exps):
                 if e:
-                    v *= x ** e
-            total += v
-        return total
+                    c *= x ** e
+            total += c
+        return exact(total)
 
     def eliminate(self, assignments):
         """Substitute rational values for some variables and drop them.
@@ -267,20 +266,19 @@ class Polynomial:
         new_vars = tuple(self.variables[i] for i in keep)
         res = {}
         for exps, c in self.terms.items():
-            v = c
             for i, val in fixed.items():
                 e = exps[i]
                 if e:
-                    v *= val ** e
-            if not v:
+                    c *= val ** e
+            if not c:
                 continue
             m = tuple(exps[i] for i in keep)
-            s = res.get(m, 0) + v
+            s = res.get(m, 0) + c
             if s:
-                res[m] = exact(s)
+                res[m] = s
             else:
-                res.pop(m, None)
-        return Polynomial._raw(new_vars, res)
+                del res[m]
+        return _polynomial(new_vars, res)
 
     def shift(self, offsets):
         """Translate coordinates: returns f(x0 + a0, x1 + a1, ...).
@@ -312,10 +310,7 @@ class Polynomial:
                         res[rest[:i] + (k,) + rest[i:]] = c
         if res is self.terms:
             return self
-        if (type(sum(offsets)) is not int
-                or type(sum(self.terms.values())) is not int):
-            res = _exact_terms(res)
-        return Polynomial._raw(self.variables, res)
+        return _polynomial(self.variables, res)
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if mixed or zero."""
@@ -573,53 +568,49 @@ class PolyMatrix:
 
 
 def _det_cofactor(grid, products):
-    """Cofactor expansion along the first row, summed into one term dict.
+    """Term map of the determinant, by cofactor expansion along the first row.
 
-    The first signed product e * sub seeds the determinant's term dict as a
+    The first signed product e * sub seeds the determinant's term map as a
     copy, and each later one adds its terms straight into it, so a 2 x 2
-    grid [[a, b], [c, d]] is a*d - b*c.  The coefficients go through
-    `exact` only when a product holds a `Fraction`, since int sums stay
-    ints.
+    grid [[a, b], [c, d]] is a*d - b*c.  Every product and sub-determinant
+    is a plain term map; `minors` makes the coefficients exact once, when it
+    builds the Polynomial.
 
     `products` memoizes the 2 x 2-level products e * sub by (e, sub), each
-    as its term dict and whether it holds a `Fraction`: there both factors
-    are matrix entries, whose hashes are cached, so minors that share a
-    pair of entries form their product once.  A deeper sub is a fresh
-    determinant, so deeper products are not memoized.
+    as its term map: there both factors are matrix entries, whose hashes
+    are cached, so minors that share a pair of entries form their product
+    once.  A deeper sub is a fresh determinant, so deeper products are not
+    memoized.
     """
     n = len(grid)
     if n == 1:
-        return grid[0][0]
-    terms, fractional = {}, False
+        return grid[0][0].terms
+    terms = {}
     for j, e in enumerate(grid[0]):
         if not e:
             continue
         if n == 2:
             key = e, grid[1][1 - j]
-            hit = products.get(key)
-            if hit is None:
-                prod = (e * key[1]).terms
-                hit = products[key] = prod, type(sum(prod.values())) is not int
-            prod, holds = hit
+            prod = products.get(key)
+            if prod is None:
+                prod = products[key] = _product(e.terms, key[1].terms)
         else:
-            prod = (e * _det_cofactor([row[:j] + row[j + 1:] for row in grid[1:]],
-                                      products)).terms
-            holds = type(sum(prod.values())) is not int
-        fractional = fractional or holds
+            prod = _product(e.terms, _det_cofactor(
+                [row[:j] + row[j + 1:] for row in grid[1:]], products))
         if terms:
             _add_into(terms, prod, j & 1)
         else:
             terms = {m: -c for m, c in prod.items()} if j & 1 else dict(prod)
-    return Polynomial._raw(grid[0][0].variables,
-                           _exact_terms(terms) if fractional else terms)
+    return terms
 
 
 def minors(matrix, size, products=None):
     """All size x size minors, row index sets outer, column sets inner, lex order.
 
-    `products` memoizes the products of pairs of entries that the cofactor
-    expansions form (see `_det_cofactor`); a caller charting many points of
-    one model, as `detvar.classify` does, passes one dict for all of them.
+    Each minor is `_det_cofactor`'s term map, built into a Polynomial once
+    by `_polynomial`.  `products` memoizes the products of pairs of entries
+    that the cofactor expansions form; a caller charting many points of one
+    model, as `detvar.classify` does, passes one dict for all of them.
     Without it each call uses a fresh dict.
     """
     if type(size) is not int or size < 1:
@@ -628,11 +619,12 @@ def minors(matrix, size, products=None):
         raise ValueError("minor size exceeds matrix dimensions")
     if products is None:
         products = {}
-    entries = matrix.entries
+    entries, variables = matrix.entries, matrix.variables
     if size == matrix.rows == matrix.cols:
         # the matrix is its only minor
-        return [_det_cofactor(entries, products)]
-    return [_det_cofactor([[entries[i][j] for j in cset] for i in rset], products)
+        return [_polynomial(variables, _det_cofactor(entries, products))]
+    return [_polynomial(variables, _det_cofactor(
+                [[entries[i][j] for j in cset] for i in rset], products))
             for rset in combinations(range(matrix.rows), size)
             for cset in combinations(range(matrix.cols), size)]
 

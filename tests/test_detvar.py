@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from detsing import detvar, grobner
+from detsing import detvar, grobner, polyalg
 from detsing.detvar import (
     AFFINE,
     ESSENTIAL_SINGULAR,
@@ -1221,14 +1221,14 @@ class TestClassifyWork:
 
     @pytest.fixture
     def chart_products(self, monkeypatch):
-        """The polynomial products formed inside `chart_ideal` calls."""
+        """The term-map products formed inside `chart_ideal` calls."""
         formed, inside = [], []
-        mul, chart = Polynomial.__mul__, detvar.chart_ideal
+        product, chart = polyalg._product, detvar.chart_ideal
 
-        def counting_mul(self, other):
-            if inside and isinstance(other, Polynomial):
-                formed.append((self, other))
-            return mul(self, other)
+        def counting_product(a, b):
+            if inside:
+                formed.append((a, b))
+            return product(a, b)
 
         def counted_chart(*args):
             inside.append(True)
@@ -1237,7 +1237,7 @@ class TestClassifyWork:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+        monkeypatch.setattr(polyalg, "_product", counting_product)
         monkeypatch.setattr(detvar, "chart_ideal", counted_chart)
         return formed
 

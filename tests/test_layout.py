@@ -64,6 +64,32 @@ def test_grobner_has_one_reduction_route():
     assert not names & {"_mono_mul", "_mono_divides"}
 
 
+def test_coefficients_are_made_exact_in_one_place():
+    # `polyalg._polynomial` is the one site that stores integral Fractions
+    # as ints: a term-map helper, a second `type(sum(...))` test or a
+    # per-term type check in `unpack` would split that rule again
+    helpers, sum_tests = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_exact_terms":
+                helpers.append((path.name, node.lineno))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "type" and node.args
+                  and isinstance(node.args[0], ast.Call)
+                  and isinstance(node.args[0].func, ast.Name)
+                  and node.args[0].func.id == "sum"):
+                sum_tests.append((path.name, node.lineno))
+    assert helpers == []
+    assert [name for name, _ in sum_tests] == ["polyalg.py"], sum_tests
+    path = Path(detsing.__file__).parent / "grobner.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (unpack,) = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "unpack"]
+    assert _calls(unpack, "type") == _calls(unpack, "exact") == []
+    assert _calls(unpack, "_polynomial")
+
+
 def test_grobner_has_one_monomial_order():
     # every basis is grevlex; an eliminant is read from it by normal forms,
     # so no second order, order object or "lex" order kind comes back

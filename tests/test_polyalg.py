@@ -619,16 +619,17 @@ class TestMatrices:
                            min_size=n, max_size=n)))
     def test_one_dict_cofactor_matches_leibniz(self, grid):
         # half-integer coefficients make Fraction products, whose sums are
-        # often integers: those coefficients come out as ints
+        # often integers: those coefficients come out of minors as ints
         det = _det_cofactor(grid, {})
-        assert det == leibniz_det(grid)
-        assert all(type(c) is int for c in det.terms.values() if c == int(c))
+        assert det == leibniz_det(grid).terms
         m, shared = PolyMatrix(grid), {}
         for size in range(1, len(grid) + 1):
             got = minors(m, size, shared)
             assert got == minors(m, size)
             for g in got:
                 assert all(type(c) is int for c in g.terms.values() if c == int(c))
+        # the one maximal minor is the cofactor term map, made exact
+        assert [g.terms for g in got] == [det]
 
     @given(matrices(SQUARE_SHAPES))
     def test_maximal_minor_of_a_square_matrix_skips_the_sub_grids(self, m):
@@ -637,7 +638,8 @@ class TestMatrices:
         # path builds
         products, general = {}, {}
         grid = [[m.entries[i][j] for j in range(m.cols)] for i in range(m.rows)]
-        assert minors(m, m.rows, products) == [_det_cofactor(grid, general)]
+        assert ([g.terms for g in minors(m, m.rows, products)]
+                == [_det_cofactor(grid, general)])
         assert products == general
 
     def test_fraction_products_that_sum_to_an_integer(self):
@@ -705,8 +707,10 @@ class TestExactCoefficients:
         for h in results:
             assert_exact(h.terms.values())
             assert_normalized(h.terms.values())
-        assert_exact([f.evaluate(point)])
-        assert_exact(v for row in PolyMatrix([[f, g]]).evaluate(point) for v in row)
+        values = [f.evaluate(point),
+                  *(v for row in PolyMatrix([[f, g]]).evaluate(point) for v in row)]
+        assert_exact(values)
+        assert_normalized(values)
 
     @given(polynomials(small_integers), polynomials(small_integers),
            st.tuples(*[small_integers] * 3), st.integers(min_value=0, max_value=3))
@@ -782,13 +786,15 @@ class TestExactCoefficients:
         lambda: poly("x") * 0.5,
         lambda: poly("x") + 0.5,
         lambda: poly("x").evaluate((0.5, 0, 0)),
+        # a float is refused before the coordinates are counted
+        lambda: poly("x").evaluate((0.5,)),
         lambda: poly("x").shift((0.5, 0, 0)),
         lambda: poly("x").eliminate({0: 0.5}),
         # int() would read the exponent 1.5 as 1 and the weight 0.7 as 0
         lambda: Polynomial(("x",), {(1.5,): 1}),
         lambda: poly("x^2 + y^3").weight_components((0.7, 1, 1)),
     ], ids=["exact", "div", "init", "constant", "scale", "add", "evaluate",
-            "shift", "eliminate", "exponent", "weight"])
+            "evaluate_short", "shift", "eliminate", "exponent", "weight"])
     def test_floats_are_rejected(self, make):
         with pytest.raises(TypeError):
             make()

@@ -6,12 +6,12 @@ that set the benchmark's `op_ms_tail` and `op_ms_p50` marked.
 
 TREE is a source checkout.  The workload's commands are built by TREE's
 `perfbench/workloads.build` (imported, not changed) into a temporary
-directory that is removed afterwards, and run in this process through
-TREE's `detsing.cli.main` with `--json`, as `perfbench/run.py` runs them:
-one untimed warm-up op, then `--passes` passes over all commands, each in
-an order shuffled from the seed.  Times are measured wall times, not scaled
-to a reference speed, so compare two checkouts only between runs made one
-right after the other.
+directory that is removed afterwards, and run in this process with
+`--json` by TREE's `perfbench/run.run_in_process` (imported, not changed),
+as the benchmark's in-process runs are: one untimed warm-up op, then
+`--passes` passes over all commands, each in an order shuffled from the
+seed.  Times are measured wall times, not scaled to a reference speed, so
+compare two checkouts only between runs made one right after the other.
 
 It prints one line per command, slowest first: its median in ms and its
 label.  `op_ms_tail` is the largest median, and `op_ms_p50` the median of
@@ -22,14 +22,10 @@ exit code or report did not match the op.
 """
 
 import argparse
-import contextlib
-import io
-import json
 import random
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 
@@ -51,23 +47,6 @@ def summarize(times):
     return lines
 
 
-def run_op(main, check, op):
-    """(wall seconds, problems) of one command through cli.main."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        start = time.perf_counter()
-        try:
-            code = main([*op.argv, "--json"])
-        except SystemExit as stop:
-            code = stop.code
-        wall = time.perf_counter() - start
-    try:
-        report = json.loads(out.getvalue())
-    except ValueError:
-        report = None
-    return wall, check(op, code, report, err.getvalue())
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("tree", type=Path)
@@ -77,8 +56,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
-    from detsing.cli import main as cli_main
-    from workloads import WORKLOADS, build, check
+    from run import run_in_process
+    from workloads import WORKLOADS, build
 
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {', '.join(WORKLOADS)}")
@@ -86,11 +65,11 @@ def main(argv=None):
     failed = 0
     with tempfile.TemporaryDirectory() as workdir:
         ops = build(args.workload, args.seed, Path(workdir))
-        run_op(cli_main, check, ops[0])
+        run_in_process(ops[0])
         times = {op.label: [] for op in ops}
         for _ in range(args.passes):
             for op in rng.sample(ops, len(ops)):
-                wall, problems = run_op(cli_main, check, op)
+                wall, _cpu, problems = run_in_process(op)
                 times[op.label].append(wall)
                 failed += bool(problems)
     print(f"# {args.workload} seed {args.seed}: median of {args.passes} "
