@@ -63,9 +63,12 @@ def row_basis(rows):
     """Basis of the row space: the nonzero rows of the reduced echelon form.
 
     The reduced echelon form depends only on the row space, so neither the
-    order of `rows` nor repeated or dependent rows change the result.
+    order of `rows` nor repeated or dependent rows change the result.  The
+    entries are exact rationals of equal-length rows, as the callers pass
+    them: values of polynomials at a point, and integer exponent
+    differences.
     """
-    mat = [[exact(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     if not mat or not mat[0]:
         return []
     rank = 0
@@ -91,12 +94,10 @@ def nonnegative_kernel_vector(rows, n):
     it calls for no variables.  Phase one minimises the sum of the
     artificial variables, which is never negative, so the objective is
     bounded: a column that lowers it has a positive entry in some row, and
-    the ratio test always has a row to pivot on.
+    the ratio test always has a row to pivot on.  `rows` hold n exact
+    rationals each; the caller passes a `row_basis` of n-entry rows.
     """
-    cons = [[exact(x) for x in row] for row in rows]
-    for row in cons:
-        if len(row) != n:
-            raise ValueError("constraint row length mismatch")
+    cons = [list(row) for row in rows]
     cons.append([1] * n)
     m = len(cons)
     # tableau columns: n structural, m artificial, then the right-hand side,

@@ -1,8 +1,8 @@
 """Command-line workbench over the variety and index layers.
 
 Commands: analyze, verify, euler, index, groebner.  Input is a JSON model
-file (schema below); output is a deterministic report, as text or with
---json as machine-readable JSON.
+file (schema in README.md, "Input schema"); output is a deterministic
+report, as text or with --json as machine-readable JSON.
 
 Exit codes: 0 success (report, identity verified, or value solved),
 1 identity violated, 2 input error, 3 unsupported input or resource limit,
@@ -278,7 +278,7 @@ def _assemble_ledger(inp, classification, spair_budget):
         except ValueError as e:
             raise InputError(str(e))
         for pt, location in fixed:
-            label = str(pt)
+            label = point_label(pt)
             if location.kind == ESSENTIAL_SINGULAR:
                 if label not in inp.singularities:
                     raise InputError(f"fixed point {label} is an essential singular "

@@ -365,10 +365,9 @@ def _divide_linear(coeffs, p, q):
     `coeffs` is dense, ascending degree, with a nonzero constant term, and
     gcd(p, q) = 1.  By Gauss's lemma the quotient by the primitive factor
     (q*x - p) is integral when p/q is a root, so the synthetic division runs
-    in integers and stops at the first inexact step.
+    in integers and stops at the first inexact step; the constant term is
+    checked last.
     """
-    if coeffs[0] % p:
-        return None
     quo = [0] * (len(coeffs) - 1)
     acc = 0
     for i in range(len(coeffs) - 1, 0, -1):
@@ -382,14 +381,16 @@ def _divide_linear(coeffs, p, q):
 
 
 def _rational_roots(coeffs):
-    """Distinct rational roots, ascending, of a nonzero univariate polynomial.
+    """Distinct rational roots, ascending, of a univariate polynomial.
 
-    `coeffs` is dense, ascending degree.  Returns (roots, complete) where
-    complete means the polynomial splits into rational linear factors.  The
-    coefficients are scaled to their primitive integer multiple and every
-    candidate of the rational root theorem is divided out as often as it
-    divides, until a quadratic or linear factor is left, whose roots are
-    read off directly, whatever their size.  Each candidate is tried by
+    `coeffs` is dense, ascending degree, of degree >= 1: the one caller
+    passes the eliminant of a zero-dimensional ideal.  A constant still
+    gives ([], True).  Returns (roots, complete) where complete means the
+    polynomial splits into rational linear factors.  The coefficients are
+    scaled to their primitive integer multiple and every candidate of the
+    rational root theorem is divided out as often as it divides, until a
+    quadratic or linear factor is left, whose roots are read off directly,
+    whatever their size.  Each candidate is tried by
     exact division (`_divide_linear`) and counts against the limit.  The
     candidate search, needed only when more than a quadratic is left after
     the zero roots, raises ResourceLimitExceeded when the constant or
@@ -399,8 +400,6 @@ def _rational_roots(coeffs):
     stripped.
     """
     work = primitive(coeffs)
-    if len(work) <= 1:
-        return [], True
     roots = []
     if work[0] == 0:
         roots.append(Fraction(0))

@@ -106,14 +106,6 @@ def _s_pair(f, g, lcm):
     return work
 
 
-class _FieldOverflow(Exception):
-    """A packed exponent outgrew its field.
-
-    A guard, caught nowhere: every packing is sized from a degree bound
-    that its monomials keep to.
-    """
-
-
 class _Packing:
     """Exponent vectors packed into one int that is also the grevlex key.
 
@@ -136,9 +128,14 @@ class _Packing:
         self.weights = [top - (1 << s) for s in self.shifts]
 
     def pack(self, terms):
-        """{key: coefficient} of a term map; _FieldOverflow if a monomial won't fit."""
-        if terms and max(map(sum, terms)) >= self.limit:
-            raise _FieldOverflow
+        """{key: coefficient} of a term map whose monomials have degree
+        under `limit`.
+
+        The caller keeps to that bound: each packing is sized from the top
+        degree of the terms it packs (`_top_degree`), and a widening
+        repacks only elements that fit the narrower fields.  A monomial
+        past it would spill into the next field unnoticed.
+        """
         weights = self.weights
         return {sum(map(mul, m, weights)): c for m, c in terms.items()}
 

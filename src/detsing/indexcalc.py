@@ -143,8 +143,9 @@ def phn_from_radial_nonsmoothable(radial_index, record):
     """Obstruction index from the radial index with the lower-stratum term.
 
     The nonsmoothable counterpart of `phn_from_radial`, the bridge that
-    acceptance criterion 8 checks: a radial index of 1 gives the defect of
-    the record, lower-stratum term included.  Nothing in the command line
+    `tests/test_indexcalc.py::TestRadialBridge::test_nonsmoothable_bridge`
+    checks: a radial index of 1 gives the defect of the record,
+    lower-stratum term included.  Nothing in the command line
     calls it; it stays as the formula of the source paper for germs past
     the smoothability bound.
     """

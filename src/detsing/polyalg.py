@@ -554,8 +554,8 @@ class PolyMatrix:
         return cls([[parse_polynomial(s, variables) for s in row] for row in grid])
 
     def evaluate(self, point):
-        """Matrix of exact values at a rational point."""
-        point = [exact(x) for x in point]
+        """Matrix of exact values at a rational point, a sequence of one
+        coordinate per variable; each entry's `evaluate` checks it."""
         return [[e.evaluate(point) for e in row] for row in self.entries]
 
     def __eq__(self, other):

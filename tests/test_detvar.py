@@ -22,6 +22,7 @@ from detsing.detvar import (
     AmbientSpace,
     DeterminantalModel,
     ProjectivePoint,
+    _divide_linear,
     _rational_roots,
     _solve_zero_dimensional,
     chart_ideal,
@@ -454,6 +455,23 @@ class TestRationalRoots:
                           _product(_product([1, 1], [-2, 1]), [2, 0, 1]))
         assert _rational_roots(coeffs) == ([Fraction(-1), Fraction(1), Fraction(2)], False)
 
+    @given(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4)
+           .filter(lambda c: c[0] and c[-1]),
+           st.builds(Fraction, st.integers(min_value=-6, max_value=6).filter(bool),
+                     st.integers(min_value=1, max_value=4)),
+           st.booleans())
+    def test_division_alone_decides_a_root(self, cofactor, root, planted):
+        # no test of p against the constant term comes first: a step of the
+        # synthetic division or its constant check refuses every p/q that is
+        # no root, whether or not p divides the constant term
+        p, q = root.numerator, root.denominator
+        coeffs = [int(c) for c in _product(cofactor, [-p, q])] if planted else cofactor
+        quo = _divide_linear(coeffs, p, q)
+        if sum(c * root ** i for i, c in enumerate(coeffs)):
+            assert quo is None
+        else:
+            assert _product(quo, [-p, q]) == coeffs
+
     def test_candidate_limit(self):
         a, b = 17 * 19 * 23 * 29 * 31 * 37, 2**8 * 3**5 * 5**3 * 7**2 * 11 * 13
         with pytest.raises(ResourceLimitExceeded,
@@ -589,6 +607,24 @@ class TestZeroDimensionalSolver:
     def test_positive_dimensional(self):
         points, complete = self.solve(("x*y",), ("x", "y"))
         assert points == [] and not complete
+
+    @pytest.mark.parametrize("texts,expected", [
+        (("x^2 - 1", "y - x"), ([(-1, -1), (1, 1)], True)),
+        (("x", "x - 1"), ([], True)),
+        (("x^2 + 1", "y"), ([], False)),
+        (("x*y",), ([], False)),
+        (("y - x^2", "x*(x - 1)*(x - 2)"), ([(0, 0), (1, 1), (2, 4)], True)),
+    ], ids=["points", "unit", "irrational", "curve", "substituted"])
+    def test_eliminants_have_degree_one_or_more(self, texts, expected, monkeypatch):
+        # `_rational_roots` has no case of its own for a constant: a unit
+        # or positive-dimensional basis is answered before any eliminant
+        def checked(coeffs):
+            assert len(coeffs) >= 2 and coeffs[-1], coeffs
+            return roots(coeffs)
+
+        roots = detvar._rational_roots
+        monkeypatch.setattr(detvar, "_rational_roots", checked)
+        assert self.solve(texts, ("x", "y")) == expected
 
     def test_drawn_systems_reach_the_substitution_branch(self, solver_work):
         # the strategy draws systems that the product route solves and

@@ -9,7 +9,7 @@ from fractions import Fraction
 from importlib.resources import files
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
@@ -31,7 +31,7 @@ from detsing.grobner import (
 )
 from detsing._linalg import nonnegative_kernel_vector, row_basis
 from detsing.polyalg import (Polynomial, PolyMatrix, _grevlex_key, minors,
-                             parse_polynomial)
+                             parse_polynomial, rank_at_point)
 
 P4 = ("x0", "x1", "x2", "x3")
 XY = ("x", "y")
@@ -398,13 +398,32 @@ def recording_widths():
         yield widths
 
 
-def test_packing_rejects_a_monomial_past_its_fields():
-    # a guard: every packing is sized so that its monomials fit
-    pk = grobner._Packing(2, 4)
-    assert pk.limit == 8
-    assert len(pk.pack({(3, 4): 1, (0, 7): 2})) == 2
-    with pytest.raises(grobner._FieldOverflow):
-        pk.pack({(1, 0): 1, (4, 4): 1})
+@contextlib.contextmanager
+def checking_packed_degrees():
+    """The `limit` of each `_Packing.pack` call inside the block, in order.
+
+    `pack` does not check its terms: a monomial of degree `limit` or more
+    would spill into the next field unnoticed.  Here such a call fails at
+    once.
+    """
+    limits = []
+
+    def checked(self, terms):
+        top = max(map(sum, terms), default=0)
+        assert top < self.limit, f"degree {top} packed under the limit {self.limit}"
+        limits.append(self.limit)
+        return pack(self, terms)
+
+    pack = grobner._Packing.pack
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grobner._Packing, "pack", checked)
+        yield limits
+
+
+# the first fields hold twice the largest generator degree, 3, under a
+# limit of 8; a pair of this basis reaches degree 8, so Buchberger widens
+# them and repacks its seven elements under a limit of 32
+WIDENING = ("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3")
 
 
 def rational_polynomials(variables):
@@ -489,7 +508,7 @@ class TestBuchbergerWork:
     # by random.Random(1) from +-1 and +-3 over 1 or 2, and its basis holds
     # Fractions
     @pytest.mark.parametrize("gens", [
-        polys(("x^3 + y*z^2", "x*y^2 + x*z^2", "y^3 - z^3"), XYZ),
+        polys(WIDENING, XYZ),
         [Polynomial(XYZ, {(3, 0, 0): 3, (0, 1, 2): 3}),
          Polynomial(XYZ, {(1, 2, 0): Fraction(-1, 2), (1, 0, 2): 3}),
          Polynomial(XYZ, {(0, 3, 0): 1, (0, 0, 3): Fraction(-1, 2)})],
@@ -966,6 +985,42 @@ class TestEliminant:
             eliminant(basis_of(texts, variables))
 
 
+class TestPackedDegrees:
+    """Each caller sizes its packing from the top degree of the terms it
+    packs, and a widening repacks only elements of the narrower fields."""
+
+    @given(small_ideals())
+    @example(ideal(WIDENING, XYZ))
+    def test_bases_normal_forms_and_s_polynomials(self, ideal_):
+        gens = ideal_.generators
+        ones = [1] * len(ideal_.variables)
+        with checking_packed_degrees():
+            for f, g in itertools.combinations(gens, 2):
+                s_polynomial(f, g)
+            try:
+                basis = buchberger(ideal_, spair_budget=60)
+            except SPairBudgetExceeded:
+                return
+            for g in gens:
+                normal_form(g * g.shift(ones), basis)
+
+    @given(point_systems())
+    def test_eliminants(self, ideal_):
+        with checking_packed_degrees():
+            try:
+                gb = buchberger(ideal_, spair_budget=ORACLE_PAIR_CAP)
+            except SPairBudgetExceeded:
+                return
+            if quotient_dimension(gb) is not None:
+                eliminant(gb)
+                grobner._minimal_polynomial(gb)
+
+    def test_a_widening_packs_under_the_wider_limit(self):
+        with checking_packed_degrees() as limits:
+            buchberger(ideal(WIDENING, XYZ))
+        assert limits == [8] * 3 + [32] * 7
+
+
 class TestOrders:
     def test_grevlex_vs_lex_leading_monomial(self):
         f = parse_polynomial("x^2 + y*z", XYZ)
@@ -1001,6 +1056,39 @@ def always_simplex_weights(polys):
     ints = [int(x * scale) for x in w]
     g = math.gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+@contextlib.contextmanager
+def checking_linalg_rows():
+    """The names of the `_linalg` solvers called inside the block, in order.
+
+    `row_basis` and `nonnegative_kernel_vector` copy their rows as they
+    come.  Here a call whose rows hold anything but ints and Fractions, or
+    differ in length (or, for the simplex, are not n long), fails at once.
+    """
+    calls = []
+
+    def check(rows, n):
+        for row in rows:
+            assert len(row) == n, f"a row of {len(row)} entries where {n} are due"
+            assert all(type(x) in (int, Fraction) for x in row), row
+
+    def checked_basis(rows):
+        if rows:
+            check(rows, len(rows[0]))
+        calls.append("row_basis")
+        return basis(rows)
+
+    def checked_kernel(rows, n):
+        check(rows, n)
+        calls.append("nonnegative_kernel_vector")
+        return kernel(rows, n)
+
+    basis, kernel = row_basis, nonnegative_kernel_vector
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grobner._linalg, "row_basis", checked_basis)
+        patch.setattr(grobner._linalg, "nonnegative_kernel_vector", checked_kernel)
+        yield calls
 
 
 @st.composite
@@ -1067,9 +1155,22 @@ class TestWeights:
         # for the empty weight vector, and the simplex is not consulted
         assert quasi_homogeneous_weights([Polynomial((), {(): 5})]) == ()
 
-    def test_kernel_vector_rows_have_one_entry_per_variable(self):
-        with pytest.raises(ValueError, match="row length mismatch"):
-            nonnegative_kernel_vector([[1, -1]], 3)
+    @given(weight_systems(), st.tuples(*[st.builds(
+        Fraction, st.integers(min_value=-3, max_value=3),
+        st.sampled_from((1, 2)))] * 4))
+    @example([parse_polynomial("x0^2 + x1^2", ("x0", "x1"))], (1, Fraction(1, 2), 0, 0))
+    def test_solvers_get_exact_rows_of_one_length(self, gens, coords):
+        # the weight gate passes integer exponent differences to row_basis
+        # and their row basis, n entries a row, to the simplex; rank_at_point
+        # passes the values of a matrix at a point
+        point = coords[:len(gens[0].variables)]
+        matrix = PolyMatrix([gens, [g * g for g in gens]])
+        with checking_linalg_rows() as calls:
+            quasi_homogeneous_weights(gens)
+            rank_at_point(matrix, point)
+        full_rank = _rank(exponent_differences(gens)) == len(point)
+        simplex = [] if full_rank else ["nonnegative_kernel_vector"]
+        assert calls == ["row_basis", *simplex, "row_basis"]
 
     def test_kernel_vector_of_no_variables_is_none(self):
         # sum(w) = 1 reads 0 = 1, so phase one ends infeasible

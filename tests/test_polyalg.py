@@ -793,8 +793,22 @@ class TestExactCoefficients:
         # int() would read the exponent 1.5 as 1 and the weight 0.7 as 0
         lambda: Polynomial(("x",), {(1.5,): 1}),
         lambda: poly("x^2 + y^3").weight_components((0.7, 1, 1)),
+        # a matrix leaves the point to its entries
+        lambda: PolyMatrix([[poly("1"), poly("x")]]).evaluate((0, 0.5, 0)),
+        lambda: rank_at_point(PolyMatrix([[poly("y")], [poly("z")]]), (1, 2, 0.5)),
     ], ids=["exact", "div", "init", "constant", "scale", "add", "evaluate",
-            "evaluate_short", "shift", "eliminate", "exponent", "weight"])
+            "evaluate_short", "shift", "eliminate", "exponent", "weight",
+            "matrix_evaluate", "rank_at_point"])
     def test_floats_are_rejected(self, make):
         with pytest.raises(TypeError):
             make()
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda m, point: m.entries[0][0].evaluate(point),
+        PolyMatrix.evaluate, rank_at_point,
+    ], ids=["evaluate", "matrix_evaluate", "rank_at_point"])
+    def test_short_points_are_counted_by_the_entries(self, evaluate):
+        # a matrix leaves the count to its entries, whose message it passes on
+        m = PolyMatrix([[poly("x"), poly("1")]])
+        with pytest.raises(ValueError, match=r"^point has 2 coordinates, expected 3$"):
+            evaluate(m, (1, 2))
