@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals (internal helpers).
 
 A rational is an `int` when it is integral and a `Fraction` otherwise, so
-integer arithmetic stays on plain ints.  `div` is the one place where a
+integer arithmetic stays on plain ints; the one exception is the entries
+that `_pivot` clears, as its docstring says.  `div` is the one place where a
 quotient is formed: `1 / lc` with an `int` `lc` would be a float.  `_pivot`
 is the one elimination step, shared by `row_basis` and the simplex of
 `nonnegative_kernel_vector`, and `primitive` the one rescaling of a
@@ -48,7 +49,13 @@ def primitive(values):
 
 
 def _pivot(rows, r, c):
-    """Gauss-Jordan step: row r scaled to 1 in column c, cleared elsewhere."""
+    """Gauss-Jordan step: row r scaled to 1 in column c, cleared elsewhere.
+
+    A cleared row's `a - f * b` is not passed through `exact`, so an
+    integral entry can stay a `Fraction`, such as `Fraction(0, 1)`.  Its
+    callers, `row_basis` and the simplex, hand their rows on to callers that
+    read only values, through `len` and `primitive`.
+    """
     piv = rows[r][c]
     if piv != 1:
         rows[r] = [div(x, piv) for x in rows[r]]
@@ -66,7 +73,9 @@ def row_basis(rows):
     order of `rows` nor repeated or dependent rows change the result.  The
     entries are exact rationals of equal-length rows, as the callers pass
     them: values of polynomials at a point, and integer exponent
-    differences.
+    differences.  An integral entry of the result may be a `Fraction`, as
+    `_pivot` leaves it: the callers read only values, through `len`
+    (`polyalg.rank_at_point`) and, after the simplex, `primitive`.
     """
     mat = [list(row) for row in rows]
     if not mat or not mat[0]:

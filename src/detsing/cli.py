@@ -28,7 +28,6 @@ from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
                         cstar_fixed_points, defect, defect_known,
                         global_identity)
 from .polyalg import PolyMatrix, is_variable_name, minors, parse_polynomial
-from .topo import UnsupportedDimensionError
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -426,33 +425,21 @@ def _scalar(value):
 def _render(value, indent=0):
     """The text lines of a report dict or list, indented by `indent`.
 
-    Only dicts and lists reach here: a report is a dict, and an item is
-    rendered by a nested call only when it is a dict or a list itself.
+    A dict item is headed `key:` and a list item `-`.  An item nests under
+    its head when it is a non-empty dict or list, or any dict or list in a
+    list; any other item follows its head on the same line.
     """
     pad = "  " * indent
+    pairs = value.items() if isinstance(value, dict) else ((None, v) for v in value)
     lines = []
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if isinstance(item, (dict, list)) and item:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render(item, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_scalar(item)}")
-    else:
-        for item in value:
-            if isinstance(item, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
+    for key, item in pairs:
+        head = f"{pad}-" if key is None else f"{pad}{key}:"
+        if isinstance(item, (dict, list)) and (item or key is None):
+            lines.append(head)
+            lines.extend(_render(item, indent + 1))
+        else:
+            lines.append(f"{head} {_scalar(item)}")
     return lines
-
-
-def _emit(report, as_json):
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        print("\n".join(_render(report)))
 
 
 _COMMANDS = {
@@ -510,7 +497,7 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedError, LedgerError, UnsupportedDimensionError) as e:
+    except (UnsupportedError, LedgerError) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ResourceLimitExceeded as e:
@@ -523,8 +510,9 @@ def main(argv=None):
         return EXIT_INTERNAL
     timing_ms = (int((time.perf_counter() - started) * 1000)
                  if args.timing else None)
-    _emit({"command": args.command, "input": inp.name, **body,
-           "timing_ms": timing_ms}, args.json)
+    report = {"command": args.command, "input": inp.name, **body,
+              "timing_ms": timing_ms}
+    print(json.dumps(report, indent=2) if args.json else "\n".join(_render(report)))
     return code
 
 

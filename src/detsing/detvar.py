@@ -405,8 +405,6 @@ def _rational_roots(coeffs):
         roots.append(Fraction(0))
         while work[0] == 0:
             work.pop(0)
-    if len(work) == 1:
-        return roots, True
     if len(work) > 3:
         if max(abs(work[0]), abs(work[-1])) > MAX_ROOT_COEFFICIENT:
             raise ResourceLimitExceeded(

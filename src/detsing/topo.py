@@ -1,5 +1,7 @@
 """Euler characteristic bookkeeping for smoothings of determinantal germs."""
 
+from operator import index
+
 
 class UnsupportedDimensionError(ValueError):
     """The requested formula is only available in dimensions 2 and 3."""
@@ -11,7 +13,7 @@ class CWDescriptor:
     __slots__ = ("cell_counts",)
 
     def __init__(self, cell_counts):
-        counts = tuple(int(c) for c in cell_counts)
+        counts = tuple(index(c) for c in cell_counts)
         if any(c < 0 for c in counts):
             raise ValueError("cell counts must be non-negative")
         self.cell_counts = counts
@@ -23,7 +25,7 @@ class BouquetDescriptor:
     __slots__ = ("sphere_dimensions",)
 
     def __init__(self, sphere_dimensions):
-        dims = tuple(sorted(int(d) for d in sphere_dimensions))
+        dims = tuple(sorted(index(d) for d in sphere_dimensions))
         if any(d < 1 for d in dims):
             raise ValueError("sphere dimensions must be positive")
         self.sphere_dimensions = dims

@@ -2,7 +2,7 @@ import json
 from importlib.resources import files
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
@@ -119,6 +119,31 @@ class TestRecordValidation:
             point="q", n=3, p=2, t=2, d=2, smoothable=True, chi_smoothing=2
         )
         assert defect(rec) == 2
+
+    # n = t - 1 + rows and p = t - 1 + cols put a codimension-2 shape, rows
+    # and cols 1 and 2, among the draws often enough; the example, a record
+    # at d = 4 with 2p > d + 2 that `mu_linked` must keep from
+    # chi_smoothing, is one the random draws rarely reach
+    @settings(max_examples=500)
+    @given(t=st.integers(0, 5), rows=st.integers(0, 3), cols=st.integers(0, 3),
+           d=st.integers(-1, 6), smoothable=st.booleans(),
+           mu=st.none() | st.integers(-2, 12),
+           chi_smoothing=st.none() | st.integers(-12, 12),
+           chi_lower_stratum=st.none() | st.integers(-3, 3))
+    @example(t=4, rows=2, cols=1, d=4, smoothable=False, mu=1,
+             chi_smoothing=None, chi_lower_stratum=1)
+    def test_records_raise_only_ledger_errors(self, t, rows, cols, **fields):
+        # the CLI reads a LedgerError as exit 3 and anything else as a
+        # program fault, so no field values may raise another exception:
+        # chi_smoothing's UnsupportedDimensionError stays out of reach
+        try:
+            rec = SingularPointRecord(point="q", n=t - 1 + rows,
+                                      p=t - 1 + cols, t=t, **fields)
+            defect_known(rec)
+            rec.resolved_chi_smoothing()
+            defect(rec)
+        except LedgerError:
+            pass
 
 
 class TestDefect:

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import fixture_path
 
 from detsing import detvar, grobner
@@ -188,6 +190,37 @@ def test_budget_boundaries_of_a_workload(tmp_path):
                            "--workload", "nothing"], cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode != 0 and "usage" in done.stderr
+
+
+@pytest.fixture
+def workload_ops(monkeypatch):
+    # the module puts this checkout's src and perfbench first on sys.path;
+    # the copy of sys.path set here is undone after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "workload_ops", TOOLS / "workload_ops.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_ops_built_removes_its_directory(workload_ops):
+    with workload_ops.built("fixtures", 7) as (workdir, ops):
+        assert Path(workdir).is_dir() and ops
+    assert not Path(workdir).exists()
+    with pytest.raises(KeyError):
+        with workload_ops.built("singular_points", 7) as (workdir, ops):
+            assert any(Path(workdir).iterdir())
+            raise KeyError(ops[0].label)
+    assert not Path(workdir).exists()
+
+
+def test_workload_ops_run_returns_an_argparse_exit(workload_ops):
+    # a missing positional argument makes argparse exit 2 with its usage;
+    # `run` returns that code instead of letting SystemExit escape
+    code, out, err = workload_ops.run(["verify"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: detsing verify")
 
 
 def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):

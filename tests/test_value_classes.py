@@ -341,6 +341,12 @@ class TestCWDescriptor:
         raises_exactly(ValueError, "cell counts must be non-negative",
                        lambda: CWDescriptor((1, -1)))
 
+    @pytest.mark.parametrize("count", [1.9, "1"])
+    def test_count_is_an_integer(self, count):
+        # a float is not truncated and a string not parsed
+        with pytest.raises(TypeError):
+            CWDescriptor([1, count])
+
 
 class TestBouquetDescriptor:
     def test_positional_and_keyword_sort(self):
@@ -351,6 +357,11 @@ class TestBouquetDescriptor:
     def test_dimensions_positive(self):
         raises_exactly(ValueError, "sphere dimensions must be positive",
                        lambda: BouquetDescriptor((2, 0)))
+
+    @pytest.mark.parametrize("dim", [2.0, "3"])
+    def test_dimension_is_an_integer(self, dim):
+        with pytest.raises(TypeError):
+            BouquetDescriptor([1, dim])
 
 
 class TestMilnorData:

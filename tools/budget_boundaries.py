@@ -11,9 +11,9 @@ runs the commands of that benchmark workload, at seed 7 for the seeded
 ones.  The commands are built by `perfbench/workloads.build`, imported, not
 changed, into a temporary directory that is removed afterwards.  Given
 other arguments, it runs them as one detsing command.  Each command runs
-in this process through
-`detsing.cli.main` and prints one line: its label (the op label, or the
-arguments as given), the smallest budget whose run does not stop with
+in this process through `detsing.cli.main`, by `tools/workload_ops.py`,
+and prints one line: its label (the op label, or the arguments as given),
+the smallest budget whose run does not stop with
 "S-pair budget of ... exceeded" (exit 3), and the exit code at that budget.
 A command that needs no pair prints 1.  The budget bounds each Buchberger
 run, so a run that completes at b completes at every larger b, and the
@@ -24,34 +24,17 @@ To see which boundaries a change moves, run it on the parent and on the
 change and diff the two outputs.
 """
 
-import contextlib
-import io
-import shutil
 import sys
-import tempfile
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from workload_ops import SEEDS, built, run, workload_option
 
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-from detsing.cli import main  # noqa: E402
-from detsing.grobner import DEFAULT_SPAIR_BUDGET  # noqa: E402
-from workloads import WORKLOADS, build  # noqa: E402
-
-SEED = 7  # the seed of the seeded workloads' models
+from detsing.grobner import DEFAULT_SPAIR_BUDGET
 
 
 def _run(argv, budget):
     # (exit code, whether the run stopped on the S-pair budget)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main([*argv, "--spair-budget", str(budget)])
-        except SystemExit as stop:
-            code = stop.code
-    return code, code == 3 and "S-pair budget of" in err.getvalue()
+    code, _, err = run([*argv, "--spair-budget", str(budget)])
+    return code, code == 3 and "S-pair budget of" in err
 
 
 def boundary(argv):
@@ -83,21 +66,16 @@ def _line(label, argv):
 
 def workload_lines(workload="fixtures"):
     """One line per command of a benchmark workload, in workload order."""
-    workdir = tempfile.mkdtemp(prefix="budget-boundaries-")
-    try:
-        for op in build(workload, SEED, workdir):
+    with built(workload, SEEDS[0]) as (_, ops):
+        for op in ops:
             yield _line(op.label, op.argv)
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
-    if argv[:1] == ["--workload"]:
-        if len(argv) != 2 or argv[1] not in WORKLOADS:
-            sys.exit(f"usage: --workload {{{','.join(WORKLOADS)}}}")
-        lines = workload_lines(argv[1])
+    if not argv or argv[0] == "--workload":
+        lines = workload_lines(workload_option(argv) or "fixtures")
     else:
-        lines = [_line(" ".join(argv), argv)] if argv else workload_lines()
+        lines = [_line(" ".join(argv), argv)]
     for line in lines:
         print(line)
