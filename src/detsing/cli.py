@@ -25,8 +25,7 @@ from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
 from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
                         SOLVED, VERIFIED, IdentityResult, IndexLedger,
                         LedgerEntry, LedgerError, SingularPointRecord,
-                        cstar_fixed_points, defect, defect_known,
-                        global_identity)
+                        cstar_fixed_points, global_identity, known_defect)
 from .polyalg import PolyMatrix, is_variable_name, minors, parse_polynomial
 
 EXIT_OK = 0
@@ -322,8 +321,7 @@ def _ledger(inp, args):
             "chi_X": inp.chi_x,
             "entries": [{"point": e.point, "role": e.role, "index": e.index}
                         for e in entries],
-            "defects": [{"point": r.point,
-                         "defect": defect(r) if defect_known(r) else None}
+            "defects": [{"point": r.point, "defect": known_defect(r)}
                         for r in records],
         },
     }

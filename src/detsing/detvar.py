@@ -59,22 +59,18 @@ class AmbientSpace:
 class ProjectivePoint:
     """Rational projective point stored as normalized integer coordinates.
 
-    Coordinates are divided by their gcd and the first nonzero entry is made
-    positive, so equal points compare and hash equal.  Each coordinate must
-    be an integer, as an int or an integral Fraction; a float raises
-    TypeError, as in `_linalg.exact`.  `from_fractions` takes rational
-    coordinates, which the same `primitive` pass scales to integers.
+    The coordinates are any nonzero rational representative, as ints and
+    Fractions; a float raises TypeError, as in `_linalg.exact`, and the zero
+    vector ValueError.  `primitive` scales them to integers with gcd 1 and
+    the first nonzero entry is made positive, so every representative of a
+    point gives the same coordinates, and equal points compare and hash
+    equal.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
         values = [exact(c) for c in coords]
-        if any(type(c) is not int for c in values):
-            raise ValueError("projective point coordinates must be integers")
-        self._normalize(values)
-
-    def _normalize(self, values):
         if not any(values):
             raise ValueError("projective point needs a nonzero coordinate")
         ints = primitive(values)
@@ -105,16 +101,6 @@ class ProjectivePoint:
             raise ValueError(
                 f"projective point entries must be integers, got {text!r}") from None
         return cls(vals)
-
-    @classmethod
-    def from_fractions(cls, values):
-        point = cls.__new__(cls)
-        point._normalize([exact(v) for v in values])
-        return point
-
-    def chart_index(self):
-        """Index of the first nonzero coordinate."""
-        return next(i for i, c in enumerate(self.coords) if c)
 
     def __str__(self):
         return "[" + ":".join(str(c) for c in self.coords) + "]"
@@ -266,16 +252,18 @@ def lower_locus_generators(matrix, t):
 def _coordinates(model, point):
     """The exact coordinates of a point, one per variable of the model.
 
-    The point is a ProjectivePoint or a sequence of ints and Fractions; a
-    projective point may be any rational representative.  ValueError when
-    the count is not the model's variable count, and then when the model is
-    projective and every coordinate is zero.
+    The one check of a point against a model, shared by `parse_point`,
+    `is_point_on_variety`, `chart_matrix` and `chart_ideal`.  The point is
+    a ProjectivePoint or a sequence of ints and Fractions; a projective
+    point may be any rational representative.  ValueError "expected N
+    coordinates" when the count is not the model's variable count N, and
+    then when the model is projective and every coordinate is zero.
     """
     if isinstance(point, ProjectivePoint):
         point = point.coords
     coords = [exact(x) for x in point]
     if len(coords) != len(model.variables):
-        raise ValueError("point length does not match the variable count")
+        raise ValueError(f"expected {len(model.variables)} coordinates")
     if model.ambient.kind == PROJECTIVE and not any(coords):
         raise ValueError("projective point needs a nonzero coordinate")
     return coords
@@ -528,8 +516,7 @@ def _projective_points(gens, variables, spair_budget):
         else:
             sols, comp = _solve_zero_dimensional(cell, rest, spair_budget)
             complete = complete and comp
-            pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
-                       for s in sols)
+            pts.extend(ProjectivePoint((0,) * i + (1,) + s) for s in sols)
         gens = dict.fromkeys(h for g in gens if (h := Polynomial._raw(
             rest, {m[1:]: c for m, c in g.terms.items() if not m[0]})))
     return sorted(pts, key=lambda p: p.coords), complete
@@ -537,12 +524,12 @@ def _projective_points(gens, variables, spair_budget):
 
 def parse_point(text, model):
     """The model's point named by [a:b:c] (projective, `ProjectivePoint.parse`)
-    or (a, b) (affine, a tuple of Fractions); ValueError on any other text
-    or on a coordinate count other than the model's variable count.
+    or (a, b) (affine, a tuple of Fractions); ValueError on any other text,
+    and then, from `_coordinates`, on a coordinate count other than the
+    model's variable count.
     """
     if model.ambient.kind == PROJECTIVE:
         point = ProjectivePoint.parse(text)
-        count = len(point.coords)
     else:
         s = text.strip()
         if not (s.startswith("(") and s.endswith(")")):
@@ -556,9 +543,7 @@ def parse_point(text, model):
             point = tuple(Fraction(p) for p in parts)
         except (ValueError, ZeroDivisionError):
             raise ValueError("coordinates must be rational numbers") from None
-        count = len(point)
-    if count != len(model.variables):
-        raise ValueError(f"expected {len(model.variables)} coordinates")
+    _coordinates(model, point)
     return point
 
 
@@ -642,7 +627,7 @@ def _chart_memo(model, points):
     start empty and fill on the first point that needs each.
     """
     if model.ambient.kind == PROJECTIVE:
-        denominators = [pt.coords[pt.chart_index()] for pt in points]
+        denominators = [next(c for c in pt.coords if c) for pt in points]
     else:
         denominators = [x.denominator for pt in points for x in pt]
     return _chart_constant(model, denominators), {}, {}, {}

@@ -8,11 +8,11 @@ structure makes the global answers equal to the local ones; the
 
 from heapq import heappop, heappush
 from itertools import chain, compress, count
-from operator import mul
+from operator import mul, sub
 
 from . import _linalg
 from ._linalg import div, exact
-from .polyalg import Polynomial, _mono_sub, _polynomial
+from .polyalg import Polynomial, _polynomial
 
 DEFAULT_SPAIR_BUDGET = 100_000
 
@@ -598,7 +598,7 @@ def quasi_homogeneous_weights(polys):
     rows = []
     for p in polys:
         base, *rest = p.terms
-        rows.extend(_mono_sub(m, base) for m in rest)
+        rows.extend(tuple(map(sub, m, base)) for m in rest)
     basis = _linalg.row_basis(rows)
     if len(basis) == nvars:
         return None

@@ -126,12 +126,12 @@ def defect(record):
     return value
 
 
-def defect_known(record):
+def known_defect(record):
+    """The record's `defect`, or None where `defect` raises LedgerError."""
     try:
-        defect(record)
+        return defect(record)
     except LedgerError:
-        return False
-    return True
+        return None
 
 
 def phn_from_radial(radial_index, d, chi_smoothing_value):
@@ -230,7 +230,8 @@ def global_identity(ledger, records):
         raise LedgerError("records must share one germ dimension d")
 
     open_entries = [e for e in entries if e.index is None]
-    open_records = [r for r in records if not defect_known(r)]
+    defects = [known_defect(r) for r in records]
+    open_records = [r for r, v in zip(records, defects) if v is None]
     unknown_count = (len(open_entries) + len(open_records)
                      + (1 if ledger.chi_x is None else 0))
     if unknown_count > 1:
@@ -244,7 +245,7 @@ def global_identity(ledger, records):
                 "one unknown")
 
     index_sum = sum(e.index for e in entries if e.index is not None)
-    defect_sum = sum(defect(r) for r in records if defect_known(r))
+    defect_sum = sum(v for v in defects if v is not None)
 
     if unknown_count == 0:
         rhs = ledger.chi_x + defect_sum

@@ -14,7 +14,7 @@ ints.
 
 from fractions import Fraction
 from itertools import combinations
-from operator import add, neg, sub
+from operator import add, neg
 
 from . import _linalg
 from ._linalg import exact
@@ -22,10 +22,6 @@ from ._linalg import exact
 
 def _grevlex_key(exps):
     return (sum(exps), tuple(map(neg, reversed(exps))))
-
-
-def _mono_sub(a, b):
-    return tuple(map(sub, a, b))
 
 
 def _product(a, b):

@@ -997,6 +997,27 @@ class TestLedgerWork:
         # Counter equality treats a missing key as zero
         assert counts == Counter(expected)
 
+    def test_defect_is_evaluated_once_per_call_site(self, run_cli,
+                                                    monkeypatch):
+        # the ledger's defects block and global_identity each evaluate a
+        # record's defect once
+        calls = Counter()
+        defect = indexcalc.defect
+
+        def counted_defect(record):
+            calls[record.point] += 1
+            return defect(record)
+
+        for module in (cli, indexcalc):
+            if hasattr(module, "defect"):
+                monkeypatch.setattr(module, "defect", counted_defect)
+        code, out, _ = run_cli("verify", fixture_path("twisted_cubic.json"),
+                               "--json")
+        assert code == 0
+        points = [d["point"] for d in load(out)["ledger"]["defects"]]
+        assert points == ["[0:0:0:0:1]"]
+        assert calls == Counter({point: 2 for point in points})
+
     @pytest.mark.parametrize("k", [3, 6])
     def test_hankel_cone_takes_no_pair(self, run_cli, counts, monkeypatch,
                                        tmp_path, k):

@@ -3,7 +3,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from random import Random
 
 import pytest
@@ -71,9 +71,6 @@ class TestProjectivePoint:
         assert p.coords == (0, 0, 0, 0, 1)
         assert ProjectivePoint.parse(str(p)) == p
 
-    def test_chart_index(self):
-        assert ProjectivePoint((0, 0, 3, 1)).chart_index() == 2
-
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             ProjectivePoint((0, 0, 0))
@@ -90,23 +87,34 @@ class TestProjectivePoint:
         assert ProjectivePoint.parse(" [ -2 : 04 ] ").coords == (1, -2)
 
     def test_fraction_coordinates_are_cleared(self):
-        p = ProjectivePoint.from_fractions((Fraction(1, 2), Fraction(3, 2)))
+        p = ProjectivePoint((Fraction(1, 2), Fraction(3, 2)))
         assert p.coords == (1, 3)
+        assert ProjectivePoint((Fraction(-1, 2), 0, 2)).coords == (1, 0, -4)
 
     @pytest.mark.parametrize("make", [
         lambda: ProjectivePoint((1.5, 2)),
         lambda: ProjectivePoint((2.0, 1)),
-        lambda: ProjectivePoint.from_fractions((0.5, 1)),
-        lambda: ProjectivePoint.from_fractions((Fraction(1, 2), 1.0)),
-    ], ids=["init", "init-integral-float", "from-fractions", "from-fractions-mixed"])
+        lambda: ProjectivePoint((0.5, 1)),
+        lambda: ProjectivePoint((Fraction(1, 2), 1.0)),
+    ], ids=["init", "init-integral-float", "init-half", "init-fraction-and-float"])
     def test_float_coordinates_are_rejected(self, make):
         with pytest.raises(TypeError):
             make()
 
     def test_integral_fraction_coordinates_are_accepted(self):
         assert ProjectivePoint((Fraction(4, 2), 2)).coords == (1, 1)
-        with pytest.raises(ValueError, match="must be integers"):
-            ProjectivePoint((Fraction(1, 2), 1))
+        assert str(ProjectivePoint((Fraction(1, 2), 1))) == "[1:2]"
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=5).filter(any),
+           st.fractions().filter(bool))
+    def test_rational_multiples_are_one_point(self, w, q):
+        # every nonzero rational multiple of w is the point of w, stored as
+        # coprime integers whose first nonzero entry is positive
+        point = ProjectivePoint([q * x for x in w])
+        assert point == ProjectivePoint(w)
+        assert all(type(c) is int for c in point.coords)
+        assert gcd(*point.coords) == 1
+        assert next(c for c in point.coords if c) > 0
 
 
 class TestParsePoint:
@@ -748,8 +756,7 @@ def cell_by_cell_points(gens, variables, spair_budget):
         sols, comp = _solve_zero_dimensional(sub, variables[i + 1:],
                                              spair_budget)
         complete = complete and comp
-        pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
-                   for s in sols)
+        pts.extend(ProjectivePoint((0,) * i + (1,) + s) for s in sols)
     return sorted(pts, key=lambda p: p.coords), complete
 
 
@@ -786,8 +793,7 @@ def restrict_both_ways_points(gens, variables, spair_budget):
             [g.eliminate({0: 1}) for g in gens], variables[i + 1:],
             spair_budget)
         complete = complete and comp
-        pts.extend(ProjectivePoint.from_fractions((0,) * i + (1,) + s)
-                   for s in sols)
+        pts.extend(ProjectivePoint((0,) * i + (1,) + s) for s in sols)
         gens = dict.fromkeys(h for g in gens if (h := g.eliminate({0: 0})))
     return sorted(pts, key=lambda p: p.coords), complete
 
@@ -965,16 +971,18 @@ class TestCharts:
             model = DeterminantalModel(model.matrix, 2, AmbientSpace(AFFINE, 5))
         with pytest.raises(ValueError) as info:
             chart(model, point)
-        assert str(info.value) == "point length does not match the variable count"
+        assert str(info.value) == "expected 5 coordinates"
 
     @pytest.mark.parametrize("coords", [(1, 2, 4, 8, 5), (0, 0, 0, 2, 3)])
     def test_point_check_is_shared_and_takes_any_representative(self, coords):
         # is_point_on_variety, chart_matrix and chart_ideal read a point
-        # through one check: a ProjectivePoint, its integer coordinates and
-        # a negative rational multiple locate and chart the same point
+        # through one check: a ProjectivePoint, its integer coordinates, a
+        # negative rational multiple and the point built from that multiple
+        # locate and chart the same point
         model = catalecticant_model()
-        representatives = [ProjectivePoint(coords), coords,
-                           tuple(Fraction(-2, 3) * c for c in coords)]
+        scaled = tuple(Fraction(-2, 3) * c for c in coords)
+        representatives = [ProjectivePoint(coords), coords, scaled,
+                           ProjectivePoint(scaled)]
         located = {(loc.kind, loc.rank) for loc in
                    (is_point_on_variety(model, pt) for pt in representatives)}
         assert located == {(SMOOTH_STRATUM, 1)}
@@ -983,12 +991,30 @@ class TestCharts:
         # a point of the wrong length is reported as such even when every
         # coordinate is zero; a zero point of the right length is no point
         for point, message in [
-                ((0, 0, 0), "point length does not match the variable count"),
+                ((0, 0, 0), "expected 5 coordinates"),
                 ((0, 0, 0, 0, 0), "projective point needs a nonzero coordinate")]:
             for check in (is_point_on_variety, chart_matrix, chart_ideal):
                 with pytest.raises(ValueError) as info:
                     check(model, point)
                 assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, text", [(PROJECTIVE, "[0:0:1]"),
+                                            (AFFINE, "(0, 0, 1)")])
+    def test_wrong_length_point_has_one_message(self, kind, text):
+        # parse_point reads the text and then checks the point as the other
+        # three do: five variables, a point of three coordinates
+        model = catalecticant_model()
+        if kind == AFFINE:
+            model = DeterminantalModel(model.matrix, 2, AmbientSpace(AFFINE, 5))
+        messages = []
+        for check in (lambda: parse_point(text, model),
+                      lambda: is_point_on_variety(model, (0, 0, 1)),
+                      lambda: chart_matrix(model, (0, 0, 1)),
+                      lambda: chart_ideal(model, (0, 0, 1))):
+            with pytest.raises(ValueError) as info:
+                check()
+            messages.append(str(info.value))
+        assert messages == ["expected 5 coordinates"] * 4
 
     def test_equal_entries_shift_once(self, shift_calls):
         variables = ("x", "y")
@@ -1039,7 +1065,7 @@ def charted_models(draw):
                               min_size=3, max_size=3).filter(any))
         point = ProjectivePoint(point)
         at = point.coords
-        i = point.chart_index()
+        i = next(i for i, c in enumerate(at) if c)
         # x_i^degree is 1 in the chart
         unit = Polynomial.variable(variables, variables[i]) ** degree
         unit_value = at[i] ** degree
@@ -1384,7 +1410,8 @@ class TestClassifyWork:
         got = classify(model)
         assert [str(p) for p in got.singular_points] == ["[0:1:0]", "[1:0:0]",
                                                         "[1:1:0]"]
-        assert len({p.chart_index() for p in got.singular_points}) == 2
+        assert len({next(i for i, c in enumerate(p.coords) if c)
+                    for p in got.singular_points}) == 2
         assert len(chart_eliminations) == 4 * 2
         assert set(chart_eliminations) == {e for row in matrix.entries for e in row}
         assert ((got.local_supported, got.notes)

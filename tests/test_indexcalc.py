@@ -34,8 +34,8 @@ from detsing.indexcalc import (
     SingularPointRecord,
     cstar_fixed_points,
     defect,
-    defect_known,
     global_identity,
+    known_defect,
     phn_from_radial,
     phn_from_radial_nonsmoothable,
 )
@@ -139,11 +139,15 @@ class TestRecordValidation:
         try:
             rec = SingularPointRecord(point="q", n=t - 1 + rows,
                                       p=t - 1 + cols, t=t, **fields)
-            defect_known(rec)
-            rec.resolved_chi_smoothing()
-            defect(rec)
         except LedgerError:
-            pass
+            return
+        value = known_defect(rec)
+        rec.resolved_chi_smoothing()
+        if value is None:
+            with pytest.raises(LedgerError):
+                defect(rec)
+        else:
+            assert defect(rec) == value
 
 
 class TestDefect:
@@ -166,15 +170,22 @@ class TestDefect:
         rec = SingularPointRecord(
             point="v", n=2, p=3, t=2, d=4, smoothable=False, chi_smoothing=1
         )
-        assert not defect_known(rec)
+        assert known_defect(rec) is None
         with pytest.raises(LedgerError):
             defect(rec)
 
     def test_unresolvable_without_data(self):
         rec = cone_record(mu=None)
-        assert not defect_known(rec)
+        assert known_defect(rec) is None
         with pytest.raises(LedgerError):
             defect(rec)
+
+    def test_known_defect_keeps_a_zero_defect(self):
+        # a threefold with mu = 0 has the defect 0, a known value
+        rec = SingularPointRecord(
+            point="v", n=2, p=3, t=2, d=3, smoothable=True, mu=0
+        )
+        assert known_defect(rec) == 0
 
 
 class TestRadialBridge:
@@ -241,6 +252,13 @@ class TestGlobalIdentity:
     def test_solve_chi(self):
         got = global_identity(cone_ledger(chi_x=None), [cone_record()])
         assert (got.status, got.name, got.value) == (SOLVED, "chi_X", 3)
+
+    def test_zero_defect_is_not_an_unknown(self):
+        # mu = 0 at a threefold gives the defect 0, so chi_X is the one
+        # unknown: 5 = chi_X + 0
+        rec = cone_record(d=3, mu=0)
+        got = global_identity(cone_ledger(chi_x=None), [rec])
+        assert (got.status, got.name, got.value) == (SOLVED, "chi_X", 5)
 
     def test_solve_mu(self):
         got = global_identity(cone_ledger(), [cone_record(mu=None)])

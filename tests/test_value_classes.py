@@ -76,20 +76,24 @@ class TestProjectivePoint:
                        lambda: ProjectivePoint((1.0, 2)))
 
     def test_non_integral_coordinate(self):
-        raises_exactly(ValueError, "projective point coordinates must be integers",
-                       lambda: ProjectivePoint((Fraction(1, 2), 1)))
+        # the constructor scales a rational representative to integers; the
+        # text grammar of `parse` still takes integer entries only
+        assert ProjectivePoint((Fraction(1, 2), 1)).coords == (1, 2)
+        raises_exactly(ValueError,
+                       "projective point entries must be integers, got '[1/2:1]'",
+                       lambda: ProjectivePoint.parse("[1/2:1]"))
 
     @pytest.mark.parametrize("coords", [(), (0, 0, 0)])
     def test_needs_a_nonzero_coordinate(self, coords):
         raises_exactly(ValueError, "projective point needs a nonzero coordinate",
                        lambda: ProjectivePoint(coords))
 
-    def test_parse_and_from_fractions_build_the_same_point(self):
+    def test_parse_and_fractions_build_the_same_point(self):
         assert ProjectivePoint.parse("[2:4:0]") == ProjectivePoint((1, 2, 0))
-        point = ProjectivePoint.from_fractions([Fraction(1, 2), Fraction(1, 3)])
+        point = ProjectivePoint([Fraction(1, 2), Fraction(1, 3)])
         assert point.coords == (3, 2)
         assert str(point) == "[3:2]"
-        assert point.chart_index() == 0
+        assert point == ProjectivePoint.parse("[3:2]")
 
 
 class TestPointLocation:
