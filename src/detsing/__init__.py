@@ -12,10 +12,9 @@ from .grobner import (DEFAULT_SPAIR_BUDGET, GroebnerBasis, Ideal,
                       eliminant, ideal_dimension, normal_form,
                       quasi_homogeneous_weights, quotient_dimension,
                       s_polynomial)
-from .indexcalc import (IdentityResult, IndexLedger, LedgerEntry,
-                        LedgerError, SingularPointRecord, cstar_fixed_points,
-                        defect, global_identity, phn_from_radial,
-                        phn_from_radial_nonsmoothable)
+from .indexcalc import (IdentityResult, LedgerError, SingularPointRecord,
+                        cstar_fixed_points, defect, global_identity,
+                        phn_from_radial, phn_from_radial_nonsmoothable)
 from .polyalg import (ParseError, Polynomial, PolyMatrix, minors,
                       parse_polynomial, rank_at_point)
 from .topo import (BouquetDescriptor, CWDescriptor, LeGreuelResult,

@@ -22,10 +22,9 @@ from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      parse_point, point_label)
 from .grobner import (DEFAULT_SPAIR_BUDGET, Ideal, ResourceLimitExceeded,
                       buchberger, ideal_dimension, quotient_dimension)
-from .indexcalc import (ROLE_SMOOTH_FORM_POINT, ROLE_VARIETY_SINGULARITY,
-                        SOLVED, VERIFIED, IdentityResult, IndexLedger,
-                        LedgerEntry, LedgerError, SingularPointRecord,
-                        cstar_fixed_points, global_identity, known_defect)
+from .indexcalc import (SOLVED, VERIFIED, IdentityResult, LedgerError,
+                        SingularPointRecord, cstar_fixed_points,
+                        global_identity, known_defect)
 from .polyalg import PolyMatrix, is_variable_name, minors, parse_polynomial
 
 EXIT_OK = 0
@@ -34,13 +33,13 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
+# the roles of the ledger's entries in a report
+ROLE_VARIETY_SINGULARITY = "variety_singularity"
+ROLE_SMOOTH_FORM_POINT = "form_singularity_smooth_point"
+
 
 class InputError(Exception):
     """Bad input file, flag value, or point reference; exit code 2."""
-
-
-class UnsupportedError(Exception):
-    """Structurally valid input outside the supported scope; exit code 3."""
 
 
 # the JSON type of each kind of value a model takes, as messages name it
@@ -242,7 +241,13 @@ def _classification_block(c):
 
 
 def _assemble_ledger(inp, classification, spair_budget):
-    """Records and ledger entries from the input file and the form."""
+    """(records, smooth) from the input file and the form.
+
+    `records` are the singular points in input order, each with its known
+    index or None; `smooth` maps each zero of the form in the smooth stratum
+    to its index: the torus fixed points first, then the other known
+    indices.
+    """
     model = inp.model
     defaults = {"n": model.n, "p": model.p, "t": model.t,
                 "d": classification.dimension,
@@ -255,8 +260,10 @@ def _assemble_ledger(inp, classification, spair_budget):
         if location.kind == SMOOTH_STRATUM:
             raise InputError(f"{label} lies in the smooth stratum, "
                              "not the singular locus")
+        index = inp.known_indices.get(label, (None, None))[1]
         try:
-            records.append(SingularPointRecord(label, **(defaults | fields)))
+            records.append(SingularPointRecord(label, **(defaults | fields),
+                                               index=index))
         except LedgerError as e:
             raise InputError(str(e))
     if classification.singular_points_exact:
@@ -266,10 +273,7 @@ def _assemble_ledger(inp, classification, spair_budget):
             raise InputError("the singularities list does not match the computed "
                              f"singular points (listed {listed}, computed {computed})")
 
-    entries = [LedgerEntry(label, ROLE_VARIETY_SINGULARITY,
-                           inp.known_indices.get(label, (None, None))[1])
-               for label in inp.singularities]
-    consumed = set(inp.singularities)
+    smooth = {}
     if inp.form_kind == "cstar":
         try:
             fixed = cstar_fixed_points(model, inp.weights, spair_budget)
@@ -287,16 +291,15 @@ def _assemble_ledger(inp, classification, spair_budget):
             if known is not None and known[1] != 1:
                 raise InputError(f"known index {known[1]} at the smooth fixed point "
                                  f"{label} conflicts with the computed index 1")
-            consumed.add(label)
-            entries.append(LedgerEntry(label, ROLE_SMOOTH_FORM_POINT, 1))
+            smooth[label] = 1
     for label, (parsed, value) in inp.known_indices.items():
-        if label in consumed:
+        if label in inp.singularities or label in smooth:
             continue
         location = is_point_on_variety(model, parsed)
         if location.kind != SMOOTH_STRATUM:
             raise InputError(f"known index point {label} must lie in the smooth stratum")
-        entries.append(LedgerEntry(label, ROLE_SMOOTH_FORM_POINT, value))
-    return records, entries
+        smooth[label] = value
+    return records, smooth
 
 
 def _identity_block(result):
@@ -305,27 +308,31 @@ def _identity_block(result):
 
 
 def _ledger(inp, args):
-    """(body, records, entries) shared by verify, euler and index.
+    """(body, records, smooth) shared by verify, euler and index.
 
     The body holds the classification and ledger blocks; each command adds
-    its identity block.
+    its identity block.  The ledger's entries are the records, then the
+    smooth zeros, each with its role and index.
     """
     if inp.model.ambient.kind != PROJECTIVE:
-        raise UnsupportedError(
+        raise LedgerError(
             "the global identity applies to projective varieties only")
     classification = classify(inp.model, args.spair_budget)
-    records, entries = _assemble_ledger(inp, classification, args.spair_budget)
+    records, smooth = _assemble_ledger(inp, classification, args.spair_budget)
     body = {
         "classification": _classification_block(classification),
         "ledger": {
             "chi_X": inp.chi_x,
-            "entries": [{"point": e.point, "role": e.role, "index": e.index}
-                        for e in entries],
+            "entries": [
+                *({"point": r.point, "role": ROLE_VARIETY_SINGULARITY,
+                   "index": r.index} for r in records),
+                *({"point": label, "role": ROLE_SMOOTH_FORM_POINT,
+                   "index": index} for label, index in smooth.items())],
             "defects": [{"point": r.point, "defect": known_defect(r)}
                         for r in records],
         },
     }
-    return body, records, entries
+    return body, records, smooth
 
 
 def cmd_analyze(inp, args):
@@ -335,10 +342,10 @@ def cmd_analyze(inp, args):
 
 
 def cmd_verify(inp, args):
-    body, records, entries = _ledger(inp, args)
-    result = global_identity(IndexLedger(entries, inp.chi_x), records)
+    body, records, smooth = _ledger(inp, args)
+    result = global_identity(records, smooth, inp.chi_x)
     if result.status == SOLVED:
-        raise UnsupportedError(
+        raise LedgerError(
             f"verification needs a fully determined ledger; {result.name} "
             "is unknown (use euler or index to solve for it)")
     body["identity"] = _identity_block(result)
@@ -348,24 +355,25 @@ def cmd_verify(inp, args):
 def cmd_euler(inp, args):
     if inp.chi_x is not None:
         raise InputError("euler solves for chi_X, but known.chi_X is already present")
-    body, records, entries = _ledger(inp, args)
-    result = global_identity(IndexLedger(entries, None), records)
+    body, records, smooth = _ledger(inp, args)
+    result = global_identity(records, smooth, None)
     body["identity"] = _identity_block(result)
     return body, EXIT_OK
 
 
 def cmd_index(inp, args):
     target = point_label(_parsed(parse_point, args.at, "--at", inp.model))
-    body, records, entries = _ledger(inp, args)
-    entry = next((e for e in entries if e.point == target), None)
-    if entry is None:
+    body, records, smooth = _ledger(inp, args)
+    record = next((r for r in records if r.point == target), None)
+    if target in smooth:
+        result = IdentityResult(SOLVED, name=f"index@{target}",
+                                value=smooth[target])
+    elif record is None:
         raise InputError(f"point {target} is not in the ledger")
-    if entry.role == ROLE_SMOOTH_FORM_POINT:
-        result = IdentityResult(SOLVED, name=f"index@{target}", value=entry.index)
-    elif entry.index is not None:
-        raise InputError(f"the index at {target} is already given as {entry.index}")
+    elif record.index is not None:
+        raise InputError(f"the index at {target} is already given as {record.index}")
     else:
-        result = global_identity(IndexLedger(entries, inp.chi_x), records)
+        result = global_identity(records, smooth, inp.chi_x)
     body["identity"] = _identity_block(result)
     return body, EXIT_OK
 
@@ -495,7 +503,7 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (UnsupportedError, LedgerError) as e:
+    except LedgerError as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ResourceLimitExceeded as e:

@@ -577,13 +577,14 @@ def _chart_frame(model, chart):
     `frame` lists the distinct entries e as (f, own) pairs: f is e in the
     chart variables, dehomogenized at coordinate `chart`, which is set to
     1, or e itself when `chart` is None; `own` holds one bool per chart
-    variable, True where f contains it, and is empty for a zero entry.
+    variable, True where f contains it, so all False for a zero entry.
     `cells` is the grid with each entry replaced by its index in `frame`.
     """
     distinct = {}
     cells = [[distinct.setdefault(e, len(distinct)) for e in row]
              for row in model.matrix.entries]
-    return cells, [(f, tuple(map(any, zip(*f.terms))))
+    return cells, [(f, tuple(map(any, zip(*f.terms)))
+                    or (False,) * len(f.variables))
                    for e in distinct
                    for f in [e if chart is None else e.eliminate({chart: 1})]]
 
@@ -646,10 +647,7 @@ def _integer_form(f, offsets, scale):
         f = Polynomial._raw(f.variables, {
             m: c.numerator * (scale // (c.denominator * prod(map(pow, qs, m))))
             for m, c in f.terms.items()})
-    numerators = [a.numerator for a in offsets]
-    if any(numerators):
-        f = f.shift(numerators)
-    return f
+    return f.shift([a.numerator for a in offsets])
 
 
 def chart_ideal(model, point, memo=None):

@@ -14,16 +14,13 @@ from .grobner import DEFAULT_SPAIR_BUDGET, Ideal, buchberger, normal_form
 from .polyalg import minors
 from .topo import MilnorData, chi_smoothing
 
-ROLE_VARIETY_SINGULARITY = "variety_singularity"
-ROLE_SMOOTH_FORM_POINT = "form_singularity_smooth_point"
-
 VERIFIED = "verified"
 VIOLATED = "violated"
 SOLVED = "solved"
 
 
 class LedgerError(ValueError):
-    """The ledger is inconsistent or underdetermined."""
+    """The ledger is inconsistent, underdetermined or outside the identity's scope."""
 
 
 def _integers(where, values, optional=False):
@@ -34,23 +31,26 @@ def _integers(where, values, optional=False):
 
 
 class SingularPointRecord:
-    """Local invariants of one isolated singular point.
+    """Local invariants of one isolated singular point, and the form's index there.
 
     The germ is the rank < t locus of an n x p matrix and d is its dimension.
     chi_smoothing is the Euler characteristic of the essential smoothing;
     chi_lower_stratum is that of the rank < t - 1 stratum inside the
-    smoothing, needed only when the germ is not smoothable.
+    smoothing, needed only when the germ is not smoothable.  index is the
+    obstruction index of the 1-form at the point; None marks it as the
+    unknown of the global identity.
     """
 
     __slots__ = ("point", "n", "p", "t", "d", "smoothable", "mu",
-                 "chi_smoothing", "chi_lower_stratum")
+                 "chi_smoothing", "chi_lower_stratum", "index")
 
     def __init__(self, point, n, p, t, d, smoothable, mu=None,
-                 chi_smoothing=None, chi_lower_stratum=None):
+                 chi_smoothing=None, chi_lower_stratum=None, index=None):
         where = f"record at {point}"
         _integers(where, (("n", n), ("p", p), ("t", t), ("d", d)))
         _integers(where, (("mu", mu), ("chi_smoothing", chi_smoothing),
-                          ("chi_lower_stratum", chi_lower_stratum)), optional=True)
+                          ("chi_lower_stratum", chi_lower_stratum),
+                          ("index", index)), optional=True)
         if type(smoothable) is not bool:
             raise LedgerError(f"{where}: smoothable must be a boolean")
         if not 1 <= t <= min(n, p):
@@ -78,6 +78,7 @@ class SingularPointRecord:
         self.mu = mu
         self.chi_smoothing = chi_smoothing
         self.chi_lower_stratum = chi_lower_stratum
+        self.index = index
         derived = self._chi_from_mu()
         if (chi_smoothing is not None and derived is not None
                 and chi_smoothing != derived):
@@ -106,8 +107,9 @@ class SingularPointRecord:
 def defect(record):
     """Per-point correction term on the right side of the global identity.
 
-    Smoothable germs contribute 1 + (-1)^d (chi_smoothing - 1); nonsmoothable
-    germs add the lower-stratum term
+    Smoothable germs contribute 1 + (-1)^d (chi_smoothing - 1), the
+    obstruction index of a radial index 1; nonsmoothable germs add the
+    lower-stratum term
     (-1)^(n + p + 1) (p - t + 1) chi_lower_stratum.
     """
     chi = record.resolved_chi_smoothing()
@@ -115,7 +117,7 @@ def defect(record):
         raise LedgerError(
             f"record at {record.point}: chi_smoothing is undetermined "
             "(supply it, or mu for a smoothable germ of dimension 2 or 3)")
-    value = 1 + (-1) ** record.d * (chi - 1)
+    value = phn_from_radial(1, record.d, chi)
     if not record.smoothable:
         if record.chi_lower_stratum is None:
             raise LedgerError(
@@ -156,31 +158,6 @@ def phn_from_radial_nonsmoothable(radial_index, record):
     return radial_index - 1 + defect(record)
 
 
-class LedgerEntry:
-    """One zero of the global 1-form; index None marks it as the unknown."""
-
-    __slots__ = ("point", "role", "index")
-
-    def __init__(self, point, role, index=None):
-        if role not in (ROLE_VARIETY_SINGULARITY, ROLE_SMOOTH_FORM_POINT):
-            raise LedgerError(f"unknown ledger role {role!r}")
-        _integers(f"ledger entry {point}", (("index", index),), optional=True)
-        self.point = point
-        self.role = role
-        self.index = index
-
-
-class IndexLedger:
-    """Ledger entries and chi(X); chi_x None marks chi(X) as the unknown."""
-
-    __slots__ = ("entries", "chi_x")
-
-    def __init__(self, entries, chi_x=None):
-        _integers("ledger", (("chi_x", chi_x),), optional=True)
-        self.entries = tuple(entries)
-        self.chi_x = chi_x
-
-
 class IdentityResult:
     """Status and both sides of the identity, with a solved unknown's name and value."""
 
@@ -200,40 +177,39 @@ class IdentityResult:
                 == (other.status, other.lhs, other.rhs, other.name, other.value))
 
 
-def global_identity(ledger, records):
+def global_identity(records, smooth, chi_x):
     """Check or solve: sum of indices = chi(X) + sum of defects.
 
-    At most one quantity may be unknown: a single entry index, chi(X), or the
-    mu of a single record (smoothable, dimension 2 or 3).  With no unknowns
-    the identity is checked; with one unknown it is solved exactly, every
-    term entering with integer coefficients.
+    `records` are the singular points, each with its index; `smooth` maps
+    the label of each zero of the form in the smooth stratum to its index.
+    An index or chi_x of None marks that quantity as the unknown.  At most
+    one quantity may be unknown: a single index, chi(X), or the mu of a
+    single record (smoothable, dimension 2 or 3).  With no unknowns the
+    identity is checked; with one unknown it is solved exactly, every term
+    entering with integer coefficients.
     """
-    entries = tuple(ledger.entries)
+    _integers("ledger", (("chi_x", chi_x),
+                         *((f"index@{label}", index)
+                           for label, index in smooth.items())), optional=True)
     records = tuple(records)
-    seen = set()
-    for entry in entries:
-        if entry.point in seen:
-            raise LedgerError(f"duplicate ledger point {entry.point}")
-        seen.add(entry.point)
-    record_points = [r.point for r in records]
-    if len(set(record_points)) != len(record_points):
+    # every zero's index, the records' before the smooth zeros'
+    indices = {r.point: r.index for r in records}
+    if len(indices) != len(records):
         raise LedgerError("duplicate singular point records")
-    singular_entries = {e.point for e in entries
-                        if e.role == ROLE_VARIETY_SINGULARITY}
-    if singular_entries != set(record_points):
-        raise LedgerError(
-            "variety singularities in the ledger and the record list must "
-            "name the same points")
+    for label, index in smooth.items():
+        if label in indices:
+            raise LedgerError(f"duplicate ledger point {label}")
+        indices[label] = index
     if len({(r.n, r.p, r.t) for r in records}) > 1:
         raise LedgerError("records must share one matrix type (n, p, t)")
     if len({r.d for r in records}) > 1:
         raise LedgerError("records must share one germ dimension d")
 
-    open_entries = [e for e in entries if e.index is None]
+    open_points = [point for point, index in indices.items() if index is None]
     defects = [known_defect(r) for r in records]
     open_records = [r for r, v in zip(records, defects) if v is None]
-    unknown_count = (len(open_entries) + len(open_records)
-                     + (1 if ledger.chi_x is None else 0))
+    unknown_count = (len(open_points) + len(open_records)
+                     + (1 if chi_x is None else 0))
     if unknown_count > 1:
         raise LedgerError(
             f"{unknown_count} unknowns; the identity can absorb only one")
@@ -244,24 +220,24 @@ def global_identity(ledger, records):
                 f"record at {record.point}: the defect is not a function of "
                 "one unknown")
 
-    index_sum = sum(e.index for e in entries if e.index is not None)
+    index_sum = sum(index for index in indices.values() if index is not None)
     defect_sum = sum(v for v in defects if v is not None)
 
     if unknown_count == 0:
-        rhs = ledger.chi_x + defect_sum
+        rhs = chi_x + defect_sum
         status = VERIFIED if index_sum == rhs else VIOLATED
         return IdentityResult(status, lhs=index_sum, rhs=rhs)
     # the unknown balances the identity, so both sides equal the total of
     # the side that holds no unknown
-    total = ledger.chi_x + defect_sum if open_entries else index_sum
-    if open_entries:
-        name, value = f"index@{open_entries[0].point}", total - index_sum
-    elif ledger.chi_x is None:
+    total = chi_x + defect_sum if open_points else index_sum
+    if open_points:
+        name, value = f"index@{open_points[0]}", total - index_sum
+    elif chi_x is None:
         name, value = "chi_X", total - defect_sum
     else:
         record = open_records[0]
         # d = 2: defect = 1 + mu; d = 3: defect = mu
-        value = total - ledger.chi_x - defect_sum - (1 if record.d == 2 else 0)
+        value = total - chi_x - defect_sum - (1 if record.d == 2 else 0)
         if value < 0:
             raise LedgerError(
                 f"record at {record.point}: the identity forces mu = {value} < 0")

@@ -44,6 +44,9 @@ class MilnorData:
     __slots__ = ("d", "mu", "b2", "m_d", "mu_slice")
 
     def __init__(self, d, mu=None, b2=None, m_d=None, mu_slice=None):
+        # `type(...) is` keeps a bool from passing as an integer
+        if type(d) is not int or d < 1:
+            raise ValueError("d must be a positive integer")
         for name, v in (("mu", mu), ("b2", b2), ("m_d", m_d),
                         ("mu_slice", mu_slice)):
             if v is not None and (type(v) is not int or v < 0):

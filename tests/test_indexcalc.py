@@ -22,14 +22,10 @@ from detsing.detvar import (
 )
 from detsing.grobner import buchberger, normal_form
 from detsing.indexcalc import (
-    ROLE_SMOOTH_FORM_POINT,
-    ROLE_VARIETY_SINGULARITY,
     SOLVED,
     VERIFIED,
     VIOLATED,
     IdentityResult,
-    IndexLedger,
-    LedgerEntry,
     LedgerError,
     SingularPointRecord,
     cstar_fixed_points,
@@ -224,120 +220,111 @@ class TestRadialBridge:
             phn_from_radial_nonsmoothable(1, cone_record())
 
 
-def cone_ledger(vertex_index=3, chi_x=3):
-    entries = (
-        LedgerEntry(VERTEX, ROLE_VARIETY_SINGULARITY, vertex_index),
-        LedgerEntry("[1:0:0:0:0]", ROLE_SMOOTH_FORM_POINT, 1),
-        LedgerEntry("[0:0:0:1:0]", ROLE_SMOOTH_FORM_POINT, 1),
-    )
-    return IndexLedger(entries, chi_x=chi_x)
+CONE_SMOOTH = {"[1:0:0:0:0]": 1, "[0:0:0:1:0]": 1}
+
+
+def cone_ledger(vertex_index=3, chi_x=3, smooth=CONE_SMOOTH, **record):
+    """The twisted-cubic cone's ledger as global_identity's arguments: the
+    vertex record, carrying its index, the torus-fixed smooth zeros and
+    chi(X)."""
+    return [cone_record(index=vertex_index, **record)], smooth, chi_x
 
 
 class TestGlobalIdentity:
     def test_verified(self):
-        got = global_identity(cone_ledger(), [cone_record()])
+        got = global_identity(*cone_ledger())
         assert got == IdentityResult(VERIFIED, lhs=5, rhs=5)
 
     def test_violated(self):
-        got = global_identity(cone_ledger(chi_x=4), [cone_record()])
+        got = global_identity(*cone_ledger(chi_x=4))
         assert got == IdentityResult(VIOLATED, lhs=5, rhs=6)
 
     def test_solve_index(self):
-        got = global_identity(cone_ledger(vertex_index=None), [cone_record()])
+        got = global_identity(*cone_ledger(vertex_index=None))
         assert got.status == SOLVED
         assert got.name == f"index@{VERTEX}"
         assert got.value == 3
         assert got.lhs == got.rhs == 5
 
+    def test_solve_smooth_index(self):
+        smooth = {"[1:0:0:0:0]": None, "[0:0:0:1:0]": 1}
+        got = global_identity(*cone_ledger(smooth=smooth))
+        assert got == IdentityResult(SOLVED, lhs=5, rhs=5,
+                                     name="index@[1:0:0:0:0]", value=1)
+
     def test_solve_chi(self):
-        got = global_identity(cone_ledger(chi_x=None), [cone_record()])
+        got = global_identity(*cone_ledger(chi_x=None))
         assert (got.status, got.name, got.value) == (SOLVED, "chi_X", 3)
 
     def test_zero_defect_is_not_an_unknown(self):
         # mu = 0 at a threefold gives the defect 0, so chi_X is the one
         # unknown: 5 = chi_X + 0
-        rec = cone_record(d=3, mu=0)
-        got = global_identity(cone_ledger(chi_x=None), [rec])
+        got = global_identity(*cone_ledger(chi_x=None, d=3, mu=0))
         assert (got.status, got.name, got.value) == (SOLVED, "chi_X", 5)
 
     def test_solve_mu(self):
-        got = global_identity(cone_ledger(), [cone_record(mu=None)])
+        got = global_identity(*cone_ledger(mu=None))
         assert (got.status, got.name, got.value) == (SOLVED, f"mu@{VERTEX}", 1)
 
     def test_solved_mu_round_trip(self):
         # substitute the solved mu back and the ledger must verify
-        solved = global_identity(cone_ledger(), [cone_record(mu=None)])
-        again = global_identity(cone_ledger(), [cone_record(mu=solved.value)])
+        solved = global_identity(*cone_ledger(mu=None))
+        again = global_identity(*cone_ledger(mu=solved.value))
         assert again.status == VERIFIED
 
     def test_negative_solved_mu_rejected(self):
-        ledger = cone_ledger(vertex_index=0)
         with pytest.raises(LedgerError):
-            global_identity(ledger, [cone_record(mu=None)])
+            global_identity(*cone_ledger(vertex_index=0, mu=None))
 
     def test_two_unknowns_rejected(self):
-        ledger = cone_ledger(vertex_index=None, chi_x=None)
         with pytest.raises(LedgerError):
-            global_identity(ledger, [cone_record()])
+            global_identity(*cone_ledger(vertex_index=None, chi_x=None))
 
     def test_unknown_defect_must_be_mu_linked(self):
-        entries = (LedgerEntry("q", ROLE_VARIETY_SINGULARITY, 1),)
         rec = SingularPointRecord(
-            point="q", n=3, p=2, t=2, d=2, smoothable=True, mu=1
+            point="q", n=3, p=2, t=2, d=2, smoothable=True, mu=1, index=1
         )
         with pytest.raises(LedgerError):
-            global_identity(IndexLedger(entries, chi_x=0), [rec])
+            global_identity([rec], {}, 0)
 
     def test_duplicate_entries_rejected(self):
-        entries = (
-            LedgerEntry(VERTEX, ROLE_VARIETY_SINGULARITY, 3),
-            LedgerEntry(VERTEX, ROLE_SMOOTH_FORM_POINT, 1),
-        )
-        with pytest.raises(LedgerError):
-            global_identity(IndexLedger(entries, chi_x=3), [cone_record()])
-
-    def test_record_point_mismatch_rejected(self):
-        with pytest.raises(LedgerError):
-            global_identity(cone_ledger(), [cone_record(point="[1:0:0:0:0]")])
+        # a smooth zero at the record's own point
+        with pytest.raises(LedgerError) as info:
+            global_identity(*cone_ledger(smooth={VERTEX: 1}))
+        assert str(info.value) == f"duplicate ledger point {VERTEX}"
 
     def test_mixed_matrix_types_rejected(self):
-        entries = (
-            LedgerEntry("a", ROLE_VARIETY_SINGULARITY, 1),
-            LedgerEntry("b", ROLE_VARIETY_SINGULARITY, 1),
-        )
         recs = [
-            SingularPointRecord(point="a", n=2, p=3, t=2, d=2, smoothable=True, mu=0),
+            SingularPointRecord(point="a", n=2, p=3, t=2, d=2, smoothable=True,
+                                mu=0, index=1),
             SingularPointRecord(point="b", n=3, p=2, t=2, d=2, smoothable=True,
-                                chi_smoothing=2),
+                                chi_smoothing=2, index=1),
         ]
         with pytest.raises(LedgerError):
-            global_identity(IndexLedger(entries, chi_x=0), recs)
+            global_identity(recs, {}, 0)
 
     def test_duplicate_records_rejected(self):
         with pytest.raises(LedgerError, match="^duplicate singular point records$"):
-            global_identity(cone_ledger(), [cone_record(), cone_record()])
+            global_identity([cone_record(index=3), cone_record(index=3)],
+                            CONE_SMOOTH, 3)
 
     def test_mixed_germ_dimensions_rejected(self):
-        entries = (
-            LedgerEntry("a", ROLE_VARIETY_SINGULARITY, 1),
-            LedgerEntry("b", ROLE_VARIETY_SINGULARITY, 1),
-        )
-        recs = [cone_record(point="a", d=2, mu=0), cone_record(point="b", d=3, mu=1)]
+        recs = [cone_record(point="a", d=2, mu=0, index=1),
+                cone_record(point="b", d=3, mu=1, index=1)]
         with pytest.raises(LedgerError,
                            match="^records must share one germ dimension d$"):
-            global_identity(IndexLedger(entries, chi_x=0), recs)
+            global_identity(recs, {}, 0)
+
+    @pytest.mark.parametrize("index", [True, 1.0, 0.5])
+    def test_smooth_index_is_an_integer(self, index):
+        smooth = {"[1:0:0:0:0]": index, "[0:0:0:1:0]": 1}
+        with pytest.raises(LedgerError) as info:
+            global_identity(*cone_ledger(smooth=smooth))
+        assert str(info.value) == "ledger: index@[1:0:0:0:0] must be an integer"
 
     def test_classical_smooth_ledger(self):
-        entries = (
-            LedgerEntry("[1:0]", ROLE_SMOOTH_FORM_POINT, 1),
-            LedgerEntry("[0:1]", ROLE_SMOOTH_FORM_POINT, 1),
-        )
-        got = global_identity(IndexLedger(entries, chi_x=2), [])
+        got = global_identity([], {"[1:0]": 1, "[0:1]": 1}, 2)
         assert got.status == VERIFIED
-
-    def test_bad_role_rejected(self):
-        with pytest.raises(LedgerError):
-            LedgerEntry("p", "somewhere")
 
 
 class TestCStarForms:

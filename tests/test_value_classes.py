@@ -16,11 +16,9 @@ from detsing.detvar import (AFFINE, ESSENTIAL_SINGULAR, PROJECTIVE,
                             GermClassification, PointLocation,
                             ProjectivePoint, classify)
 from detsing.grobner import GroebnerBasis, Ideal, buchberger
-from detsing.indexcalc import (ROLE_SMOOTH_FORM_POINT,
-                               ROLE_VARIETY_SINGULARITY, SOLVED, VERIFIED,
-                               IdentityResult, IndexLedger, LedgerEntry,
+from detsing.indexcalc import (SOLVED, VERIFIED, IdentityResult,
                                LedgerError, SingularPointRecord,
-                               cstar_fixed_points)
+                               cstar_fixed_points, global_identity)
 from detsing.polyalg import PolyMatrix, Polynomial, parse_polynomial
 from detsing.topo import (HOLDS, BouquetDescriptor, CWDescriptor,
                           LeGreuelResult, MilnorData)
@@ -214,17 +212,17 @@ class TestGroebnerBasis:
 
 class TestSingularPointRecord:
     FIELDS = ("point", "n", "p", "t", "d", "smoothable", "mu",
-              "chi_smoothing", "chi_lower_stratum")
+              "chi_smoothing", "chi_lower_stratum", "index")
 
     def test_defaults(self):
         record = SingularPointRecord("P", 2, 3, 2, 2, True)
-        assert (record.mu, record.chi_smoothing, record.chi_lower_stratum) == (
-            None, None, None)
+        assert (record.mu, record.chi_smoothing, record.chi_lower_stratum,
+                record.index) == (None, None, None, None)
         assert record.resolved_chi_smoothing() is None
         assert record.mu_linked()
 
     def test_positional_and_keyword(self):
-        values = ("P", 2, 3, 2, 4, False, None, 5, -1)
+        values = ("P", 2, 3, 2, 4, False, None, 5, -1, -2)
         for record in (SingularPointRecord(*values),
                        SingularPointRecord(**dict(zip(self.FIELDS, values)))):
             assert tuple(getattr(record, f) for f in self.FIELDS) == values
@@ -280,37 +278,37 @@ class TestSingularPointRecord:
 
 
 class TestLedgerEntry:
+    """A singular point enters the ledger as its record, index included."""
+
     def test_default_positional_and_keyword(self):
-        assert LedgerEntry("A", ROLE_SMOOTH_FORM_POINT).index is None
-        for entry in (LedgerEntry("A", ROLE_VARIETY_SINGULARITY, -2),
-                      LedgerEntry(point="A", role=ROLE_VARIETY_SINGULARITY,
-                                  index=-2)):
-            assert (entry.point, entry.role, entry.index) == (
-                "A", ROLE_VARIETY_SINGULARITY, -2)
+        assert SingularPointRecord("A", 2, 3, 2, 2, True).index is None
+        for record in (SingularPointRecord("A", 2, 3, 2, 2, True, 1, None,
+                                           None, -2),
+                       SingularPointRecord("A", 2, 3, 2, 2, True, mu=1,
+                                           index=-2)):
+            assert (record.point, record.index) == ("A", -2)
 
-    def test_unknown_role(self):
-        raises_exactly(LedgerError, "unknown ledger role 'cusp'",
-                       lambda: LedgerEntry("A", "cusp", 1))
-
-    @pytest.mark.parametrize("index", [1.5, 1.0, True])
+    @pytest.mark.parametrize("index", [1.5, 1.0, True, "1"])
     def test_index_is_an_integer(self, index):
-        raises_exactly(LedgerError, "ledger entry A: index must be an integer",
-                       lambda: LedgerEntry("A", ROLE_SMOOTH_FORM_POINT, index))
+        raises_exactly(LedgerError, "record at A: index must be an integer",
+                       lambda: SingularPointRecord("A", 2, 3, 2, 2, True,
+                                                   index=index))
 
 
 class TestIndexLedger:
+    """The ledger is `global_identity`'s arguments: the records, the smooth
+    zeros' indices and chi(X)."""
+
     def test_default_positional_and_keyword(self):
-        entry = LedgerEntry("A", ROLE_SMOOTH_FORM_POINT, 1)
-        assert IndexLedger([entry]).chi_x is None
-        for ledger in (IndexLedger(iter([entry]), 2),
-                       IndexLedger(entries=[entry], chi_x=2)):
-            assert ledger.entries == (entry,)
-            assert ledger.chi_x == 2
+        smooth = {"[1:0]": 1, "[0:1]": 1}
+        for result in (global_identity(iter([]), smooth, 2),
+                       global_identity(records=[], smooth=smooth, chi_x=2)):
+            assert result == IdentityResult(VERIFIED, lhs=2, rhs=2)
 
     @pytest.mark.parametrize("chi_x", [1.5, 2.0, False])
     def test_chi_x_is_an_integer(self, chi_x):
         raises_exactly(LedgerError, "ledger: chi_x must be an integer",
-                       lambda: IndexLedger([], chi_x))
+                       lambda: global_identity([], {}, chi_x))
 
 
 class TestIdentityResult:
@@ -381,6 +379,13 @@ class TestMilnorData:
         for data in (MilnorData(*values),
                      MilnorData(**dict(zip(self.FIELDS, values)))):
             assert tuple(getattr(data, f) for f in self.FIELDS) == values
+
+    @pytest.mark.parametrize("d", [2.0, 3.0, True, "2", 0, -1])
+    def test_d_is_a_positive_integer(self, d):
+        # a float d must not pass as its integer: chi_smoothing and
+        # le_greuel_check would answer for a dimension never given
+        raises_exactly(ValueError, "d must be a positive integer",
+                       lambda: MilnorData(d, mu=1, m_d=3, mu_slice=1))
 
     @pytest.mark.parametrize("name", ["mu", "b2", "m_d", "mu_slice"])
     @pytest.mark.parametrize("value", [-1, 1.0, "2", True])
