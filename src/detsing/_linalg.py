@@ -72,10 +72,11 @@ def row_basis(rows):
     The reduced echelon form depends only on the row space, so neither the
     order of `rows` nor repeated or dependent rows change the result.  The
     entries are exact rationals of equal-length rows, as the callers pass
-    them: values of polynomials at a point, and integer exponent
-    differences.  An integral entry of the result may be a `Fraction`, as
-    `_pivot` leaves it: the callers read only values, through `len`
-    (`polyalg.rank_at_point`) and, after the simplex, `primitive`.
+    them: values of polynomials at a point, coefficients of forms, and
+    integer exponent differences.  An integral entry of the result may be a
+    `Fraction`, as `_pivot` leaves it: the callers read only values, through
+    `len` (`polyalg.rank_at_point`, `indexcalc.cstar_fixed_points`) and,
+    after the simplex, `primitive`.
     """
     mat = [list(row) for row in rows]
     if not mat or not mat[0]:

@@ -240,7 +240,7 @@ def _classification_block(c):
     }
 
 
-def _assemble_ledger(inp, classification, spair_budget):
+def _assemble_ledger(inp, classification):
     """(records, smooth) from the input file and the form.
 
     `records` are the singular points in input order, each with its known
@@ -276,7 +276,7 @@ def _assemble_ledger(inp, classification, spair_budget):
     smooth = {}
     if inp.form_kind == "cstar":
         try:
-            fixed = cstar_fixed_points(model, inp.weights, spair_budget)
+            fixed = cstar_fixed_points(model, inp.weights)
         except ValueError as e:
             raise InputError(str(e))
         for pt, location in fixed:
@@ -318,7 +318,7 @@ def _ledger(inp, args):
         raise LedgerError(
             "the global identity applies to projective varieties only")
     classification = classify(inp.model, args.spair_budget)
-    records, smooth = _assemble_ledger(inp, classification, args.spair_budget)
+    records, smooth = _assemble_ledger(inp, classification)
     body = {
         "classification": _classification_block(classification),
         "ledger": {

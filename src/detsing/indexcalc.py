@@ -9,8 +9,11 @@ Singular-point obstruction indices are never derived symbolically here; they
 are either input data or the single unknown the identity is solved for.
 """
 
+from ._linalg import row_basis
 from .detvar import OUTSIDE, PROJECTIVE, ProjectivePoint, is_point_on_variety
-from .grobner import DEFAULT_SPAIR_BUDGET, Ideal, buchberger, normal_form
+# unused here; perfbench wraps this binding, and perfbench/test_perfbench.py::
+# test_wrappers_cover_every_binding_and_are_removed asserts it
+from .grobner import buchberger  # noqa: F401
 from .polyalg import minors
 from .topo import MilnorData, chi_smoothing
 
@@ -137,7 +140,12 @@ def known_defect(record):
 
 
 def phn_from_radial(radial_index, d, chi_smoothing_value):
-    """Obstruction index from the radial index, smoothable case."""
+    """Obstruction index from the radial index, smoothable case.
+
+    Every argument is an int; a bool, a float or a str raises LedgerError.
+    """
+    _integers("phn_from_radial", (("radial_index", radial_index), ("d", d),
+                                  ("chi_smoothing_value", chi_smoothing_value)))
     return radial_index + (-1) ** d * (chi_smoothing_value - 1)
 
 
@@ -149,8 +157,10 @@ def phn_from_radial_nonsmoothable(radial_index, record):
     checks: a radial index of 1 gives the defect of the record,
     lower-stratum term included.  Nothing in the command line
     calls it; it stays as the formula of the source paper for germs past
-    the smoothability bound.
+    the smoothability bound.  A `radial_index` that is not an int raises
+    LedgerError.
     """
+    _integers("phn_from_radial_nonsmoothable", (("radial_index", radial_index),))
     if record.smoothable:
         raise LedgerError(
             f"record at {record.point} is smoothable; no lower-stratum "
@@ -245,21 +255,27 @@ def global_identity(records, smooth, chi_x):
     return IdentityResult(SOLVED, lhs=total, rhs=total, name=name, value=value)
 
 
-def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
+def cstar_fixed_points(model, weights):
     """Coordinate fixed points of the weight action that lie on the variety.
 
     `weights` holds one integer per homogeneous coordinate.  They must be
     pairwise distinct so the fixed points are exactly the coordinate points.
     The action must preserve the variety; this is checked exactly: every
-    graded component of every t-minor must lie in the t-minors ideal.  A
+    weight component of every t-minor must lie in the t-minors ideal.  A
     minor with one component is that component, so it lies there as it is.
-    Only when some minor splits is the reduced basis of the ideal built,
-    once, within `spair_budget` S-pairs, and each component of every split
-    minor reduced against it.  Distinct weights also make every chart
-    weight difference nonzero, so a fixed point in the smooth stratum is a
-    simple zero of the induced form and its index is 1.  Returns (point,
-    location) pairs in coordinate order.  A weight that is not an int, such
-    as 0.5, raises TypeError.
+    The entries are forms of one degree e, so every nonzero t-minor, and
+    each of its components, is a form of degree t * e, and a form of that
+    degree lies in the ideal exactly when it is a rational combination of
+    the t-minors (the degree-(t * e) part of an ideal generated in that
+    degree; Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 8).  Only when some minor splits are the coefficient rows of the
+    nonzero minors and of their components built, and the components must
+    not raise the rank of the minors' rows; no Groebner basis is built.
+    Distinct weights also make every chart weight difference nonzero, so a
+    fixed point in the smooth stratum is a simple zero of the induced form
+    and its index is 1.  Returns (point, location) pairs in coordinate
+    order.  A weight that is not an int, such as 0.5, raises TypeError, also
+    where every t-minor is 0.
     """
     if model.ambient.kind != PROJECTIVE:
         raise ValueError("torus fixed points are computed in projective mode only")
@@ -269,15 +285,14 @@ def cstar_fixed_points(model, weights, spair_budget=DEFAULT_SPAIR_BUDGET):
     if len(weights) != len(model.variables):
         raise ValueError("one weight per homogeneous coordinate is required")
     gens = minors(model.matrix, model.t)
-    basis = None
-    for gen in gens:
-        parts = gen.weight_components(weights).values()
-        if len(parts) < 2:
-            continue
-        if basis is None:
-            basis = buchberger(Ideal(model.variables, gens),
-                               spair_budget=spair_budget)
-        if any(normal_form(part, basis) for part in parts):
+    # every minor, a zero one too, is split, so a float weight always raises
+    parts = [gen.weight_components(weights).values() for gen in gens]
+    if any(len(p) > 1 for p in parts):
+        # a zero minor has no monomial, and a component's are its minor's
+        columns = {m: None for gen in gens for m in gen.terms}
+        rows = [[gen.terms.get(m, 0) for m in columns] for gen in gens if gen]
+        extra = [[c.terms.get(m, 0) for m in columns] for p in parts for c in p]
+        if len(row_basis(rows + extra)) > len(row_basis(rows)):
             raise ValueError("the weight action does not preserve the variety")
     out = []
     count = len(model.variables)

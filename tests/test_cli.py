@@ -592,9 +592,10 @@ class TestInputValidation:
         # those of the charted lower basis that the command presents: the
         # C(4, 2) pairs of the four distinct 1-minors x0, x1, x2, x3
         (("groebner", "twisted_cubic.json", "--ideal", "lower"), 6),
-        # both dimensions certify, and a 2-minor splits into weight
-        # components, so the cstar check builds the rank basis: 6 pairs
-        (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"), 6),
+        # the lower ideal of the six 1-minors certifies its floor 1 after 2
+        # pairs; a 2-minor splits into weight components, but the torus
+        # check tests the span of the 2-minors and takes no pair
+        (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"), 2),
     ], ids=["argv0", "argv1"])
     def test_budget_boundary(self, run_cli, tmp_path, argv, budget):
         # the smallest budget that completes moves with pair order, pair
@@ -609,7 +610,7 @@ class TestInputValidation:
 
     def test_certified_ledger_completes_at_the_smallest_budget(self, run_cli):
         # both dimensions of the Segre cone certify from the generators, and
-        # no 2-minor splits into weight components, so no basis is built
+        # the cstar check builds no basis, so no pair is taken
         code, _, err = run_cli("index", fixture_path("segre_cone.json"),
                                "--at", "[0:0:0:0:0:0:1]", "--spair-budget", "1")
         assert code == 0 and err == ""
@@ -969,17 +970,18 @@ class TestLedgerWork:
 
     @pytest.mark.parametrize("argv, expected", [
         # both dimensions certify, the lower one by its Krull floor 5 - 4
-        # (four distinct 1-minors), and no 2-minor splits into weight
-        # components, so the cstar form needs no rank basis; the vertex
-        # chart's minors are homogeneous, so its weight gate runs no simplex
+        # (four distinct 1-minors), and the cstar check builds no basis; the
+        # vertex chart's minors are homogeneous, so its weight gate runs no
+        # simplex
         (("verify", "twisted_cubic.json"),
          {"certified": 2, "rank_at_point": 6}),
         # both dimensions certify, and no 2-minor splits
         (("index", "segre_cone.json", "--at", "[0:0:0:0:0:0:1]"),
          {"certified": 2, "rank_at_point": 8}),
-        # a 2-minor splits, so the cstar check builds the one rank basis
+        # a 2-minor splits, and the cstar check tests the span of the
+        # 2-minors, so it builds no basis
         (("index", "segre_cone_column_op.json", "--at", "[0:0:0:0:0:0:1]"),
-         {"grevlex": 1, "certified": 2, "rank_at_point": 8}),
+         {"certified": 2, "rank_at_point": 8}),
         # the lower dimension certifies; only the charted basis is built
         (("groebner", "twisted_cubic.json", "--ideal", "minors"),
          {"grevlex": 1, "certified": 1, "weights": 0}),

@@ -7,7 +7,7 @@ roots, `analyze` and `groebner --ideal minors` on a projective cone
 whose vertex is charted at non-integral offsets, and `analyze` on an affine
 grid whose roots have eight distinct prime denominators, and `verify` and
 `index` on column-operated copies of the twisted cubic and Segre cone
-fixtures, whose cstar check reads the rank basis, and `analyze` and
+fixtures, whose cstar check tests split minors, and `analyze` and
 `groebner --ideal lower` on an affine model whose point solver substitutes
 roots, each in text and `--json` form.  The expected output in `golden/cli.json` is recorded output, not
 recomputed here, so any change to what these commands print shows up as a
@@ -75,7 +75,7 @@ LARGE_K_GRID = {
 # the twisted cubic and Segre cone fixtures with col3 + col1 as the third
 # column: the same varieties, but the minor of the last two columns, such as
 # x1*(x3 + x1) - x2*(x2 + x0), now splits into weight components, so the
-# cstar check reduces them against the rank basis
+# cstar check tests them against the span of the 2-minors
 TWISTED_CUBIC_COLUMN_OP = {
     "schema_version": 1,
     "variables": [f"x{i}" for i in range(5)],

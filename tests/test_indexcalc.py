@@ -6,6 +6,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
+from test_cli_golden import SEGRE_CONE_COLUMN_OP
+
+from detsing import grobner
 from detsing.cli import load_input
 
 from detsing.detvar import (
@@ -219,6 +222,27 @@ class TestRadialBridge:
         with pytest.raises(LedgerError):
             phn_from_radial_nonsmoothable(1, cone_record())
 
+    @pytest.mark.parametrize("args, name", [
+        ((1, 2.0, 2), "d"),
+        ((1, True, 2), "d"),
+        ((1, "2", 2), "d"),
+        ((0.5, 2, 2), "radial_index"),
+        ((False, 2, 2), "radial_index"),
+        ((1, 2, 2.0), "chi_smoothing_value"),
+        ((1, 2, "2"), "chi_smoothing_value"),
+    ])
+    def test_non_integers_rejected(self, args, name):
+        # a float, bool or str never enters the formula as an integer
+        with pytest.raises(LedgerError,
+                           match=f"^phn_from_radial: {name} must be an integer$"):
+            phn_from_radial(*args)
+
+    @pytest.mark.parametrize("radial", [1.5, True, "1"])
+    def test_nonsmoothable_non_integer_rejected(self, radial):
+        with pytest.raises(LedgerError, match="^phn_from_radial_nonsmoothable: "
+                                              "radial_index must be an integer$"):
+            phn_from_radial_nonsmoothable(radial, apex_record(chi=5))
+
 
 CONE_SMOOTH = {"[1:0:0:0:0]": 1, "[0:0:0:1:0]": 1}
 
@@ -374,6 +398,35 @@ class TestCStarForms:
         with pytest.raises(TypeError, match="integer weight"):
             cstar_fixed_points(model, (0, 1, 2, 3, 4.5))
 
+    def test_non_integer_weights_rejected_when_every_minor_is_zero(self):
+        # the 2-minor of [[x0, x0], [x1, x1]] is 0, and the weights are still
+        # checked
+        m = PolyMatrix.from_strings([["x0", "x0"], ["x1", "x1"]], ("x0", "x1"))
+        model = DeterminantalModel(m, 2, AmbientSpace(PROJECTIVE, 1))
+        assert not any(minors(m, 2))
+        with pytest.raises(TypeError, match="integer weights required"):
+            cstar_fixed_points(model, (0, 0.5))
+
+    def test_split_minors_run_no_buchberger(self, tmp_path, monkeypatch):
+        # the column-operated Segre cone has 2-minors that split into weight
+        # components; the span test decides them without a Groebner basis
+        path = tmp_path / "segre_cone_column_op.json"
+        path.write_text(json.dumps(SEGRE_CONE_COLUMN_OP), encoding="utf-8")
+        loaded = load_input(path)
+        assert any(len(gen.weight_components(loaded.weights)) > 1
+                   for gen in minors(loaded.model.matrix, loaded.model.t))
+        runs = []
+        run = grobner._buchberger
+
+        def counted_run(*args):
+            runs.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(grobner, "_buchberger", counted_run)
+        fixed = cstar_fixed_points(loaded.model, loaded.weights)
+        assert len(fixed) == 7
+        assert runs == []
+
 
 def reduce_every_component(model, weights):
     """The torus check against the full rank basis, minor by minor: every
@@ -487,8 +540,9 @@ def linear_t1_or_constant(draw):
 
 
 class TestCStarOracle:
-    """`cstar_fixed_points` builds the rank basis only for minors that split,
-    and decides exactly as reducing every component of every minor does."""
+    """`cstar_fixed_points` tests the span of the minors only when some minor
+    splits, and decides exactly as reducing every component of every minor
+    against the rank basis does."""
 
     @given(column_operated(additive=True))
     def test_split_minors_of_a_preserved_variety(self, case):
