@@ -4,9 +4,9 @@ Euler characteristic calculus, and the global index identities."""
 
 from .detvar import (AFFINE, ESSENTIAL_SINGULAR, OUTSIDE, PROJECTIVE,
                      SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
-                     GermClassification, PointLocation, ProjectivePoint,
-                     chart_ideal, chart_matrix, classify, is_point_on_variety,
-                     lower_locus_generators, minors_ideal)
+                     GermClassification, ProjectivePoint, chart_ideal,
+                     chart_matrix, classify, is_point_on_variety,
+                     lower_locus_generators)
 from .grobner import (DEFAULT_SPAIR_BUDGET, GroebnerBasis, Ideal,
                       ResourceLimitExceeded, SPairBudgetExceeded, buchberger,
                       eliminant, ideal_dimension, normal_form,

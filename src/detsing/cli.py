@@ -254,10 +254,10 @@ def _assemble_ledger(inp, classification):
                 "smoothable": classification.smoothable}
     records = []
     for label, (point, fields) in inp.singularities.items():
-        location = is_point_on_variety(model, point)
-        if location.kind == OUTSIDE:
+        kind = is_point_on_variety(model, point)
+        if kind == OUTSIDE:
             raise InputError(f"singular point {label} is not on the variety")
-        if location.kind == SMOOTH_STRATUM:
+        if kind == SMOOTH_STRATUM:
             raise InputError(f"{label} lies in the smooth stratum, "
                              "not the singular locus")
         index = inp.known_indices.get(label, (None, None))[1]
@@ -279,9 +279,9 @@ def _assemble_ledger(inp, classification):
             fixed = cstar_fixed_points(model, inp.weights)
         except ValueError as e:
             raise InputError(str(e))
-        for pt, location in fixed:
+        for pt, kind in fixed:
             label = point_label(pt)
-            if location.kind == ESSENTIAL_SINGULAR:
+            if kind == ESSENTIAL_SINGULAR:
                 if label not in inp.singularities:
                     raise InputError(f"fixed point {label} is an essential singular "
                                      "point but is missing from the singularities list")
@@ -295,8 +295,7 @@ def _assemble_ledger(inp, classification):
     for label, (parsed, value) in inp.known_indices.items():
         if label in inp.singularities or label in smooth:
             continue
-        location = is_point_on_variety(model, parsed)
-        if location.kind != SMOOTH_STRATUM:
+        if is_point_on_variety(model, parsed) != SMOOTH_STRATUM:
             raise InputError(f"known index point {label} must lie in the smooth stratum")
         smooth[label] = value
     return records, smooth

@@ -86,32 +86,8 @@ class ProjectivePoint:
     def __hash__(self):
         return hash(self.coords)
 
-    @classmethod
-    def parse(cls, text):
-        s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"projective point must look like [a:b:c], got {text!r}")
-        parts = [p.strip() for p in s[1:-1].split(":")]
-        try:
-            if not all(_INTEGER.fullmatch(p) for p in parts):
-                raise ValueError
-            # int() still raises past the interpreter's limit on digits
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(
-                f"projective point entries must be integers, got {text!r}") from None
-        return cls(vals)
-
     def __str__(self):
         return "[" + ":".join(str(c) for c in self.coords) + "]"
-
-
-class PointLocation:
-    __slots__ = ("kind", "rank")
-
-    def __init__(self, kind, rank):
-        self.kind = kind
-        self.rank = rank
 
 
 class DeterminantalModel:
@@ -230,11 +206,6 @@ def _dimension_floor(model, codimension, generators):
     return floor if floor >= 0 else None
 
 
-def minors_ideal(model, size):
-    """Ideal generated by all size x size minors, in enumeration order."""
-    return Ideal(model.variables, minors(model.matrix, size))
-
-
 def lower_locus_generators(matrix, t):
     """Generators of the rank <= t - 2 stratum: the distinct nonzero
     (t - 1)-minors, in first-seen order.
@@ -254,12 +225,17 @@ def _coordinates(model, point):
 
     The one check of a point against a model, shared by `parse_point`,
     `is_point_on_variety`, `chart_matrix` and `chart_ideal`.  The point is
-    a ProjectivePoint or a sequence of ints and Fractions; a projective
-    point may be any rational representative.  ValueError "expected N
+    a sequence of ints and Fractions, or a ProjectivePoint when the model is
+    projective; a projective point may be any rational representative.
+    ValueError when an affine model is given a ProjectivePoint, whose
+    normalized coordinates name another point; then "expected N
     coordinates" when the count is not the model's variable count N, and
     then when the model is projective and every coordinate is zero.
     """
     if isinstance(point, ProjectivePoint):
+        if model.ambient.kind != PROJECTIVE:
+            raise ValueError("an affine point is a tuple of coordinates, "
+                             "not a ProjectivePoint")
         point = point.coords
     coords = [exact(x) for x in point]
     if len(coords) != len(model.variables):
@@ -270,19 +246,18 @@ def _coordinates(model, point):
 
 
 def is_point_on_variety(model, point):
-    """Locate a point against the rank stratification of the model.
+    """The stratum of the model's rank stratification that holds a point.
 
-    Rank >= t means outside the variety, rank <= t - 2 lands in the lower
-    stratum (an essential singular point candidate), and rank t - 1 is the
-    smooth stratum.  The point is checked and read by `_coordinates`, so a
+    OUTSIDE when the rank is >= t (off the variety), ESSENTIAL_SINGULAR when
+    it is <= t - 2 (the lower stratum, an essential singular point
+    candidate), and SMOOTH_STRATUM when it is t - 1; `rank_at_point` gives
+    the rank itself.  The point is checked and read by `_coordinates`, so a
     projective point may be given by any rational representative.
     """
     rank = rank_at_point(model.matrix, _coordinates(model, point))
     if rank >= model.t:
-        return PointLocation(OUTSIDE, rank)
-    if rank <= model.t - 2:
-        return PointLocation(ESSENTIAL_SINGULAR, rank)
-    return PointLocation(SMOOTH_STRATUM, rank)
+        return OUTSIDE
+    return ESSENTIAL_SINGULAR if rank <= model.t - 2 else SMOOTH_STRATUM
 
 
 def _is_prime(n):
@@ -523,15 +498,28 @@ def _projective_points(gens, variables, spair_budget):
 
 
 def parse_point(text, model):
-    """The model's point named by [a:b:c] (projective, `ProjectivePoint.parse`)
-    or (a, b) (affine, a tuple of Fractions); ValueError on any other text,
-    and then, from `_coordinates`, on a coordinate count other than the
-    model's variable count.
+    """The model's point named by [a:b:c] (projective, a ProjectivePoint of
+    integer entries) or (a, b) (affine, a tuple of Fractions); ValueError on
+    any other text, then, from the ProjectivePoint constructor, on a zero
+    projective point, and then, from `_coordinates`, on a coordinate count
+    other than the model's variable count.
     """
+    s = text.strip()
     if model.ambient.kind == PROJECTIVE:
-        point = ProjectivePoint.parse(text)
+        if not (s.startswith("[") and s.endswith("]")):
+            raise ValueError(f"projective point must look like [a:b:c], got {text!r}")
+        parts = [p.strip() for p in s[1:-1].split(":")]
+        try:
+            if not all(_INTEGER.fullmatch(p) for p in parts):
+                raise ValueError
+            # int() still raises past the interpreter's limit on digits
+            coords = [int(p) for p in parts]
+        except ValueError:
+            raise ValueError(
+                f"projective point entries must be integers, got {text!r}") from None
+        # outside the try: a zero point has its own message
+        point = ProjectivePoint(coords)
     else:
-        s = text.strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise ValueError(f"affine points look like (a, b), got {text!r}")
         parts = [p.strip() for p in s[1:-1].split(",")]
@@ -753,14 +741,14 @@ def classify(model, spair_budget=DEFAULT_SPAIR_BUDGET):
     partial basis certify the dimension, so gb_low of `lower_stratum_points`
     may be None; an ideal without a floor gets its basis in full.  The
     result holds no basis: a caller that needs the rank basis builds it from
-    `minors_ideal(model, model.t)`.
+    `Ideal(model.variables, minors(model.matrix, model.t))`.
     """
     if not any(e for row in model.matrix.entries for e in row):
         raise ValueError("classification requires a nonzero matrix")
     projective = model.ambient.kind == PROJECTIVE
     notes = []
     nvars = len(model.variables)
-    rank_ideal = minors_ideal(model, model.t)
+    rank_ideal = Ideal(model.variables, minors(model.matrix, model.t))
     dim_t, _ = certified_dimension(
         rank_ideal,
         _dimension_floor(model, model.expected_codimension(),

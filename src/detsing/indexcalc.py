@@ -273,9 +273,10 @@ def cstar_fixed_points(model, weights):
     not raise the rank of the minors' rows; no Groebner basis is built.
     Distinct weights also make every chart weight difference nonzero, so a
     fixed point in the smooth stratum is a simple zero of the induced form
-    and its index is 1.  Returns (point, location) pairs in coordinate
-    order.  A weight that is not an int, such as 0.5, raises TypeError, also
-    where every t-minor is 0.
+    and its index is 1.  Returns (point, kind) pairs in coordinate order,
+    the kind being the stratum `is_point_on_variety` gives.  A weight that
+    is not an int, such as 0.5, raises TypeError, also where every t-minor
+    is 0.
     """
     if model.ambient.kind != PROJECTIVE:
         raise ValueError("torus fixed points are computed in projective mode only")
@@ -300,7 +301,7 @@ def cstar_fixed_points(model, weights):
         coords = [0] * count
         coords[j] = 1
         point = ProjectivePoint(coords)
-        location = is_point_on_variety(model, point)
-        if location.kind != OUTSIDE:
-            out.append((point, location))
+        kind = is_point_on_variety(model, point)
+        if kind != OUTSIDE:
+            out.append((point, kind))
     return out

@@ -30,14 +30,14 @@ from detsing.detvar import (
     classify,
     is_point_on_variety,
     lower_locus_generators,
-    minors_ideal,
     parse_point,
     point_label,
 )
 from detsing.grobner import (Ideal, ResourceLimitExceeded, SPairBudgetExceeded,
                              buchberger, certified_dimension, ideal_dimension,
                              normal_form, quasi_homogeneous_weights)
-from detsing.polyalg import PolyMatrix, Polynomial, minors, parse_polynomial
+from detsing.polyalg import (PolyMatrix, Polynomial, minors, parse_polynomial,
+                             rank_at_point)
 
 P4 = ("x0", "x1", "x2", "x3", "x4")
 
@@ -67,9 +67,9 @@ class TestProjectivePoint:
         assert str(p) == "[1:-2]"
 
     def test_parse_round_trip(self):
-        p = ProjectivePoint.parse("[0:0:0:0:1]")
+        p = ProjectivePoint((0, 0, 0, 0, 1))
         assert p.coords == (0, 0, 0, 0, 1)
-        assert ProjectivePoint.parse(str(p)) == p
+        assert parse_point(str(p), catalecticant_model()) == p
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -78,13 +78,16 @@ class TestProjectivePoint:
     def test_parse_errors(self):
         for bad in ("", "[1:2", "1:2", "[a:b]", "[]"):
             with pytest.raises(ValueError):
-                ProjectivePoint.parse(bad)
+                parse_point(bad, catalecticant_model())
 
     def test_parse_takes_ascii_digits_only(self):
+        # the entries are read before their count is checked
         for bad in ("[1_0:0:2]", "[\u0661:0]", "[+1:0]", "[1 0:2]", "[1.0:2]"):
             with pytest.raises(ValueError, match="entries must be integers"):
-                ProjectivePoint.parse(bad)
-        assert ProjectivePoint.parse(" [ -2 : 04 ] ").coords == (1, -2)
+                parse_point(bad, catalecticant_model())
+        line = DeterminantalModel(PolyMatrix.from_strings([["x0", "x1"]], ("x0", "x1")),
+                                  1, AmbientSpace(PROJECTIVE, 1))
+        assert parse_point(" [ -2 : 04 ] ", line).coords == (1, -2)
 
     def test_fraction_coordinates_are_cleared(self):
         p = ProjectivePoint((Fraction(1, 2), Fraction(3, 2)))
@@ -223,17 +226,20 @@ class TestTypeNumerology:
 class TestPointLocation:
     def test_rank_strata(self):
         model = catalecticant_model()
-        vertex = is_point_on_variety(model, ProjectivePoint.parse("[0:0:0:0:1]"))
-        assert (vertex.kind, vertex.rank) == (ESSENTIAL_SINGULAR, 0)
-        smooth = is_point_on_variety(model, (1, 0, 0, 0, 0))
-        assert (smooth.kind, smooth.rank) == (SMOOTH_STRATUM, 1)
-        off = is_point_on_variety(model, (0, 1, 0, 0, 0))
-        assert (off.kind, off.rank) == (OUTSIDE, 2)
+        vertex = ProjectivePoint((0, 0, 0, 0, 1))
+        assert is_point_on_variety(model, vertex) == ESSENTIAL_SINGULAR
+        assert rank_at_point(model.matrix, vertex.coords) == 0
+        smooth = (1, 0, 0, 0, 0)
+        assert is_point_on_variety(model, smooth) == SMOOTH_STRATUM
+        assert rank_at_point(model.matrix, smooth) == 1
+        off = (0, 1, 0, 0, 0)
+        assert is_point_on_variety(model, off) == OUTSIDE
+        assert rank_at_point(model.matrix, off) == 2
 
     def test_any_representative(self):
         model = catalecticant_model()
         scaled = is_point_on_variety(model, (0, 0, 0, 0, 7))
-        assert scaled.kind == ESSENTIAL_SINGULAR
+        assert scaled == ESSENTIAL_SINGULAR
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -243,14 +249,30 @@ class TestPointLocation:
         with pytest.raises(ValueError):
             is_point_on_variety(catalecticant_model(), (0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize("check", [is_point_on_variety, chart_matrix,
+                                       chart_ideal],
+                             ids=["is_point_on_variety", "chart_matrix",
+                                  "chart_ideal"])
+    def test_affine_model_refuses_a_projective_point(self, check):
+        # ProjectivePoint((2, 4)) is stored as [1:2]; read as affine
+        # coordinates it would name (1, 2), off the variety, where (2, 4) lies
+        # on it
+        matrix = PolyMatrix.from_strings([["x - 2", "y - 4"]], ("x", "y"))
+        model = DeterminantalModel(matrix, 1, AmbientSpace(AFFINE, 2))
+        assert is_point_on_variety(model, (2, 4)) == SMOOTH_STRATUM
+        with pytest.raises(ValueError, match="not a ProjectivePoint"):
+            check(model, ProjectivePoint((2, 4)))
+
 
 class TestIdeals:
     def test_lower_rank_ideal_is_coordinate_ideal(self):
-        basis = buchberger(minors_ideal(catalecticant_model(), 1))
+        model = catalecticant_model()
+        basis = buchberger(Ideal(model.variables, minors(model.matrix, 1)))
         assert [str(g) for g in basis.polynomials] == ["x0", "x1", "x2", "x3"]
 
     def test_maximal_minor_count(self):
-        gens = minors_ideal(catalecticant_model(), 2).generators
+        model = catalecticant_model()
+        gens = Ideal(model.variables, minors(model.matrix, 2)).generators
         assert len(gens) == 3
 
     def test_next_minor_lies_in_smaller_rank_ideal(self):
@@ -260,7 +282,7 @@ class TestIdeals:
         model = DeterminantalModel(
             PolyMatrix.from_strings(grid, variables), 2, AmbientSpace(AFFINE, 9)
         )
-        basis = buchberger(minors_ideal(model, 2))
+        basis = buchberger(Ideal(model.variables, minors(model.matrix, 2)))
         (det,) = minors(model.matrix, 3)
         assert not normal_form(det, basis).terms
 
@@ -933,7 +955,7 @@ def shift_calls(monkeypatch):
 class TestCharts:
     def test_vertex_chart_recovers_cone_matrix(self):
         model = catalecticant_model()
-        m = chart_matrix(model, ProjectivePoint.parse("[0:0:0:0:1]"))
+        m = chart_matrix(model, ProjectivePoint((0, 0, 0, 0, 1)))
         assert m.variables == ("x0", "x1", "x2", "x3")
         expected = PolyMatrix.from_strings(
             [["x0", "x1", "x2"], ["x1", "x2", "x3"]], m.variables
@@ -945,7 +967,7 @@ class TestCharts:
         model = DeterminantalModel(
             PolyMatrix.from_strings(grid, P4), 2, AmbientSpace(PROJECTIVE, 4)
         )
-        m = chart_matrix(model, ProjectivePoint.parse("[1:0:0:0:1]"))
+        m = chart_matrix(model, ProjectivePoint((1, 0, 0, 0, 1)))
         assert m.variables == ("x1", "x2", "x3", "x4")
         assert str(m.entries[0][0]) == "-x4"
         assert str(m.entries[1][2]) == "x3"
@@ -983,9 +1005,9 @@ class TestCharts:
         scaled = tuple(Fraction(-2, 3) * c for c in coords)
         representatives = [ProjectivePoint(coords), coords, scaled,
                            ProjectivePoint(scaled)]
-        located = {(loc.kind, loc.rank) for loc in
-                   (is_point_on_variety(model, pt) for pt in representatives)}
-        assert located == {(SMOOTH_STRATUM, 1)}
+        located = {is_point_on_variety(model, pt) for pt in representatives}
+        assert located == {SMOOTH_STRATUM}
+        assert rank_at_point(model.matrix, coords) == 1
         assert len({chart_matrix(model, pt).entries for pt in representatives}) == 1
         assert len({chart_ideal(model, pt).generators for pt in representatives}) == 1
         # a point of the wrong length is reported as such even when every
@@ -1031,7 +1053,7 @@ class TestCharts:
 
     def test_projective_chart_rewrites_each_distinct_entry_once(self, shift_calls):
         model = catalecticant_model()
-        point = ProjectivePoint.parse("[1:2:0:0:1]")
+        point = ProjectivePoint((1, 2, 0, 0, 1))
         charted = chart_matrix(model, point)
         assert len(shift_calls) == 4
         offsets = [Fraction(c) for c in point.coords[1:]]
@@ -1041,7 +1063,7 @@ class TestCharts:
 
     def test_chart_ideal_generators(self):
         model = catalecticant_model()
-        chart = chart_ideal(model, ProjectivePoint.parse("[0:0:0:0:1]"))
+        chart = chart_ideal(model, ProjectivePoint((0, 0, 0, 0, 1)))
         assert len(chart.generators) == 3
         assert ideal_dimension(buchberger(chart)) == 2
 
@@ -1598,6 +1620,31 @@ def affine_models(draw):
     return DeterminantalModel(PolyMatrix(grid), t, AmbientSpace(AFFINE, nvars))
 
 
+class TestStratumKinds:
+    """`is_point_on_variety` answers with one stratum kind, read off the
+    rank at the point against t."""
+
+    @settings(max_examples=100)
+    @given(st.one_of(projective_models(), affine_models()), st.data())
+    def test_kind_agrees_with_the_rank(self, model, data):
+        projective = model.ambient.kind == PROJECTIVE
+        # mostly zeros, so that every stratum is met, the lower one too
+        values = st.sampled_from([0, 0, 0, 0, 1, -1, Fraction(1, 2),
+                                  Fraction(-2, 3)])
+        coords = data.draw(st.lists(values, min_size=len(model.variables),
+                                    max_size=len(model.variables))
+                           .filter(lambda c: any(c) or not projective))
+        kind = is_point_on_variety(model, coords)
+        rank = rank_at_point(model.matrix, coords)
+        assert [kind == c for c in (OUTSIDE, SMOOTH_STRATUM,
+                                    ESSENTIAL_SINGULAR)].count(True) == 1
+        assert kind == (OUTSIDE if rank >= model.t else
+                        SMOOTH_STRATUM if rank == model.t - 1 else
+                        ESSENTIAL_SINGULAR)
+        if projective:
+            assert is_point_on_variety(model, ProjectivePoint(coords)) == kind
+
+
 class TestCertifiedDimension:
     """The dimension floor only stops Buchberger early: every
     classification is the one that full bases give."""
@@ -1619,7 +1666,8 @@ class TestCertifiedDimension:
     @staticmethod
     def floored_ideals(model):
         # (ideal, Eagon-Northcott codimension) of the rank and lower ideals
-        yield minors_ideal(model, model.t), model.expected_codimension()
+        yield (Ideal(model.variables, minors(model.matrix, model.t)),
+               model.expected_codimension())
         yield (Ideal(model.variables, lower_locus_generators(model.matrix, model.t)),
                model.smoothability_bound())
 
@@ -1646,7 +1694,7 @@ class TestCertifiedDimension:
         # ones with repeats), never exceeds the full basis's dimension, and
         # classify reads the dimensions of the full bases
         lower_gens = lower_locus_generators(model.matrix, model.t)
-        rank = minors_ideal(model, model.t)
+        rank = Ideal(model.variables, minors(model.matrix, model.t))
         full = []
         for ideal, codimension, generators in (
                 (rank, model.expected_codimension(), rank.generators),
@@ -1782,7 +1830,8 @@ class TestCertifiedDimension:
         classify(model)
         # the rank ideal first, then the lower one unless the variety is empty
         assert [floor for floor, _ in runs] == [None] * len(runs)
-        assert runs[0][1] == buchberger(minors_ideal(model, model.t))
+        assert runs[0][1] == buchberger(
+            Ideal(model.variables, minors(model.matrix, model.t)))
 
     def test_non_determinantal_runs_to_completion(self, runs):
         # the 2-minors are 0, x0^2 and x0*x1: codimension 1, below the
@@ -1794,4 +1843,6 @@ class TestCertifiedDimension:
         # the lower ideal's Eagon-Northcott floor 3 - 6 is negative, but its
         # two distinct 1-minors x0 and x1 give the Krull floor 3 - 2 = 1,
         # which their leading monomials meet
-        assert runs == [(1, buchberger(minors_ideal(model, 2))), (1, None)]
+        assert runs == [
+            (1, buchberger(Ideal(model.variables, minors(model.matrix, 2)))),
+            (1, None)]

@@ -16,7 +16,7 @@ from conftest import fixture_path
 from detsing import grobner
 from detsing.cli import load_input
 from detsing.detvar import (chart_ideal, lower_locus_generators,
-                            lower_stratum_points, minors_ideal)
+                            lower_stratum_points)
 from detsing.grobner import (
     GroebnerBasis,
     Ideal,
@@ -689,7 +689,7 @@ class TestDimension:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_matches_the_subset_scan_on_fixture_rank_ideals(self, name):
         model = load_input(fixture_path(name)).model
-        ideals = [minors_ideal(model, model.t),
+        ideals = [Ideal(model.variables, minors(model.matrix, model.t)),
                   Ideal(model.variables, lower_locus_generators(model.matrix, model.t))]
         for ideal_ in ideals:
             gb = buchberger(ideal_)

@@ -21,9 +21,8 @@ from detsing.detvar import (
     DeterminantalModel,
     ProjectivePoint,
     is_point_on_variety,
-    minors_ideal,
 )
-from detsing.grobner import buchberger, normal_form
+from detsing.grobner import Ideal, buchberger, normal_form
 from detsing.indexcalc import (
     SOLVED,
     VERIFIED,
@@ -360,18 +359,26 @@ class TestCStarForms:
     def test_catalecticant_fixed_points(self):
         model = catalecticant_model()
         got = cstar_fixed_points(model, (0, 1, 2, 3, 4))
-        labels = [(str(p), loc.kind) for p, loc in got]
+        labels = [(str(p), kind) for p, kind in got]
         assert labels == [
             ("[1:0:0:0:0]", SMOOTH_STRATUM),
             ("[0:0:0:1:0]", SMOOTH_STRATUM),
             ("[0:0:0:0:1]", ESSENTIAL_SINGULAR),
         ]
 
+    def test_fixed_points_carry_plain_kinds(self):
+        # each fixed point comes with `is_point_on_variety`'s answer itself
+        model = catalecticant_model()
+        for point, kind in cstar_fixed_points(model, (0, 1, 2, 3, 4)):
+            assert type(point) is ProjectivePoint
+            assert kind in (SMOOTH_STRATUM, ESSENTIAL_SINGULAR)
+            assert kind == is_point_on_variety(model, point)
+
     def test_conic_fixed_points(self):
         m = PolyMatrix.from_strings([["x0*x2 - x1^2"]], ("x0", "x1", "x2"))
         model = DeterminantalModel(m, 1, AmbientSpace(PROJECTIVE, 2))
         got = cstar_fixed_points(model, (0, 1, 2))
-        labels = [(str(p), loc.kind) for p, loc in got]
+        labels = [(str(p), kind) for p, kind in got]
         assert labels == [("[1:0:0]", SMOOTH_STRATUM), ("[0:0:1]", SMOOTH_STRATUM)]
 
     def test_non_invariant_action_rejected(self):
@@ -432,8 +439,8 @@ def reduce_every_component(model, weights):
     """The torus check against the full rank basis, minor by minor: every
     weight component of every t-minor is reduced against the reduced basis
     of the t-minors, and the action is refused iff one is nonzero.  On
-    success, the coordinate points on the variety with their locations."""
-    basis = buchberger(minors_ideal(model, model.t))
+    success, the coordinate points on the variety with their strata."""
+    basis = buchberger(Ideal(model.variables, minors(model.matrix, model.t)))
     for gen in minors(model.matrix, model.t):
         for part in gen.weight_components(weights).values():
             if normal_form(part, basis):
@@ -441,8 +448,8 @@ def reduce_every_component(model, weights):
     count = len(model.variables)
     points = (ProjectivePoint([int(i == j) for i in range(count)])
               for j in range(count))
-    return [(pt, loc) for pt in points
-            if (loc := is_point_on_variety(model, pt)).kind != OUTSIDE]
+    return [(pt, kind) for pt in points
+            if (kind := is_point_on_variety(model, pt)) != OUTSIDE]
 
 
 def torus_outcome(check, model, weights):
@@ -451,7 +458,7 @@ def torus_outcome(check, model, weights):
         got = check(model, weights)
     except ValueError as e:
         return str(e)
-    return [(str(pt), loc.kind) for pt, loc in got]
+    return [(str(pt), kind) for pt, kind in got]
 
 
 def linear(variables, coefficients):

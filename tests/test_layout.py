@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_readme import README, python_blocks
+
 import detsing
 
 SOURCES = sorted(Path(detsing.__file__).parent.glob("*.py"))
@@ -361,3 +363,39 @@ def test_cli_writes_the_report_envelope_in_main_only():
     outside = writes[False]
     assert outside == [], f"cli.py writes the envelope outside main on lines {outside}"
     assert len(writes[True]) == len(keys)
+
+
+# names `detsing` exports although no other library module, README example
+# or acceptance test loads them, each with the reason it stays
+UNCALLED_EXPORTS = {
+    "s_polynomial": "perfbench traces it (ROADMAP item 2)",
+    "phn_from_radial_nonsmoothable": "the paper's bridge for nonsmoothable "
+                                     "germs, checked by TestRadialBridge",
+}
+
+
+def _loaded_names(source):
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def test_every_export_is_used():
+    # no public names that nothing calls: each name imported in
+    # `detsing/__init__.py` is loaded, as a name or an attribute, in another
+    # library module, a python block of README or tests/test_acceptance.py
+    init = Path(detsing.__file__)
+    exported = {alias.asname or alias.name
+                for node in ast.walk(ast.parse(init.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES if path != init]
+    sources += python_blocks(README.read_text(encoding="utf-8"))
+    sources.append((Path(__file__).parent / "test_acceptance.py")
+                   .read_text(encoding="utf-8"))
+    used = set().union(*map(_loaded_names, sources))
+    assert sorted(exported - used - UNCALLED_EXPORTS.keys()) == []
+    # an entry that is used again, or no longer exported, is stale
+    assert sorted(UNCALLED_EXPORTS.keys() & used) == []
+    assert sorted(UNCALLED_EXPORTS.keys() - exported) == []

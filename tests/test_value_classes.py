@@ -13,8 +13,8 @@ import pytest
 
 from detsing.detvar import (AFFINE, ESSENTIAL_SINGULAR, PROJECTIVE,
                             SMOOTH_STRATUM, AmbientSpace, DeterminantalModel,
-                            GermClassification, PointLocation,
-                            ProjectivePoint, classify)
+                            GermClassification, ProjectivePoint, classify,
+                            parse_point)
 from detsing.grobner import GroebnerBasis, Ideal, buchberger
 from detsing.indexcalc import (SOLVED, VERIFIED, IdentityResult,
                                LedgerError, SingularPointRecord,
@@ -29,6 +29,14 @@ CONE_VARS = ("x0", "x1", "x2", "x3", "x4")
 def cone_matrix():
     return PolyMatrix.from_strings(
         [["x0", "x1", "x2"], ["x1", "x2", "x3"]], CONE_VARS)
+
+
+def coordinate_space(count):
+    """The projective space of `count` coordinates, as the model whose one
+    row is its coordinates at t = 1, to read points in."""
+    variables = tuple(f"x{i}" for i in range(count))
+    return DeterminantalModel(PolyMatrix.from_strings([variables], variables),
+                              1, AmbientSpace(PROJECTIVE, count - 1))
 
 
 def raises_exactly(exc, message, build):
@@ -75,11 +83,11 @@ class TestProjectivePoint:
 
     def test_non_integral_coordinate(self):
         # the constructor scales a rational representative to integers; the
-        # text grammar of `parse` still takes integer entries only
+        # text grammar of `parse_point` still takes integer entries only
         assert ProjectivePoint((Fraction(1, 2), 1)).coords == (1, 2)
         raises_exactly(ValueError,
                        "projective point entries must be integers, got '[1/2:1]'",
-                       lambda: ProjectivePoint.parse("[1/2:1]"))
+                       lambda: parse_point("[1/2:1]", coordinate_space(2)))
 
     @pytest.mark.parametrize("coords", [(), (0, 0, 0)])
     def test_needs_a_nonzero_coordinate(self, coords):
@@ -87,18 +95,12 @@ class TestProjectivePoint:
                        lambda: ProjectivePoint(coords))
 
     def test_parse_and_fractions_build_the_same_point(self):
-        assert ProjectivePoint.parse("[2:4:0]") == ProjectivePoint((1, 2, 0))
+        assert (parse_point("[2:4:0]", coordinate_space(3))
+                == ProjectivePoint((1, 2, 0)))
         point = ProjectivePoint([Fraction(1, 2), Fraction(1, 3)])
         assert point.coords == (3, 2)
         assert str(point) == "[3:2]"
-        assert point == ProjectivePoint.parse("[3:2]")
-
-
-class TestPointLocation:
-    def test_positional_and_keyword(self):
-        for loc in (PointLocation(SMOOTH_STRATUM, 1),
-                    PointLocation(kind=SMOOTH_STRATUM, rank=1)):
-            assert (loc.kind, loc.rank) == (SMOOTH_STRATUM, 1)
+        assert point == parse_point("[3:2]", coordinate_space(2))
 
 
 class TestDeterminantalModel:
@@ -406,5 +408,5 @@ class TestLeGreuelResult:
 def test_located_points_carry_their_kind():
     model = DeterminantalModel(cone_matrix(), 2, AmbientSpace(PROJECTIVE, 4))
     fixed = cstar_fixed_points(model, (0, 1, 2, 3, 4))
-    assert [loc.kind for _, loc in fixed][-1] == ESSENTIAL_SINGULAR
-    assert all(isinstance(loc, PointLocation) for _, loc in fixed)
+    assert [kind for _, kind in fixed][-1] == ESSENTIAL_SINGULAR
+    assert all(kind in (SMOOTH_STRATUM, ESSENTIAL_SINGULAR) for _, kind in fixed)
