@@ -379,7 +379,7 @@ def cmd_index(inp, args):
 
 def cmd_groebner(inp, args):
     model = inp.model
-    chart_point = None
+    chart_point = shape = None
     if args.ideal == "form":
         # the form's coefficients are global polynomials: no chart is used
         if inp.form_kind != "explicit":
@@ -392,6 +392,12 @@ def cmd_groebner(inp, args):
                   if chart_point is not None else model.matrix)
         if args.ideal == "minors":
             gens = minors(matrix, model.t)
+            # maximal minors of forms of one degree: buchberger may certify
+            # them as the basis before any pair
+            degrees = {sum(m) for row in matrix.entries for f in row for m in f.terms}
+            if (model.t == min(matrix.rows, matrix.cols) and len(degrees) == 1
+                    and 0 not in degrees):
+                shape = (model.t, max(matrix.rows, matrix.cols), *degrees)
         else:
             gens = lower_locus_generators(matrix, model.t)
         ideal = Ideal(matrix.variables, gens)
@@ -400,7 +406,8 @@ def cmd_groebner(inp, args):
         # unless it only certified its dimension
         basis = gb_low
     else:
-        basis = buchberger(ideal, spair_budget=args.spair_budget)
+        basis = buchberger(ideal, spair_budget=args.spair_budget,
+                           maximal_minors=shape)
     dimension = ideal_dimension(basis)
     quotient = quotient_dimension(basis)
     body = {"groebner": {

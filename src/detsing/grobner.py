@@ -7,7 +7,8 @@ structure makes the global answers equal to the local ones; the
 """
 
 from heapq import heappop, heappush
-from itertools import chain, compress, count
+from itertools import chain, combinations_with_replacement, compress, count
+from math import comb
 from operator import mul, sub
 
 from . import _linalg
@@ -281,7 +282,7 @@ def _minimal_polynomial(gb):
         power = _remainder({m + step: c for m, c in power.items()}, divisors, pk)
 
 
-def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
+def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET, maximal_minors=None):
     """Reduced grevlex Groebner basis by Buchberger's algorithm.
 
     Pair selection is the normal strategy, lowest lcm total degree first with
@@ -312,8 +313,15 @@ def buchberger(ideal, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     `certified_dimension` runs the same loop against a dimension floor; it
     tests the floor on the generators before the loop starts, and inside it
     after each join.
+
+    `maximal_minors` is an optional shape (n, p, e) with n <= p.  Passing it
+    promises that the generators are the maximal minors of an n x p matrix
+    whose nonzero entries are forms of degree e > 0.  The packed generators
+    are then tested by `_eagon_northcott`, and when it certifies them they
+    are the basis, autoreduced as above, with no pair formed or taken.
+    Otherwise the pair loop runs as without the shape.
     """
-    return _buchberger(ideal, spair_budget, None)
+    return _buchberger(ideal, spair_budget, None, maximal_minors)
 
 
 def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
@@ -342,11 +350,69 @@ def certified_dimension(ideal, floor, *, spair_budget=DEFAULT_SPAIR_BUDGET):
     if _dimension([g.leading_monomial() for g in ideal.generators],
                   len(ideal.variables)) == floor:
         return floor, None
-    gb = _buchberger(ideal, spair_budget, floor)
+    gb = _buchberger(ideal, spair_budget, floor, None)
     return (floor, None) if gb is None else (ideal_dimension(gb), gb)
 
 
-def _buchberger(ideal, spair_budget, floor):
+def _eagon_northcott(gens, pk, nvars, n, p, e):
+    """Whether packed generators, the maximal minors of an n x p matrix of
+    forms of degree e (n <= p), are already a Groebner basis.
+
+    Three checks.  (1) The leading monomials are C(p, n) distinct ones of
+    degree delta = n * e.  (2) Their monomial ideal has dimension
+    nvars - (p - n + 1).  A proper ideal of maximal minors has codimension
+    at most p - n + 1, and the leading monomials bound the dimension from
+    above, so this certifies the codimension.  Then the Eagon-Northcott
+    complex resolves R/I (Eagon & Northcott 1962; Bruns & Vetter,
+    *Determinantal Rings*, ch. 2), and its Hilbert series is
+    N(t)/(1 - t)^nvars with N(t) = 1 + sum over j = 1 .. p - n + 1 of
+    (-1)^j C(p, n+j-1) C(n+j-2, j-1) t^(e(n+j-1)).  (3) In each degree d
+    from delta + 1 up to the largest lcm degree of a pair of leading
+    monomials that share a variable, the products of a leading monomial by
+    a monomial of degree d - delta are as many as the degree-d part of I
+    has dimensions.  Then the leading monomials span the leading terms of I
+    in the degree of every pair that is not coprime, so every S-polynomial
+    reduces to zero (Traverso 1996, "Hilbert functions and the Buchberger
+    algorithm", J. Symb. Comp. 22).
+
+    The supports are read from the packed views with no decoding: adding
+    limit - 1 to every field sets its guard bit exactly when the field is
+    nonzero.  A greedy packing of pairwise disjoint supports bounds the
+    smallest hitting set from below, so the dimension from above;
+    `_dimension` runs only when the packing is not p - n + 1 supports.  A
+    pair sharing s variables has a gcd of degree at least s, so an lcm
+    degree of at most 2 delta - s.
+    """
+    delta, keys, unit, codim = n * e, [d[1] for d in gens], pk.mask + 1, p - n + 1
+    if (len(set(keys)) != comb(p, n)
+            or not all((delta - 1) * unit < k <= delta * unit for k in keys)):
+        return False
+    fill = pk.guards - pk.guards // pk.limit
+    supports = sorted([(v + fill) & pk.guards for v, _, _ in gens], key=int.bit_count)
+    covered = disjoint = 0
+    for s in supports:
+        if not s & covered:
+            covered, disjoint = covered | s, disjoint + 1
+    if disjoint != codim and _dimension(map(pk.monomial, keys), nvars) != nvars - codim:
+        return False
+    top = delta
+    for a, b in ((a, b) for j, a in enumerate(supports) for b in supports[:j] if a & b):
+        if (top := max(top, 2 * delta - (a & b).bit_count())) == 2 * delta - 1:
+            break
+    for d in range(delta + 1, top + 1):
+        shifts = [sum(m) for m in combinations_with_replacement(pk.weights, d - delta)]
+        # the degree-d part of I has dimension sum over j >= 1 of
+        # -N_j C(d - e(n+j-1) + nvars - 1, nvars - 1), N_j the t^(e(n+j-1))
+        # coefficient of N(t)
+        if len({k + m for k in keys for m in shifts}) != sum(
+                (-1) ** (j + 1) * comb(p, n + j - 1) * comb(n + j - 2, j - 1)
+                * comb(d - e * (n + j - 1) + nvars - 1, nvars - 1)
+                for j in range(1, codim + 1) if e * (n + j - 1) <= d):
+            return False
+    return True
+
+
+def _buchberger(ideal, spair_budget, floor, maximal_minors):
     # with a floor, None once a join certifies the dimension;
     # certified_dimension has tested the generators alone
     variables, nvars = ideal.variables, len(ideal.variables)
@@ -361,8 +427,14 @@ def _buchberger(ideal, spair_budget, floor):
         lms.append(lm)
         packed.append(d)
 
-    for g in ideal.generators:
-        join(pk.divisor(pk.pack(g.terms)))
+    gens = [pk.divisor(pk.pack(g.terms)) for g in ideal.generators]
+    # one generator has no pair to save
+    if maximal_minors and len(gens) > 1 and _eagon_northcott(gens, pk, nvars,
+                                                             *maximal_minors):
+        packed += gens
+    else:
+        for d in gens:
+            join(d)
     processed = 0
     while pairs:
         degree, i, j = heappop(pairs)

@@ -272,6 +272,23 @@ class TestGroebner:
         assert got["dimension"] == 2
         assert got["quotient_dimension"] == "infinite"
 
+    def test_rational_normal_curve_basis_takes_no_pair(self, run_cli, tmp_path):
+        # the 780 maximal minors of the 2 x 40 Hankel matrix are already the
+        # basis, certified by their Eagon-Northcott Hilbert function; the
+        # pair loop would take C(780, 2) pairs, past the default budget
+        variables = [f"x{i}" for i in range(41)]
+        path = tmp_path / "hankel2x40.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "variables": variables,
+            "matrix": [variables[:40], variables[1:]], "t": 2,
+            "ambient": {"kind": "projective", "dim": 40}, "singularities": []}))
+        code, out, err = run_cli("groebner", path, "--ideal", "minors",
+                                 "--spair-budget", "1", "--json")
+        assert code == 0 and err == ""
+        got = load(out)["groebner"]
+        assert got["chart_point"] is None
+        assert len(got["basis"]) == 780
+
     def test_lower_ideal_is_zero_dimensional_in_chart(self, run_cli):
         code, out, _ = run_cli(
             "groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower", "--json"
@@ -579,10 +596,11 @@ class TestInputValidation:
         assert code == 2
 
     def test_budget_exhaustion_reports_resource_limit(self, run_cli):
-        # the chart basis that groebner --ideal minors presents takes 3 pairs
+        # the chart basis that groebner --ideal lower presents takes the 6
+        # pairs of its four distinct 1-minors
         code, _, err = run_cli(
-            "groebner", fixture_path("twisted_cubic.json"), "--ideal", "minors",
-            "--spair-budget", "2"
+            "groebner", fixture_path("twisted_cubic.json"), "--ideal", "lower",
+            "--spair-budget", "5"
         )
         assert code == 3
         assert "resource limit" in err

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import inspect
 import itertools
 import math
@@ -592,6 +593,163 @@ class TestCertifiedDimension:
         full = buchberger(ideal_)
         assert ideal_dimension(full) == 4
         assert grobner.certified_dimension(ideal_, 3) == (4, full)
+
+
+def _minimal_monomials(monomials):
+    kept = []
+    for m in sorted(set(monomials), key=sum):
+        if not any(all(a <= b for a, b in zip(k, m)) for k in kept):
+            kept.append(m)
+    return frozenset(kept)
+
+
+@functools.lru_cache(maxsize=None)
+def hilbert_numerator(gens):
+    """K(t), as ascending coefficients, with HS(R/J) = K(t)/(1 - t)^nvars for
+    the monomial ideal J of a minimal generating set of exponent tuples.
+
+    0 -> R/(J : x)(-1) -> R/J -> R/(J + (x)) -> 0 gives K(J) = K(J + (x)) +
+    t K(J : x), and K(J + (x)) = (1 - t) K(J'), J' the generators that x does
+    not divide.  x is the variable that divides the most generators.
+    """
+    if not gens:
+        return (1,)
+    if any(not any(m) for m in gens):
+        return (0,)
+    nvars = len(next(iter(gens)))
+    x = max(range(nvars), key=lambda i: sum(1 for m in gens if m[i]))
+    rest = hilbert_numerator(_minimal_monomials(m for m in gens if not m[x]))
+    down = hilbert_numerator(_minimal_monomials(
+        m[:x] + (max(m[x] - 1, 0),) + m[x + 1:] for m in gens))
+    out = [0] * (max(len(rest), len(down)) + 1)
+    for i, c in enumerate(rest):
+        out[i] += c
+        out[i + 1] -= c
+    for i, c in enumerate(down):
+        out[i + 1] += c
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def eagon_northcott_numerator(n, p, e):
+    """N(t) of the maximal minors of an n x p matrix of forms of degree e
+    with codimension p - n + 1, as ascending coefficients."""
+    coeffs = [0] * (e * p + 1)
+    coeffs[0] = 1
+    for j in range(1, p - n + 2):
+        coeffs[e * (n + j - 1)] += ((-1) ** j * math.comb(p, n + j - 1)
+                                    * math.comb(n + j - 2, j - 1))
+    return tuple(coeffs)
+
+
+def maximal_minors_of(grid, nvars):
+    """Ideal of the maximal minors of a matrix of strings in x0 .. x_(nvars-1)."""
+    variables = tuple(f"x{i}" for i in range(nvars))
+    matrix = PolyMatrix.from_strings(grid, variables)
+    return Ideal(variables, minors(matrix, min(matrix.rows, matrix.cols)))
+
+
+# (id, grid, variable count, shape (n, p, e)): the generic n x p matrix of
+# e-th powers of distinct variables, and the 2 x k Hankel matrix
+MAXIMAL_MINOR_MODELS = (
+    [(f"generic{n}x{p}e{e}",
+      [[f"x{i * p + j}^{e}" for j in range(p)] for i in range(n)],
+      n * p, (n, p, e))
+     for n in (1, 2, 3) for p in range(n, 6) for e in (1, 2)]
+    + [(f"hankel2x{k}", [[f"x{j}" for j in range(k)],
+                         [f"x{j + 1}" for j in range(k)]], k + 1, (2, k, 1))
+       for k in range(2, 9)])
+MAXIMAL_MINOR_IDS = [case[0] for case in MAXIMAL_MINOR_MODELS]
+
+
+@st.composite
+def form_matrices(draw):
+    """(ideal of the maximal minors, shape (n, p, e)) of an n x p matrix whose
+    entries are forms of degree e, or zero, with small integer coefficients."""
+    n, p, e = draw(st.sampled_from([(2, 3, 1), (2, 4, 1), (3, 4, 1), (2, 3, 2)]))
+    nvars = draw(st.integers(min_value=4, max_value=5))
+    variables = tuple(f"x{i}" for i in range(nvars))
+    monomials = [m for m in itertools.product(range(e + 1), repeat=nvars)
+                 if sum(m) == e]
+    coefficients = st.integers(min_value=-3, max_value=3).filter(bool)
+    forms = st.dictionaries(st.sampled_from(monomials), coefficients, max_size=3)
+    matrix = PolyMatrix([[Polynomial(variables, draw(forms)) for _ in range(p)]
+                         for _ in range(n)])
+    return Ideal(variables, minors(matrix, n)), (n, p, e)
+
+
+class TestMaximalMinorCertificate:
+    """The Eagon-Northcott Hilbert function certifies maximal-minor bases."""
+
+    def test_the_numerator_oracle_on_the_twisted_cubic(self):
+        lms = buchberger(maximal_minors_of(
+            [["x0", "x1", "x2"], ["x1", "x2", "x3"]], 4)).leading_monomials()
+        assert hilbert_numerator(_minimal_monomials(lms)) == (1, 0, -3, 2)
+
+    @pytest.mark.parametrize("name, grid, nvars, shape", MAXIMAL_MINOR_MODELS,
+                             ids=MAXIMAL_MINOR_IDS)
+    def test_closed_form_numerator_matches_the_pair_loop_basis(
+            self, name, grid, nvars, shape):
+        basis = buchberger(maximal_minors_of(grid, nvars))
+        numerator = hilbert_numerator(_minimal_monomials(basis.leading_monomials()))
+        assert numerator == eagon_northcott_numerator(*shape)
+
+    @pytest.mark.parametrize("name, grid, nvars, shape", [
+        *MAXIMAL_MINOR_MODELS,
+        ("transpose3x2", [["x0", "x1"], ["x1", "x2"], ["x2", "x3"]], 4, (2, 3, 1)),
+        ("quadratic2x3", [["x0^2", "x1^2", "x2^2"], ["x1^2", "x2^2", "x3^2"]],
+         4, (2, 3, 2)),
+        # a zero entry: the greedy packing of disjoint supports falls short of
+        # the codimension, and the dimension search certifies it
+        ("zero_entry2x3", [["0", "x2 - x3", "3*x3"],
+                           ["2*x1 + x2 - x3", "2*x1", "3*x0 - 2*x2"]], 4, (2, 3, 1)),
+    ], ids=[*MAXIMAL_MINOR_IDS, "transpose3x2", "quadratic2x3", "zero_entry2x3"])
+    def test_certified_basis_is_the_pair_loop_basis(self, name, grid, nvars,
+                                                    shape):
+        ideal_ = maximal_minors_of(grid, nvars)
+        # a budget of 0 pairs: the certified generators take none
+        assert (buchberger(ideal_, spair_budget=0, maximal_minors=shape)
+                == buchberger(ideal_))
+
+    @given(form_matrices())
+    def test_certificate_keeps_the_pair_loop_basis(self, case):
+        ideal_, shape = case
+        try:
+            expected = buchberger(ideal_, spair_budget=ORACLE_PAIR_CAP)
+        except SPairBudgetExceeded:
+            return
+        assert buchberger(ideal_, spair_budget=ORACLE_PAIR_CAP,
+                          maximal_minors=shape) == expected
+
+    @pytest.mark.parametrize("grid", [
+        # a vanishing minor leaves two generators, and the ideal has
+        # codimension 1
+        [["x0", "x1", "x2"], ["2*x0", "2*x1", "x3"]],
+        # two minors share the leading monomial x0^2
+        [["2*x1", "3*x0 + 2*x2", "2*x2 + 2*x1"],
+         ["3*x0", "x3 + x1", "3*x0 + 2*x1"]],
+        # the ideal has codimension 2, but the leading monomials x0*x1,
+        # x1*x2 and x1^2 all lie in (x1)
+        [["2*x0", "3*x1 + 2*x3", "x1 + 2*x3"], ["2*x0 + 2*x2", "x1", "x1"]],
+    ], ids=["short_codimension", "shared_leading_monomial",
+            "leading_monomials_of_codimension_one"])
+    def test_refused_generators_take_the_pair_loop(self, grid):
+        ideal_ = maximal_minors_of(grid, 4)
+        with pytest.raises(SPairBudgetExceeded):
+            buchberger(ideal_, spair_budget=0, maximal_minors=(2, 3, 1))
+        assert buchberger(ideal_, maximal_minors=(2, 3, 1)) == buchberger(ideal_)
+
+    def test_a_count_short_of_the_closed_form_takes_the_pair_loop(self):
+        # six quadric monomials of codimension 3 whose degree-3 multiples
+        # number 23, not the 22 of a 2 x 4 maximal-minor ideal in 5 variables
+        # (not minors, so only the count check can refuse them)
+        variables = tuple(f"x{i}" for i in range(5))
+        ideal_ = ideal(["x3^2", "x1^2", "x0*x2", "x3*x4", "x2*x3", "x0*x3"],
+                       variables)
+        with pytest.raises(SPairBudgetExceeded):
+            buchberger(ideal_, spair_budget=0, maximal_minors=(2, 4, 1))
+        assert buchberger(ideal_, maximal_minors=(2, 4, 1)) == buchberger(ideal_)
 
 
 class TestNormalForm:

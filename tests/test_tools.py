@@ -143,11 +143,11 @@ def test_budget_boundaries_of_the_fixture_commands_and_of_an_argv(tmp_path,
     assert len(lines) == 13
     fields = re.compile(r" budget=(\d+) code=(\d+)$")
     assert all(fields.search(line) for line in lines)
-    # both dimensions certify from the generators; the chart bases that the
-    # groebner commands present take pairs, the lower one C(4, 2) for its
-    # four distinct 1-minors
+    # both dimensions certify from the generators; the chart basis of the
+    # maximal minors is certified by its Hilbert function and takes no pair,
+    # and the lower one takes C(4, 2) for its four distinct 1-minors
     assert "verify twisted_cubic budget=1 code=0" in lines
-    assert "groebner minors twisted_cubic budget=3 code=0" in lines
+    assert "groebner minors twisted_cubic budget=1 code=0" in lines
     assert "groebner lower twisted_cubic budget=6 code=0" in lines
     # exit 3 for an unsupported germ is not a tripped budget; the lower
     # basis of its three distinct 1-minors takes their 3 pairs
@@ -234,8 +234,8 @@ def test_benchmark_tracer_wraps_a_run_and_restores_it(run_cli):
     try:
         tracer.install()
         code, _, _ = run_cli("verify", fixture_path("twisted_cubic.json"))
-        # verify certifies both dimensions and forms no S-polynomial; the
-        # chart basis of groebner --ideal minors does
+        # verify certifies both dimensions and forms no S-polynomial, and
+        # the chart basis of groebner --ideal minors is certified with none
         chart, _, _ = run_cli("groebner", fixture_path("twisted_cubic.json"),
                               "--ideal", "minors")
         # Buchberger forms its S-polynomials on packed terms, so the public
